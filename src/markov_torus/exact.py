@@ -36,6 +36,21 @@ def _is_square(n: int) -> bool:
     return r * r == n
 
 
+def floor_surd(a: int, b: int, q: int, d: int) -> int:
+    """floor((a + b*sqrt(d)) / q) for integers with q > 0 and d a non-square
+    whenever b != 0.
+
+    b*sqrt(d) is +-sqrt(b*b*d), which is irrational, so its floor is
+    isqrt(b*b*d) for b > 0 and -isqrt(b*b*d) - 1 for b < 0; and
+    floor(x / q) == floor(x) // q for a positive integer q.
+    """
+    if b > 0:
+        return (a + math.isqrt(b * b * d)) // q
+    if b < 0:
+        return (a - math.isqrt(b * b * d) - 1) // q
+    return a // q
+
+
 @total_ordering
 class QuadReal:
     """An element ``rat + irr*sqrt(d)`` of a real quadratic field.
@@ -234,18 +249,11 @@ class QuadReal:
         return self.rat
 
     def floor(self) -> int:
-        """Exact floor via an integer bracket and sign bisection."""
-        if self.irr == 0:
-            return math.floor(self.rat)
-        bound = math.ceil(abs(self.rat)) + math.ceil(abs(self.irr)) * (math.isqrt(self.d) + 1)
-        lo, hi = -bound - 1, bound + 1  # lo <= x < hi
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if (self - mid).sign() >= 0:
-                lo = mid
-            else:
-                hi = mid
-        return lo
+        """Exact floor, in closed form over a common denominator."""
+        rat, irr = self.rat, self.irr
+        q = math.lcm(rat.denominator, irr.denominator)
+        return floor_surd(rat.numerator * (q // rat.denominator),
+                          irr.numerator * (q // irr.denominator), q, self.d)
 
     # -- rendering -------------------------------------------------------------
 

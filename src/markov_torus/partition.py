@@ -7,9 +7,11 @@ eigenvectors.  A :class:`TorusPartition` bundles the frame, the acting matrix
 the torus cell is the image of the box under the quotient map.
 
 Everything here is exact.  Lattice-translate searches reduce to enumerating
-integer points in the axis-aligned bounding rectangle of a frame-coordinate
-box (a parallelogram in the plane), which is finite and complete because any
-lattice point whose frame coordinates land in the box lies in that rectangle.
+the integer points of a frame-coordinate box, a parallelogram in the plane.
+The scan runs column by column: the lattice point (m, n) is the plane point
+itself, so m runs over the integers in the box's x-extent, and for each m the
+admissible n form one interval whose ends are exact integer floors.  The cost
+is one step per column plus one per lattice point found.
 
 Verifiers:
 
@@ -32,17 +34,14 @@ Verifiers:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .exact import QuadReal
+from .exact import QuadReal, floor_surd
 from .sft import TransitionGraph
-from .torus import EigenFrame, Mat2Z
-
-
-class InvariantError(RuntimeError):
-    """A geometric invariant the construction guarantees was violated."""
+from .torus import EigenFrame, InvariantError, Mat2Z
 
 
 @dataclass(frozen=True)
@@ -186,28 +185,53 @@ class TorusPartition:
 
 def lattice_in_frame_box(frame: EigenFrame, u_lo: QuadReal, u_hi: QuadReal,
                          w_lo: QuadReal, w_hi: QuadReal) -> list[tuple[int, int]]:
-    """All lattice points whose frame coordinates lie in the closed box.
+    """All lattice points whose frame coordinates lie in the closed box, in
+    ascending (m, n) order.
 
-    The box maps to a plane parallelogram; integer points inside it lie in
-    its bounding rectangle, which is scanned exactly.
+    Column by column: m runs over the integers in the box's plane x-extent,
+    and each closed constraint bounds n by an affine form (bound - c10*m) / c01
+    in m, c being the u- or w-coordinate of the lattice generators.  The forms
+    are brought to integers (a + b*sqrt(D)) / q once per scan, so each
+    column's n-interval ends are exact integer floors.  Every hit is
+    re-checked against the box.
     """
-    corners = [
-        frame.to_plane(u, w)
-        for u, w in ((u_lo, w_lo), (u_hi, w_lo), (u_hi, w_hi), (u_lo, w_hi))
-    ]
-    xs = [p[0] for p in corners]
-    ys = [p[1] for p in corners]
-    x_min = min(xs).floor()
-    x_max = -((-max(xs)).floor())
-    y_min = min(ys).floor()
-    y_max = -((-max(ys)).floor())
+    # x = u*vl0 + w*vm0 is monotone in u and in w, so two corners bound it
+    vl0, vm0 = frame.eig.v_lam[0], frame.eig.v_mu[0]
+    u_left, u_right = (u_lo, u_hi) if vl0.sign() > 0 else (u_hi, u_lo)
+    w_left, w_right = (w_lo, w_hi) if vm0.sign() > 0 else (w_hi, w_lo)
+    x_min = u_left * vl0 + w_left * vm0
+    x_max = u_right * vl0 + w_right * vm0
+    lows, highs = [], []
+    for c10, c01, lo, hi in ((frame.u10, frame.u01, u_lo, u_hi),
+                             (frame.w10, frame.w01, w_lo, w_hi)):
+        inv = c01.inverse()
+        slope = -c10 * inv
+        lo_form, hi_form = _column_form(lo * inv, slope), _column_form(hi * inv, slope)
+        if c01.sign() < 0:
+            lo_form, hi_form = hi_form, lo_form
+        lows.append(lo_form)
+        highs.append(hi_form)
+    d = frame.eig.disc
     hits = []
-    for m in range(x_min - 1, x_max + 2):
-        for n in range(y_min - 1, y_max + 2):
+    for m in range(-((-x_min).floor()), x_max.floor() + 1):
+        n_lo = max(-floor_surd(-a0 - a1 * m, -b0 - b1 * m, q, d)
+                   for a0, a1, b0, b1, q in lows)
+        n_hi = min(floor_surd(a0 + a1 * m, b0 + b1 * m, q, d)
+                   for a0, a1, b0, b1, q in highs)
+        for n in range(n_lo, n_hi + 1):
             qu, qw = frame.lattice_frame(m, n)
-            if u_lo <= qu <= u_hi and w_lo <= qw <= w_hi:
-                hits.append((m, n))
+            if not (u_lo <= qu <= u_hi and w_lo <= qw <= w_hi):
+                raise InvariantError(f"column scan hit {(m, n)} lies outside the box")
+            hits.append((m, n))
     return hits
+
+
+def _column_form(const: QuadReal, slope: QuadReal) -> tuple[int, int, int, int, int]:
+    """Integers (a0, a1, b0, b1, q), q > 0, with const + slope*m equal to
+    ((a0 + a1*m) + (b0 + b1*m)*sqrt(D)) / q for every integer m."""
+    parts = (const.rat, slope.rat, const.irr, slope.irr)
+    q = math.lcm(*(x.denominator for x in parts))
+    return tuple(x.numerator * (q // x.denominator) for x in parts) + (q,)
 
 
 def translate_overlaps(frame: EigenFrame, target: EigenRect, moving: EigenRect
@@ -321,10 +345,16 @@ def image_components(part: TorusPartition, source: int, container: int
 
 def transition_graph(part: TorusPartition) -> TransitionGraph:
     """Geometric transition multiplicities: entry (i, j) counts the components
-    of phi(R_i) intersected with R_j on the torus."""
-    n = part.n
-    rows = [[len(image_components(part, i, j)) for j in range(n)] for i in range(n)]
-    return TransitionGraph(rows)
+    of phi(R_i) intersected with R_j on the torus.  Cached on the partition,
+    so the constructor and every verifier share one derivation."""
+    graph = getattr(part, "_transition_graph", None)
+    if graph is None:
+        n = part.n
+        graph = TransitionGraph(
+            [[len(image_components(part, i, j)) for j in range(n)] for i in range(n)]
+        )
+        object.__setattr__(part, "_transition_graph", graph)
+    return graph
 
 
 def refine(part: TorusPartition) -> list[RefinementCell]:
@@ -530,7 +560,7 @@ def verify_boundary_alignment(part: TorusPartition) -> list[AlignmentWitness]:
         a, b = sorted((w_lo * mu, w_hi * mu))
         pieces = []
         for u2, w2_lo, w2_hi in v_edges:
-            q = frame.lattice_from_u(u_img - u2)
+            q = frame.lattice_shift(du=u_img - u2)
             if q is not None:
                 wq = frame.lattice_frame(*q)[1]
                 pieces.append((w2_lo + wq, w2_hi + wq))
@@ -544,7 +574,7 @@ def verify_boundary_alignment(part: TorusPartition) -> list[AlignmentWitness]:
         a, b = sorted((u_lo / lam, u_hi / lam))
         pieces = []
         for w2, u2_lo, u2_hi in h_edges:
-            q = frame.lattice_from_w(w_img - w2)
+            q = frame.lattice_shift(dw=w_img - w2)
             if q is not None:
                 uq = frame.lattice_frame(*q)[0]
                 pieces.append((u2_lo + uq, u2_hi + uq))
@@ -674,7 +704,8 @@ def verify_generator_decay(part: TorusPartition, depth: int,
                 )
                 if measured is None or cand > measured:
                     measured = cand
-        assert measured is not None
+        if measured is None:
+            raise InvariantError("no endpoint pair is reachable")
         enumerated = 0 < n <= enumerate_up_to
         if enumerated:
             _check_window_dims(part, succ, n, mu_abs, lam_abs)

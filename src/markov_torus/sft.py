@@ -13,6 +13,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .torus import InvariantError
+
 Matrix = tuple[tuple[int, ...], ...]
 
 
@@ -195,7 +197,8 @@ def char_poly(graph: TransitionGraph) -> tuple[int, ...]:
         coeffs.append(-trace_am / k)
     out = []
     for c in coeffs:
-        assert c.denominator == 1
+        if c.denominator != 1:
+            raise InvariantError(f"integer matrix gave coefficient {c}")
         out.append(int(c))
     return tuple(out)
 

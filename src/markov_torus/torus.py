@@ -12,8 +12,8 @@ legitimate because c = 0 would force integer unit eigenvalues.
 
 :class:`EigenFrame` converts between plane coordinates and coordinates along
 (v_lam, v_mu); since the eigenline slopes are irrational, a lattice point is
-recoverable exactly from its frame coordinates by solving a rational 2x2
-system, which is how all lattice-translate searches in the package terminate.
+recoverable exactly from either one of its frame coordinates by solving a
+rational 2x2 system (:meth:`EigenFrame.lattice_shift`).
 """
 
 from __future__ import annotations
@@ -33,6 +33,10 @@ class NotAutomorphismError(ValueError):
 
 class NotHyperbolicError(ValueError):
     """An eigenvalue sits on the unit circle; no expanding/contracting split."""
+
+
+class InvariantError(RuntimeError):
+    """A geometric invariant the construction guarantees was violated."""
 
 
 @dataclass(frozen=True)
@@ -145,7 +149,8 @@ def hyperbolic_check(mat: Mat2Z) -> EigenData:
     sign = 1 if t > 0 else -1
     lam = QuadReal(Fraction(t, 2), sign * half, disc)
     mu = QuadReal(Fraction(t, 2), -sign * half, disc)
-    assert (abs(lam) - 1).sign() > 0 and (1 - abs(mu)).sign() > 0
+    if (abs(lam) - 1).sign() <= 0 or (1 - abs(mu)).sign() <= 0:
+        raise InvariantError("eigenvalues do not split into |lam| > 1 > |mu|")
     if mat.c == 0:
         # triangular with unit diagonal would have passed the trace test only
         # by having |a| = |d| = 1; unreachable for hyperbolic input
@@ -155,7 +160,8 @@ def hyperbolic_check(mat: Mat2Z) -> EigenData:
     v_mu = (c, mu - mat.a)
     slope_lam = (lam - mat.a) / mat.c
     slope_mu = (mu - mat.a) / mat.c
-    assert slope_lam.irr != 0 and slope_mu.irr != 0
+    if slope_lam.irr == 0 or slope_mu.irr == 0:
+        raise InvariantError("an eigenline has rational slope")
     return EigenData(
         matrix=mat,
         disc=disc,
@@ -191,7 +197,8 @@ def count_periodic_points(mat: Mat2Z, n: int) -> int:
     power = mat ** n
     diff = Mat2Z(power.a - 1, power.b, power.c, power.d - 1)
     det = diff.det()
-    assert det != 0
+    if det == 0:
+        raise InvariantError(f"A^{n} has eigenvalue 1")
     return abs(det)
 
 
@@ -204,7 +211,8 @@ class EigenFrame:
     arithmetic.  ``u10/w10`` and ``u01/w01`` are the frame coordinates of the
     lattice generators (1,0) and (0,1); because the eigenline slopes are
     irrational, (m, n) -> (u, w) is injective on the lattice and invertible by
-    rational linear algebra (:meth:`lattice_shift`).
+    rational linear algebra (:meth:`lattice_shift`).  The lattice point (m, n)
+    is the plane point (m, n) itself.
     """
 
     eig: EigenData
@@ -218,7 +226,8 @@ class EigenFrame:
     def from_eigen(cls, eig: EigenData) -> "EigenFrame":
         vl, vm = eig.v_lam, eig.v_mu
         det = vl[0] * vm[1] - vl[1] * vm[0]
-        assert det.sign() != 0
+        if det.sign() == 0:
+            raise InvariantError("eigenvectors are parallel")
         u10, w10 = _solve(vl, vm, det, (QuadReal(1), QuadReal(0)))
         u01, w01 = _solve(vl, vm, det, (QuadReal(0), QuadReal(1)))
         return cls(eig, det, u10, w10, u01, w01)
@@ -234,56 +243,31 @@ class EigenFrame:
     def lattice_frame(self, m: int, n: int) -> tuple[QuadReal, QuadReal]:
         return (self.u10 * m + self.u01 * n, self.w10 * m + self.w01 * n)
 
-    def lattice_shift(self, du: QuadReal, dw: QuadReal) -> tuple[int, int] | None:
+    def lattice_shift(self, du: QuadReal | None = None,
+                      dw: QuadReal | None = None) -> tuple[int, int] | None:
         """The unique lattice point with frame coordinates (du, dw), if any.
 
-        Solves m * (u10, w10) + n * (u01, w01) = (du, dw) componentwise over
-        the basis (1, sqrt(D)); the rational system is nonsingular because the
-        eigenlines contain no nonzero lattice points.
+        Either coordinate may be left out: m * c10 + n * c01 = value for one
+        coordinate c is two rational equations over the basis (1, sqrt(D)),
+        so it alone determines the lattice point or rules it out; the other
+        coordinate, when given, is then checked.  The rational system is
+        nonsingular because the eigenlines contain no nonzero lattice points.
         """
-        a, b = self.u10.rat, self.u01.rat
-        c, d = self.u10.irr, self.u01.irr
-        det = a * d - b * c
-        assert det != 0
-        m = (du.rat * d - du.irr * b) / det
-        n = (a * du.irr - c * du.rat) / det
+        if du is None:
+            value, c10, c01 = dw, self.w10, self.w01
+        else:
+            value, c10, c01 = du, self.u10, self.u01
+        det = c10.rat * c01.irr - c01.rat * c10.irr
+        if det == 0:
+            raise InvariantError("a lattice point lies on an eigenline")
+        m = (value.rat * c01.irr - value.irr * c01.rat) / det
+        n = (c10.rat * value.irr - c10.irr * value.rat) / det
         if m.denominator != 1 or n.denominator != 1:
             return None
         m, n = int(m), int(n)
-        check = self.lattice_frame(m, n)
-        if check[0] == du and check[1] == dw:
-            return (m, n)
-        return None
-
-    def lattice_from_u(self, du: QuadReal) -> tuple[int, int] | None:
-        """The unique lattice point whose expanding coordinate is ``du``.
-
-        One field equation is two rational equations, so the u-coordinate
-        alone determines the lattice point (or rules it out).
-        """
-        a, b = self.u10.rat, self.u01.rat
-        c, d = self.u10.irr, self.u01.irr
-        det = a * d - b * c
-        assert det != 0
-        m = (du.rat * d - du.irr * b) / det
-        n = (a * du.irr - c * du.rat) / det
-        if m.denominator != 1 or n.denominator != 1:
+        if du is not None and dw is not None and self.lattice_frame(m, n)[1] != dw:
             return None
-        m, n = int(m), int(n)
-        return (m, n) if self.lattice_frame(m, n)[0] == du else None
-
-    def lattice_from_w(self, dw: QuadReal) -> tuple[int, int] | None:
-        """The unique lattice point whose contracting coordinate is ``dw``."""
-        a, b = self.w10.rat, self.w01.rat
-        c, d = self.w10.irr, self.w01.irr
-        det = a * d - b * c
-        assert det != 0
-        m = (dw.rat * d - dw.irr * b) / det
-        n = (a * dw.irr - c * dw.rat) / det
-        if m.denominator != 1 or n.denominator != 1:
-            return None
-        m, n = int(m), int(n)
-        return (m, n) if self.lattice_frame(m, n)[1] == dw else None
+        return (m, n)
 
 
 def _solve(vl: PlanePoint, vm: PlanePoint, det: QuadReal, p: PlanePoint):

@@ -110,3 +110,28 @@ def brute_torus_periodic(a_mat, n: int) -> int:
             if u.denominator == 1 and v.denominator == 1:
                 count += 1
     return count
+
+
+def brute_lattice_in_frame_box(frame, u_lo, u_hi, w_lo, w_hi):
+    """All lattice points whose frame coordinates lie in the closed box.
+
+    The box maps to a plane parallelogram; integer points inside it lie in
+    its bounding rectangle, which is scanned exactly.
+    """
+    corners = [
+        frame.to_plane(u, w)
+        for u, w in ((u_lo, w_lo), (u_hi, w_lo), (u_hi, w_hi), (u_lo, w_hi))
+    ]
+    xs = [p[0] for p in corners]
+    ys = [p[1] for p in corners]
+    x_min = min(xs).floor()
+    x_max = -((-max(xs)).floor())
+    y_min = min(ys).floor()
+    y_max = -((-max(ys)).floor())
+    hits = []
+    for m in range(x_min - 1, x_max + 2):
+        for n in range(y_min - 1, y_max + 2):
+            qu, qw = frame.lattice_frame(m, n)
+            if u_lo <= qu <= u_hi and w_lo <= qw <= w_hi:
+                hits.append((m, n))
+    return hits

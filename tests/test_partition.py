@@ -4,6 +4,8 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from markov_torus.construct import build_markov_construction
 from markov_torus.exact import QuadReal
@@ -13,6 +15,7 @@ from markov_torus.partition import (
     EigenRect,
     InvariantError,
     image_components,
+    lattice_in_frame_box,
     locate,
     partition_diam_sq,
     refined_partition,
@@ -22,7 +25,8 @@ from markov_torus.partition import (
     verify_nfold_range,
     verify_translate_disjoint,
 )
-from markov_torus.torus import Mat2Z
+from markov_torus.torus import EigenFrame, Mat2Z, hyperbolic_check
+from oracles import brute_lattice_in_frame_box
 
 FIB = Mat2Z(1, 1, 1, 0)          # negative contracting eigenvalue
 FIB_SQ = Mat2Z(2, 1, 1, 1)       # both eigenvalues positive
@@ -151,3 +155,33 @@ def test_degenerate_box_rejected():
     one = QuadReal(1)
     with pytest.raises(InvariantError):
         EigenRect(one, zero, zero, one)
+
+
+LADDER = [FIB, -FIB, FIB_SQ, Mat2Z(0, 1, 1, 3), Mat2Z(-2, -3, -1, -2),
+          Mat2Z(3, 2, 1, 1), Mat2Z(5, 2, 2, 1), Mat2Z(10, 1, 1, 0),
+          Mat2Z(15, 1, 1, 0)]
+
+# Plane points with integer x: a box edge through one makes that column's
+# n-bound rational, and with integer y the edge passes through a lattice point.
+_ANCHOR = st.tuples(
+    st.integers(-8, 8).map(Fraction),
+    st.builds(Fraction, st.integers(-40, 40), st.sampled_from([1, 1, 2, 3, 7])),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(LADDER), st.lists(_ANCHOR, min_size=4, max_size=4),
+       st.booleans(), st.booleans())
+def test_lattice_scan_matches_bounding_box_oracle(mat, anchors, flat, corner):
+    """The column scan returns the bounding-box scan's list, order included,
+    on boxes whose edges run through lattice points (``corner`` makes one a
+    box corner) and on boxes with u_lo == u_hi (``flat``)."""
+    frame = EigenFrame.from_eigen(hyperbolic_check(mat))
+    if corner:
+        anchors[2] = anchors[0]
+    us = sorted(frame.to_frame(p)[0] for p in anchors[:2])
+    ws = sorted(frame.to_frame(p)[1] for p in anchors[2:])
+    if flat:
+        us[1] = us[0]
+    box = (us[0], us[1], ws[0], ws[1])
+    assert lattice_in_frame_box(frame, *box) == brute_lattice_in_frame_box(frame, *box)
