@@ -59,11 +59,10 @@ def _rect_contains_torus(frame: EigenFrame, rect: EigenRect, point,
     """Exact membership of a torus point in a frame box, testing every
     lattice representative that could land inside."""
     pu, pw = frame.to_frame(point)
-    for q in lattice_in_frame_box(
+    for _, (qu, qw) in lattice_in_frame_box(
         frame,
         rect.u_lo - pu, rect.u_hi - pu, rect.w_lo - pw, rect.w_hi - pw,
     ):
-        qu, qw = frame.lattice_frame(*q)
         if rect.contains_frame(pu + qu, pw + qw, closed=closed):
             return True
     return False

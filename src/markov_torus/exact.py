@@ -1,10 +1,13 @@
 """Exact arithmetic in real quadratic fields Q(sqrt(d)).
 
-Numbers are stored as ``rat + irr*sqrt(d)`` with :class:`fractions.Fraction`
-components and a fixed non-square radicand ``d >= 0``.  ``d == 0`` marks a
-plain rational, which combines freely with any radicand.  Every predicate the
-rest of the package relies on -- sign, comparison, floor, equality -- is
-decided by integer arithmetic only; floats appear in ``__float__`` and in
+An element is stored as four integers ``(a, b, q, d)`` meaning
+``(a + b*sqrt(d)) / q``, always in canonical form: ``q > 0``,
+``gcd(a, b, q) == 1``, and ``d == 0`` exactly when ``b == 0``.  ``d`` is a
+fixed non-square radicand; ``d == 0`` marks a plain rational, which combines
+freely with any radicand.  Sums and products take one gcd each, and every
+predicate the rest of the package relies on -- sign, comparison, floor,
+equality -- is decided by integer arithmetic on these numerators without
+building an intermediate element; floats appear in ``__float__`` and in
 decimal rendering, never in control flow.
 
 The continued-fraction expander works directly on field elements: an element
@@ -51,32 +54,76 @@ def floor_surd(a: int, b: int, q: int, d: int) -> int:
     return a // q
 
 
+def _sign(a: int, b: int, d: int) -> int:
+    """Sign of a + b*sqrt(d), for d a non-square whenever b != 0."""
+    if a >= 0 and b >= 0:
+        return 1 if a or b else 0
+    if a <= 0 and b <= 0:
+        return -1
+    # opposite signs: compare a^2 against b^2 * d
+    lhs = a * a
+    rhs = b * b * d
+    if lhs == rhs:  # would make sqrt(d) rational
+        raise ArithmeticError("non-square radicand produced a zero norm")
+    if a > 0:  # a > 0 > b
+        return 1 if lhs > rhs else -1
+    return 1 if rhs > lhs else -1
+
+
+def _joint(d1: int, d2: int) -> int:
+    """Radicand valid for both operands, or raise on a genuine mix."""
+    if d1 == d2 or not d2:
+        return d1
+    if not d1:
+        return d2
+    raise ValueError(f"mixed radicands {d1} and {d2}")
+
+
 @total_ordering
 class QuadReal:
-    """An element ``rat + irr*sqrt(d)`` of a real quadratic field.
+    """An element ``(a + b*sqrt(d)) / q`` of a real quadratic field.
 
-    ``d`` must be a non-square positive integer whenever ``irr != 0``; a pure
-    rational may carry ``d == 0`` and mixes with any radicand.  Elements with
-    different radicands compare by value (``sqrt(8) == 2*sqrt(2)``) but refuse
-    arithmetic, since the sum would leave both fields.
+    The four integers are read-only attributes in canonical form (see the
+    module docstring); ``rat`` and ``irr`` give the rational and irrational
+    parts ``a/q`` and ``b/q`` as fractions.  ``d`` must be a non-square
+    positive integer whenever ``b != 0``; a pure rational carries ``d == 0``
+    and mixes with any radicand.  Elements with different radicands compare
+    by value (``sqrt(8) == 2*sqrt(2)``) but refuse arithmetic, since the sum
+    would leave both fields.
     """
 
-    __slots__ = ("rat", "irr", "d")
+    __slots__ = ("a", "b", "q", "d")
 
     def __init__(self, rat: _RationalLike, irr: _RationalLike = 0, d: int = 0):
-        rat = Fraction(rat)
-        irr = Fraction(irr)
-        if irr == 0:
-            d = 0
+        if type(rat) is int and type(irr) is int:
+            a, b, q = rat, irr, 1
         else:
-            if d <= 0 or _is_square(d):
-                raise ValueError(f"radicand must be a positive non-square, got {d}")
-        object.__setattr__(self, "rat", rat)
-        object.__setattr__(self, "irr", irr)
-        object.__setattr__(self, "d", d)
+            rat = Fraction(rat)
+            irr = Fraction(irr)
+            q = math.lcm(rat.denominator, irr.denominator)
+            a = rat.numerator * (q // rat.denominator)
+            b = irr.numerator * (q // irr.denominator)
+        if b == 0:
+            d = 0
+        elif d <= 0 or _is_square(d):
+            raise ValueError(f"radicand must be a positive non-square, got {d}")
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_q(self, q)
+        _set_d(self, d)
 
-    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
+    def __setattr__(self, name, value):
         raise AttributeError("QuadReal is immutable")
+
+    @property
+    def rat(self) -> Fraction:
+        """The rational part a/q."""
+        return Fraction(self.a, self.q)
+
+    @property
+    def irr(self) -> Fraction:
+        """The coefficient b/q of sqrt(d)."""
+        return Fraction(self.b, self.q)
 
     # -- construction helpers -------------------------------------------------
 
@@ -106,72 +153,88 @@ class QuadReal:
         return cls(rat, irr, int(m.group("d")))
 
     # -- field structure -------------------------------------------------------
-
-    def _joint(self, other: "QuadReal") -> int:
-        """Radicand valid for both operands, or raise on a genuine mix."""
-        if self.d == 0:
-            return other.d
-        if other.d == 0 or other.d == self.d:
-            return self.d
-        raise ValueError(f"mixed radicands {self.d} and {other.d}")
-
-    def _coerce(self, other) -> "QuadReal | None":
-        if isinstance(other, QuadReal):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return QuadReal(other)
-        return None
+    #
+    # Each operation coerces an int or Fraction operand (anything else is
+    # NotImplemented) and works on the integers.  Int operands take a short
+    # cut: adding one leaves gcd(a, b, q) == 1, so it needs no gcd at all.
 
     def __add__(self, other) -> "QuadReal":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        d = self._joint(o)
-        return QuadReal(self.rat + o.rat, self.irr + o.irr, d if self.irr + o.irr else 0)
+        if type(other) is not QuadReal:
+            if type(other) is int:
+                return _make(self.a + other * self.q, self.b, self.q, self.d)
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        d = _joint(self.d, other.d)
+        q1, q2 = self.q, other.q
+        if q1 == q2:
+            return _reduced(self.a + other.a, self.b + other.b, q1, d)
+        return _reduced(self.a * q2 + other.a * q1, self.b * q2 + other.b * q1,
+                        q1 * q2, d)
 
     __radd__ = __add__
 
     def __neg__(self) -> "QuadReal":
-        return QuadReal(-self.rat, -self.irr, self.d)
+        return _make(-self.a, -self.b, self.q, self.d)
 
     def __sub__(self, other) -> "QuadReal":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+        if type(other) is not QuadReal:
+            if type(other) is int:
+                return _make(self.a - other * self.q, self.b, self.q, self.d)
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        d = _joint(self.d, other.d)
+        q1, q2 = self.q, other.q
+        if q1 == q2:
+            return _reduced(self.a - other.a, self.b - other.b, q1, d)
+        return _reduced(self.a * q2 - other.a * q1, self.b * q2 - other.b * q1,
+                        q1 * q2, d)
 
     def __rsub__(self, other) -> "QuadReal":
-        o = self._coerce(other)
+        o = _coerce(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return o - self
 
     def __mul__(self, other) -> "QuadReal":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        d = self._joint(o)
-        rat = self.rat * o.rat + self.irr * o.irr * d
-        irr = self.rat * o.irr + self.irr * o.rat
-        return QuadReal(rat, irr, d if irr else 0)
+        if type(other) is not QuadReal:
+            if type(other) is int:
+                if other == 0:
+                    return _make(0, 0, 1, 0)
+                # gcd(a, b, q) == 1, so gcd(a*k, b*k, q) == gcd(k, q)
+                g = math.gcd(other, self.q)
+                k = other // g
+                return _make(self.a * k, self.b * k, self.q // g, self.d)
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        d = _joint(self.d, other.d)
+        a1, b1, a2, b2 = self.a, self.b, other.a, other.b
+        return _reduced(a1 * a2 + b1 * b2 * d, a1 * b2 + b1 * a2,
+                        self.q * other.q, d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "QuadReal":
-        if self.rat == 0 and self.irr == 0:
+        a, b, q = self.a, self.b, self.q
+        if a == 0 and b == 0:
             raise ZeroDivisionError("QuadReal division by zero")
-        norm = self.rat * self.rat - self.irr * self.irr * self.d
-        # norm == 0 would force sqrt(d) rational; impossible for non-square d
-        return QuadReal(self.rat / norm, -self.irr / norm, self.d)
+        # q / (a + b*sqrt(d)) == q*(a - b*sqrt(d)) / norm; norm == 0 would
+        # force sqrt(d) rational, impossible for non-square d
+        norm = a * a - b * b * self.d
+        if norm < 0:
+            norm, q = -norm, -q
+        return _reduced(q * a, -q * b, norm, self.d)
 
     def __truediv__(self, other) -> "QuadReal":
-        o = self._coerce(other)
+        o = _coerce(other)
         if o is None:
             return NotImplemented
         return self * o.inverse()
 
     def __rtruediv__(self, other) -> "QuadReal":
-        o = self._coerce(other)
+        o = _coerce(other)
         if o is None:
             return NotImplemented
         return o * self.inverse()
@@ -181,7 +244,7 @@ class QuadReal:
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
-        result = QuadReal(1)
+        result = _make(1, 0, 1, 0)
         base = self
         while n:
             if n & 1:
@@ -191,81 +254,80 @@ class QuadReal:
         return result
 
     def conjugate(self) -> "QuadReal":
-        """Galois conjugate rat - irr*sqrt(d)."""
-        return QuadReal(self.rat, -self.irr, self.d)
+        """Galois conjugate (a - b*sqrt(d)) / q."""
+        return _make(self.a, -self.b, self.q, self.d)
 
     # -- exact predicates ------------------------------------------------------
 
     def sign(self) -> int:
         """-1, 0 or +1, decided exactly."""
-        if self.irr == 0:
-            return -1 if self.rat < 0 else (0 if self.rat == 0 else 1)
-        if self.rat == 0:
-            return 1 if self.irr > 0 else -1
-        if self.rat > 0 and self.irr > 0:
-            return 1
-        if self.rat < 0 and self.irr < 0:
-            return -1
-        # opposite signs: compare rat^2 against irr^2 * d
-        lhs = self.rat * self.rat
-        rhs = self.irr * self.irr * self.d
-        if lhs == rhs:  # would make sqrt(d) rational
-            raise ArithmeticError("non-square radicand produced a zero norm")
-        if self.rat > 0:  # rat > 0 > irr
-            return 1 if lhs > rhs else -1
-        return 1 if rhs > lhs else -1
+        return _sign(self.a, self.b, self.d)
 
     def _value_key(self):
-        return (self.rat, 1 if self.irr > 0 else (-1 if self.irr < 0 else 0),
-                self.irr * self.irr * self.d)
+        b, q = self.b, self.q
+        return (Fraction(self.a, q), 1 if b > 0 else (-1 if b < 0 else 0),
+                Fraction(b * b * self.d, q * q))
 
     def __eq__(self, other) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._value_key() == o._value_key()
+        if type(other) is not QuadReal:
+            if type(other) is int:
+                return self.b == 0 and self.q == 1 and self.a == other
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        if self.d == other.d:  # canonical form: equal value, equal integers
+            return self.a == other.a and self.b == other.b and self.q == other.q
+        if not (self.d and other.d):  # one rational, one irrational
+            return False
+        return self._value_key() == other._value_key()
 
     def __hash__(self) -> int:
         return hash(self._value_key())
 
     def __lt__(self, other) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() < 0
+        if type(other) is not QuadReal:
+            if type(other) is int:
+                return _sign(self.a - other * self.q, self.b, self.d) < 0
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        # sign of self - other: its numerator over the positive q1*q2
+        d = _joint(self.d, other.d)
+        q1, q2 = self.q, other.q
+        if q1 == q2:
+            return _sign(self.a - other.a, self.b - other.b, d) < 0
+        return _sign(self.a * q2 - other.a * q1, self.b * q2 - other.b * q1, d) < 0
 
     def __abs__(self) -> "QuadReal":
-        return -self if self.sign() < 0 else self
+        return -self if _sign(self.a, self.b, self.d) < 0 else self
 
     def __bool__(self) -> bool:
-        return self.rat != 0 or self.irr != 0
+        return self.a != 0 or self.b != 0
 
     def is_rational(self) -> bool:
-        return self.irr == 0
+        return self.b == 0
 
     def as_fraction(self) -> Fraction:
-        if self.irr != 0:
+        if self.b != 0:
             raise ValueError("not a rational value")
-        return self.rat
+        return Fraction(self.a, self.q)
 
     def floor(self) -> int:
-        """Exact floor, in closed form over a common denominator."""
-        rat, irr = self.rat, self.irr
-        q = math.lcm(rat.denominator, irr.denominator)
-        return floor_surd(rat.numerator * (q // rat.denominator),
-                          irr.numerator * (q // irr.denominator), q, self.d)
+        """Exact floor, in closed form."""
+        return floor_surd(self.a, self.b, self.q, self.d)
 
     # -- rendering -------------------------------------------------------------
 
     def __float__(self) -> float:
-        if self.irr == 0:
-            return float(self.rat)
+        rat, irr = self.rat, self.irr
+        if irr == 0:
+            return float(rat)
         # evaluate through a guarded rational approximation of sqrt(d): the
         # naive float sum cancels catastrophically when rat and irr*sqrt(d)
         # are huge and nearly opposite (routine for deep cylinder bounds)
-        k = 40 + len(str(abs(self.rat.numerator))) + len(str(abs(self.irr.numerator)))
+        k = 40 + len(str(abs(rat.numerator))) + len(str(abs(irr.numerator)))
         root = Fraction(math.isqrt(self.d * 10 ** (2 * k)), 10 ** k)
-        return float(self.rat + self.irr * root)
+        return float(rat + irr * root)
 
     def decimal(self, places: int = 12) -> str:
         """Correctly rounded fixed-point decimal string.
@@ -274,12 +336,13 @@ class QuadReal:
         rounded digit is exact for irrational values; rational values are
         rounded half-to-even on the (rare) exact tie.
         """
-        if self.irr == 0:
-            approx = self.rat
+        rat, irr = self.rat, self.irr
+        if irr == 0:
+            approx = rat
         else:
-            k = places + 12 + len(str(abs(self.irr.numerator)))
+            k = places + 12 + len(str(abs(irr.numerator)))
             root = Fraction(math.isqrt(self.d * 10 ** (2 * k)), 10 ** k)
-            approx = self.rat + self.irr * root
+            approx = rat + irr * root
         scaled = approx * 10 ** places
         n = round(scaled)
         sign = "-" if n < 0 else ""
@@ -289,14 +352,54 @@ class QuadReal:
 
     def exact_str(self) -> str:
         """Canonical text form ``a/b + c/d*sqrt(D)`` (or bare rational)."""
-        if self.irr == 0:
-            return str(self.rat)
-        if self.irr > 0:
-            return f"{self.rat} + {self.irr}*sqrt({self.d})"
-        return f"{self.rat} - {-self.irr}*sqrt({self.d})"
+        rat, irr = self.rat, self.irr
+        if irr == 0:
+            return str(rat)
+        if irr > 0:
+            return f"{rat} + {irr}*sqrt({self.d})"
+        return f"{rat} - {-irr}*sqrt({self.d})"
 
     def __repr__(self) -> str:
         return f"QuadReal({self.exact_str()})"
+
+
+_set_a, _set_b, _set_q, _set_d = (QuadReal.__dict__[name].__set__
+                                  for name in QuadReal.__slots__)
+_new = object.__new__
+
+
+def _make(a: int, b: int, q: int, d: int) -> QuadReal:
+    """An element from integers already in canonical form.  Internal results
+    skip the public constructor's checks: their radicand was validated on an
+    operand."""
+    x = _new(QuadReal)
+    _set_a(x, a)
+    _set_b(x, b)
+    _set_q(x, q)
+    _set_d(x, d)
+    return x
+
+
+def _reduced(a: int, b: int, q: int, d: int) -> QuadReal:
+    """(a + b*sqrt(d)) / q for q > 0, brought to canonical form."""
+    g = math.gcd(a, b, q)
+    if g != 1:
+        a //= g
+        b //= g
+        q //= g
+    return _make(a, b, q, d if b else 0)
+
+
+def _coerce(value) -> QuadReal | None:
+    if isinstance(value, QuadReal):
+        return value
+    if isinstance(value, int):
+        return _make(int(value), 0, 1, 0)
+    if isinstance(value, Fraction):
+        return _make(value.numerator, 0, value.denominator, 0)
+    return None
+
+
 
 
 @dataclass(frozen=True)
@@ -344,7 +447,7 @@ def cf_expand(x: QuadReal) -> ContinuedFraction:
     first repeated state starts the minimal period.  Rational input has a
     finite expansion, hence no period, and is rejected.
     """
-    if x.irr == 0:
+    if x.b == 0:
         raise ValueError("rational input has no periodic continued fraction")
     terms: list[int] = []
     seen: dict[QuadReal, int] = {}

@@ -184,16 +184,19 @@ class TorusPartition:
 
 
 def lattice_in_frame_box(frame: EigenFrame, u_lo: QuadReal, u_hi: QuadReal,
-                         w_lo: QuadReal, w_hi: QuadReal) -> list[tuple[int, int]]:
+                         w_lo: QuadReal, w_hi: QuadReal
+                         ) -> list[tuple[tuple[int, int], tuple[QuadReal, QuadReal]]]:
     """All lattice points whose frame coordinates lie in the closed box, in
-    ascending (m, n) order.
+    ascending (m, n) order, each as ``((m, n), (qu, qw))`` with its frame
+    coordinates.
 
     Column by column: m runs over the integers in the box's plane x-extent,
     and each closed constraint bounds n by an affine form (bound - c10*m) / c01
     in m, c being the u- or w-coordinate of the lattice generators.  The forms
     are brought to integers (a + b*sqrt(D)) / q once per scan, so each
     column's n-interval ends are exact integer floors.  Every hit is
-    re-checked against the box.
+    re-checked against the box, and its frame coordinates are returned with
+    it so that callers need not recompute them.
     """
     # x = u*vl0 + w*vm0 is monotone in u and in w, so two corners bound it
     vl0, vm0 = frame.eig.v_lam[0], frame.eig.v_mu[0]
@@ -222,16 +225,16 @@ def lattice_in_frame_box(frame: EigenFrame, u_lo: QuadReal, u_hi: QuadReal,
             qu, qw = frame.lattice_frame(m, n)
             if not (u_lo <= qu <= u_hi and w_lo <= qw <= w_hi):
                 raise InvariantError(f"column scan hit {(m, n)} lies outside the box")
-            hits.append((m, n))
+            hits.append(((m, n), (qu, qw)))
     return hits
 
 
 def _column_form(const: QuadReal, slope: QuadReal) -> tuple[int, int, int, int, int]:
     """Integers (a0, a1, b0, b1, q), q > 0, with const + slope*m equal to
     ((a0 + a1*m) + (b0 + b1*m)*sqrt(D)) / q for every integer m."""
-    parts = (const.rat, slope.rat, const.irr, slope.irr)
-    q = math.lcm(*(x.denominator for x in parts))
-    return tuple(x.numerator * (q // x.denominator) for x in parts) + (q,)
+    q = math.lcm(const.q, slope.q)
+    kc, ks = q // const.q, q // slope.q
+    return (const.a * kc, slope.a * ks, const.b * kc, slope.b * ks, q)
 
 
 def translate_overlaps(frame: EigenFrame, target: EigenRect, moving: EigenRect
@@ -239,14 +242,13 @@ def translate_overlaps(frame: EigenFrame, target: EigenRect, moving: EigenRect
     """Lattice translates q with target meeting (moving + q) in an open set,
     together with the (nonempty) open intersections."""
     out = []
-    for q in lattice_in_frame_box(
+    for q, (du, dw) in lattice_in_frame_box(
         frame,
         target.u_lo - moving.u_hi,
         target.u_hi - moving.u_lo,
         target.w_lo - moving.w_hi,
         target.w_hi - moving.w_lo,
     ):
-        du, dw = frame.lattice_frame(*q)
         inter = target.intersect(moving.translate(du, dw))
         if inter is not None:
             out.append((q, inter))
@@ -257,14 +259,13 @@ def closed_translate_meets(frame: EigenFrame, a: EigenRect, b: EigenRect
                            ) -> list[tuple[int, int]]:
     """Lattice translates q where the closures of a and b + q intersect."""
     out = []
-    for q in lattice_in_frame_box(
+    for q, (du, dw) in lattice_in_frame_box(
         frame,
         a.u_lo - b.u_hi,
         a.u_hi - b.u_lo,
         a.w_lo - b.w_hi,
         a.w_hi - b.w_lo,
     ):
-        du, dw = frame.lattice_frame(*q)
         if a.meets_closed(b.translate(du, dw)):
             out.append(q)
     return out
@@ -295,10 +296,9 @@ def locate(part: TorusPartition, point) -> CellHit | BoundaryHit:
     interior: list[CellHit] = []
     boundary: list[CellHit] = []
     for i, box in enumerate(part.boxes):
-        for q in lattice_in_frame_box(
+        for q, (qu, qw) in lattice_in_frame_box(
             part.frame, box.u_lo - pu, box.u_hi - pu, box.w_lo - pw, box.w_hi - pw
         ):
-            qu, qw = part.frame.lattice_frame(*q)
             if box.contains_frame(pu + qu, pw + qw):
                 interior.append(CellHit(i, q))
             elif box.contains_frame(pu + qu, pw + qw, closed=True):

@@ -257,14 +257,15 @@ class EigenFrame:
             value, c10, c01 = dw, self.w10, self.w01
         else:
             value, c10, c01 = du, self.u10, self.u01
-        det = c10.rat * c01.irr - c01.rat * c10.irr
+        # Cramer's rule on the integer parts (a + b*sqrt(D)) / q
+        det = c10.a * c01.b - c01.a * c10.b
         if det == 0:
             raise InvariantError("a lattice point lies on an eigenline")
-        m = (value.rat * c01.irr - value.irr * c01.rat) / det
-        n = (c10.rat * value.irr - c10.irr * value.rat) / det
-        if m.denominator != 1 or n.denominator != 1:
+        den = value.q * det
+        m, m_rem = divmod((value.a * c01.b - value.b * c01.a) * c10.q, den)
+        n, n_rem = divmod((c10.a * value.b - c10.b * value.a) * c01.q, den)
+        if m_rem or n_rem:
             return None
-        m, n = int(m), int(n)
         if du is not None and dw is not None and self.lattice_frame(m, n)[1] != dw:
             return None
         return (m, n)

@@ -9,9 +9,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from fractions import Fraction
+from functools import total_ordering
 
 import numpy as np
+
+from markov_torus.exact import floor_surd
 
 
 def brute_count_blocks(matrix, n: int) -> int:
@@ -135,3 +139,271 @@ def brute_lattice_in_frame_box(frame, u_lo, u_hi, w_lo, w_hi):
             if u_lo <= qu <= u_hi and w_lo <= qw <= w_hi:
                 hits.append((m, n))
     return hits
+
+
+# -- Fraction-backed quadratic field ---------------------------------------------
+
+# The package's QuadReal before it moved to integer storage, kept verbatim
+# (only renamed) as the reference for the differential field test.
+
+_PARSE_RE = re.compile(
+    r"^\s*(?P<rat>-?\d+(?:/\d+)?)"
+    r"(?:\s*(?P<sign>[+-])\s*(?P<irr>\d+(?:/\d+)?)\*sqrt\((?P<d>\d+)\))?\s*$"
+)
+
+_RationalLike = int | Fraction
+
+
+def _is_square(n: int) -> bool:
+    if n < 0:
+        return False
+    r = math.isqrt(n)
+    return r * r == n
+
+
+@total_ordering
+class FractionQuadReal:
+    """An element ``rat + irr*sqrt(d)`` of a real quadratic field.
+
+    ``d`` must be a non-square positive integer whenever ``irr != 0``; a pure
+    rational may carry ``d == 0`` and mixes with any radicand.  Elements with
+    different radicands compare by value (``sqrt(8) == 2*sqrt(2)``) but refuse
+    arithmetic, since the sum would leave both fields.
+    """
+
+    __slots__ = ("rat", "irr", "d")
+
+    def __init__(self, rat: _RationalLike, irr: _RationalLike = 0, d: int = 0):
+        rat = Fraction(rat)
+        irr = Fraction(irr)
+        if irr == 0:
+            d = 0
+        else:
+            if d <= 0 or _is_square(d):
+                raise ValueError(f"radicand must be a positive non-square, got {d}")
+        object.__setattr__(self, "rat", rat)
+        object.__setattr__(self, "irr", irr)
+        object.__setattr__(self, "d", d)
+
+    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
+        raise AttributeError("FractionQuadReal is immutable")
+
+    # -- construction helpers -------------------------------------------------
+
+    @classmethod
+    def of(cls, value: "FractionQuadReal | _RationalLike") -> "FractionQuadReal":
+        if isinstance(value, FractionQuadReal):
+            return value
+        return cls(Fraction(value))
+
+    @classmethod
+    def sqrt_of(cls, d: int) -> "FractionQuadReal":
+        """sqrt(d) as a field element."""
+        return cls(0, 1, d)
+
+    @classmethod
+    def parse(cls, text: str) -> "FractionQuadReal":
+        """Inverse of :meth:`exact_str`; also accepts a bare rational."""
+        m = _PARSE_RE.match(text)
+        if not m:
+            raise ValueError(f"cannot parse quadratic-field element: {text!r}")
+        rat = Fraction(m.group("rat"))
+        if m.group("irr") is None:
+            return cls(rat)
+        irr = Fraction(m.group("irr"))
+        if m.group("sign") == "-":
+            irr = -irr
+        return cls(rat, irr, int(m.group("d")))
+
+    # -- field structure -------------------------------------------------------
+
+    def _joint(self, other: "FractionQuadReal") -> int:
+        """Radicand valid for both operands, or raise on a genuine mix."""
+        if self.d == 0:
+            return other.d
+        if other.d == 0 or other.d == self.d:
+            return self.d
+        raise ValueError(f"mixed radicands {self.d} and {other.d}")
+
+    def _coerce(self, other) -> "FractionQuadReal | None":
+        if isinstance(other, FractionQuadReal):
+            return other
+        if isinstance(other, (int, Fraction)):
+            return FractionQuadReal(other)
+        return None
+
+    def __add__(self, other) -> "FractionQuadReal":
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        d = self._joint(o)
+        return FractionQuadReal(self.rat + o.rat, self.irr + o.irr, d if self.irr + o.irr else 0)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "FractionQuadReal":
+        return FractionQuadReal(-self.rat, -self.irr, self.d)
+
+    def __sub__(self, other) -> "FractionQuadReal":
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
+
+    def __rsub__(self, other) -> "FractionQuadReal":
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o + (-self)
+
+    def __mul__(self, other) -> "FractionQuadReal":
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        d = self._joint(o)
+        rat = self.rat * o.rat + self.irr * o.irr * d
+        irr = self.rat * o.irr + self.irr * o.rat
+        return FractionQuadReal(rat, irr, d if irr else 0)
+
+    __rmul__ = __mul__
+
+    def inverse(self) -> "FractionQuadReal":
+        if self.rat == 0 and self.irr == 0:
+            raise ZeroDivisionError("FractionQuadReal division by zero")
+        norm = self.rat * self.rat - self.irr * self.irr * self.d
+        # norm == 0 would force sqrt(d) rational; impossible for non-square d
+        return FractionQuadReal(self.rat / norm, -self.irr / norm, self.d)
+
+    def __truediv__(self, other) -> "FractionQuadReal":
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self * o.inverse()
+
+    def __rtruediv__(self, other) -> "FractionQuadReal":
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o * self.inverse()
+
+    def __pow__(self, n: int) -> "FractionQuadReal":
+        if not isinstance(n, int):
+            return NotImplemented
+        if n < 0:
+            return self.inverse() ** (-n)
+        result = FractionQuadReal(1)
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base
+            n >>= 1
+        return result
+
+    def conjugate(self) -> "FractionQuadReal":
+        """Galois conjugate rat - irr*sqrt(d)."""
+        return FractionQuadReal(self.rat, -self.irr, self.d)
+
+    # -- exact predicates ------------------------------------------------------
+
+    def sign(self) -> int:
+        """-1, 0 or +1, decided exactly."""
+        if self.irr == 0:
+            return -1 if self.rat < 0 else (0 if self.rat == 0 else 1)
+        if self.rat == 0:
+            return 1 if self.irr > 0 else -1
+        if self.rat > 0 and self.irr > 0:
+            return 1
+        if self.rat < 0 and self.irr < 0:
+            return -1
+        # opposite signs: compare rat^2 against irr^2 * d
+        lhs = self.rat * self.rat
+        rhs = self.irr * self.irr * self.d
+        if lhs == rhs:  # would make sqrt(d) rational
+            raise ArithmeticError("non-square radicand produced a zero norm")
+        if self.rat > 0:  # rat > 0 > irr
+            return 1 if lhs > rhs else -1
+        return 1 if rhs > lhs else -1
+
+    def _value_key(self):
+        return (self.rat, 1 if self.irr > 0 else (-1 if self.irr < 0 else 0),
+                self.irr * self.irr * self.d)
+
+    def __eq__(self, other) -> bool:
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self._value_key() == o._value_key()
+
+    def __hash__(self) -> int:
+        return hash(self._value_key())
+
+    def __lt__(self, other) -> bool:
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return (self - o).sign() < 0
+
+    def __abs__(self) -> "FractionQuadReal":
+        return -self if self.sign() < 0 else self
+
+    def __bool__(self) -> bool:
+        return self.rat != 0 or self.irr != 0
+
+    def is_rational(self) -> bool:
+        return self.irr == 0
+
+    def as_fraction(self) -> Fraction:
+        if self.irr != 0:
+            raise ValueError("not a rational value")
+        return self.rat
+
+    def floor(self) -> int:
+        """Exact floor, in closed form over a common denominator."""
+        rat, irr = self.rat, self.irr
+        q = math.lcm(rat.denominator, irr.denominator)
+        return floor_surd(rat.numerator * (q // rat.denominator),
+                          irr.numerator * (q // irr.denominator), q, self.d)
+
+    # -- rendering -------------------------------------------------------------
+
+    def __float__(self) -> float:
+        if self.irr == 0:
+            return float(self.rat)
+        # evaluate through a guarded rational approximation of sqrt(d): the
+        # naive float sum cancels catastrophically when rat and irr*sqrt(d)
+        # are huge and nearly opposite (routine for deep cylinder bounds)
+        k = 40 + len(str(abs(self.rat.numerator))) + len(str(abs(self.irr.numerator)))
+        root = Fraction(math.isqrt(self.d * 10 ** (2 * k)), 10 ** k)
+        return float(self.rat + self.irr * root)
+
+    def decimal(self, places: int = 12) -> str:
+        """Correctly rounded fixed-point decimal string.
+
+        The sqrt(d) approximation carries enough guard digits that the
+        rounded digit is exact for irrational values; rational values are
+        rounded half-to-even on the (rare) exact tie.
+        """
+        if self.irr == 0:
+            approx = self.rat
+        else:
+            k = places + 12 + len(str(abs(self.irr.numerator)))
+            root = Fraction(math.isqrt(self.d * 10 ** (2 * k)), 10 ** k)
+            approx = self.rat + self.irr * root
+        scaled = approx * 10 ** places
+        n = round(scaled)
+        sign = "-" if n < 0 else ""
+        n = abs(n)
+        whole, frac = divmod(n, 10 ** places)
+        return f"{sign}{whole}.{frac:0{places}d}"
+
+    def exact_str(self) -> str:
+        """Canonical text form ``a/b + c/d*sqrt(D)`` (or bare rational)."""
+        if self.irr == 0:
+            return str(self.rat)
+        if self.irr > 0:
+            return f"{self.rat} + {self.irr}*sqrt({self.d})"
+        return f"{self.rat} - {-self.irr}*sqrt({self.d})"
+
+    def __repr__(self) -> str:
+        return f"FractionQuadReal({self.exact_str()})"

@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, JSON schema stability, SVG output."""
 
+import itertools
 import json
 import subprocess
 import sys
@@ -25,7 +26,7 @@ from markov_torus.cli import (
 from markov_torus.coding import CodingContext
 from markov_torus.construct import build_markov_construction
 from markov_torus.sft import count_periodic
-from markov_torus.torus import Mat2Z, count_periodic_points
+from markov_torus.torus import Mat2Z, count_periodic_points, is_hyperbolic
 
 GOLDEN = Path(__file__).parent / "golden"
 FIB = "1 1 1 0"
@@ -95,6 +96,27 @@ def test_verify_all_pass_exit_zero(capsys):
                  "nfold_refined", "generator_decay"):
         assert name in out
 
+
+SMALL_HYPERBOLIC = [
+    " ".join(map(str, entries))
+    for entries in itertools.product(range(-2, 3), repeat=4)
+    if is_hyperbolic(Mat2Z(*entries))
+]
+
+
+def test_small_matrix_sweep_is_complete():
+    assert len(SMALL_HYPERBOLIC) == 40
+
+
+@pytest.mark.parametrize("matrix", SMALL_HYPERBOLIC)
+def test_verify_sweep_small_matrices(capsys, matrix):
+    """Every hyperbolic matrix with entries in [-2, 2] passes the whole
+    verify battery at depth 4."""
+    code, payload, _ = run_json(capsys, "verify", "--matrix", matrix,
+                                "--depth", "4", "--json")
+    assert code == EXIT_OK
+    assert payload["all_ok"] is True
+    assert all(check["ok"] for check in payload["checks"])
 
 def test_verify_negative_control_fails(capsys):
     code, out, _ = run(capsys, "verify", "--matrix", FIB, "--inject-break")

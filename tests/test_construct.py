@@ -18,6 +18,7 @@ from markov_torus.construct import (
 )
 from markov_torus.exact import QuadReal
 from markov_torus.partition import transition_graph
+from markov_torus.render import construction_report
 from markov_torus.sft import count_blocks, count_periodic
 from markov_torus.torus import (
     Mat2Z,
@@ -201,6 +202,14 @@ def test_full_pipeline_on_random_matrices():
         assert mc.graph.matrix == mc.model.rows()
         assert mc.refined.n == sum(sum(row) for row in mc.model.rows())
 
+
+def test_geometric_recheck_runs_above_64_cells():
+    """N* = 65: the refined graph is still re-derived geometrically."""
+    mc = build_markov_construction(Mat2Z(63, 1, 1, 0))
+    assert mc.refined.n == 65
+    assert mc.refined_geometry_checked is True
+    report = construction_report(mc)
+    assert report["verifier_results"]["refined_geometry_checked"] is True
 
 def test_rejects_non_hyperbolic_input():
     for matrix in (Mat2Z(1, 1, 0, 1), Mat2Z(0, -1, 1, 0), Mat2Z(1, 0, 0, 1)):

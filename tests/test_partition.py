@@ -173,9 +173,10 @@ _ANCHOR = st.tuples(
 @given(st.sampled_from(LADDER), st.lists(_ANCHOR, min_size=4, max_size=4),
        st.booleans(), st.booleans())
 def test_lattice_scan_matches_bounding_box_oracle(mat, anchors, flat, corner):
-    """The column scan returns the bounding-box scan's list, order included,
-    on boxes whose edges run through lattice points (``corner`` makes one a
-    box corner) and on boxes with u_lo == u_hi (``flat``)."""
+    """The column scan returns the bounding-box scan's points, order
+    included, on boxes whose edges run through lattice points (``corner``
+    makes one a box corner) and on boxes with u_lo == u_hi (``flat``), each
+    with its own frame coordinates."""
     frame = EigenFrame.from_eigen(hyperbolic_check(mat))
     if corner:
         anchors[2] = anchors[0]
@@ -184,4 +185,7 @@ def test_lattice_scan_matches_bounding_box_oracle(mat, anchors, flat, corner):
     if flat:
         us[1] = us[0]
     box = (us[0], us[1], ws[0], ws[1])
-    assert lattice_in_frame_box(frame, *box) == brute_lattice_in_frame_box(frame, *box)
+    hits = lattice_in_frame_box(frame, *box)
+    assert [q for q, _ in hits] == brute_lattice_in_frame_box(frame, *box)
+    for q, coords in hits:
+        assert coords == frame.lattice_frame(*q)
