@@ -33,6 +33,7 @@ from .partition import (
     InvariantError,
     RefinementCell,
     TorusPartition,
+    WordVisitor,
     cylinder_components,
     partition_diam_sq,
     refine,
@@ -45,6 +46,7 @@ from .partition import (
     verify_nfold,
     verify_nfold_range,
     verify_translate_disjoint,
+    walk_words,
 )
 from .render import (
     analyze_report,
@@ -100,6 +102,7 @@ __all__ = [
     "SymbolicWord",
     "TorusPartition",
     "TransitionGraph",
+    "WordVisitor",
     "analyze_report",
     "build_base_partition",
     "build_markov_construction",
@@ -130,5 +133,6 @@ __all__ = [
     "verify_nfold",
     "verify_nfold_range",
     "verify_translate_disjoint",
+    "walk_words",
     "__version__",
 ]

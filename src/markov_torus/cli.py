@@ -24,19 +24,23 @@ from typing import Callable, Sequence
 
 from .coding import BoundaryAmbiguity, CodingContext, SymbolicWord
 from .construct import MarkovConstruction, build_markov_construction, count_intersections
-from .exact import QuadReal
 from .multmap import ExpansionAmbiguity, MultiplicationSystem
 from .partition import (
+    CellAreaSum,
     EigenRect,
     InvariantError,
+    NfoldCount,
     TorusPartition,
-    refinement_cells_depth,
+    WindowCheck,
     verify_areas,
     verify_boundary_alignment,
     verify_generator_decay,
-    verify_nfold_range,
     verify_translate_disjoint,
+    walk_words,
 )
+# Replaced in ``verify`` by the shared walks, but kept importable from this
+# module: perfbench/tracing.py wraps them here by name.
+from .partition import refinement_cells_depth, verify_nfold_range  # noqa: F401
 from .render import (
     SCHEMA_VERSION,
     analyze_report,
@@ -257,6 +261,14 @@ def _run_checks(construction: MarkovConstruction, depth: int, cap: int,
         refined = _break_partition(refined)
     model = construction.model
     checks: list[dict] = []
+    # one walk of each word tree feeds every check that enumerates words
+    reach = min(depth, cap)
+    top = max(3, reach)
+    area_sums = {k: CellAreaSum(base_part, k) for k in range(2, reach + 1)}
+    nfolds = {"nfold_base": NfoldCount(3, top), "nfold_refined": NfoldCount(3, top)}
+    windows = WindowCheck(refined, min(depth, 2))
+    walk_words(base_part, [*area_sums.values(), nfolds["nfold_base"]])
+    walk_words(refined, [nfolds["nfold_refined"], windows])
 
     def record(name: str, run: Callable[[], tuple[bool, str]]) -> None:
         try:
@@ -284,15 +296,12 @@ def _run_checks(construction: MarkovConstruction, depth: int, cap: int,
 
     areas_of(base_part, "areas_base")
     areas_of(refined, "areas_refined")
-    for extra_depth in range(2, min(depth, cap) + 1):
-        def run_depth(k: int = extra_depth) -> tuple[bool, str]:
-            cells = refinement_cells_depth(base_part, k)
-            total = QuadReal(0)
-            for cell in cells:
-                total = total + cell.rect.area(base_part.frame)
+    for k, area_sum in area_sums.items():
+        def run_depth(area_sum: CellAreaSum = area_sum) -> tuple[bool, str]:
+            cells, total = area_sum.result()
             return (total - 1).sign() == 0, (
-                f"{len(cells)} cells, total area {total.exact_str()}")
-        record(f"areas_depth_{extra_depth}", run_depth)
+                f"{cells} cells, total area {total.exact_str()}")
+        record(f"areas_depth_{k}", run_depth)
 
     def disjoint() -> tuple[bool, str]:
         bad = verify_translate_disjoint(base_part)
@@ -314,10 +323,9 @@ def _run_checks(construction: MarkovConstruction, depth: int, cap: int,
     boundaries_of(base_part, "boundaries_base")
     boundaries_of(refined, "boundaries_refined")
 
-    def nfold_of(part: TorusPartition, tag: str) -> None:
+    def nfold_of(tag: str) -> None:
         def run() -> tuple[bool, str]:
-            top = max(3, min(depth, cap))
-            reports = verify_nfold_range(part, 3, top)
+            reports = nfolds[tag].result()
             bad = {n: r.failures for n, r in reports.items() if r.failures}
             words = sum(r.words_checked for r in reports.values())
             if bad:
@@ -326,11 +334,11 @@ def _run_checks(construction: MarkovConstruction, depth: int, cap: int,
             return True, f"lengths 3..{top}, {words} admissible words nonempty"
         record(tag, run)
 
-    nfold_of(base_part, "nfold_base")
-    nfold_of(refined, "nfold_refined")
+    nfold_of("nfold_base")
+    nfold_of("nfold_refined")
 
     def decay() -> tuple[bool, str]:
-        rows = verify_generator_decay(refined, depth)
+        rows = verify_generator_decay(refined, depth, windows=windows)
         bad = [row for row in rows if not row.ok]
         if bad:
             return False, (f"depth {bad[0].depth}: measured^2 "

@@ -21,7 +21,6 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import total_ordering
 from typing import Iterator
 
 _RationalLike = int | Fraction
@@ -79,7 +78,6 @@ def _joint(d1: int, d2: int) -> int:
     raise ValueError(f"mixed radicands {d1} and {d2}")
 
 
-@total_ordering
 class QuadReal:
     """An element ``(a + b*sqrt(d)) / q`` of a real quadratic field.
 
@@ -284,19 +282,38 @@ class QuadReal:
     def __hash__(self) -> int:
         return hash(self._value_key())
 
-    def __lt__(self, other) -> bool:
+    def _cmp(self, other):
+        """Sign of self - other, or NotImplemented for a foreign operand.
+
+        The sign of the cross-multiplied numerator: the denominators are
+        positive, so no difference element is built."""
         if type(other) is not QuadReal:
             if type(other) is int:
-                return _sign(self.a - other * self.q, self.b, self.d) < 0
+                return _sign(self.a - other * self.q, self.b, self.d)
             other = _coerce(other)
             if other is None:
                 return NotImplemented
-        # sign of self - other: its numerator over the positive q1*q2
         d = _joint(self.d, other.d)
         q1, q2 = self.q, other.q
         if q1 == q2:
-            return _sign(self.a - other.a, self.b - other.b, d) < 0
-        return _sign(self.a * q2 - other.a * q1, self.b * q2 - other.b * q1, d) < 0
+            return _sign(self.a - other.a, self.b - other.b, d)
+        return _sign(self.a * q2 - other.a * q1, self.b * q2 - other.b * q1, d)
+
+    def __lt__(self, other) -> bool:
+        c = self._cmp(other)
+        return c if c is NotImplemented else c < 0
+
+    def __le__(self, other) -> bool:
+        c = self._cmp(other)
+        return c if c is NotImplemented else c <= 0
+
+    def __gt__(self, other) -> bool:
+        c = self._cmp(other)
+        return c if c is NotImplemented else c > 0
+
+    def __ge__(self, other) -> bool:
+        c = self._cmp(other)
+        return c if c is NotImplemented else c >= 0
 
     def __abs__(self) -> "QuadReal":
         return -self if _sign(self.a, self.b, self.d) < 0 else self

@@ -29,6 +29,14 @@ Verifiers:
   nonempty cylinder cell, by exact box intersection;
 * ``verify_generator_decay`` -- symmetric refinements shrink like |mu|^n, by
   exact dimension bookkeeping cross-checked against enumerated cells.
+
+Everything that enumerates words goes through one iterative walker,
+:func:`walk_words`: a preorder walk of the word tree with an explicit stack
+that steps cylinder strips with :func:`advance_strips` and hands each word
+to several :class:`WordVisitor` objects at once, so one walk of a
+partition's word tree serves every check that needs it.
+``refinement_cells_depth``, ``verify_nfold_range`` and the window check of
+``verify_generator_decay`` are visitors over it.
 """
 
 from __future__ import annotations
@@ -238,20 +246,22 @@ def _column_form(const: QuadReal, slope: QuadReal) -> tuple[int, int, int, int, 
 
 
 def translate_overlaps(frame: EigenFrame, target: EigenRect, moving: EigenRect
-                       ) -> list[tuple[tuple[int, int], EigenRect]]:
+                       ) -> list[tuple[tuple[int, int], tuple[QuadReal, QuadReal],
+                                       EigenRect]]:
     """Lattice translates q with target meeting (moving + q) in an open set,
-    together with the (nonempty) open intersections."""
+    each as ``(q, (du, dw), overlap)`` with the frame coordinates of q and
+    the (nonempty) open intersection."""
     out = []
-    for q, (du, dw) in lattice_in_frame_box(
+    for q, shift in lattice_in_frame_box(
         frame,
         target.u_lo - moving.u_hi,
         target.u_hi - moving.u_lo,
         target.w_lo - moving.w_hi,
         target.w_hi - moving.w_lo,
     ):
-        inter = target.intersect(moving.translate(du, dw))
+        inter = target.intersect(moving.translate(*shift))
         if inter is not None:
-            out.append((q, inter))
+            out.append((q, shift, inter))
     return out
 
 
@@ -335,7 +345,8 @@ def image_components(part: TorusPartition, source: int, container: int
     """Components of phi(R_source) meeting R_container, with their translates,
     anchored in the container's stored box and ordered by contracting coordinate."""
     img = part.phi_box(part.boxes[source])
-    comps = translate_overlaps(part.frame, part.boxes[container], img)
+    comps = [(q, comp) for q, _, comp
+             in translate_overlaps(part.frame, part.boxes[container], img)]
     comps.sort(key=lambda item: (item[1].w_lo, item[1].u_lo))
     for (_, a), (_, b) in itertools.combinations(comps, 2):
         if a.intersect(b) is not None:
@@ -379,28 +390,11 @@ def refinement_cells_depth(part: TorusPartition, depth: int
     the intersections of phi^(depth-k) R_{s_k} over words s of length
     depth + 1, anchored in the box of the last symbol (offset -depth).
 
-    ``depth == 1`` reproduces :func:`refine` up to ordering.  The word tree
-    is walked once, so dead branches are pruned as soon as a partial
-    intersection is empty."""
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    cells: list[RefinementCell] = []
-
-    def walk(word: list[int], pieces: list[EigenRect]):
-        if len(word) == depth + 1:
-            for piece in pieces:
-                cells.append(
-                    RefinementCell(symbols=tuple(word), offset=-depth, rect=piece)
-                )
-            return
-        for nxt in range(part.n):
-            advanced = advance_strips(part, pieces, word[-1], nxt)
-            if advanced:
-                walk(word + [nxt], advanced)
-
-    for start in range(part.n):
-        walk([start], [part.boxes[start]])
-    return cells
+    ``depth == 1`` reproduces :func:`refine` up to ordering.  Cells come in
+    the order :func:`walk_words` reaches them: by word, lexicographically."""
+    cells = _DepthCells(depth)
+    walk_words(part, [cells])
+    return cells.result()
 
 
 def refined_partition(part: TorusPartition) -> TorusPartition:
@@ -437,8 +431,8 @@ def _step_table(part: TorusPartition, inverse: bool
             stepped = step(part.boxes[cur])
             for tgt in range(part.n):
                 entries = tuple(
-                    (*part.frame.lattice_frame(*q), comp)
-                    for q, comp in translate_overlaps(
+                    (du, dw, comp)
+                    for _, (du, dw), comp in translate_overlaps(
                         part.frame, part.boxes[tgt], stepped
                     )
                 )
@@ -491,6 +485,151 @@ def cylinder_components(part: TorusPartition, word: Sequence[int]) -> list[Eigen
     return pieces
 
 
+# -- the word tree -------------------------------------------------------------------
+
+
+class WordVisitor:
+    """One consumer of a :func:`walk_words` traversal.
+
+    ``max_len`` is the longest word it wants.  ``start(part, succ)`` runs
+    once before the walk, ``visit(word, pieces)`` once per word of length at
+    most ``max_len``, in walk order; ``word`` is the walker's buffer, valid
+    only during the call.  ``result()`` returns what the visitor found, or
+    re-raises the exception that stopped it.
+    """
+
+    max_len = 0
+    error: Exception | None = None
+
+    def start(self, part: TorusPartition, succ: list[list[int]]) -> None:
+        pass
+
+    def visit(self, word: list[int], pieces: list[EigenRect]) -> None:
+        raise NotImplementedError
+
+    def result(self):
+        if self.error is not None:
+            raise self.error
+        return self._value()
+
+    def _value(self):
+        return None
+
+
+def _support(graph: TransitionGraph) -> list[list[int]]:
+    """Per node, its successors in ascending order."""
+    return [[j for j, mult in enumerate(row) if mult] for row in graph.matrix]
+
+
+def _step_successors(part: TorusPartition) -> list[list[int]]:
+    """Per cell, the cells its image meets, ascending: the support of
+    :func:`transition_graph`, read off the step table (both list the cell
+    pairs whose image and box overlap modulo the lattice)."""
+    table = _step_table(part, False)
+    return [[j for j in range(part.n) if (i, j) in table] for i in range(part.n)]
+
+
+def walk_words(part: TorusPartition, visitors: Sequence[WordVisitor],
+               succ: Sequence[Sequence[int]] | None = None) -> None:
+    """Feed every visitor the admissible words of the partition's word tree.
+
+    One preorder depth-first walk, with an explicit stack, over the words
+    s_0 ... s_k whose steps follow ``succ`` (default: the support of the
+    transition graph), as deep as the deepest visitor still running.
+    Each word reaches every visitor that wants its length together with its
+    pieces: the components of phi^k of its cylinder, anchored in box(s_k),
+    one :func:`advance_strips` step from its parent's.  Children come in
+    ``succ`` order, ascending by default, so the words of each length
+    arrive in lexicographic order; an empty cylinder's descendants are
+    visited with no pieces and cost no step.
+
+    An exception raised by a visitor is kept on its ``error`` and stops that
+    visitor alone; one raised by the walk itself is kept on every visitor
+    still running.
+    """
+    live = list(visitors)
+    try:
+        if succ is None:
+            succ = _step_successors(part)
+        succ = [list(row) for row in succ]
+        for v in live:
+            try:
+                v.start(part, succ)
+            except Exception as exc:
+                v.error = exc
+        live = [v for v in live if v.error is None]
+        step = advance_strips
+        boxes = part.boxes
+        word: list[int] = []
+        stack = [(0, sym, None) for sym in reversed(range(part.n))]
+        while live and stack:
+            depth, sym, parent = stack.pop()
+            limit = max(v.max_len for v in live)
+            if depth >= limit:
+                continue
+            del word[depth:]
+            if parent is None:
+                pieces = [boxes[sym]]
+            else:
+                pieces = step(part, parent, word[-1], sym) if parent else []
+            word.append(sym)
+            for v in live:
+                if depth < v.max_len:
+                    try:
+                        v.visit(word, pieces)
+                    except Exception as exc:
+                        v.error = exc
+            live = [v for v in live if v.error is None]
+            if depth + 1 < limit:
+                stack.extend((depth + 1, nxt, pieces) for nxt in reversed(succ[sym]))
+    except Exception as exc:
+        for v in live:
+            v.error = exc
+
+
+class _DepthCells(WordVisitor):
+    """The cells of :func:`refinement_cells_depth`, in walk order."""
+
+    def __init__(self, depth: int):
+        if depth < 1:
+            raise ValueError("depth must be >= 1")
+        self.depth = depth
+        self.max_len = depth + 1
+        self.cells: list[RefinementCell] = []
+
+    def visit(self, word, pieces):
+        if len(word) == self.max_len:
+            symbols = tuple(word)
+            self.cells.extend(RefinementCell(symbols, -self.depth, piece)
+                              for piece in pieces)
+
+    def _value(self) -> list[RefinementCell]:
+        return self.cells
+
+
+class CellAreaSum(WordVisitor):
+    """Number and exact total area of the cells of the depth-fold refinement
+    (those of :func:`refinement_cells_depth`), summed as the walk reaches
+    them; ``result()`` is ``(cells, area)``."""
+
+    def __init__(self, part: TorusPartition, depth: int):
+        if depth < 1:
+            raise ValueError("depth must be >= 1")
+        self.frame = part.frame
+        self.max_len = depth + 1
+        self.cells = 0
+        self.area = QuadReal(0)
+
+    def visit(self, word, pieces):
+        if len(word) == self.max_len:
+            for piece in pieces:
+                self.cells += 1
+                self.area = self.area + piece.area(self.frame)
+
+    def _value(self) -> tuple[int, QuadReal]:
+        return self.cells, self.area
+
+
 # -- verifiers -----------------------------------------------------------------------
 
 
@@ -500,7 +639,7 @@ def verify_translate_disjoint(part: TorusPartition) -> list[tuple[int, int, tupl
     bad = []
     for i in range(part.n):
         for j in range(i, part.n):
-            for q, _ in translate_overlaps(part.frame, part.boxes[i], part.boxes[j]):
+            for q, _, _ in translate_overlaps(part.frame, part.boxes[i], part.boxes[j]):
                 if i == j and q == (0, 0):
                     continue
                 bad.append((i, j, q))
@@ -595,6 +734,41 @@ class NfoldReport:
         return not self.failures
 
 
+class NfoldCount(WordVisitor):
+    """Admissible words with length in [min_len, max_len], counted per
+    length, and those with an empty cylinder; ``result()`` is the
+    :class:`NfoldReport` per length.  The walk must follow ``graph``
+    (default: the partition's transition graph)."""
+
+    def __init__(self, min_len: int, max_len: int,
+                 graph: TransitionGraph | None = None):
+        if min_len < 1 or max_len < min_len:
+            raise ValueError("need 1 <= min_len <= max_len")
+        self.min_len = min_len
+        self.max_len = max_len
+        self.graph = graph
+        self.checked = {n: 0 for n in range(min_len, max_len + 1)}
+        self.failures: dict[int, list[tuple[int, ...]]] = {
+            n: [] for n in range(min_len, max_len + 1)
+        }
+
+    def start(self, part, succ):
+        graph = self.graph if self.graph is not None else transition_graph(part)
+        if _support(graph) != succ:
+            raise InvariantError("the walk does not follow the transition graph")
+
+    def visit(self, word, pieces):
+        n = len(word)
+        if n >= self.min_len:
+            self.checked[n] += 1
+            if not pieces:
+                self.failures[n].append(tuple(word))
+
+    def _value(self) -> dict[int, NfoldReport]:
+        return {n: NfoldReport(n, self.checked[n], tuple(self.failures[n]))
+                for n in self.checked}
+
+
 def verify_nfold_range(part: TorusPartition, min_len: int, max_len: int,
                        graph: TransitionGraph | None = None) -> dict[int, NfoldReport]:
     """Every admissible word with length in [min_len, max_len] has a nonempty
@@ -604,34 +778,9 @@ def verify_nfold_range(part: TorusPartition, min_len: int, max_len: int,
     of one cell meets another); cylinders are tracked as exact boxes, so the
     check is a proof, not a sample.
     """
-    if min_len < 1 or max_len < min_len:
-        raise ValueError("need 1 <= min_len <= max_len")
-    if graph is None:
-        graph = transition_graph(part)
-    succ = [
-        [j for j in range(part.n) if graph.matrix[i][j] > 0] for i in range(part.n)
-    ]
-    checked = {n: 0 for n in range(min_len, max_len + 1)}
-    failures: dict[int, list[tuple[int, ...]]] = {
-        n: [] for n in range(min_len, max_len + 1)
-    }
-
-    def dfs(word: list[int], pieces: list[EigenRect]):
-        if len(word) >= min_len:
-            checked[len(word)] += 1
-            if not pieces:
-                failures[len(word)].append(tuple(word))
-        if len(word) == max_len:
-            return
-        for nxt in succ[word[-1]]:
-            dfs(word + [nxt], advance_strips(part, pieces, word[-1], nxt))
-
-    for start in range(part.n):
-        dfs([start], [part.boxes[start]])
-    return {
-        n: NfoldReport(n, checked[n], tuple(failures[n]))
-        for n in range(min_len, max_len + 1)
-    }
+    counter = NfoldCount(min_len, max_len, graph)
+    walk_words(part, [counter], None if graph is None else _support(graph))
+    return counter.result()
 
 
 def verify_nfold(part: TorusPartition, length: int,
@@ -661,15 +810,60 @@ class DecayRow:
         return float(self.measured_sq) ** 0.5
 
 
+class WindowCheck(WordVisitor):
+    """The enumerated half of :func:`verify_generator_decay`: for each
+    n = 1..up_to, every strip of every word of length 2n+1 -- phi^(2n) of a
+    window cell, anchored in box(last) -- must have the expanding dimension
+    of box(last) and the contracting dimension of box(first) times
+    |mu|^(2n), exactly.  ``result()`` raises :class:`InvariantError` for the
+    first failing word, in walk order, of the smallest failing n."""
+
+    def __init__(self, part: TorusPartition, up_to: int):
+        self.up_to = up_to
+        self.max_len = 2 * up_to + 1
+        self.u_dims = [box.u_dim for box in part.boxes]
+        mu_sq = part.mu_act * part.mu_act
+        scale = QuadReal(1)
+        self.w_dims: dict[int, list[QuadReal]] = {}  # word length -> per first symbol
+        for n in range(1, up_to + 1):
+            scale = scale * mu_sq
+            self.w_dims[2 * n + 1] = [box.w_dim * scale for box in part.boxes]
+        self.failure: tuple[int, str] | None = None  # (word length, message)
+
+    def visit(self, word, pieces):
+        length = len(word)
+        w_dims = self.w_dims.get(length)
+        if w_dims is None or (self.failure and self.failure[0] <= length):
+            return
+        u_dim, w_dim = self.u_dims[word[-1]], w_dims[word[0]]
+        for piece in pieces:
+            if piece.u_dim != u_dim:
+                message = f"expanding dimension of window cell for {word} clipped"
+            elif piece.w_dim != w_dim:
+                message = f"contracting dimension of window cell for {word} off-formula"
+            else:
+                continue
+            self.failure = (length, message)
+            return
+
+    def _value(self) -> None:
+        if self.failure is not None:
+            raise InvariantError(self.failure[1])
+
+
 def verify_generator_decay(part: TorusPartition, depth: int,
-                           enumerate_up_to: int = 2) -> list[DecayRow]:
+                           enumerate_up_to: int = 2,
+                           windows: WindowCheck | None = None) -> list[DecayRow]:
     """Diameters of symmetric refinements W_n = join of phi^-k R, |k| <= n.
 
     For n <= enumerate_up_to the cells are enumerated exactly and their
     dimensions are asserted to match the endpoint formula (expanding dimension
     |mu|^n * u(last symbol), contracting |mu|^n * w(first symbol)); beyond
     that the formula itself gives the exact maximum over endpoint pairs
-    reachable in 2n steps of the transition graph.
+    reachable in 2n steps of the transition graph.  All enumerated n are
+    checked in one walk of the words of length 2*enumerate_up_to + 1;
+    ``windows`` passes a :class:`WindowCheck` that a shared walk of ``part``
+    has already fed, in place of that walk.
 
     bound_sq is the squared claimed bound d(R)^2 * |mu|^(2n).  A window cell
     mixes the expanding dimension of its last symbol with the contracting
@@ -680,60 +874,32 @@ def verify_generator_decay(part: TorusPartition, depth: int,
     cell, so there ok holds at every depth; a False ok is a finding about the
     partition, not an arithmetic error.
     """
-    graph = transition_graph(part)
+    succ = _support(transition_graph(part))
+    up_to = max(0, min(depth, enumerate_up_to))
+    if windows is None:
+        windows = WindowCheck(part, up_to)
+        walk_words(part, [windows], succ)
+    elif windows.up_to != up_to:
+        raise ValueError(f"the window check covers n <= {windows.up_to}, "
+                         f"not n <= {up_to}")
+    windows.result()
     frame = part.frame
     mu_abs = abs(part.mu_act)
-    lam_abs = abs(part.lam_act)
     d_sq = partition_diam_sq(part)
-    succ = [
-        [j for j in range(part.n) if graph.matrix[i][j] > 0] for i in range(part.n)
-    ]
+    two_steps = [{k for j in row for k in succ[j]} for row in succ]
+    reach = [{i} for i in range(part.n)]  # endpoints reachable in 2n steps
+    mu_n = QuadReal(1)
     rows = []
     for n in range(0, depth + 1):
-        bound_sq = d_sq * mu_abs ** (2 * n)
-        reach = graph.power(2 * n)
-        measured = None
-        for i in range(part.n):
-            for j in range(part.n):
-                if reach[i][j] == 0:
-                    continue
-                cand = parallelogram_diam_sq(
-                    frame,
-                    part.boxes[j].u_dim * mu_abs ** n,
-                    part.boxes[i].w_dim * mu_abs ** n,
-                )
-                if measured is None or cand > measured:
-                    measured = cand
-        if measured is None:
+        if n:
+            reach = [set().union(*(two_steps[k] for k in row)) for row in reach]
+            mu_n = mu_n * mu_abs
+        u_dims = [box.u_dim * mu_n for box in part.boxes]
+        w_dims = [box.w_dim * mu_n for box in part.boxes]
+        cands = [parallelogram_diam_sq(frame, u_dims[j], w_dims[i])
+                 for i in range(part.n) for j in reach[i]]
+        if not cands:
             raise InvariantError("no endpoint pair is reachable")
-        enumerated = 0 < n <= enumerate_up_to
-        if enumerated:
-            _check_window_dims(part, succ, n, mu_abs, lam_abs)
-        rows.append(DecayRow(n, bound_sq, measured, enumerated))
+        rows.append(DecayRow(n, d_sq * (mu_n * mu_n), max(cands),
+                             0 < n <= enumerate_up_to))
     return rows
-
-
-def _check_window_dims(part: TorusPartition, succ, n: int,
-                       mu_abs: QuadReal, lam_abs: QuadReal) -> None:
-    """Enumerate all words of length 2n+1 and assert each tracked cylinder
-    strip has the exact endpoint-formula dimensions."""
-
-    def dfs(word: list[int], pieces: list[EigenRect]):
-        if len(word) == 2 * n + 1:
-            first, last = word[0], word[-1]
-            for piece in pieces:
-                # piece = phi^(2n)(cylinder), anchored in box(last)
-                if piece.u_dim != part.boxes[last].u_dim:
-                    raise InvariantError(
-                        f"expanding dimension of window cell for {word} clipped"
-                    )
-                if piece.w_dim != part.boxes[first].w_dim * mu_abs ** (2 * n):
-                    raise InvariantError(
-                        f"contracting dimension of window cell for {word} off-formula"
-                    )
-            return
-        for nxt in succ[word[-1]]:
-            dfs(word + [nxt], advance_strips(part, pieces, word[-1], nxt))
-
-    for start in range(part.n):
-        dfs([start], [part.boxes[start]])

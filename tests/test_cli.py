@@ -149,6 +149,21 @@ def test_golden_json(capsys, name, argv):
     assert out == golden
 
 
+@pytest.mark.parametrize("name, matrix", [
+    ("verify_break_fibonacci", FIB),
+    ("verify_break_minus_2_3_1_2", "-2 -3 -1 -2"),
+])
+def test_golden_inject_break(capsys, name, matrix):
+    """The negative control fails every check it should, with the same
+    messages: which check aborts, the first empty cylinder, the first
+    clipped window cell."""
+    code, out, _ = run(capsys, "verify", "--matrix", matrix, "--depth", "5",
+                       "--inject-break", "--json")
+    assert code == EXIT_FAIL
+    golden = (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+    assert out == golden
+
+
 def test_construct_json_schema(capsys):
     code, payload, _ = run_json(capsys, "construct", "--matrix", FIB, "--json")
     assert code == EXIT_OK
