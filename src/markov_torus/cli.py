@@ -9,7 +9,9 @@ verification or an unusable request (inadmissible word, capped depth), and
 2 when the input matrix is rejected as non-hyperbolic or non-unimodular.
 
 Word-enumeration commands cap their depth (default 8); the environment
-variable ``MARKOV_TORUS_MAX_DEPTH`` overrides the cap.
+variable ``MARKOV_TORUS_MAX_DEPTH`` overrides the cap.  ``verify`` also
+counts the words of each walk before it starts and refuses a request whose
+walk would exceed ``WALK_WORD_BUDGET`` words.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .partition import (
     NfoldCount,
     TorusPartition,
     WindowCheck,
+    count_words,
     verify_areas,
     verify_boundary_alignment,
     verify_generator_decay,
@@ -64,6 +67,10 @@ EXIT_REJECT = 2
 
 DEFAULT_ENUM_CAP = 8
 ENUM_CAP_ENV = "MARKOV_TORUS_MAX_DEPTH"
+
+# words one `verify` walk may visit; counted before walking, so that an
+# oversized request fails at once instead of running for minutes
+WALK_WORD_BUDGET = 1_000_000
 
 # commands whose work grows with the word tree, hence fall under the cap
 _ENUMERATING_COMMANDS = frozenset({"verify", "render"})
@@ -267,8 +274,19 @@ def _run_checks(construction: MarkovConstruction, depth: int, cap: int,
     area_sums = {k: CellAreaSum(base_part, k) for k in range(2, reach + 1)}
     nfolds = {"nfold_base": NfoldCount(3, top), "nfold_refined": NfoldCount(3, top)}
     windows = WindowCheck(refined, min(depth, 2))
-    walk_words(base_part, [*area_sums.values(), nfolds["nfold_base"]])
-    walk_words(refined, [nfolds["nfold_refined"], windows])
+    walks = (("base", base_part, [*area_sums.values(), nfolds["nfold_base"]]),
+             ("refined", refined, [nfolds["nfold_refined"], windows]))
+    for tree, part, visitors in walks:
+        max_len = max(v.max_len for v in visitors)
+        words = count_words(part, max_len)
+        if words > WALK_WORD_BUDGET:
+            raise CliError(
+                f"--depth {depth} needs the {tree} word tree to length {max_len}: "
+                f"{words:,} words, over the budget of {WALK_WORD_BUDGET:,}; "
+                f"use a lower --depth"
+            )
+    for _, part, visitors in walks:
+        walk_words(part, visitors)
 
     def record(name: str, run: Callable[[], tuple[bool, str]]) -> None:
         try:

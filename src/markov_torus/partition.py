@@ -13,6 +13,13 @@ itself, so m runs over the integers in the box's x-extent, and for each m the
 admissible n form one interval whose ends are exact integer floors.  The cost
 is one step per column plus one per lattice point found.
 
+All-pairs overlaps come from :func:`overlap_table`: one scan per moving cell,
+over the translates that bring it into the hull of all target cells, each
+hit tested against the targets whose contracting interval can meet it.  The
+forward and inverse step tables of a partition are such tables, cached on the
+partition; the transition graph, the refinement and the cylinder walks all
+read the forward one, so a partition's overlaps are scanned once.
+
 Verifiers:
 
 * ``verify_translate_disjoint`` -- distinct plane representatives of cells
@@ -41,6 +48,7 @@ partition's word tree serves every check that needs it.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -245,24 +253,49 @@ def _column_form(const: QuadReal, slope: QuadReal) -> tuple[int, int, int, int, 
     return (const.a * kc, slope.a * ks, const.b * kc, slope.b * ks, q)
 
 
+Overlap = tuple[tuple[int, int], tuple[QuadReal, QuadReal], EigenRect]
+
+
+def overlap_table(frame: EigenFrame, targets: Sequence[EigenRect],
+                  movers: Sequence[EigenRect]) -> dict[tuple[int, int], list[Overlap]]:
+    """Per pair (i, j) whose boxes overlap modulo the lattice, the
+    :func:`translate_overlaps` entries of target j and mover i, in the same
+    ascending lattice order; pairs without overlap are absent.
+
+    One lattice scan per mover, over the translates that bring it into the
+    frame-coordinate hull of all targets.  Each hit is tested only against
+    the targets whose w-interval can meet the moved box: with the targets
+    sorted by ``w_lo``, those with ``moved.w_lo - tallest < w_lo < moved.w_hi``,
+    ``tallest`` being the largest target ``w_dim``.  The exact intersection
+    decides.
+    """
+    order = sorted(range(len(targets)), key=lambda j: targets[j].w_lo)
+    lows = [targets[j].w_lo for j in order]
+    tallest = max(box.w_dim for box in targets)
+    u_lo = min(box.u_lo for box in targets)
+    u_hi = max(box.u_hi for box in targets)
+    w_lo, w_hi = lows[0], max(box.w_hi for box in targets)
+    table: dict[tuple[int, int], list[Overlap]] = {}
+    for i, mover in enumerate(movers):
+        for q, shift in lattice_in_frame_box(
+            frame, u_lo - mover.u_hi, u_hi - mover.u_lo,
+            w_lo - mover.w_hi, w_hi - mover.w_lo,
+        ):
+            moved = mover.translate(*shift)
+            first = bisect.bisect_right(lows, moved.w_lo - tallest)
+            for j in order[first:bisect.bisect_left(lows, moved.w_hi)]:
+                inter = targets[j].intersect(moved)
+                if inter is not None:
+                    table.setdefault((i, j), []).append((q, shift, inter))
+    return table
+
+
 def translate_overlaps(frame: EigenFrame, target: EigenRect, moving: EigenRect
-                       ) -> list[tuple[tuple[int, int], tuple[QuadReal, QuadReal],
-                                       EigenRect]]:
+                       ) -> list[Overlap]:
     """Lattice translates q with target meeting (moving + q) in an open set,
     each as ``(q, (du, dw), overlap)`` with the frame coordinates of q and
-    the (nonempty) open intersection."""
-    out = []
-    for q, shift in lattice_in_frame_box(
-        frame,
-        target.u_lo - moving.u_hi,
-        target.u_hi - moving.u_lo,
-        target.w_lo - moving.w_hi,
-        target.w_hi - moving.w_lo,
-    ):
-        inter = target.intersect(moving.translate(*shift))
-        if inter is not None:
-            out.append((q, shift, inter))
-    return out
+    the (nonempty) open intersection: the one-pair :func:`overlap_table`."""
+    return overlap_table(frame, [target], [moving]).get((0, 0), [])
 
 
 def closed_translate_meets(frame: EigenFrame, a: EigenRect, b: EigenRect
@@ -344,9 +377,8 @@ def image_components(part: TorusPartition, source: int, container: int
                      ) -> list[tuple[tuple[int, int], EigenRect]]:
     """Components of phi(R_source) meeting R_container, with their translates,
     anchored in the container's stored box and ordered by contracting coordinate."""
-    img = part.phi_box(part.boxes[source])
     comps = [(q, comp) for q, _, comp
-             in translate_overlaps(part.frame, part.boxes[container], img)]
+             in _step_table(part, False).get((source, container), ())]
     comps.sort(key=lambda item: (item[1].w_lo, item[1].u_lo))
     for (_, a), (_, b) in itertools.combinations(comps, 2):
         if a.intersect(b) is not None:
@@ -408,16 +440,18 @@ def refined_partition(part: TorusPartition) -> TorusPartition:
 
 
 def _step_table(part: TorusPartition, inverse: bool
-                ) -> dict[tuple[int, int], tuple[tuple[QuadReal, QuadReal, EigenRect], ...]]:
-    """Per cell pair (cur, tgt): the frame-coordinate lattice shifts (du, dw)
-    and the components of the stepped box of cur inside the box of tgt.
+                ) -> dict[tuple[int, int], list[Overlap]]:
+    """Per cell pair (cur, tgt) where the stepped box of cur meets the box of
+    tgt modulo the lattice: the :func:`translate_overlaps` entries
+    ``(q, (du, dw), comp)`` of the one pair, all from one :func:`overlap_table`.
 
     Cached on the partition.  For any piece inside box(cur), the lattice
     translates of its stepped image that meet box(tgt) are among the tabulated
     ones, and each overlap equals (stepped piece + shift) intersected with the
     tabulated component; one table lookup therefore replaces the per-step
-    lattice scan when tracking cylinders along a word.  Entries keep the
-    ascending lattice order of :func:`translate_overlaps`.
+    lattice scan when tracking cylinders along a word.  The forward table is
+    also where :func:`image_components` reads the transitions, so the graph
+    the constructor derives and the walks of the verifiers share one table.
     """
     caches = getattr(part, "_step_tables", None)
     if caches is None:
@@ -426,18 +460,7 @@ def _step_table(part: TorusPartition, inverse: bool
     table = caches.get(inverse)
     if table is None:
         step = part.phi_inv_box if inverse else part.phi_box
-        table = {}
-        for cur in range(part.n):
-            stepped = step(part.boxes[cur])
-            for tgt in range(part.n):
-                entries = tuple(
-                    (du, dw, comp)
-                    for _, (du, dw), comp in translate_overlaps(
-                        part.frame, part.boxes[tgt], stepped
-                    )
-                )
-                if entries:
-                    table[cur, tgt] = entries
+        table = overlap_table(part.frame, part.boxes, [step(b) for b in part.boxes])
         caches[inverse] = table
     return table
 
@@ -450,7 +473,7 @@ def advance_strips(part: TorusPartition, pieces: Sequence[EigenRect], cur: int,
     out = []
     for piece in pieces:
         img = part.phi_box(piece)
-        for du, dw, comp in entries:
+        for _, (du, dw), comp in entries:
             hit = comp.intersect(img.translate(du, dw))
             if hit is not None:
                 out.append(hit)
@@ -465,7 +488,7 @@ def pullback_strips(part: TorusPartition, pieces: Sequence[EigenRect], cur: int,
     out = []
     for piece in pieces:
         img = part.phi_inv_box(piece)
-        for du, dw, comp in entries:
+        for _, (du, dw), comp in entries:
             hit = comp.intersect(img.translate(du, dw))
             if hit is not None:
                 out.append(hit)
@@ -527,6 +550,26 @@ def _step_successors(part: TorusPartition) -> list[list[int]]:
     pairs whose image and box overlap modulo the lattice)."""
     table = _step_table(part, False)
     return [[j for j in range(part.n) if (i, j) in table] for i in range(part.n)]
+
+
+def count_words(part: TorusPartition, max_len: int) -> int:
+    """Exact number of words :func:`walk_words` visits on its default
+    successors when its deepest visitor wants ``max_len``: the paths of
+    at most ``max_len`` symbols in the transition graph's support, counted
+    by integer vector steps without walking them."""
+    if max_len < 1:
+        return 0
+    succ = _step_successors(part)
+    paths = [1] * part.n  # per last symbol, the words of the current length
+    total = part.n
+    for _ in range(max_len - 1):
+        step = [0] * part.n
+        for i, count in enumerate(paths):
+            for j in succ[i]:
+                step[j] += count
+        paths = step
+        total += sum(paths)
+    return total
 
 
 def walk_words(part: TorusPartition, visitors: Sequence[WordVisitor],
@@ -636,10 +679,11 @@ class CellAreaSum(WordVisitor):
 def verify_translate_disjoint(part: TorusPartition) -> list[tuple[int, int, tuple[int, int]]]:
     """Overlap witnesses (i, j, q) where cell i meets cell j + q on the torus;
     empty means the cells are pairwise disjoint and each embeds."""
+    table = overlap_table(part.frame, part.boxes, part.boxes)
     bad = []
     for i in range(part.n):
         for j in range(i, part.n):
-            for q, _, _ in translate_overlaps(part.frame, part.boxes[i], part.boxes[j]):
+            for q, _, _ in table.get((j, i), ()):
                 if i == j and q == (0, 0):
                     continue
                 bad.append((i, j, q))

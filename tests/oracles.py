@@ -24,6 +24,7 @@ from markov_torus.partition import (
     RefinementCell,
     TorusPartition,
     advance_strips,
+    lattice_in_frame_box,
     parallelogram_diam_sq,
     partition_diam_sq,
     transition_graph,
@@ -152,6 +153,70 @@ def brute_lattice_in_frame_box(frame, u_lo, u_hi, w_lo, w_hi):
             if u_lo <= qu <= u_hi and w_lo <= qw <= w_hi:
                 hits.append((m, n))
     return hits
+
+
+# -- per-pair overlap scans ------------------------------------------------------
+
+# The package's all-pairs overlaps before they came from one sweep per moving
+# cell: one lattice scan per ordered cell pair, kept verbatim (only renamed),
+# with the graph, refinement and disjointness results built on it.
+
+
+def pair_translate_overlaps(frame, target, moving):
+    """Lattice translates q with target meeting (moving + q) in an open set,
+    each as ``(q, (du, dw), overlap)`` with the frame coordinates of q and
+    the (nonempty) open intersection."""
+    out = []
+    for q, shift in lattice_in_frame_box(
+        frame,
+        target.u_lo - moving.u_hi,
+        target.u_hi - moving.u_lo,
+        target.w_lo - moving.w_hi,
+        target.w_hi - moving.w_lo,
+    ):
+        inter = target.intersect(moving.translate(*shift))
+        if inter is not None:
+            out.append((q, shift, inter))
+    return out
+
+
+def pair_image_components(part, source, container):
+    """Components of phi(R_source) meeting R_container, scanned for the pair."""
+    img = part.phi_box(part.boxes[source])
+    comps = [(q, comp) for q, _, comp
+             in pair_translate_overlaps(part.frame, part.boxes[container], img)]
+    comps.sort(key=lambda item: (item[1].w_lo, item[1].u_lo))
+    for (_, a), (_, b) in itertools.combinations(comps, 2):
+        if a.intersect(b) is not None:
+            raise InvariantError("image strips overlap inside one cell")
+    return comps
+
+
+def pair_transition_graph(part):
+    n = part.n
+    return TransitionGraph(
+        [[len(pair_image_components(part, i, j)) for j in range(n)] for i in range(n)]
+    )
+
+
+def pair_refine(part):
+    cells = []
+    for i in range(part.n):
+        for j in range(part.n):
+            for _, comp in pair_image_components(part, i, j):
+                cells.append(RefinementCell(symbols=(i, j), offset=-1, rect=comp))
+    return cells
+
+
+def pair_verify_translate_disjoint(part):
+    bad = []
+    for i in range(part.n):
+        for j in range(i, part.n):
+            for q, _, _ in pair_translate_overlaps(part.frame, part.boxes[i], part.boxes[j]):
+                if i == j and q == (0, 0):
+                    continue
+                bad.append((i, j, q))
+    return bad
 
 
 # -- Fraction-backed quadratic field ---------------------------------------------

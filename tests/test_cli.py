@@ -4,6 +4,7 @@ import itertools
 import json
 import subprocess
 import sys
+import time
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 from pathlib import Path
@@ -16,6 +17,7 @@ from markov_torus.cli import (
     EXIT_FAIL,
     EXIT_OK,
     EXIT_REJECT,
+    WALK_WORD_BUDGET,
     CliError,
     RunConfig,
     main,
@@ -25,6 +27,7 @@ from markov_torus.cli import (
 )
 from markov_torus.coding import CodingContext
 from markov_torus.construct import build_markov_construction
+from markov_torus.partition import WordVisitor, count_words, walk_words
 from markov_torus.sft import count_periodic
 from markov_torus.torus import Mat2Z, count_periodic_points, is_hyperbolic
 
@@ -437,3 +440,35 @@ def test_python_dash_m_rejection_status():
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 2
+
+
+def test_verify_refuses_a_walk_over_the_word_budget(capsys):
+    """40 1 1 0 at depth 3 needs 110,613,410 refined words: refused before
+    any walk starts, with the count and a way out."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--matrix", "40 1 1 0", "--depth", "3")
+    assert time.perf_counter() - start < 20
+    assert code == EXIT_FAIL
+    assert out == ""
+    assert "110,613,410 words" in err
+    assert f"budget of {WALK_WORD_BUDGET:,}" in err
+    assert "lower --depth" in err
+
+
+class _Words(WordVisitor):
+    def __init__(self, max_len):
+        self.max_len = max_len
+        self.words = 0
+
+    def visit(self, word, pieces):
+        self.words += 1
+
+
+@pytest.mark.parametrize("matrix", [FIB, "-1 -1 -1 0", "2 1 1 1", "-2 -3 -1 -2"])
+def test_word_count_is_what_the_walk_visits(matrix):
+    mc = build_markov_construction(parse_matrix(matrix))
+    for part in (mc.base.partition, mc.refined):
+        for max_len in range(0, 6):
+            words = _Words(max_len)
+            walk_words(part, [words])
+            assert count_words(part, max_len) == words.words

@@ -19,7 +19,7 @@ from markov_torus.construct import (
 from markov_torus.exact import QuadReal
 from markov_torus.partition import transition_graph
 from markov_torus.render import construction_report
-from markov_torus.sft import count_blocks, count_periodic
+from markov_torus.sft import char_poly, count_blocks, count_periodic
 from markov_torus.torus import (
     Mat2Z,
     NotHyperbolicError,
@@ -210,6 +210,54 @@ def test_geometric_recheck_runs_above_64_cells():
     assert mc.refined_geometry_checked is True
     report = construction_report(mc)
     assert report["verifier_results"]["refined_geometry_checked"] is True
+
+LADDER = [FIB, -FIB, Mat2Z(2, 1, 1, 1), Mat2Z(0, 1, 1, 3), Mat2Z(-2, -3, -1, -2),
+          Mat2Z(3, 2, 1, 1), Mat2Z(5, 2, 2, 1), Mat2Z(10, 1, 1, 0),
+          Mat2Z(15, 1, 1, 0)]
+
+
+def random_unimodular(rng: random.Random) -> Mat2Z:
+    """A short product of shears, optionally composed with the axis swap."""
+    c = Mat2Z.identity()
+    lower = rng.random() < 0.5
+    for _ in range(3):
+        k = rng.randint(1, 2) * rng.choice((1, -1))
+        c = c @ (Mat2Z(1, 0, k, 1) if lower else Mat2Z(1, k, 0, 1))
+        lower = not lower
+    return c @ E if rng.random() < 0.5 else c
+
+
+@pytest.mark.parametrize("matrix", LADDER, ids=str)
+def test_conjugates_keep_trace_determinant_and_refined_char_poly(matrix):
+    """A and C A C^-1 need not reduce to the same model or N* (10 1 1 0 and
+    its conjugate 8 1 17 2 give N* 12 and 28), but for every conjugate the
+    model keeps |trace| and determinant, N* is the sum of the model's
+    entries, and the refined graph, the edge graph of the model's
+    multigraph, has char poly x^(N*-2) (x^2 - tr P x + det P)."""
+    rng = random.Random(f"conjugate {matrix}")
+    for _ in range(2):
+        c = random_unimodular(rng)
+        mc = build_markov_construction(c @ matrix @ c.inverse())
+        p = mc.model
+        assert p.trace() == abs(matrix.trace())
+        assert p.det() == matrix.det()
+        n_star = mc.refined.n
+        assert n_star == p.a + p.b + p.c + p.d
+        expected = (1, -p.trace(), p.det()) + (0,) * (n_star - 2)
+        assert char_poly(mc.refined_graph) == expected
+
+
+def test_a_conjugate_can_reduce_to_another_model():
+    """10 1 1 0 and its conjugate 8 1 17 2 are the same torus map up to a
+    change of basis, yet their partitions have 12 and 28 cells."""
+    a, b = Mat2Z(10, 1, 1, 0), Mat2Z(8, 1, 17, 2)
+    c = Mat2Z(1, 0, 2, 1)
+    assert c @ a @ c.inverse() == b
+    assert build_markov_construction(a).refined.n == 12
+    mc = build_markov_construction(b)
+    assert mc.model == b
+    assert mc.refined.n == 28
+
 
 def test_rejects_non_hyperbolic_input():
     for matrix in (Mat2Z(1, 1, 0, 1), Mat2Z(0, -1, 1, 0), Mat2Z(1, 0, 0, 1)):

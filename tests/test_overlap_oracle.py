@@ -1,0 +1,198 @@
+"""The per-mover overlap sweep against the per-pair scans it replaced (kept
+verbatim in ``oracles``): the same entries in the same order for every cell
+pair, on the base and refined partitions of all four sign cases, their
+negative-control forms and drawn boxes, and the same transition graphs,
+refinements and disjointness witnesses built on them."""
+
+from fractions import Fraction
+from functools import cache
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+from markov_torus import partition
+from markov_torus.cli import _break_partition
+from markov_torus.construct import (
+    SignCase,
+    build_base_partition,
+    build_markov_construction,
+    conjugate_nonnegative,
+)
+from markov_torus.partition import (
+    EigenRect,
+    InvariantError,
+    TorusPartition,
+    _step_table,
+    overlap_table,
+    refine,
+    transition_graph,
+    translate_overlaps,
+    verify_translate_disjoint,
+)
+from markov_torus.torus import Mat2Z
+
+# one ladder matrix per sign case
+MATRICES = {
+    SignCase.PLUS_MINUS: Mat2Z(1, 1, 1, 0),
+    SignCase.MINUS_PLUS: Mat2Z(-1, -1, -1, 0),
+    SignCase.PLUS_PLUS: Mat2Z(2, 1, 1, 1),
+    SignCase.MINUS_MINUS: Mat2Z(-2, -3, -1, -2),
+}
+
+
+@pytest.fixture(scope="module", params=list(MATRICES), ids=lambda c: c.name)
+def construction(request):
+    return build_markov_construction(MATRICES[request.param])
+
+
+@cache
+def base_partition(case):
+    """The two-cell partition, built without deriving any overlap table."""
+    conj = conjugate_nonnegative(MATRICES[case])
+    return build_base_partition(conj.model, conj.epsilon).partition
+
+
+def partitions(construction):
+    """(tag, partition) for the base, the refinement and their broken forms."""
+    base, refined = construction.base.partition, construction.refined
+    return [("base", base), ("refined", refined),
+            ("base-broken", _break_partition(base)),
+            ("refined-broken", _break_partition(refined))]
+
+
+def pair_table(frame, targets, movers):
+    """The oracle's entries for every (mover i, target j) pair that overlaps."""
+    table = {}
+    for i, mover in enumerate(movers):
+        for j, target in enumerate(targets):
+            entries = oracles.pair_translate_overlaps(frame, target, mover)
+            if entries:
+                table[i, j] = entries
+    return table
+
+
+def outcome(call):
+    """What a call returns, or the type and message of what it raises."""
+    try:
+        return call()
+    except InvariantError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_step_tables_match_pair_scans(construction):
+    for tag, part in partitions(construction):
+        for inverse, step in ((False, part.phi_box), (True, part.phi_inv_box)):
+            movers = [step(box) for box in part.boxes]
+            expected = pair_table(part.frame, part.boxes, movers)
+            assert overlap_table(part.frame, part.boxes, movers) == expected, (tag, inverse)
+            assert _step_table(part, inverse) == expected, (tag, inverse)
+
+
+def test_cell_against_cell_matches_pair_scans(construction):
+    for tag, part in partitions(construction):
+        got = overlap_table(part.frame, part.boxes, part.boxes)
+        assert got == pair_table(part.frame, part.boxes, part.boxes), tag
+
+
+def test_graph_refinement_and_disjointness_match_pair_scans(construction):
+    for tag, part in partitions(construction):
+        assert transition_graph(part).matrix == \
+            oracles.pair_transition_graph(part).matrix, tag
+        assert refine(part) == oracles.pair_refine(part), tag
+        assert verify_translate_disjoint(part) == \
+            oracles.pair_verify_translate_disjoint(part), tag
+
+
+def test_translate_overlaps_is_the_one_pair_table(construction):
+    part = construction.refined
+    for mover in part.boxes[:3]:
+        img = part.phi_box(mover)
+        for target in part.boxes:
+            assert translate_overlaps(part.frame, target, img) == \
+                oracles.pair_translate_overlaps(part.frame, target, img)
+
+
+# -- drawn boxes -------------------------------------------------------------------
+
+_SCALE = st.sampled_from([Fraction(1, 16), Fraction(1, 3), Fraction(1), Fraction(5, 2)])
+# heights up to 128-fold apart, so that a target far below the moved box can
+# still reach it and the tallest-target margin decides
+_HEIGHT = st.sampled_from([Fraction(1, 32), Fraction(1, 4), Fraction(1), Fraction(4)])
+_LATTICE = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+
+_BOX = st.tuples(
+    st.tuples(st.integers(-6, 6), st.integers(-6, 6)),       # corner, in 1/4 steps
+    _SCALE, _HEIGHT,
+)
+# (source box, edge, lattice translate, slide along the edge in 1/4 steps):
+# a box that touches the source along an edge modulo the lattice
+_TOUCH = st.tuples(st.integers(0, 5), st.sampled_from(["u", "w"]), _LATTICE,
+                   st.integers(-3, 3))
+
+
+def _drawn_boxes(part, boxes, touches):
+    unit_u, unit_w = part.boxes[0].u_dim, part.boxes[0].w_dim
+    out = []
+    for (cu, cw), ku, kw in boxes:
+        u_lo, w_lo = unit_u * Fraction(cu, 4), unit_w * Fraction(cw, 4)
+        out.append(EigenRect(u_lo, u_lo + unit_u * ku, w_lo, w_lo + unit_w * kw))
+    for src, edge, q, slide in touches:
+        box = out[src % len(out)]
+        qu, qw = part.frame.lattice_frame(*q)
+        if edge == "u":  # meets box + q along its right edge
+            u_lo = box.u_hi + qu
+            w_lo = box.w_lo + qw + box.w_dim * Fraction(slide, 4)
+            out.append(EigenRect(u_lo, u_lo + box.u_dim, w_lo, w_lo + box.w_dim * 2))
+        else:  # meets box + q along its top edge
+            u_lo = box.u_lo + qu + box.u_dim * Fraction(slide, 4)
+            w_lo = box.w_hi + qw
+            out.append(EigenRect(u_lo, u_lo + box.u_dim / 2, w_lo, w_lo + box.w_dim))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(list(MATRICES)), st.lists(_BOX, min_size=1, max_size=5),
+       st.lists(_TOUCH, max_size=3), st.booleans())
+def test_drawn_boxes_match_pair_scans(case, boxes, touches, stepped):
+    """Drawn targets of very different heights, boxes touching others along
+    an edge modulo the lattice, and movers that are the targets themselves
+    or (``stepped``) their forward and inverse images."""
+    part = base_partition(case)
+    targets = _drawn_boxes(part, boxes, touches)
+    movers = list(targets)
+    if stepped:
+        movers += [part.phi_box(b) for b in targets]
+        movers += [part.phi_inv_box(b) for b in targets]
+    assert overlap_table(part.frame, targets, movers) == \
+        pair_table(part.frame, targets, movers)
+    drawn = TorusPartition(part.frame, part.acting, part.lam_act, part.mu_act,
+                           tuple(targets), tuple(str(k) for k in range(len(targets))))
+    assert verify_translate_disjoint(drawn) == \
+        oracles.pair_verify_translate_disjoint(drawn)
+    assert outcome(lambda: transition_graph(drawn).matrix) == \
+        outcome(lambda: oracles.pair_transition_graph(drawn).matrix)
+    assert outcome(lambda: refine(drawn)) == outcome(lambda: oracles.pair_refine(drawn))
+
+
+# -- table reuse -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("case", list(MATRICES), ids=lambda c: c.name)
+def test_refined_forward_table_is_built_by_the_constructor(case, monkeypatch):
+    """The constructor's geometric recheck derives the refined partition's
+    forward table, so the walks of ``verify`` and coding scan nothing more."""
+    built = build_markov_construction(MATRICES[case])
+    scans = []
+    scan = partition.lattice_in_frame_box
+
+    def counted(*args):
+        scans.append(args)
+        return scan(*args)
+
+    monkeypatch.setattr(partition, "lattice_in_frame_box", counted)
+    _step_table(built.refined, False)
+    assert scans == []
+    _step_table(built.refined, True)  # not built yet: one scan per cell
+    assert len(scans) == built.refined.n
