@@ -6,6 +6,16 @@ bound), and ``preimage_report`` counts every admissible word whose closed
 cylinder contains a point.  All arithmetic is exact; itineraries are computed
 on the conjugated model torus, where the partition boxes live, and points are
 carried across by the (unimodular, hence exact) conjugation.
+
+``encode`` locates only the first iterate of its window.  From there it
+follows the forward step table, which is the Markov property at work: if x
+lies in R_i + q, its image lies in exactly one tabulated component of row i,
+so each next symbol is the one component whose open box holds the stepped
+frame coordinates (u, w) -> (lam*u, mu*w), shifted by that component's
+translate.  No hit means the iterate lies on a component's closure, and
+``locate`` on the exact plane iterate then names the candidate cells.
+``locate`` itself scans no lattice: it tests the boxes of the partition's
+precomputed cover list (:func:`partition._cover_list`).
 """
 
 from __future__ import annotations
@@ -14,6 +24,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .construct import MarkovConstruction, build_markov_construction
 from .exact import QuadReal
@@ -23,6 +34,8 @@ from .partition import (
     EigenRect,
     InvariantError,
     TorusPartition,
+    _step_successors,
+    _step_table,
     advance_strips,
     closed_translate_meets,
     cylinder_components,
@@ -54,10 +67,23 @@ def _point_mod1(point):
     return (_mod1(x), _mod1(y))
 
 
+def _cells(hits) -> tuple[int, ...]:
+    """The cells of some :class:`CellHit` values, ascending and once each."""
+    return tuple(sorted({h.index for h in hits}))
+
+
+def _frame_of(frame: EigenFrame, point, translate) -> tuple[QuadReal, QuadReal]:
+    """Frame coordinates of the plane point ``point`` + ``translate``."""
+    pu, pw = frame.to_frame(point)
+    qu, qw = frame.lattice_frame(*translate)
+    return pu + qu, pw + qw
+
+
 def _rect_contains_torus(frame: EigenFrame, rect: EigenRect, point,
                          closed: bool = True) -> bool:
     """Exact membership of a torus point in a frame box, testing every
-    lattice representative that could land inside."""
+    lattice representative that could land inside (one lattice scan; it
+    serves :meth:`DecodeResult.contains`)."""
     pu, pw = frame.to_frame(point)
     for _, (qu, qw) in lattice_in_frame_box(
         frame,
@@ -201,10 +227,13 @@ class CodingContext:
 
     # -- conjugation transport ---------------------------------------------
 
+    @cached_property
+    def _from_input(self) -> Mat2Z:
+        return self.construction.conjugation.conjugator.inverse()
+
     def to_model(self, point) -> tuple:
         """Carry a point of the input matrix's torus to the model torus."""
-        inv = self.construction.conjugation.conjugator.inverse()
-        return _point_mod1(inv.act(point))
+        return _point_mod1(self._from_input.act(point))
 
     def from_model(self, point) -> tuple:
         """Carry a model-torus point back to the input matrix's torus."""
@@ -229,12 +258,27 @@ class CodingContext:
             orbit[k] = y
         return {k: orbit[k] for k in range(lo, hi + 1)}
 
+    def _closure_hits(self, y) -> tuple[CellHit, ...]:
+        """Every (cell, translate) whose closed box holds ``y`` + translate:
+        the :func:`locate` hits of the model-torus point ``y``."""
+        hit = locate(self.part, y)
+        return (hit,) if isinstance(hit, CellHit) else hit.candidates
+
     def _closure_cells(self, y) -> tuple[int, ...]:
         """Cells whose closure contains the model-torus point ``y``."""
-        hit = locate(self.part, y)
-        if isinstance(hit, CellHit):
-            return (hit.index,)
-        return tuple(sorted({h.index for h in hit.candidates}))
+        return _cells(self._closure_hits(y))
+
+    @cached_property
+    def _forward_rows(self) -> list[list[tuple[int, tuple, EigenRect]]]:
+        """Per cell i, every entry of row i of the forward step table as
+        ``(j, (du, dw), piece)``: the component of phi(box i) + (du, dw)
+        meeting box j, moved back by (du, dw) into phi(box i).  A stepped
+        point (u, w) lies in the component exactly when it lies in the
+        piece, so the test needs no addition."""
+        table = _step_table(self.part, False)
+        return [[(j, shift, comp.translate(-shift[0], -shift[1]))
+                 for j in row for _, shift, comp in table[i, j]]
+                for i, row in enumerate(_step_successors(self.part))]
 
     # -- encoding ------------------------------------------------------------
 
@@ -242,18 +286,47 @@ class CodingContext:
         """Itinerary of ``point`` (input-matrix torus) for iterates
         -depth..depth, or a :class:`BoundaryAmbiguity` describing the first
         iterate that lies on a cell boundary (no single word is canonical
-        there)."""
+        there).
+
+        Only iterate -depth is located.  Each later iterate steps the frame
+        coordinates of the previous one's representative and takes the one
+        component of the forward step table's row that holds them; two
+        raise :class:`InvariantError` (cells overlap), none hands the exact
+        plane iterate to :func:`locate`, which finds the boundary."""
         if depth < 0:
             raise ValueError("depth must be >= 0")
-        orbit = self.model_orbit(self.to_model(point), -depth, depth)
-        symbols = []
-        for k in range(-depth, depth + 1):
-            hit = locate(self.part, orbit[k])
-            if isinstance(hit, BoundaryHit):
-                return BoundaryAmbiguity(
-                    k, orbit[k], tuple(sorted({h.index for h in hit.candidates}))
-                )
-            symbols.append(hit.index)
+        part, frame = self.part, self.frame
+        start = _point_mod1((part.acting ** -depth).act(self.to_model(point)))
+        hit = locate(part, start)
+        if isinstance(hit, BoundaryHit):
+            return BoundaryAmbiguity(-depth, start, _cells(hit.candidates))
+        u, w = _frame_of(frame, start, hit.translate)
+        cur = hit.index
+        symbols = [cur]
+        rows = self._forward_rows
+        lam, mu = part.lam_act, part.mu_act
+        for k in range(1 - depth, depth + 1):
+            u, w = u * lam, w * mu
+            nxt = None
+            for j, step, piece in rows[cur]:
+                if piece.contains_frame(u, w):
+                    if nxt is not None:
+                        raise InvariantError(
+                            f"iterate {k} lies in two cells, {nxt} and {j}"
+                        )
+                    nxt, shift = j, step
+            if nxt is None:
+                # on a component's closure: name the candidates exactly
+                y = _point_mod1((part.acting ** (k + depth)).act(start))
+                hit = locate(part, y)
+                if isinstance(hit, BoundaryHit):
+                    return BoundaryAmbiguity(k, y, _cells(hit.candidates))
+                cur = hit.index
+                u, w = _frame_of(frame, y, hit.translate)
+            else:
+                cur = nxt
+                u, w = u + shift[0], w + shift[1]
+            symbols.append(cur)
         word = SymbolicWord(tuple(symbols), -depth)
         matrix = self.construction.refined_graph.matrix
         for a, b in zip(symbols, symbols[1:]):
@@ -327,32 +400,48 @@ class CodingContext:
         if depth < 0:
             raise ValueError("depth must be >= 0")
         orbit = self.model_orbit(self.to_model(point), -depth, depth)
-        times = list(range(-depth, depth + 1))
-        part = self.part
-        found: list[SymbolicWord] = []
+        length = 2 * depth + 1
+        part, frame = self.part, self.frame
+        closures: dict[int, list] = {}
 
-        def extend(prefix: list[int], piece: EigenRect, pos: int):
-            # piece: the phi^(pos-1)-advanced partial cylinder, anchored in
-            # the box of prefix[-1]; the orbit point at times[pos-1] lies in
-            # its closure.
-            if pos == len(times):
-                found.append(SymbolicWord(tuple(prefix), -depth))
-                return
-            y = orbit[times[pos]]
-            for j in self._closure_cells(y):
-                comps = advance_strips(part, [piece], prefix[-1], j)
+        def closure(pos: int) -> list[tuple[int, list]]:
+            # per cell j ascending, the frame coordinates of every
+            # representative of the orbit point at position pos in box(j)'s
+            # closure; a closed cylinder piece inside box(j) can only hold
+            # one of these
+            if pos not in closures:
+                y = orbit[pos - depth]
+                reps: dict[int, list] = {}
+                for hit in self._closure_hits(y):
+                    reps.setdefault(hit.index, []).append(
+                        _frame_of(frame, y, hit.translate))
+                closures[pos] = sorted(reps.items())
+            return closures[pos]
+
+        # preorder DFS with an explicit stack: each entry extends ``word``,
+        # whose piece is the phi^(len(word)-1)-advanced partial cylinder
+        # anchored in box(word[-1]), by symbol j
+        found: list[SymbolicWord] = []
+        stack = [((), part.boxes[i], i, None) for i, _ in reversed(closure(0))]
+        while stack:
+            word, piece, j, reps = stack.pop()
+            if word:
+                comps = advance_strips(part, [piece], word[-1], j)
                 if not comps:
                     continue
                 if len(comps) > 1:
                     raise InvariantError(
                         "cylinder split into several components on the refinement"
                     )
-                if _rect_contains_torus(self.frame, comps[0], y, closed=True):
-                    extend(prefix + [j], comps[0], pos + 1)
-
-        start = orbit[times[0]]
-        for i in self._closure_cells(start):
-            extend([i], part.boxes[i], 1)
+                piece = comps[0]
+                if not any(piece.contains_frame(u, w, closed=True) for u, w in reps):
+                    continue
+            word += (j,)
+            if len(word) == length:
+                found.append(SymbolicWord(word, -depth))
+            else:
+                stack.extend((word, piece, k, pts)
+                             for k, pts in reversed(closure(len(word))))
         count = len(found)
         truncated = count > max_words
         return PreimageReport(

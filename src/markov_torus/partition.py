@@ -19,6 +19,9 @@ hit tested against the targets whose contracting interval can meet it.  The
 forward and inverse step tables of a partition are such tables, cached on the
 partition; the transition graph, the refinement and the cylinder walks all
 read the forward one, so a partition's overlaps are scanned once.
+Point location scans nothing either: :func:`locate` tests the boxes of a
+cover list, also cached on the partition, of every (cell, translate) whose
+closed box can meet the unit square.
 
 Verifiers:
 
@@ -190,10 +193,23 @@ class TorusPartition:
         return box.scaled(self.lam_act, self.mu_act)
 
     def phi_inv_box(self, box: EigenRect) -> EigenRect:
-        return box.scaled(self.lam_act.inverse(), self.mu_act.inverse())
+        return box.scaled(*_cached(
+            self, "_inverse_act", lambda: (self.lam_act.inverse(), self.mu_act.inverse())
+        ))
 
     def relabel(self, labels: Iterable[str]) -> "TorusPartition":
         return TorusPartition.build(self.frame, self.acting, self.boxes, labels)
+
+
+def _cached(part: TorusPartition, name: str, compute, *args):
+    """``compute(*args)``, kept on the partition under ``name`` after the
+    first call: the partition is immutable, so what is derived from it is
+    too."""
+    value = part.__dict__.get(name)
+    if value is None:
+        value = compute(*args)
+        object.__setattr__(part, name, value)
+    return value
 
 
 # -- lattice enumeration -------------------------------------------------------
@@ -333,19 +349,56 @@ class BoundaryHit:
     candidates: tuple[CellHit, ...]
 
 
+def _cover_list(part: TorusPartition
+                ) -> list[tuple[int, tuple[int, int], EigenRect]]:
+    """Every (cell, translate q, box - q) whose closed box, moved back by q,
+    can meet the closed unit square: the only places a point of [0, 1)^2
+    can lie, in ascending cell and then lattice order.  Cached on the
+    partition.
+
+    One lattice scan per cell over the translates that bring the square's
+    frame hull into the box's, kept when the box and the moved square also
+    meet along the plane axes, x and y.  Those four directions are the edge
+    normals of the two parallelograms, so the test is exact."""
+
+    def build():
+        frame = part.frame
+        corners = [frame.lattice_frame(m, n) for m in (0, 1) for n in (0, 1)]
+        su_lo, su_hi = min(u for u, _ in corners), max(u for u, _ in corners)
+        sw_lo, sw_hi = min(w for _, w in corners), max(w for _, w in corners)
+        cover = []
+        for i, box in enumerate(part.boxes):
+            xs, ys = zip(*box.corners_plane(frame))
+            x_lo, x_hi, y_lo, y_hi = min(xs), max(xs), min(ys), max(ys)
+            for (m, n), (qu, qw) in lattice_in_frame_box(
+                frame, box.u_lo - su_hi, box.u_hi - su_lo,
+                box.w_lo - sw_hi, box.w_hi - sw_lo,
+            ):
+                if x_lo <= m + 1 and m <= x_hi and y_lo <= n + 1 and n <= y_hi:
+                    cover.append((i, (m, n), box.translate(-qu, -qw)))
+        return cover
+
+    return _cached(part, "_cover", build)
+
+
+def _floor(value) -> int:
+    return value.floor() if isinstance(value, QuadReal) else math.floor(value)
+
+
 def locate(part: TorusPartition, point) -> CellHit | BoundaryHit:
-    """Exact cell membership for a plane point (rational or field-valued)."""
-    pu, pw = part.frame.to_frame(point)
+    """Exact cell membership for a plane point (rational or field-valued).
+
+    No lattice scan: the point is reduced into [0, 1)^2 and tested against
+    the boxes of the partition's cover list, whose translates are then
+    shifted back by the floor, so they apply to the point as given."""
+    fx, fy = _floor(point[0]), _floor(point[1])
+    pu, pw = part.frame.to_frame((point[0] - fx, point[1] - fy))
     interior: list[CellHit] = []
     boundary: list[CellHit] = []
-    for i, box in enumerate(part.boxes):
-        for q, (qu, qw) in lattice_in_frame_box(
-            part.frame, box.u_lo - pu, box.u_hi - pu, box.w_lo - pw, box.w_hi - pw
-        ):
-            if box.contains_frame(pu + qu, pw + qw):
-                interior.append(CellHit(i, q))
-            elif box.contains_frame(pu + qu, pw + qw, closed=True):
-                boundary.append(CellHit(i, q))
+    for i, (m, n), moved in _cover_list(part):
+        if moved.contains_frame(pu, pw, closed=True):
+            hit = CellHit(i, (m - fx, n - fy))
+            (interior if moved.contains_frame(pu, pw) else boundary).append(hit)
     if len(interior) > 1 or (interior and boundary):
         raise InvariantError(f"cells overlap at {point}: {interior} {boundary}")
     if interior:
@@ -390,14 +443,10 @@ def transition_graph(part: TorusPartition) -> TransitionGraph:
     """Geometric transition multiplicities: entry (i, j) counts the components
     of phi(R_i) intersected with R_j on the torus.  Cached on the partition,
     so the constructor and every verifier share one derivation."""
-    graph = getattr(part, "_transition_graph", None)
-    if graph is None:
-        n = part.n
-        graph = TransitionGraph(
-            [[len(image_components(part, i, j)) for j in range(n)] for i in range(n)]
-        )
-        object.__setattr__(part, "_transition_graph", graph)
-    return graph
+    n = part.n
+    return _cached(part, "_transition_graph", lambda: TransitionGraph(
+        [[len(image_components(part, i, j)) for j in range(n)] for i in range(n)]
+    ))
 
 
 def refine(part: TorusPartition) -> list[RefinementCell]:
@@ -453,16 +502,16 @@ def _step_table(part: TorusPartition, inverse: bool
     also where :func:`image_components` reads the transitions, so the graph
     the constructor derives and the walks of the verifiers share one table.
     """
-    caches = getattr(part, "_step_tables", None)
-    if caches is None:
-        caches = {}
-        object.__setattr__(part, "_step_tables", caches)
-    table = caches.get(inverse)
-    if table is None:
-        step = part.phi_inv_box if inverse else part.phi_box
-        table = overlap_table(part.frame, part.boxes, [step(b) for b in part.boxes])
-        caches[inverse] = table
-    return table
+    return _cached(part, _STEP_TABLES[inverse], _build_step_table, part, inverse)
+
+
+_STEP_TABLES = {False: "_forward_table", True: "_inverse_table"}
+
+
+def _build_step_table(part: TorusPartition, inverse: bool
+                      ) -> dict[tuple[int, int], list[Overlap]]:
+    step = part.phi_inv_box if inverse else part.phi_box
+    return overlap_table(part.frame, part.boxes, [step(b) for b in part.boxes])
 
 
 def advance_strips(part: TorusPartition, pieces: Sequence[EigenRect], cur: int,
@@ -834,8 +883,10 @@ def verify_nfold(part: TorusPartition, length: int,
 
 
 def partition_diam_sq(part: TorusPartition) -> QuadReal:
-    """Exact squared diameter of the partition (largest cell diameter)."""
-    return max(box.diam_sq(part.frame) for box in part.boxes)
+    """Exact squared diameter of the partition (largest cell diameter),
+    cached on the partition."""
+    return _cached(part, "_diam_sq",
+                   lambda: max(box.diam_sq(part.frame) for box in part.boxes))
 
 
 @dataclass(frozen=True)

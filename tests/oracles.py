@@ -15,8 +15,11 @@ from functools import total_ordering
 
 import numpy as np
 
+from markov_torus.coding import BoundaryAmbiguity, PreimageReport, SymbolicWord
 from markov_torus.exact import QuadReal, floor_surd
 from markov_torus.partition import (
+    BoundaryHit,
+    CellHit,
     DecayRow,
     EigenRect,
     InvariantError,
@@ -30,6 +33,7 @@ from markov_torus.partition import (
     transition_graph,
 )
 from markov_torus.sft import TransitionGraph
+from markov_torus.torus import EigenFrame
 
 
 def brute_count_blocks(matrix, n: int) -> int:
@@ -639,3 +643,130 @@ def _check_window_dims(part: TorusPartition, succ, n: int,
 
     for start in range(part.n):
         dfs([start], [part.boxes[start]])
+
+
+# -- per-iterate coding -------------------------------------------------------------
+
+# Cell membership by one lattice scan per cell, the encoder that located every
+# iterate of the orbit that way, and the recursive preimage enumeration, as
+# they were before encode stepped the forward table and membership read a
+# precomputed cover list; kept verbatim (methods as functions of the coding
+# context) as the reference for the coding oracle test.
+
+
+def locate(part: TorusPartition, point) -> CellHit | BoundaryHit:
+    """Exact cell membership for a plane point (rational or field-valued)."""
+    pu, pw = part.frame.to_frame(point)
+    interior: list[CellHit] = []
+    boundary: list[CellHit] = []
+    for i, box in enumerate(part.boxes):
+        for q, (qu, qw) in lattice_in_frame_box(
+            part.frame, box.u_lo - pu, box.u_hi - pu, box.w_lo - pw, box.w_hi - pw
+        ):
+            if box.contains_frame(pu + qu, pw + qw):
+                interior.append(CellHit(i, q))
+            elif box.contains_frame(pu + qu, pw + qw, closed=True):
+                boundary.append(CellHit(i, q))
+    if len(interior) > 1 or (interior and boundary):
+        raise InvariantError(f"cells overlap at {point}: {interior} {boundary}")
+    if interior:
+        return interior[0]
+    if boundary:
+        return BoundaryHit(tuple(sorted(boundary, key=lambda h: (h.index, h.translate))))
+    raise InvariantError(f"point {point} escaped the partition")
+
+
+def _rect_contains_torus(frame: EigenFrame, rect: EigenRect, point,
+                         closed: bool = True) -> bool:
+    """Exact membership of a torus point in a frame box, testing every
+    lattice representative that could land inside."""
+    pu, pw = frame.to_frame(point)
+    for _, (qu, qw) in lattice_in_frame_box(
+        frame,
+        rect.u_lo - pu, rect.u_hi - pu, rect.w_lo - pw, rect.w_hi - pw,
+    ):
+        if rect.contains_frame(pu + qu, pw + qw, closed=closed):
+            return True
+    return False
+
+
+def _closure_cells(self, y) -> tuple[int, ...]:
+    """Cells whose closure contains the model-torus point ``y``."""
+    hit = locate(self.part, y)
+    if isinstance(hit, CellHit):
+        return (hit.index,)
+    return tuple(sorted({h.index for h in hit.candidates}))
+
+
+def encode(self, point, depth: int) -> SymbolicWord | BoundaryAmbiguity:
+    """Itinerary of ``point`` (input-matrix torus) for iterates
+    -depth..depth, or a :class:`BoundaryAmbiguity` describing the first
+    iterate that lies on a cell boundary (no single word is canonical
+    there)."""
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    orbit = self.model_orbit(self.to_model(point), -depth, depth)
+    symbols = []
+    for k in range(-depth, depth + 1):
+        hit = locate(self.part, orbit[k])
+        if isinstance(hit, BoundaryHit):
+            return BoundaryAmbiguity(
+                k, orbit[k], tuple(sorted({h.index for h in hit.candidates}))
+            )
+        symbols.append(hit.index)
+    word = SymbolicWord(tuple(symbols), -depth)
+    matrix = self.construction.refined_graph.matrix
+    for a, b in zip(symbols, symbols[1:]):
+        if matrix[a][b] == 0:
+            raise InvariantError(
+                f"itinerary {word} uses a non-edge {a}->{b}"
+            )
+    return word
+
+
+def preimage_report(self, point, depth: int, max_words: int = 8
+                    ) -> PreimageReport:
+    """All admissible words for the window -depth..depth that code
+    ``point`` (input-matrix torus): the point lies in the closure of the
+    word's (connected, nonempty) cylinder.
+
+    Membership is tested geometrically against the partial cylinder at
+    every step, not per-iterate against cell closures: the latter would
+    let different times pick different lattice representatives and
+    overcount.  For a point whose orbit window avoids all cell boundaries
+    the answer is the single itinerary; on boundaries several words code
+    the point."""
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    orbit = self.model_orbit(self.to_model(point), -depth, depth)
+    times = list(range(-depth, depth + 1))
+    part = self.part
+    found: list[SymbolicWord] = []
+
+    def extend(prefix: list[int], piece: EigenRect, pos: int):
+        # piece: the phi^(pos-1)-advanced partial cylinder, anchored in
+        # the box of prefix[-1]; the orbit point at times[pos-1] lies in
+        # its closure.
+        if pos == len(times):
+            found.append(SymbolicWord(tuple(prefix), -depth))
+            return
+        y = orbit[times[pos]]
+        for j in _closure_cells(self, y):
+            comps = advance_strips(part, [piece], prefix[-1], j)
+            if not comps:
+                continue
+            if len(comps) > 1:
+                raise InvariantError(
+                    "cylinder split into several components on the refinement"
+                )
+            if _rect_contains_torus(self.frame, comps[0], y, closed=True):
+                extend(prefix + [j], comps[0], pos + 1)
+
+    start = orbit[times[0]]
+    for i in _closure_cells(self, start):
+        extend([i], part.boxes[i], 1)
+    count = len(found)
+    truncated = count > max_words
+    return PreimageReport(
+        depth, count, tuple() if truncated else tuple(found), truncated
+    )
