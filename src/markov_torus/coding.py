@@ -15,7 +15,10 @@ frame coordinates (u, w) -> (lam*u, mu*w), shifted by that component's
 translate.  No hit means the iterate lies on a component's closure, and
 ``locate`` on the exact plane iterate then names the candidate cells.
 ``locate`` itself scans no lattice: it tests the boxes of the partition's
-precomputed cover list (:func:`partition._cover_list`).
+precomputed cover list (:func:`partition._cover_list`).  Neither does
+:meth:`DecodeResult.contains`: it steps the point to the word's first time,
+where the cylinder sits inside the first symbol's cell, and tests that
+cell's entries of the cover list.
 """
 
 from __future__ import annotations
@@ -34,12 +37,15 @@ from .partition import (
     EigenRect,
     InvariantError,
     TorusPartition,
+    _cover_list,
+    _floor,
     _step_successors,
     _step_table,
     advance_strips,
     closed_translate_meets,
     cylinder_components,
-    lattice_in_frame_box,
+    # not called here, but perfbench/tracing.py wraps it under this module
+    lattice_in_frame_box,  # noqa: F401
     locate,
     partition_diam_sq,
 )
@@ -57,9 +63,7 @@ __all__ = [
 
 def _mod1(value):
     """Reduce an exact coordinate (Fraction or QuadReal) into [0, 1)."""
-    if isinstance(value, QuadReal):
-        return value - value.floor()
-    return value % 1
+    return value - _floor(value)
 
 
 def _point_mod1(point):
@@ -77,21 +81,6 @@ def _frame_of(frame: EigenFrame, point, translate) -> tuple[QuadReal, QuadReal]:
     pu, pw = frame.to_frame(point)
     qu, qw = frame.lattice_frame(*translate)
     return pu + qu, pw + qw
-
-
-def _rect_contains_torus(frame: EigenFrame, rect: EigenRect, point,
-                         closed: bool = True) -> bool:
-    """Exact membership of a torus point in a frame box, testing every
-    lattice representative that could land inside (one lattice scan; it
-    serves :meth:`DecodeResult.contains`)."""
-    pu, pw = frame.to_frame(point)
-    for _, (qu, qw) in lattice_in_frame_box(
-        frame,
-        rect.u_lo - pu, rect.u_hi - pu, rect.w_lo - pw, rect.w_hi - pw,
-    ):
-        if rect.contains_frame(pu + qu, pw + qw, closed=closed):
-            return True
-    return False
 
 
 @dataclass(frozen=True)
@@ -157,6 +146,7 @@ class SymbolicWord:
 class DecodeResult:
     """The exact cylinder set named by a word.
 
+    ``partition`` is the refinement whose cells the word names.
     ``anchored`` is the plane representative of the cylinder as seen at the
     word's first time (a sub-box of the first symbol's cell); ``rect`` is the
     time-zero representative, i.e. the set of points whose iterate at
@@ -171,7 +161,7 @@ class DecodeResult:
     """
 
     word: SymbolicWord
-    frame: EigenFrame
+    partition: TorusPartition
     anchored: EigenRect
     rect: EigenRect
     center: tuple[QuadReal, QuadReal]
@@ -187,8 +177,18 @@ class DecodeResult:
         return math.sqrt(float(self.diameter_bound_sq))
 
     def contains(self, point, closed: bool = True) -> bool:
-        """Exact membership of a model-torus point in the cylinder."""
-        return _rect_contains_torus(self.frame, self.rect, point, closed=closed)
+        """Exact membership of a model-torus point in the cylinder: the
+        point is in ``rect`` + q exactly when its iterate at ``word.offset``
+        is in ``anchored`` + A^offset q, inside the first symbol's cell."""
+        part, first = self.partition, self.word.symbols[0]
+        y = _point_mod1((part.acting ** self.word.offset).act(point))
+        yu, yw = part.frame.to_frame(y)
+        for i, (m, n), moved in _cover_list(part):
+            if i == first and moved.contains_frame(yu, yw, closed=True):
+                qu, qw = part.frame.lattice_frame(m, n)
+                if self.anchored.contains_frame(yu + qu, yw + qw, closed=closed):
+                    return True
+        return False
 
 
 @dataclass(frozen=True)
@@ -375,7 +375,7 @@ class CodingContext:
             )
         return DecodeResult(
             word=word,
-            frame=self.frame,
+            partition=self.part,
             anchored=anchored,
             rect=rect,
             center=(_mod1(cx), _mod1(cy)),

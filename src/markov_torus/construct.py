@@ -27,7 +27,6 @@ which never inspects cell intersections, yet must reproduce the matrix.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -38,6 +37,7 @@ from .partition import (
     RefinementCell,
     TorusPartition,
     refine,
+    refined_partition,
     transition_graph,
     verify_areas,
 )
@@ -427,11 +427,7 @@ def build_markov_construction(matrix: Mat2Z) -> MarkovConstruction:
         raise InvariantError(
             f"refinement has {len(cells)} cells, expected {expected}"
         )
-    refined = TorusPartition.build(
-        part.frame, part.acting,
-        (cell.rect for cell in cells),
-        _cell_labels(part, cells),
-    )
+    refined = refined_partition(part)
     refined_graph = composition_graph(cells)
     if transition_graph(refined).matrix != refined_graph.matrix:
         raise InvariantError(
@@ -440,20 +436,3 @@ def build_markov_construction(matrix: Mat2Z) -> MarkovConstruction:
     return MarkovConstruction(matrix, conj, base, cells, refined, graph,
                               refined_graph, True)
 
-
-def _cell_labels(part: TorusPartition, cells: Sequence[RefinementCell]
-                 ) -> list[str]:
-    """Stable labels: the word of each cell plus its index among same-word
-    components (components are already ordered by contracting coordinate)."""
-    totals: dict[tuple[int, ...], int] = {}
-    for cell in cells:
-        totals[cell.symbols] = totals.get(cell.symbols, 0) + 1
-    seen: dict[tuple[int, ...], int] = {}
-    labels = []
-    for cell in cells:
-        rank = seen.get(cell.symbols, 0)
-        seen[cell.symbols] = rank + 1
-        i, j = cell.symbols
-        word = f"{part.labels[i]},{part.labels[j]}@{cell.offset}"
-        labels.append(f"{word}#{rank}" if totals[cell.symbols] > 1 else word)
-    return labels

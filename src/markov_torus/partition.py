@@ -55,7 +55,6 @@ import bisect
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .exact import QuadReal, floor_surd
@@ -196,9 +195,6 @@ class TorusPartition:
         return box.scaled(*_cached(
             self, "_inverse_act", lambda: (self.lam_act.inverse(), self.mu_act.inverse())
         ))
-
-    def relabel(self, labels: Iterable[str]) -> "TorusPartition":
-        return TorusPartition.build(self.frame, self.acting, self.boxes, labels)
 
 
 def _cached(part: TorusPartition, name: str, compute, *args):
@@ -455,14 +451,18 @@ def refine(part: TorusPartition) -> list[RefinementCell]:
     Each returned cell is a component of phi(R_i) meet R_j with word (i, j) at
     offset -1, anchored in R_j's box.  Cells are grouped by (i, j) in
     lexicographic order and within a group by contracting coordinate, which
-    is deterministic.
+    is deterministic.  Cached on the partition; each call gets a new list.
     """
-    cells = []
-    for i in range(part.n):
-        for j in range(part.n):
-            for _, comp in image_components(part, i, j):
-                cells.append(RefinementCell(symbols=(i, j), offset=-1, rect=comp))
-    return cells
+
+    def build():
+        cells = []
+        for i in range(part.n):
+            for j in range(part.n):
+                for _, comp in image_components(part, i, j):
+                    cells.append(RefinementCell(symbols=(i, j), offset=-1, rect=comp))
+        return tuple(cells)
+
+    return list(_cached(part, "_refinement", build))
 
 
 def refinement_cells_depth(part: TorusPartition, depth: int
@@ -479,13 +479,17 @@ def refinement_cells_depth(part: TorusPartition, depth: int
 
 
 def refined_partition(part: TorusPartition) -> TorusPartition:
-    """The refinement as a partition in its own right, labels recording words."""
+    """The refinement as a partition in its own right, in :func:`refine`
+    order.  A cell's label is its word ``i,j@-1`` in the labels of ``part``,
+    plus ``#k`` for the k-th of several components of one word."""
     cells = refine(part)
-    boxes = [c.rect for c in cells]
-    labels = [
-        f"{part.labels[c.symbols[0]]},{part.labels[c.symbols[1]]}@-1" for c in cells
-    ]
-    return TorusPartition.build(part.frame, part.acting, boxes, labels)
+    labels = []
+    for (i, j), group in itertools.groupby(cells, key=lambda cell: cell.symbols):
+        word = f"{part.labels[i]},{part.labels[j]}@-1"
+        count = len(list(group))
+        labels += [word] if count == 1 else [f"{word}#{k}" for k in range(count)]
+    return TorusPartition.build(part.frame, part.acting,
+                                (cell.rect for cell in cells), labels)
 
 
 def _step_table(part: TorusPartition, inverse: bool

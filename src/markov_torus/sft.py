@@ -1,17 +1,15 @@
 """Shifts of finite type presented by non-negative integer transition matrices.
 
 A :class:`TransitionGraph` on nodes ``0..n-1`` carries entry ``a[i][j]`` =
-number of edges i -> j.  Counting functions are exact integer arithmetic;
-only the numeric Perron radius uses floating point (numpy), with the exact
-characteristic polynomial available alongside it.
+number of edges i -> j.  Everything is exact integer or rational arithmetic;
+the Perron radius is found by bisection on the exact characteristic
+polynomial and only reported as a float.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .torus import InvariantError
 
@@ -50,12 +48,12 @@ def _mat_pow(a: Matrix, e: int) -> Matrix:
 
 @dataclass(frozen=True)
 class PerronData:
-    """Exact characteristic polynomial plus a numeric spectral radius.
+    """Exact characteristic polynomial plus the spectral radius.
 
     ``char_poly`` lists integer coefficients of det(xI - A) from the leading
-    power down to the constant term.  ``spectral_radius`` comes from numpy's
-    eigenvalue solver and is reliable to about 1e-12 for the small matrices
-    this package produces.
+    power down to the constant term.  ``spectral_radius`` is the float
+    nearest the Perron root, bisected exactly on ``char_poly`` by
+    :func:`perron_data`.
     """
 
     char_poly: tuple[int, ...]
@@ -204,10 +202,28 @@ def char_poly(graph: TransitionGraph) -> tuple[int, ...]:
 
 
 def perron_data(graph: TransitionGraph) -> PerronData:
+    """Characteristic polynomial p and the float nearest the Perron root r.
+
+    r is bisected over exact rationals from 0 <= r < max row sum + 1, with
+    t > r exactly when every coefficient of p(X + t) is positive: then every
+    root of p(X + t) has negative real part (r bounds the real parts, by
+    Perron-Frobenius), while for t <= r it has the root r - t >= 0.  The
+    bisection stops once both ends round to the same float; r = 0 exactly
+    when p = x^n."""
     poly = char_poly(graph)
-    eigs = np.linalg.eigvals(np.array(graph.matrix, dtype=float))
-    radius = float(max(abs(e) for e in eigs))
-    return PerronData(char_poly=poly, spectral_radius=radius)
+    lo = Fraction(0)
+    hi = Fraction(max(map(sum, graph.matrix)) + 1 if any(poly[1:]) else 0)
+    while float(lo) != float(hi):
+        mid = (lo + hi) / 2
+        shifted = list(poly)  # Taylor shift to p(X + mid)
+        for k in range(len(poly) - 1, 0, -1):
+            for i in range(1, k + 1):
+                shifted[i] += mid * shifted[i - 1]
+        if all(c > 0 for c in shifted):
+            hi = mid
+        else:
+            lo = mid
+    return PerronData(char_poly=poly, spectral_radius=float(hi))
 
 
 def to_dot(graph: TransitionGraph, labels: list[str] | None = None) -> str:

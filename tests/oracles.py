@@ -75,6 +75,13 @@ def float_eigen(mat) -> tuple[float, float]:
     return float(lam.real), float(mu.real)
 
 
+def numpy_spectral_radius(matrix) -> float:
+    """Largest eigenvalue modulus of a square matrix, from numpy's solver
+    (how ``perron_data`` found the radius before it bisected exactly)."""
+    eigs = np.linalg.eigvals(np.array(matrix, dtype=float))
+    return float(max(abs(e) for e in eigs))
+
+
 def brute_conjugator(a_mat, bound: int = 6):
     """Exhaustive GL(2,Z) search for C with C A C^-1 = eps * P, P >= 0.
 

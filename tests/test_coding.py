@@ -9,12 +9,12 @@ from markov_torus.coding import (
     BoundaryAmbiguity,
     CodingContext,
     SymbolicWord,
-    _rect_contains_torus,
     torus_dist_sq,
 )
 from markov_torus.exact import QuadReal
 from markov_torus.partition import InvariantError, partition_diam_sq
 from markov_torus.torus import Mat2Z
+from oracles import _rect_contains_torus
 
 FIB = Mat2Z(1, 1, 1, 0)
 

@@ -1,9 +1,9 @@
 """Coding by stepping the forward table against the per-iterate coding it
 replaced (kept verbatim in ``oracles``): ``locate`` from the cover list,
-``encode`` words and boundary ambiguities, and ``preimage_report`` counts
-and words, on one ladder matrix per sign case and ``40 1 1 0``, at drawn
-rational points, lattice points, points on cell edges and field-valued
-points, inside and outside the unit square."""
+``encode`` words and boundary ambiguities, ``preimage_report`` counts and
+words, and ``DecodeResult.contains``, on one ladder matrix per sign case and
+``40 1 1 0``, at drawn rational points, lattice points, points on cell edges
+and field-valued points, inside and outside the unit square."""
 
 import dataclasses
 import json
@@ -126,6 +126,43 @@ def test_boundary_reached_by_stepping_matches_oracle(name):
                 assert isinstance(got, BoundaryAmbiguity)
                 later += got.time > -3
     assert later
+
+
+# -- cylinder membership --------------------------------------------------------------
+
+
+def _cylinder_points(ctx: CodingContext, rect):
+    """Corners and edge midpoints (field-valued) of a decoded cylinder."""
+    mid_u, mid_w = (rect.u_lo + rect.u_hi) / 2, (rect.w_lo + rect.w_hi) / 2
+    frame_points = list(rect.corners_frame()) + [
+        (rect.u_lo, mid_w), (rect.u_hi, mid_w), (mid_u, rect.w_lo), (mid_u, rect.w_hi)]
+    return [ctx.frame.to_plane(u, w) for u, w in frame_points]
+
+
+@pytest.mark.parametrize("name", list(MATRICES)[:4])
+def test_contains_matches_lattice_scan(name):
+    """``DecodeResult.contains`` reads the cover list of the word's first
+    cell; the scan it replaced (kept verbatim in ``oracles``) decides every
+    rational point, cylinder corner and edge point, and lattice-shifted
+    copies of each, for words at negative, zero and positive offsets."""
+    ctx = context(name)
+    words = [ctx.encode(p, 2) for p in _points(12)]
+    symbols = [w.symbols for w in words if isinstance(w, SymbolicWord)][:3]
+    results = [ctx.decode(SymbolicWord(s, offset))
+               for s in symbols for offset in (-2, -4, 0, 1)]
+    verdicts = set()
+    for res, other in zip(results, results[1:] + results[:1]):
+        base = (_cylinder_points(ctx, res.rect) + _cylinder_points(ctx, other.rect)[:4]
+                + [res.center] + _points(4))
+        for x, y in base:
+            for m, n in ((0, 0), (1, -1), (-2, 3)):
+                point = (x + m, y + n)
+                for closed in (True, False):
+                    got = res.contains(point, closed=closed)
+                    assert got == oracles._rect_contains_torus(
+                        ctx.frame, res.rect, point, closed=closed)
+                    verdicts.add((closed, got))
+    assert verdicts == {(True, True), (True, False), (False, True), (False, False)}
 
 
 # -- broken partitions ----------------------------------------------------------------

@@ -17,9 +17,9 @@ from markov_torus.construct import (
     count_intersections,
 )
 from markov_torus.exact import QuadReal
-from markov_torus.partition import transition_graph
+from markov_torus.partition import refined_partition, transition_graph
 from markov_torus.render import construction_report
-from markov_torus.sft import char_poly, count_blocks, count_periodic
+from markov_torus.sft import char_poly, count_blocks, count_periodic, perron_data
 from markov_torus.torus import (
     Mat2Z,
     NotHyperbolicError,
@@ -120,6 +120,14 @@ def test_sign_cases(matrix, expected):
     assert mc.base.sign_case.translated == (expected.value[1] < 0)
 
 
+@pytest.mark.parametrize("matrix", SIGN_CASES, ids=str)
+def test_refined_perron_radius_is_the_expanding_eigenvalue(matrix):
+    """The exact bisection lands on the float nearest |lambda| itself."""
+    mc = build_markov_construction(matrix)
+    lam = abs(hyperbolic_check(matrix).lam)
+    assert perron_data(mc.refined_graph).spectral_radius == float(lam)
+
+
 def test_slide_is_zero_without_contracting_reflection():
     mc = build_markov_construction(Mat2Z(2, 1, 1, 1))
     assert mc.base.rho == 0
@@ -214,6 +222,15 @@ def test_geometric_recheck_runs_above_64_cells():
 LADDER = [FIB, -FIB, Mat2Z(2, 1, 1, 1), Mat2Z(0, 1, 1, 3), Mat2Z(-2, -3, -1, -2),
           Mat2Z(3, 2, 1, 1), Mat2Z(5, 2, 2, 1), Mat2Z(10, 1, 1, 0),
           Mat2Z(15, 1, 1, 0)]
+
+
+@pytest.mark.parametrize("matrix", LADDER, ids=str)
+def test_refined_partition_is_the_constructed_refinement(matrix):
+    mc = build_markov_construction(matrix)
+    rebuilt = refined_partition(mc.base.partition)
+    assert rebuilt.boxes == mc.refined.boxes
+    assert rebuilt.labels == mc.refined.labels
+    assert len(set(rebuilt.labels)) == rebuilt.n
 
 
 def random_unimodular(rng: random.Random) -> Mat2Z:

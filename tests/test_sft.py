@@ -17,7 +17,7 @@ from markov_torus.sft import (
     prune_to_recurrent,
     to_dot,
 )
-from oracles import brute_count_blocks, brute_count_periodic
+from oracles import brute_count_blocks, brute_count_periodic, numpy_spectral_radius
 
 FIB = TransitionGraph([[1, 1], [1, 0]])
 
@@ -100,6 +100,41 @@ def test_perron_radius_fibonacci():
     golden = (1 + 5 ** 0.5) / 2
     assert abs(data.spectral_radius - golden) < 1e-12
     assert data.char_poly == (1, -1, -1)
+
+
+st_wide_graph = st.integers(min_value=1, max_value=6).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(min_value=0, max_value=3), min_size=n, max_size=n),
+        min_size=n,
+        max_size=n,
+    )
+).map(TransitionGraph)
+
+
+def _assert_radius_matches_numpy(g):
+    radius = perron_data(g).spectral_radius
+    oracle = numpy_spectral_radius(g.matrix)
+    assert abs(radius - oracle) <= 1e-12 * max(oracle, 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st_wide_graph)
+def test_perron_radius_matches_numpy(g):
+    _assert_radius_matches_numpy(g)
+
+
+@pytest.mark.parametrize("rows, radius", [
+    ([[1, 1], [0, 1]], 1.0),                   # reducible, Jordan block
+    ([[1, 0, 0], [0, 2, 0], [0, 0, 3]], 3.0),  # reducible, diagonal
+    ([[0, 1], [1, 0]], 1.0),                   # periodic: -1 is a root too
+    ([[0, 1, 0], [0, 0, 1], [0, 0, 0]], 0.0),  # nilpotent
+    ([[0, 0], [0, 0]], 0.0),
+    ([[0]], 0.0),
+], ids=["reducible", "diag123", "periodic", "nilpotent", "zero", "zero1"])
+def test_perron_radius_named_graphs(rows, radius):
+    g = TransitionGraph(rows)
+    assert perron_data(g).spectral_radius == radius
+    _assert_radius_matches_numpy(g)
 
 
 def test_dot_output_deterministic():
