@@ -183,8 +183,8 @@ class DecodeResult:
         part, first = self.partition, self.word.symbols[0]
         y = _point_mod1((part.acting ** self.word.offset).act(point))
         yu, yw = part.frame.to_frame(y)
-        for i, (m, n), moved in _cover_list(part):
-            if i == first and moved.contains_frame(yu, yw, closed=True):
+        for (m, n), moved in _cover_list(part)[first]:
+            if moved.contains_frame(yu, yw, closed=True):
                 qu, qw = part.frame.lattice_frame(m, n)
                 if self.anchored.contains_frame(yu + qu, yw + qw, closed=closed):
                     return True

@@ -17,8 +17,9 @@ All-pairs overlaps come from :func:`overlap_table`: one scan per moving cell,
 over the translates that bring it into the hull of all target cells, each
 hit tested against the targets whose contracting interval can meet it.  The
 forward and inverse step tables of a partition are such tables, cached on the
-partition; the transition graph, the refinement and the cylinder walks all
-read the forward one, so a partition's overlaps are scanned once.
+partition and overlap-checked once when built.  The forward one is the only
+source of transitions (graph, refinement, successor lists), so a partition's
+overlaps are scanned once.
 Point location scans nothing either: :func:`locate` tests the boxes of a
 cover list, also cached on the partition, of every (cell, translate) whose
 closed box can meet the unit square.
@@ -346,11 +347,11 @@ class BoundaryHit:
 
 
 def _cover_list(part: TorusPartition
-                ) -> list[tuple[int, tuple[int, int], EigenRect]]:
-    """Every (cell, translate q, box - q) whose closed box, moved back by q,
-    can meet the closed unit square: the only places a point of [0, 1)^2
-    can lie, in ascending cell and then lattice order.  Cached on the
-    partition.
+                ) -> list[list[tuple[tuple[int, int], EigenRect]]]:
+    """Per cell, every (translate q, box - q) whose closed box, moved back
+    by q, can meet the closed unit square: the only places a point of
+    [0, 1)^2 can lie in that cell, in ascending lattice order.  Cached on
+    the partition.
 
     One lattice scan per cell over the translates that bring the square's
     frame hull into the box's, kept when the box and the moved square also
@@ -363,15 +364,17 @@ def _cover_list(part: TorusPartition
         su_lo, su_hi = min(u for u, _ in corners), max(u for u, _ in corners)
         sw_lo, sw_hi = min(w for _, w in corners), max(w for _, w in corners)
         cover = []
-        for i, box in enumerate(part.boxes):
+        for box in part.boxes:
             xs, ys = zip(*box.corners_plane(frame))
             x_lo, x_hi, y_lo, y_hi = min(xs), max(xs), min(ys), max(ys)
-            for (m, n), (qu, qw) in lattice_in_frame_box(
-                frame, box.u_lo - su_hi, box.u_hi - su_lo,
-                box.w_lo - sw_hi, box.w_hi - sw_lo,
-            ):
-                if x_lo <= m + 1 and m <= x_hi and y_lo <= n + 1 and n <= y_hi:
-                    cover.append((i, (m, n), box.translate(-qu, -qw)))
+            cover.append([
+                ((m, n), box.translate(-qu, -qw))
+                for (m, n), (qu, qw) in lattice_in_frame_box(
+                    frame, box.u_lo - su_hi, box.u_hi - su_lo,
+                    box.w_lo - sw_hi, box.w_hi - sw_lo,
+                )
+                if x_lo <= m + 1 and m <= x_hi and y_lo <= n + 1 and n <= y_hi
+            ])
         return cover
 
     return _cached(part, "_cover", build)
@@ -391,10 +394,11 @@ def locate(part: TorusPartition, point) -> CellHit | BoundaryHit:
     pu, pw = part.frame.to_frame((point[0] - fx, point[1] - fy))
     interior: list[CellHit] = []
     boundary: list[CellHit] = []
-    for i, (m, n), moved in _cover_list(part):
-        if moved.contains_frame(pu, pw, closed=True):
-            hit = CellHit(i, (m - fx, n - fy))
-            (interior if moved.contains_frame(pu, pw) else boundary).append(hit)
+    for i, entries in enumerate(_cover_list(part)):
+        for (m, n), moved in entries:
+            if moved.contains_frame(pu, pw, closed=True):
+                hit = CellHit(i, (m - fx, n - fy))
+                (interior if moved.contains_frame(pu, pw) else boundary).append(hit)
     if len(interior) > 1 or (interior and boundary):
         raise InvariantError(f"cells overlap at {point}: {interior} {boundary}")
     if interior:
@@ -422,44 +426,37 @@ class RefinementCell:
     rect: EigenRect
 
 
-def image_components(part: TorusPartition, source: int, container: int
-                     ) -> list[tuple[tuple[int, int], EigenRect]]:
-    """Components of phi(R_source) meeting R_container, with their translates,
-    anchored in the container's stored box and ordered by contracting coordinate."""
-    comps = [(q, comp) for q, _, comp
-             in _step_table(part, False).get((source, container), ())]
-    comps.sort(key=lambda item: (item[1].w_lo, item[1].u_lo))
-    for (_, a), (_, b) in itertools.combinations(comps, 2):
-        if a.intersect(b) is not None:
-            raise InvariantError("image strips overlap inside one cell")
-    return comps
-
-
 def transition_graph(part: TorusPartition) -> TransitionGraph:
     """Geometric transition multiplicities: entry (i, j) counts the components
-    of phi(R_i) intersected with R_j on the torus.  Cached on the partition,
-    so the constructor and every verifier share one derivation."""
+    of phi(R_i) intersected with R_j on the torus, the entries of the forward
+    step table for (i, j).  Cached on the partition."""
     n = part.n
-    return _cached(part, "_transition_graph", lambda: TransitionGraph(
-        [[len(image_components(part, i, j)) for j in range(n)] for i in range(n)]
-    ))
+
+    def build():
+        table = _step_table(part, False)
+        return TransitionGraph([[len(table.get((i, j), ())) for j in range(n)]
+                                for i in range(n)])
+
+    return _cached(part, "_transition_graph", build)
 
 
 def refine(part: TorusPartition) -> list[RefinementCell]:
     """Cells of the common refinement of the partition and its image.
 
-    Each returned cell is a component of phi(R_i) meet R_j with word (i, j) at
-    offset -1, anchored in R_j's box.  Cells are grouped by (i, j) in
-    lexicographic order and within a group by contracting coordinate, which
-    is deterministic.  Cached on the partition; each call gets a new list.
+    Each returned cell is a component of phi(R_i) meet R_j, an entry of the
+    forward step table, with word (i, j) at offset -1, anchored in R_j's box.
+    Cells are grouped by (i, j) in lexicographic order and within a group by
+    contracting coordinate, which is deterministic.  Cached on the partition;
+    each call gets a new list.
     """
 
     def build():
         cells = []
-        for i in range(part.n):
-            for j in range(part.n):
-                for _, comp in image_components(part, i, j):
-                    cells.append(RefinementCell(symbols=(i, j), offset=-1, rect=comp))
+        for pair, entries in sorted(_step_table(part, False).items()):
+            comps = sorted((comp for _, _, comp in entries),
+                           key=lambda comp: (comp.w_lo, comp.u_lo))
+            cells += [RefinementCell(symbols=pair, offset=-1, rect=comp)
+                      for comp in comps]
         return tuple(cells)
 
     return list(_cached(part, "_refinement", build))
@@ -496,15 +493,17 @@ def _step_table(part: TorusPartition, inverse: bool
                 ) -> dict[tuple[int, int], list[Overlap]]:
     """Per cell pair (cur, tgt) where the stepped box of cur meets the box of
     tgt modulo the lattice: the :func:`translate_overlaps` entries
-    ``(q, (du, dw), comp)`` of the one pair, all from one :func:`overlap_table`.
+    ``(q, (du, dw), comp)`` of the one pair, in lattice order, all from one
+    :func:`overlap_table`.  Building it raises :class:`InvariantError` when
+    two entries of one pair overlap: the stepped cell then overlaps its own
+    lattice translate.
 
     Cached on the partition.  For any piece inside box(cur), the lattice
     translates of its stepped image that meet box(tgt) are among the tabulated
     ones, and each overlap equals (stepped piece + shift) intersected with the
     tabulated component; one table lookup therefore replaces the per-step
-    lattice scan when tracking cylinders along a word.  The forward table is
-    also where :func:`image_components` reads the transitions, so the graph
-    the constructor derives and the walks of the verifiers share one table.
+    lattice scan when tracking cylinders along a word.  :func:`transition_graph`,
+    :func:`refine` and :func:`_step_successors` read the forward table.
     """
     return _cached(part, _STEP_TABLES[inverse], _build_step_table, part, inverse)
 
@@ -515,7 +514,12 @@ _STEP_TABLES = {False: "_forward_table", True: "_inverse_table"}
 def _build_step_table(part: TorusPartition, inverse: bool
                       ) -> dict[tuple[int, int], list[Overlap]]:
     step = part.phi_inv_box if inverse else part.phi_box
-    return overlap_table(part.frame, part.boxes, [step(b) for b in part.boxes])
+    table = overlap_table(part.frame, part.boxes, [step(b) for b in part.boxes])
+    for entries in table.values():
+        for (_, _, a), (_, _, b) in itertools.combinations(entries, 2):
+            if a.intersect(b) is not None:
+                raise InvariantError("image strips overlap inside one cell")
+    return table
 
 
 def advance_strips(part: TorusPartition, pieces: Sequence[EigenRect], cur: int,
@@ -592,17 +596,18 @@ class WordVisitor:
         return None
 
 
-def _support(graph: TransitionGraph) -> list[list[int]]:
-    """Per node, its successors in ascending order."""
-    return [[j for j, mult in enumerate(row) if mult] for row in graph.matrix]
-
-
 def _step_successors(part: TorusPartition) -> list[list[int]]:
     """Per cell, the cells its image meets, ascending: the support of
-    :func:`transition_graph`, read off the step table (both list the cell
-    pairs whose image and box overlap modulo the lattice)."""
-    table = _step_table(part, False)
-    return [[j for j in range(part.n) if (i, j) in table] for i in range(part.n)]
+    :func:`transition_graph`, read off the forward step table.  Cached on
+    the partition; callers must not change the lists."""
+
+    def build():
+        succ: list[list[int]] = [[] for _ in range(part.n)]
+        for i, j in sorted(_step_table(part, False)):
+            succ[i].append(j)
+        return succ
+
+    return _cached(part, "_successors", build)
 
 
 def count_words(part: TorusPartition, max_len: int) -> int:
@@ -834,24 +839,21 @@ class NfoldReport:
 class NfoldCount(WordVisitor):
     """Admissible words with length in [min_len, max_len], counted per
     length, and those with an empty cylinder; ``result()`` is the
-    :class:`NfoldReport` per length.  The walk must follow ``graph``
-    (default: the partition's transition graph)."""
+    :class:`NfoldReport` per length.  The walk must follow the support of
+    the partition's transition graph."""
 
-    def __init__(self, min_len: int, max_len: int,
-                 graph: TransitionGraph | None = None):
+    def __init__(self, min_len: int, max_len: int):
         if min_len < 1 or max_len < min_len:
             raise ValueError("need 1 <= min_len <= max_len")
         self.min_len = min_len
         self.max_len = max_len
-        self.graph = graph
         self.checked = {n: 0 for n in range(min_len, max_len + 1)}
         self.failures: dict[int, list[tuple[int, ...]]] = {
             n: [] for n in range(min_len, max_len + 1)
         }
 
     def start(self, part, succ):
-        graph = self.graph if self.graph is not None else transition_graph(part)
-        if _support(graph) != succ:
+        if _step_successors(part) != succ:
             raise InvariantError("the walk does not follow the transition graph")
 
     def visit(self, word, pieces):
@@ -866,8 +868,8 @@ class NfoldCount(WordVisitor):
                 for n in self.checked}
 
 
-def verify_nfold_range(part: TorusPartition, min_len: int, max_len: int,
-                       graph: TransitionGraph | None = None) -> dict[int, NfoldReport]:
+def verify_nfold_range(part: TorusPartition, min_len: int, max_len: int
+                       ) -> dict[int, NfoldReport]:
     """Every admissible word with length in [min_len, max_len] has a nonempty
     cylinder, checked in one traversal of the word tree.
 
@@ -875,15 +877,14 @@ def verify_nfold_range(part: TorusPartition, min_len: int, max_len: int,
     of one cell meets another); cylinders are tracked as exact boxes, so the
     check is a proof, not a sample.
     """
-    counter = NfoldCount(min_len, max_len, graph)
-    walk_words(part, [counter], None if graph is None else _support(graph))
+    counter = NfoldCount(min_len, max_len)
+    walk_words(part, [counter])
     return counter.result()
 
 
-def verify_nfold(part: TorusPartition, length: int,
-                 graph: TransitionGraph | None = None) -> NfoldReport:
+def verify_nfold(part: TorusPartition, length: int) -> NfoldReport:
     """Single-length form of :func:`verify_nfold_range`."""
-    return verify_nfold_range(part, length, length, graph)[length]
+    return verify_nfold_range(part, length, length)[length]
 
 
 def partition_diam_sq(part: TorusPartition) -> QuadReal:
@@ -973,11 +974,11 @@ def verify_generator_decay(part: TorusPartition, depth: int,
     cell, so there ok holds at every depth; a False ok is a finding about the
     partition, not an arithmetic error.
     """
-    succ = _support(transition_graph(part))
+    succ = _step_successors(part)
     up_to = max(0, min(depth, enumerate_up_to))
     if windows is None:
         windows = WindowCheck(part, up_to)
-        walk_words(part, [windows], succ)
+        walk_words(part, [windows])
     elif windows.up_to != up_to:
         raise ValueError(f"the window check covers n <= {windows.up_to}, "
                          f"not n <= {up_to}")

@@ -79,15 +79,6 @@ class TransitionGraph:
     def power(self, e: int) -> Matrix:
         return _mat_pow(self.matrix, e)
 
-    def edges(self) -> list[tuple[int, int]]:
-        """Edges with multiplicity, one pair per parallel edge."""
-        return [
-            (i, j)
-            for i, row in enumerate(self.matrix)
-            for j, mult in enumerate(row)
-            for _ in range(mult)
-        ]
-
     def __str__(self) -> str:
         return "\n".join(" ".join(str(x) for x in row) for row in self.matrix)
 

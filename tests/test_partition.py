@@ -11,19 +11,23 @@ from markov_torus.construct import build_markov_construction
 from markov_torus.exact import QuadReal
 from markov_torus.partition import (
     BoundaryHit,
+    CellAreaSum,
     CellHit,
     EigenRect,
     InvariantError,
-    image_components,
+    NfoldCount,
     lattice_in_frame_box,
     locate,
     partition_diam_sq,
+    refine,
     refined_partition,
+    transition_graph,
     verify_areas,
     verify_boundary_alignment,
     verify_generator_decay,
     verify_nfold_range,
     verify_translate_disjoint,
+    walk_words,
 )
 from markov_torus.torus import EigenFrame, Mat2Z, hyperbolic_check
 from oracles import brute_lattice_in_frame_box
@@ -88,15 +92,39 @@ def test_verifiers_detect_breakage(construction):
     )
 
 
+def test_self_overlapping_cell_fails_the_step_table():
+    # box 0 of the Fibonacci base partition doubled in u and tripled in w
+    # overlaps its own lattice translates, so its image meets one cell in
+    # overlapping strips: building the forward step table refuses it, and
+    # with it every reader of the transitions
+    part = build_markov_construction(FIB).base.partition
+    box = part.boxes[0]
+    grown = EigenRect(box.u_lo, box.u_lo + 2 * box.u_dim,
+                      box.w_lo, box.w_lo + 3 * box.w_dim)
+
+    def fresh():  # a new partition each time, so no table is cached yet
+        return part.__class__(part.frame, part.acting, part.lam_act, part.mu_act,
+                              (grown,) + part.boxes[1:], part.labels)
+
+    message = "image strips overlap inside one cell"
+    for read in (transition_graph, refine):
+        with pytest.raises(InvariantError, match=message):
+            read(fresh())
+    visitors = [NfoldCount(1, 2), CellAreaSum(part, 1)]
+    walk_words(fresh(), visitors)
+    for visitor in visitors:
+        with pytest.raises(InvariantError, match=message):
+            visitor.result()
+
+
 def test_image_strips_traverse_their_containers(construction):
     part = construction.base.partition
     mu_abs = abs(part.mu_act)
-    for i in range(part.n):
-        for j in range(part.n):
-            for _, comp in image_components(part, i, j):
-                box = part.boxes[j]
-                assert comp.u_lo == box.u_lo and comp.u_hi == box.u_hi
-                assert comp.w_dim == mu_abs * part.boxes[i].w_dim
+    for cell in refine(part):
+        i, j = cell.symbols
+        box = part.boxes[j]
+        assert cell.rect.u_lo == box.u_lo and cell.rect.u_hi == box.u_hi
+        assert cell.rect.w_dim == mu_abs * part.boxes[i].w_dim
 
 
 def test_refined_cells_sit_inside_their_containers(construction):
