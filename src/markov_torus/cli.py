@@ -11,7 +11,10 @@ verification or an unusable request (inadmissible word, capped depth), and
 Word-enumeration commands cap their depth (default 8); the environment
 variable ``MARKOV_TORUS_MAX_DEPTH`` overrides the cap.  ``verify`` also
 counts the words of each walk before it starts and refuses a request whose
-walk would exceed ``WALK_WORD_BUDGET`` words.
+walk would exceed ``WALK_WORD_BUDGET`` words.  ``decode`` refuses, by the
+same cap, a word whose window lies more than that many steps from time 0:
+its cylinder is moved to time 0 by that many exact powers of the map, whose
+size grows with the distance.
 """
 
 from __future__ import annotations
@@ -441,6 +444,13 @@ def cmd_decode(cfg: RunConfig) -> int:
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     ctx = CodingContext.from_matrix(cfg.matrix)
+    # steps from time 0 to the nearest time of the word's window
+    reach = max(0, word.offset, -(word.offset + len(word) - 1))
+    if reach > cfg.enum_cap:
+        raise CliError(
+            f"word {word} lies {reach} steps from time 0, beyond the "
+            f"enumeration cap {cfg.enum_cap}; set {ENUM_CAP_ENV} to raise it"
+        )
     try:
         res = ctx.decode(word)
     except ValueError as exc:

@@ -275,7 +275,7 @@ class CodingContext:
         meeting box j, moved back by (du, dw) into phi(box i).  A stepped
         point (u, w) lies in the component exactly when it lies in the
         piece, so the test needs no addition."""
-        table = _step_table(self.part, False)
+        table = _step_table(self.part)
         return [[(j, shift, comp.translate(-shift[0], -shift[1]))
                  for j in row for _, shift, comp in table[i, j]]
                 for i, row in enumerate(_step_successors(self.part))]

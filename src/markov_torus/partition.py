@@ -16,9 +16,10 @@ is one step per column plus one per lattice point found.
 All-pairs overlaps come from :func:`overlap_table`: one scan per moving cell,
 over the translates that bring it into the hull of all target cells, each
 hit tested against the targets whose contracting interval can meet it.  The
-forward and inverse step tables of a partition are such tables, cached on the
-partition and overlap-checked once when built.  The forward one is the only
-source of transitions (graph, refinement, successor lists), so a partition's
+step table of a partition is such a table, for the forward images of its
+cells, cached on the partition and overlap-checked once when built.  It is
+the only source of transitions in both directions (graph, refinement,
+successor lists, forward and backward cylinder steps), so a partition's
 overlaps are scanned once.
 Point location scans nothing either: :func:`locate` tests the boxes of a
 cover list, also cached on the partition, of every (cell, translate) whose
@@ -433,7 +434,7 @@ def transition_graph(part: TorusPartition) -> TransitionGraph:
     n = part.n
 
     def build():
-        table = _step_table(part, False)
+        table = _step_table(part)
         return TransitionGraph([[len(table.get((i, j), ())) for j in range(n)]
                                 for i in range(n)])
 
@@ -452,7 +453,7 @@ def refine(part: TorusPartition) -> list[RefinementCell]:
 
     def build():
         cells = []
-        for pair, entries in sorted(_step_table(part, False).items()):
+        for pair, entries in sorted(_step_table(part).items()):
             comps = sorted((comp for _, _, comp in entries),
                            key=lambda comp: (comp.w_lo, comp.u_lo))
             cells += [RefinementCell(symbols=pair, offset=-1, rect=comp)
@@ -489,32 +490,28 @@ def refined_partition(part: TorusPartition) -> TorusPartition:
                                 (cell.rect for cell in cells), labels)
 
 
-def _step_table(part: TorusPartition, inverse: bool
-                ) -> dict[tuple[int, int], list[Overlap]]:
-    """Per cell pair (cur, tgt) where the stepped box of cur meets the box of
-    tgt modulo the lattice: the :func:`translate_overlaps` entries
-    ``(q, (du, dw), comp)`` of the one pair, in lattice order, all from one
-    :func:`overlap_table`.  Building it raises :class:`InvariantError` when
-    two entries of one pair overlap: the stepped cell then overlaps its own
-    lattice translate.
+def _step_table(part: TorusPartition) -> dict[tuple[int, int], list[Overlap]]:
+    """Per cell pair (cur, nxt) where phi(box cur) meets box(nxt) modulo the
+    lattice: the :func:`translate_overlaps` entries ``(q, (du, dw), comp)``
+    of the one pair, in lattice order, all from one :func:`overlap_table`.
+    Building it raises :class:`InvariantError` when two entries of one pair
+    overlap: the stepped cell then overlaps its own lattice translate.
 
     Cached on the partition.  For any piece inside box(cur), the lattice
-    translates of its stepped image that meet box(tgt) are among the tabulated
-    ones, and each overlap equals (stepped piece + shift) intersected with the
+    translates of its image that meet box(nxt) are among the tabulated ones,
+    and each overlap equals (phi(piece) + shift) intersected with the
     tabulated component; one table lookup therefore replaces the per-step
-    lattice scan when tracking cylinders along a word.  :func:`transition_graph`,
-    :func:`refine` and :func:`_step_successors` read the forward table.
+    lattice scan when tracking cylinders along a word.  Read backwards, each
+    entry is also a component of phi^-1(box nxt) meeting box(cur), so the
+    table serves both :func:`advance_strips` and :func:`pullback_strips`;
+    :func:`transition_graph`, :func:`refine` and :func:`_step_successors`
+    read it too.
     """
-    return _cached(part, _STEP_TABLES[inverse], _build_step_table, part, inverse)
+    return _cached(part, "_forward_table", _build_step_table, part)
 
 
-_STEP_TABLES = {False: "_forward_table", True: "_inverse_table"}
-
-
-def _build_step_table(part: TorusPartition, inverse: bool
-                      ) -> dict[tuple[int, int], list[Overlap]]:
-    step = part.phi_inv_box if inverse else part.phi_box
-    table = overlap_table(part.frame, part.boxes, [step(b) for b in part.boxes])
+def _build_step_table(part: TorusPartition) -> dict[tuple[int, int], list[Overlap]]:
+    table = overlap_table(part.frame, part.boxes, [part.phi_box(b) for b in part.boxes])
     for entries in table.values():
         for (_, _, a), (_, _, b) in itertools.combinations(entries, 2):
             if a.intersect(b) is not None:
@@ -526,7 +523,7 @@ def advance_strips(part: TorusPartition, pieces: Sequence[EigenRect], cur: int,
                    nxt: int) -> list[EigenRect]:
     """One forward step of cylinder tracking: components of phi(piece) meeting
     box(nxt), anchored there.  Pieces must lie inside box(cur)."""
-    entries = _step_table(part, False).get((cur, nxt), ())
+    entries = _step_table(part).get((cur, nxt), ())
     out = []
     for piece in pieces:
         img = part.phi_box(piece)
@@ -540,15 +537,21 @@ def advance_strips(part: TorusPartition, pieces: Sequence[EigenRect], cur: int,
 def pullback_strips(part: TorusPartition, pieces: Sequence[EigenRect], cur: int,
                     prv: int) -> list[EigenRect]:
     """One backward step: components of phi^-1(piece) meeting box(prv),
-    anchored there.  Pieces must lie inside box(cur)."""
-    entries = _step_table(part, True).get((cur, prv), ())
+    anchored there.  Pieces must lie inside box(cur).
+
+    Reads the forward step table's entries for (prv, cur): each component
+    comp = box(cur) meet (phi(box prv) + shift) holds the part of a piece
+    that comes from box(prv), and moving that part back by the shift and
+    applying phi^-1 lands it in box(prv).  The pieces come out in the
+    table's lattice order."""
+    entries = _step_table(part).get((prv, cur), ())
     out = []
     for piece in pieces:
-        img = part.phi_inv_box(piece)
         for _, (du, dw), comp in entries:
-            hit = comp.intersect(img.translate(du, dw))
+            hit = comp.intersect(piece)
             if hit is not None:
-                out.append(hit)
+                out.append(part.phi_inv_box(EigenRect(
+                    hit.u_lo - du, hit.u_hi - du, hit.w_lo - dw, hit.w_hi - dw)))
     return out
 
 
@@ -571,18 +574,14 @@ def cylinder_components(part: TorusPartition, word: Sequence[int]) -> list[Eigen
 class WordVisitor:
     """One consumer of a :func:`walk_words` traversal.
 
-    ``max_len`` is the longest word it wants.  ``start(part, succ)`` runs
-    once before the walk, ``visit(word, pieces)`` once per word of length at
-    most ``max_len``, in walk order; ``word`` is the walker's buffer, valid
-    only during the call.  ``result()`` returns what the visitor found, or
-    re-raises the exception that stopped it.
+    ``max_len`` is the longest word it wants.  ``visit(word, pieces)`` runs
+    once per word of length at most ``max_len``, in walk order; ``word`` is
+    the walker's buffer, valid only during the call.  ``result()`` returns
+    what the visitor found, or re-raises the exception that stopped it.
     """
 
     max_len = 0
     error: Exception | None = None
-
-    def start(self, part: TorusPartition, succ: list[list[int]]) -> None:
-        pass
 
     def visit(self, word: list[int], pieces: list[EigenRect]) -> None:
         raise NotImplementedError
@@ -603,7 +602,7 @@ def _step_successors(part: TorusPartition) -> list[list[int]]:
 
     def build():
         succ: list[list[int]] = [[] for _ in range(part.n)]
-        for i, j in sorted(_step_table(part, False)):
+        for i, j in sorted(_step_table(part)):
             succ[i].append(j)
         return succ
 
@@ -611,10 +610,10 @@ def _step_successors(part: TorusPartition) -> list[list[int]]:
 
 
 def count_words(part: TorusPartition, max_len: int) -> int:
-    """Exact number of words :func:`walk_words` visits on its default
-    successors when its deepest visitor wants ``max_len``: the paths of
-    at most ``max_len`` symbols in the transition graph's support, counted
-    by integer vector steps without walking them."""
+    """Exact number of words :func:`walk_words` visits when its deepest
+    visitor wants ``max_len``: the paths of at most ``max_len`` symbols in
+    the transition graph's support, counted by integer vector steps without
+    walking them."""
     if max_len < 1:
         return 0
     succ = _step_successors(part)
@@ -630,19 +629,18 @@ def count_words(part: TorusPartition, max_len: int) -> int:
     return total
 
 
-def walk_words(part: TorusPartition, visitors: Sequence[WordVisitor],
-               succ: Sequence[Sequence[int]] | None = None) -> None:
+def walk_words(part: TorusPartition, visitors: Sequence[WordVisitor]) -> None:
     """Feed every visitor the admissible words of the partition's word tree.
 
     One preorder depth-first walk, with an explicit stack, over the words
-    s_0 ... s_k whose steps follow ``succ`` (default: the support of the
-    transition graph), as deep as the deepest visitor still running.
-    Each word reaches every visitor that wants its length together with its
-    pieces: the components of phi^k of its cylinder, anchored in box(s_k),
-    one :func:`advance_strips` step from its parent's.  Children come in
-    ``succ`` order, ascending by default, so the words of each length
-    arrive in lexicographic order; an empty cylinder's descendants are
-    visited with no pieces and cost no step.
+    s_0 ... s_k whose steps follow the support of the transition graph
+    (:func:`_step_successors`), as deep as the deepest visitor still
+    running.  Each word reaches every visitor that wants its length together
+    with its pieces: the components of phi^k of its cylinder, anchored in
+    box(s_k), one :func:`advance_strips` step from its parent's.  Children
+    come in ascending order, so the words of each length arrive in
+    lexicographic order; an empty cylinder's descendants are visited with no
+    pieces and cost no step.
 
     An exception raised by a visitor is kept on its ``error`` and stops that
     visitor alone; one raised by the walk itself is kept on every visitor
@@ -650,15 +648,7 @@ def walk_words(part: TorusPartition, visitors: Sequence[WordVisitor],
     """
     live = list(visitors)
     try:
-        if succ is None:
-            succ = _step_successors(part)
-        succ = [list(row) for row in succ]
-        for v in live:
-            try:
-                v.start(part, succ)
-            except Exception as exc:
-                v.error = exc
-        live = [v for v in live if v.error is None]
+        succ = _step_successors(part)
         step = advance_strips
         boxes = part.boxes
         word: list[int] = []
@@ -839,8 +829,7 @@ class NfoldReport:
 class NfoldCount(WordVisitor):
     """Admissible words with length in [min_len, max_len], counted per
     length, and those with an empty cylinder; ``result()`` is the
-    :class:`NfoldReport` per length.  The walk must follow the support of
-    the partition's transition graph."""
+    :class:`NfoldReport` per length."""
 
     def __init__(self, min_len: int, max_len: int):
         if min_len < 1 or max_len < min_len:
@@ -851,10 +840,6 @@ class NfoldCount(WordVisitor):
         self.failures: dict[int, list[tuple[int, ...]]] = {
             n: [] for n in range(min_len, max_len + 1)
         }
-
-    def start(self, part, succ):
-        if _step_successors(part) != succ:
-            raise InvariantError("the walk does not follow the transition graph")
 
     def visit(self, word, pieces):
         n = len(word)

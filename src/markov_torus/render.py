@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import colorsys
 import math
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from xml.sax.saxutils import escape
 
@@ -45,10 +45,8 @@ def matrix_json(mat: Mat2Z) -> list[list[int]]:
     return [[mat.a, mat.b], [mat.c, mat.d]]
 
 
-def graph_json(graph: TransitionGraph, labels: Sequence[str] | None = None) -> dict:
+def graph_json(graph: TransitionGraph, labels: Sequence[str]) -> dict:
     """Graph as {size, entries (row-major), labels}."""
-    if labels is None:
-        labels = [str(i) for i in range(graph.n)]
     labels = list(labels)
     if len(labels) != graph.n:
         raise ValueError("need one label per node")
@@ -97,8 +95,7 @@ def analyze_report(matrix: Mat2Z, eig: EigenData) -> dict:
     }
 
 
-def construction_report(construction: MarkovConstruction,
-                        verifier_results: Mapping[str, bool] | None = None) -> dict:
+def construction_report(construction: MarkovConstruction) -> dict:
     """The full construction in report form.
 
     ``build_cross_checks`` is always true here: the builder raises rather
@@ -113,10 +110,6 @@ def construction_report(construction: MarkovConstruction,
             for x, y in box.corners_plane(refined.frame)
         ]
         cells.append({"label": label, "corners": corners})
-    results = dict(verifier_results) if verifier_results is not None else {}
-    results.setdefault("build_cross_checks", True)
-    results.setdefault("refined_geometry_checked",
-                       construction.refined_geometry_checked)
     return {
         "schema": SCHEMA_VERSION,
         "matrix": matrix_json(construction.original),
@@ -129,7 +122,10 @@ def construction_report(construction: MarkovConstruction,
         "cells": cells,
         "graph_2node": graph_json(construction.graph, base.partition.labels),
         "graph_Nstar": graph_json(construction.refined_graph, refined.labels),
-        "verifier_results": results,
+        "verifier_results": {
+            "build_cross_checks": True,
+            "refined_geometry_checked": construction.refined_geometry_checked,
+        },
     }
 
 

@@ -316,6 +316,33 @@ def test_decode_inadmissible_word(capsys):
     assert "not admissible" in err
 
 
+@pytest.mark.parametrize("word", ["0@-1000", "0,1@-100000", "0@-1000000"])
+def test_decode_refuses_a_far_off_window(capsys, monkeypatch, word):
+    # moving such a cylinder to time 0 overflows a float or the int-to-str
+    # limit, the last after half a minute; the cap refuses it before decoding
+    def never(self, word):
+        raise AssertionError(f"decode({word}) was called")
+
+    monkeypatch.setattr(CodingContext, "decode", never)
+    started = time.perf_counter()
+    code, out, err = run(capsys, "decode", "--matrix", FIB, "--word", word)
+    assert time.perf_counter() - started < 5
+    assert code == EXIT_FAIL and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err and ENUM_CAP_ENV in err
+
+
+def test_decode_window_cap_counts_steps_from_time_zero(capsys, monkeypatch):
+    # the nearest time of 0,1,2@-10 is -8: within the default cap
+    code, _, _ = run(capsys, "decode", "--matrix", FIB, "--word", "0,1,2@-10")
+    assert code == EXIT_OK
+    code, _, err = run(capsys, "decode", "--matrix", FIB, "--word", "0@9")
+    assert code == EXIT_FAIL and "9 steps" in err
+    monkeypatch.setenv(ENUM_CAP_ENV, "9")
+    code, _, _ = run(capsys, "decode", "--matrix", FIB, "--word", "0@9")
+    assert code == EXIT_OK
+
+
 def test_decode_word_parse_error(capsys):
     code, _, err = run(capsys, "decode", "--matrix", FIB, "--word", "sideways")
     assert code == EXIT_FAIL

@@ -2,7 +2,7 @@
 verbatim in ``oracles``): the same entries in the same order for every cell
 pair, on the base and refined partitions of all four sign cases, their
 negative-control forms and drawn boxes, and the same transition graphs,
-refinements and disjointness witnesses built on them."""
+refinements, disjointness witnesses and backward steps built on them."""
 
 from fractions import Fraction
 from functools import cache
@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import oracles
 from markov_torus import partition
 from markov_torus.cli import _break_partition
+from markov_torus.coding import CodingContext, SymbolicWord
 from markov_torus.construct import (
     SignCase,
     build_base_partition,
@@ -24,8 +25,10 @@ from markov_torus.partition import (
     EigenRect,
     InvariantError,
     TorusPartition,
+    _step_successors,
     _step_table,
     overlap_table,
+    pullback_strips,
     refine,
     transition_graph,
     translate_overlaps,
@@ -82,12 +85,29 @@ def outcome(call):
 
 
 def test_step_tables_match_pair_scans(construction):
+    """The forward table is the pair scans of the forward images, and reading
+    it backwards gives the pair scans of the inverse images: the same pieces,
+    in the same order where each pair has at most one (refined partitions)."""
     for tag, part in partitions(construction):
-        for inverse, step in ((False, part.phi_box), (True, part.phi_inv_box)):
-            movers = [step(box) for box in part.boxes]
-            expected = pair_table(part.frame, part.boxes, movers)
-            assert overlap_table(part.frame, part.boxes, movers) == expected, (tag, inverse)
-            assert _step_table(part, inverse) == expected, (tag, inverse)
+        movers = [part.phi_box(box) for box in part.boxes]
+        expected = pair_table(part.frame, part.boxes, movers)
+        assert overlap_table(part.frame, part.boxes, movers) == expected, tag
+        assert _step_table(part) == expected, tag
+        for cur, box in enumerate(part.boxes):
+            img = part.phi_inv_box(box)
+            for prv, target in enumerate(part.boxes):
+                want = [comp for _, _, comp in
+                        oracles.pair_translate_overlaps(part.frame, target, img)]
+                got = pullback_strips(part, [box], cur, prv)
+                if tag.startswith("refined"):
+                    assert got == want, (tag, cur, prv)
+                else:
+                    assert sorted(got, key=_corner) == sorted(want, key=_corner), \
+                        (tag, cur, prv)
+
+
+def _corner(box):
+    return box.w_lo, box.u_lo
 
 
 def test_cell_against_cell_matches_pair_scans(construction):
@@ -182,7 +202,7 @@ def test_drawn_boxes_match_pair_scans(case, boxes, touches, stepped):
 @pytest.mark.parametrize("case", list(MATRICES), ids=lambda c: c.name)
 def test_refined_forward_table_is_built_by_the_constructor(case, monkeypatch):
     """The constructor's geometric recheck derives the refined partition's
-    forward table, so the walks of ``verify`` and coding scan nothing more."""
+    step table, so the walks of ``verify`` and decode scan nothing more."""
     built = build_markov_construction(MATRICES[case])
     scans = []
     scan = partition.lattice_in_frame_box
@@ -192,7 +212,12 @@ def test_refined_forward_table_is_built_by_the_constructor(case, monkeypatch):
         return scan(*args)
 
     monkeypatch.setattr(partition, "lattice_in_frame_box", counted)
-    _step_table(built.refined, False)
+    _step_table(built.refined)
     assert scans == []
-    _step_table(built.refined, True)  # not built yet: one scan per cell
-    assert len(scans) == built.refined.n
+    ctx = CodingContext(built)
+    succ = _step_successors(built.refined)
+    for i, row in enumerate(succ):
+        for j in row:
+            for k in succ[j]:
+                ctx.decode(SymbolicWord((i, j, k), -1))
+    assert scans == []

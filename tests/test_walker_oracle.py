@@ -2,11 +2,15 @@
 replaced (kept verbatim in ``oracles``): same refinement cells in the same
 order, equal n-fold reports, equal decay rows and the same first window
 error, on constructions from all four sign cases and on their broken
-negative-control partitions."""
+negative-control partitions; and the walker's forward cylinder steps
+against the backward ones of ``cylinder_components``."""
+
+from collections import Counter
 
 import pytest
 
 import oracles
+from markov_torus import partition
 from markov_torus.cli import _break_partition
 from markov_torus.construct import SignCase, build_markov_construction
 from markov_torus.partition import (
@@ -15,6 +19,7 @@ from markov_torus.partition import (
     NfoldCount,
     WindowCheck,
     WordVisitor,
+    cylinder_components,
     refinement_cells_depth,
     transition_graph,
     verify_generator_decay,
@@ -125,18 +130,51 @@ def test_failing_visitor_stops_only_itself(construction):
     assert counter.result() == oracles.verify_nfold_range(part, 1, 3)
 
 
-def test_walk_error_reaches_every_visitor(construction):
+def test_walk_error_reaches_every_visitor(construction, monkeypatch):
     part = construction.base.partition
+    steps = []
+    step = partition.advance_strips
+
+    def failing(*args):  # the second step of the walk fails
+        steps.append(args)
+        if len(steps) == 2:
+            raise InvariantError("step failed")
+        return step(*args)
+
+    monkeypatch.setattr(partition, "advance_strips", failing)
     visitors = [CellAreaSum(part, 2), WindowCheck(part, 1)]
-    walk_words(part, visitors, succ=[[0]])  # no row for cell 1
+    walk_words(part, visitors)
+    assert len(steps) == 2
     for visitor in visitors:
-        with pytest.raises(IndexError):
+        with pytest.raises(InvariantError, match="step failed"):
             visitor.result()
 
 
-def test_walk_rejects_a_graph_it_does_not_follow(construction):
-    part = construction.base.partition
-    counter = NfoldCount(1, 2)
-    walk_words(part, [counter], succ=[[0], [0]])
-    with pytest.raises(InvariantError, match="does not follow"):
-        counter.result()
+def test_forward_and_backward_tracking_agree(construction):
+    """For every word of length 2..4 the walker reaches, phi^k of each piece
+    of its cylinder (pulled back to time 0 through the step table) has the
+    dimensions of one of the walker's pieces (stepped forward to time k):
+    the same multiset of (u_dim, w_dim), several pieces or none included."""
+    for tag, part in partitions(construction):
+        lam_abs, mu_abs = abs(part.lam_act), abs(part.mu_act)
+        forward = {}
+        for k in (1, 2, 3):
+            forward.update({word: Counter() for word in _words(part, k + 1)})
+            for cell in refinement_cells_depth(part, k):
+                forward[cell.symbols][cell.rect.u_dim, cell.rect.w_dim] += 1
+        for word, dims in forward.items():
+            k = len(word) - 1
+            scale_u, scale_w = lam_abs ** k, mu_abs ** k
+            back = Counter((piece.u_dim * scale_u, piece.w_dim * scale_w)
+                           for piece in cylinder_components(part, word))
+            assert back == dims, (tag, word)
+
+
+def _words(part, length):
+    """The words of one length that the walker visits, with or without
+    pieces."""
+    succ = partition._step_successors(part)
+    words = [(i,) for i in range(part.n)]
+    for _ in range(length - 1):
+        words = [word + (j,) for word in words for j in succ[word[-1]]]
+    return words
