@@ -7,7 +7,8 @@ model on each hyperbolic result, re-verifies the defining identity
 ``C A C^-1 = eps * P`` exactly, and checks that trace and determinant
 survive up to the sign ``eps``.  Prints running statistics and the
 hardest instances found: largest conjugator entries and largest model
-matrix entries, which gauge how far the basis search has to reach.
+matrix entries, which gauge how large the continued-fraction basis and the
+reduced model grow.  Exits nonzero on any reduction that fails to verify.
 
 Example:
 

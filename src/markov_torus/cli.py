@@ -455,22 +455,30 @@ def cmd_decode(cfg: RunConfig) -> int:
         res = ctx.decode(word)
     except ValueError as exc:
         raise CliError(f"word {word} is not admissible: {exc}") from exc
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "matrix": matrix_json(cfg.matrix),
-        "word": str(word),
-        "center": {"x": quad_json(res.center[0]), "y": quad_json(res.center[1])},
-        "diam_sq": quad_json(res.diam_sq),
-        "diam": f"{res.diam:.12e}",
-        "diameter_bound_sq": quad_json(res.diameter_bound_sq),
-        "diameter_bound": f"{res.diameter_bound:.12e}",
-    }
-    lines = [
-        f"cylinder of {word}: nonempty, connected",
-        f"center ~ ({res.center[0].decimal()}, {res.center[1].decimal()}) "
-        "on the model torus",
-        f"diameter {res.diam:.6e} <= bound {res.diameter_bound:.6e}",
-    ]
+    # far from time 0 the exact numbers outgrow a float (OverflowError) or
+    # Python's int-to-str digit limit (ValueError)
+    try:
+        payload = {
+            "schema": SCHEMA_VERSION,
+            "matrix": matrix_json(cfg.matrix),
+            "word": str(word),
+            "center": {"x": quad_json(res.center[0]),
+                       "y": quad_json(res.center[1])},
+            "diam_sq": quad_json(res.diam_sq),
+            "diam": f"{res.diam:.12e}",
+            "diameter_bound_sq": quad_json(res.diameter_bound_sq),
+            "diameter_bound": f"{res.diameter_bound:.12e}",
+        }
+        lines = [
+            f"cylinder of {word}: nonempty, connected",
+            f"center ~ ({res.center[0].decimal()}, {res.center[1].decimal()}) "
+            "on the model torus",
+            f"diameter {res.diam:.6e} <= bound {res.diameter_bound:.6e}",
+        ]
+    except (OverflowError, ValueError) as exc:
+        raise CliError(
+            f"the cylinder of {word} is too large to print: {exc}"
+        ) from exc
     if cfg.point is not None:
         inside = res.contains(ctx.to_model(cfg.point))
         payload["contains_point"] = inside

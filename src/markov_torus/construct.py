@@ -4,9 +4,14 @@ torus automorphism.
 The pipeline has three stages, each exact and each re-verified after the
 fact:
 
-1. ``conjugate_nonnegative`` -- find a unimodular change of basis taking the
+1. ``conjugate_nonnegative`` -- a unimodular change of basis taking the
    defining matrix to ``epsilon * model`` with ``model`` entrywise
    nonnegative and oriented so its expanding slope lies in (0, 1).  The
+   basis comes from the continued fraction of the expanding slope: the
+   steps ``(0 1; 1 t)`` over its preperiod carry the slope to its purely
+   periodic (reduced) tail, where the matrix is a sign times the
+   nonnegative period product.  The identity is tried first, then that
+   product forward and reversed; an axis swap orients the slope.  The
    change of basis is an automorphism of the torus, so every later result
    transports back to the original matrix.
 2. ``build_base_partition`` -- in the eigenframe of the model matrix, two
@@ -80,51 +85,19 @@ class ConjugationResult:
             raise InvariantError("model matrix is not irreducible")
 
 
-def _cf_term_products(terms: Sequence[int]) -> Iterator[Mat2Z]:
-    fwd = Mat2Z.identity()
-    for t in terms:
-        fwd = fwd @ Mat2Z(0, 1, 1, t)
-    rev = Mat2Z.identity()
-    for t in reversed(terms):
-        rev = rev @ Mat2Z(0, 1, 1, t)
+def _reducing_bases(eig) -> Iterator[Mat2Z]:
+    """The identity, then the products of the continued-fraction steps
+    ``(0 1; 1 t)`` over the expanding slope's preperiod, forward and
+    reversed (see stage 1 above).  The fraction is expanded only once the
+    identity has failed."""
+    yield Mat2Z.identity()
+    fwd = rev = Mat2Z.identity()
+    for t in cf_expand(eig.slope_lam).preperiod:
+        step = Mat2Z(0, 1, 1, t)
+        fwd = fwd @ step
+        rev = step @ rev
     yield fwd
     yield rev
-    yield fwd.inverse()
-    yield rev.inverse()
-
-
-def _candidate_conjugators(eig) -> Iterator[Mat2Z]:
-    """Unimodular candidates, deterministic order: identity first, then
-    products of continued-fraction steps of the expanding slope, then bases
-    made of consecutive convergents and their intermediate fractions.
-
-    Every candidate is screened exactly by the caller, so this only needs to
-    be rich enough to contain one basis in which the matrix acts with a sign
-    times nonnegative entries; bases straddling the expanding line close to
-    it always include one.
-    """
-    yield Mat2Z.identity()
-    cf = cf_expand(eig.slope_lam)
-    depth = len(cf.preperiod) + 3 * max(1, len(cf.period)) + 8
-    terms = cf.terms(depth)
-    for j in (0, 1, 2):
-        yield from _cf_term_products(
-            list(cf.preperiod) + list(cf.period) * j
-        )
-    convs = cf.convergents(depth)
-    rows = [(q, p) for p, q in convs]  # lattice vectors near the expanding line
-    pairs = [(rows[k], rows[k + 1]) for k in range(len(rows) - 1)]
-    for k in range(len(rows) - 2):
-        a = terms[k + 2]
-        base, step = rows[k], rows[k + 1]
-        for j in range(1, min(a, 48)):
-            mid = (base[0] + j * step[0], base[1] + j * step[1])
-            pairs.append((step, mid))
-    for u, v in pairs:
-        nu = (-u[0], -u[1])
-        nv = (-v[0], -v[1])
-        for a_row, b_row in ((u, v), (v, u), (nu, v), (u, nv), (nv, u), (v, nu)):
-            yield Mat2Z.from_rows((a_row, b_row))
 
 
 def conjugate_nonnegative(matrix: Mat2Z) -> ConjugationResult:
@@ -132,13 +105,9 @@ def conjugate_nonnegative(matrix: Mat2Z) -> ConjugationResult:
     conjugation, with ``model`` nonnegative and its expanding slope in
     (0, 1).  Raises ``NotHyperbolicError``/``NotAutomorphismError`` for bad
     input and ``InvariantError`` if no candidate basis works (which the
-    eventual periodicity of the slope's continued fraction rules out)."""
+    reduction theory of the expanding slope rules out)."""
     eig = hyperbolic_check(matrix)
-    seen: set[Mat2Z] = set()
-    for cand in _candidate_conjugators(eig):
-        if cand in seen or abs(cand.det()) != 1:
-            continue
-        seen.add(cand)
+    for cand in _reducing_bases(eig):
         conj = cand @ matrix @ cand.inverse()
         if conj.is_nonnegative():
             epsilon, model = 1, conj
@@ -147,9 +116,7 @@ def conjugate_nonnegative(matrix: Mat2Z) -> ConjugationResult:
         else:
             continue
         return _orient(matrix, cand, model, epsilon)
-    raise InvariantError(
-        f"no nonnegative conjugate found for {matrix} among {len(seen)} bases"
-    )
+    raise InvariantError(f"no nonnegative conjugate found for {matrix}")
 
 
 def _orient(matrix: Mat2Z, conjugator: Mat2Z, model: Mat2Z, epsilon: int
@@ -375,8 +342,6 @@ class MarkovConstruction:
     refined: TorusPartition
     graph: TransitionGraph          # two-cell multiplicities == model matrix
     refined_graph: TransitionGraph  # 0/1 graph on refinement cells
-    refined_geometry_checked: bool  # always True: every build re-derives the
-                                    # composition rule geometrically
 
     @property
     def model(self) -> Mat2Z:
@@ -434,5 +399,5 @@ def build_markov_construction(matrix: Mat2Z) -> MarkovConstruction:
             "geometric refined transitions differ from the composition rule"
         )
     return MarkovConstruction(matrix, conj, base, cells, refined, graph,
-                              refined_graph, True)
+                              refined_graph)
 

@@ -57,11 +57,6 @@ class Mat2Z:
         """The coordinate swap (x, y) -> (y, x)."""
         return cls(0, 1, 1, 0)
 
-    @classmethod
-    def from_rows(cls, rows) -> "Mat2Z":
-        (a, b), (c, d) = rows
-        return cls(int(a), int(b), int(c), int(d))
-
     def rows(self) -> tuple[tuple[int, int], tuple[int, int]]:
         return ((self.a, self.b), (self.c, self.d))
 

@@ -332,6 +332,21 @@ def test_decode_refuses_a_far_off_window(capsys, monkeypatch, word):
     assert "Traceback" not in err and ENUM_CAP_ENV in err
 
 
+@pytest.mark.parametrize("word,cap", [("0@-1000", 2000), ("0@-12000", 20000)])
+@pytest.mark.parametrize("as_json", [False, True])
+def test_decode_too_large_to_print_fails_cleanly(capsys, monkeypatch, word,
+                                                 cap, as_json):
+    # with the cap raised the cylinder decodes, but its diameter overflows a
+    # float (0@-1000) or its exact numbers pass Python's int-to-str digit
+    # limit (0@-12000)
+    monkeypatch.setenv(ENUM_CAP_ENV, str(cap))
+    argv = ["decode", "--matrix", FIB, "--word", word] + ["--json"] * as_json
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_FAIL and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err and word in err
+
+
 def test_decode_window_cap_counts_steps_from_time_zero(capsys, monkeypatch):
     # the nearest time of 0,1,2@-10 is -8: within the default cap
     code, _, _ = run(capsys, "decode", "--matrix", FIB, "--word", "0,1,2@-10")

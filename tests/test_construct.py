@@ -1,5 +1,6 @@
 """The construction pipeline: conjugation, base partition, counts."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -25,6 +26,7 @@ from markov_torus.torus import (
     NotHyperbolicError,
     apply_auto,
     hyperbolic_check,
+    is_hyperbolic,
 )
 
 from oracles import brute_conjugator
@@ -84,6 +86,35 @@ def test_mixed_sign_input_needs_a_real_conjugation(matrix):
     _, oracle_model, oracle_eps = oracle
     assert oracle_eps * (oracle_model[0][0] + oracle_model[1][1]) == matrix.trace()
     assert all(entry >= 0 for row in oracle_model for entry in row)
+
+
+# the reduction each basis gives, pinned: the forward preperiod product
+# wins on the first, the reversed one on the second, and the identity on the
+# third, where the forward product fails
+PINNED_REDUCTIONS = [
+    (Mat2Z(-1, 1, 1, 0), Mat2Z(-1, -1, 1, 2), Mat2Z(1, 1, 1, 0), -1, True),
+    (Mat2Z(0, -1, -1, 1), Mat2Z(2, -3, 1, -2), Mat2Z(1, 1, 1, 0), 1, True),
+    (Mat2Z(-1, -1, -2, -1), Mat2Z.identity(), Mat2Z(1, 1, 2, 1), -1, False),
+]
+
+
+@pytest.mark.parametrize("matrix,conjugator,model,epsilon,swapped",
+                         PINNED_REDUCTIONS, ids=str)
+def test_reduction_is_pinned(matrix, conjugator, model, epsilon, swapped):
+    res = conjugate_nonnegative(matrix)
+    assert (res.conjugator, res.model, res.epsilon, res.swapped) == (
+        conjugator, model, epsilon, swapped)
+
+
+def test_every_small_hyperbolic_matrix_reduces():
+    """Exhaustive over entries in [-9, 9]: every reduction verifies."""
+    count = 0
+    for entries in itertools.product(range(-9, 10), repeat=4):
+        matrix = Mat2Z(*entries)
+        if is_hyperbolic(matrix):
+            conjugate_nonnegative(matrix).verify()
+            count += 1
+    assert count == 1336
 
 
 def test_epsilon_is_the_sign_of_the_expanding_eigenvalue():
@@ -215,7 +246,6 @@ def test_geometric_recheck_runs_above_64_cells():
     """N* = 65: the refined graph is still re-derived geometrically."""
     mc = build_markov_construction(Mat2Z(63, 1, 1, 0))
     assert mc.refined.n == 65
-    assert mc.refined_geometry_checked is True
     report = construction_report(mc)
     assert report["verifier_results"]["refined_geometry_checked"] is True
 
