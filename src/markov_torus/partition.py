@@ -20,7 +20,10 @@ step table of a partition is such a table, for the forward images of its
 cells, cached on the partition and overlap-checked once when built.  It is
 the only source of transitions in both directions (graph, refinement,
 successor lists, forward and backward cylinder steps), so a partition's
-overlaps are scanned once.
+overlaps are scanned once.  Both cylinder steps run one exact kernel,
+:func:`_step_strips`, over entry lists derived from the table once per
+direction, when a strip is first stepped: each piece is clipped to an
+entry's box and only a hit is mapped, x*k + s per coordinate.
 Point location scans nothing either: :func:`locate` tests the boxes of a
 cover list, also cached on the partition, of every (cell, translate) whose
 closed box can meet the unit square.
@@ -59,7 +62,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .exact import QuadReal, floor_surd
+from .exact import QuadReal, floor_surd, mul_add
 from .sft import TransitionGraph
 from .torus import EigenFrame, InvariantError, Mat2Z
 
@@ -503,7 +506,8 @@ def _step_table(part: TorusPartition) -> dict[tuple[int, int], list[Overlap]]:
     tabulated component; one table lookup therefore replaces the per-step
     lattice scan when tracking cylinders along a word.  Read backwards, each
     entry is also a component of phi^-1(box nxt) meeting box(cur), so the
-    table serves both :func:`advance_strips` and :func:`pullback_strips`;
+    table serves both :func:`advance_strips` and :func:`pullback_strips`,
+    through the per-direction entry lists of :func:`_strip_entries`;
     :func:`transition_graph`, :func:`refine` and :func:`_step_successors`
     read it too.
     """
@@ -522,37 +526,87 @@ def _build_step_table(part: TorusPartition) -> dict[tuple[int, int], list[Overla
 def advance_strips(part: TorusPartition, pieces: Sequence[EigenRect], cur: int,
                    nxt: int) -> list[EigenRect]:
     """One forward step of cylinder tracking: components of phi(piece) meeting
-    box(nxt), anchored there.  Pieces must lie inside box(cur)."""
-    entries = _step_table(part).get((cur, nxt), ())
-    out = []
-    for piece in pieces:
-        img = part.phi_box(piece)
-        for _, (du, dw), comp in entries:
-            hit = comp.intersect(img.translate(du, dw))
-            if hit is not None:
-                out.append(hit)
-    return out
+    box(nxt), anchored there.  Pieces must lie inside box(cur).  One
+    :func:`_step_strips` pass over the forward entry lists."""
+    return _step_strips(_strip_entries(part, True), pieces, cur, nxt)
 
 
 def pullback_strips(part: TorusPartition, pieces: Sequence[EigenRect], cur: int,
                     prv: int) -> list[EigenRect]:
     """One backward step: components of phi^-1(piece) meeting box(prv),
-    anchored there.  Pieces must lie inside box(cur).
+    anchored there.  Pieces must lie inside box(cur).  One
+    :func:`_step_strips` pass over the backward entry lists, which read the
+    forward step table's entries for (prv, cur) backwards; the pieces come
+    out in the table's lattice order."""
+    return _step_strips(_strip_entries(part, False), pieces, cur, prv)
 
-    Reads the forward step table's entries for (prv, cur): each component
-    comp = box(cur) meet (phi(box prv) + shift) holds the part of a piece
-    that comes from box(prv), and moving that part back by the shift and
-    applying phi^-1 lands it in box(prv).  The pieces come out in the
-    table's lattice order."""
-    entries = _step_table(part).get((prv, cur), ())
+
+def _strip_entries(part: TorusPartition, forward: bool):
+    """``(entries, ku, kw, flip_u, flip_w)`` for one direction of strip
+    steps, derived from the forward step table on the first step and cached
+    on the partition.  ``entries[(cur, to)]`` holds, per table entry in
+    order, the bounds of a clip box inside box(cur) and a shift (su, sw): a
+    hit x maps to x*k + s per coordinate, and ``flip_*`` marks a negative
+    factor.  Forward, the clip is phi^-1(comp - shift), the factors are
+    (lam, mu) and the shift is the table's; backward, the clip is comp, the
+    factors are (1/lam, 1/mu) and the shift is -phi^-1(shift)."""
+
+    def build():
+        lam, mu = part.lam_act, part.mu_act
+        if not forward:
+            lam, mu = lam.inverse(), mu.inverse()
+        entries = {}
+        for (i, j), overlaps in _step_table(part).items():
+            rows = entries[(i, j) if forward else (j, i)] = []
+            for _, (du, dw), comp in overlaps:
+                if forward:
+                    clip, su, sw = part.phi_inv_box(comp.translate(-du, -dw)), du, dw
+                else:
+                    clip, su, sw = comp, -du * lam, -dw * mu
+                rows.append((clip.u_lo, clip.u_hi, clip.w_lo, clip.w_hi, su, sw))
+        return entries, lam, mu, lam.sign() < 0, mu.sign() < 0
+
+    return _cached(part, "_forward_strips" if forward else "_backward_strips", build)
+
+
+def _step_strips(steps, pieces: Sequence[EigenRect], cur: int, to: int
+                 ) -> list[EigenRect]:
+    """The strip-step kernel: each piece, against each entry of (cur, to),
+    is clipped to the entry's box, u first, and only a nonempty hit is
+    mapped.  The strict tests prove a hit's bounds ordered and a nonzero
+    factor keeps them so, swapped when negative, so the boxes are built
+    unchecked."""
+    entries, ku, kw, flip_u, flip_w = steps
+    rows = entries.get((cur, to), ())
     out = []
     for piece in pieces:
-        for _, (du, dw), comp in entries:
-            hit = comp.intersect(piece)
-            if hit is not None:
-                out.append(part.phi_inv_box(EigenRect(
-                    hit.u_lo - du, hit.u_hi - du, hit.w_lo - dw, hit.w_hi - dw)))
+        p_ulo, p_uhi, p_wlo, p_whi = piece.u_lo, piece.u_hi, piece.w_lo, piece.w_hi
+        for c_ulo, c_uhi, c_wlo, c_whi, su, sw in rows:
+            u_lo = c_ulo if p_ulo < c_ulo else p_ulo
+            u_hi = c_uhi if c_uhi < p_uhi else p_uhi
+            if not u_lo < u_hi:
+                continue
+            w_lo = c_wlo if p_wlo < c_wlo else p_wlo
+            w_hi = c_whi if c_whi < p_whi else p_whi
+            if not w_lo < w_hi:
+                continue
+            u_lo, u_hi = mul_add(u_lo, ku, su), mul_add(u_hi, ku, su)
+            w_lo, w_hi = mul_add(w_lo, kw, sw), mul_add(w_hi, kw, sw)
+            if flip_u:
+                u_lo, u_hi = u_hi, u_lo
+            if flip_w:
+                w_lo, w_hi = w_hi, w_lo
+            out.append(_rect(u_lo, u_hi, w_lo, w_hi))
     return out
+
+
+def _rect(u_lo: QuadReal, u_hi: QuadReal, w_lo: QuadReal, w_hi: QuadReal
+          ) -> EigenRect:
+    """A box from bounds known to be ordered, skipping the public
+    constructor's check, as :func:`exact._make` does for elements."""
+    rect = object.__new__(EigenRect)
+    rect.__dict__.update(u_lo=u_lo, u_hi=u_hi, w_lo=w_lo, w_hi=w_hi)
+    return rect
 
 
 def cylinder_components(part: TorusPartition, word: Sequence[int]) -> list[EigenRect]:

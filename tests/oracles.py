@@ -12,6 +12,7 @@ import math
 import re
 from fractions import Fraction
 from functools import total_ordering
+from typing import Sequence
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from markov_torus.partition import (
     NfoldReport,
     RefinementCell,
     TorusPartition,
-    advance_strips,
+    _step_table,
     lattice_in_frame_box,
     parallelogram_diam_sq,
     partition_diam_sq,
@@ -496,6 +497,49 @@ class FractionQuadReal:
 
     def __repr__(self) -> str:
         return f"FractionQuadReal({self.exact_str()})"
+
+
+# -- strip steps ----------------------------------------------------------------
+
+# The forward and backward cylinder steps before they became one clip-then-map
+# kernel, kept verbatim: scale the whole piece, translate it per table entry
+# and intersect.  The old walkers below step with them too.
+
+
+def advance_strips(part: TorusPartition, pieces: Sequence[EigenRect], cur: int,
+                   nxt: int) -> list[EigenRect]:
+    """One forward step of cylinder tracking: components of phi(piece) meeting
+    box(nxt), anchored there.  Pieces must lie inside box(cur)."""
+    entries = _step_table(part).get((cur, nxt), ())
+    out = []
+    for piece in pieces:
+        img = part.phi_box(piece)
+        for _, (du, dw), comp in entries:
+            hit = comp.intersect(img.translate(du, dw))
+            if hit is not None:
+                out.append(hit)
+    return out
+
+
+def pullback_strips(part: TorusPartition, pieces: Sequence[EigenRect], cur: int,
+                    prv: int) -> list[EigenRect]:
+    """One backward step: components of phi^-1(piece) meeting box(prv),
+    anchored there.  Pieces must lie inside box(cur).
+
+    Reads the forward step table's entries for (prv, cur): each component
+    comp = box(cur) meet (phi(box prv) + shift) holds the part of a piece
+    that comes from box(prv), and moving that part back by the shift and
+    applying phi^-1 lands it in box(prv).  The pieces come out in the
+    table's lattice order."""
+    entries = _step_table(part).get((prv, cur), ())
+    out = []
+    for piece in pieces:
+        for _, (du, dw), comp in entries:
+            hit = comp.intersect(piece)
+            if hit is not None:
+                out.append(part.phi_inv_box(EigenRect(
+                    hit.u_lo - du, hit.u_hi - du, hit.w_lo - dw, hit.w_hi - dw)))
+    return out
 
 
 # -- recursive word-tree walkers -------------------------------------------------
