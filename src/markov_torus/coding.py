@@ -41,6 +41,7 @@ from .partition import (
     _floor,
     _step_successors,
     _step_table,
+    _strip_basis,
     advance_strips,
     closed_translate_meets,
     cylinder_components,
@@ -48,6 +49,7 @@ from .partition import (
     lattice_in_frame_box,  # noqa: F401
     locate,
     partition_diam_sq,
+    strip_rect,
 )
 from .torus import EigenFrame, Mat2Z
 
@@ -419,28 +421,31 @@ class CodingContext:
             return closures[pos]
 
         # preorder DFS with an explicit stack: each entry extends ``word``,
-        # whose piece is the phi^(len(word)-1)-advanced partial cylinder
-        # anchored in box(word[-1]), by symbol j
+        # whose strip is the phi^(len(word)-1)-advanced partial cylinder
+        # anchored in box(word[-1]), by symbol j; a strip is decoded only
+        # to test it against the point
         found: list[SymbolicWord] = []
-        stack = [((), part.boxes[i], i, None) for i, _ in reversed(closure(0))]
+        boxes = _strip_basis(part).boxes
+        stack = [((), boxes[i], i, None) for i, _ in reversed(closure(0))]
         while stack:
-            word, piece, j, reps = stack.pop()
+            word, strip, j, reps = stack.pop()
             if word:
-                comps = advance_strips(part, [piece], word[-1], j)
+                comps = advance_strips(part, [strip], word[-1], j)
                 if not comps:
                     continue
                 if len(comps) > 1:
                     raise InvariantError(
                         "cylinder split into several components on the refinement"
                     )
-                piece = comps[0]
+                strip = comps[0]
+                piece = strip_rect(part, strip)
                 if not any(piece.contains_frame(u, w, closed=True) for u, w in reps):
                     continue
             word += (j,)
             if len(word) == length:
                 found.append(SymbolicWord(word, -depth))
             else:
-                stack.extend((word, piece, k, pts)
+                stack.extend((word, strip, k, pts)
                              for k, pts in reversed(closure(len(word))))
         count = len(found)
         truncated = count > max_words

@@ -417,17 +417,6 @@ def _coerce(value) -> QuadReal | None:
     return None
 
 
-def mul_add(x: QuadReal, k: QuadReal, s: QuadReal) -> QuadReal:
-    """``x*k + s`` with one normalisation: the product's numerators are
-    cross-multiplied with the summand's and brought to canonical form once.
-    Mixed radicands raise ``ValueError``, as in ``*`` and ``+``."""
-    d = _joint(_joint(x.d, k.d), s.d)
-    a1, b1, a2, b2 = x.a, x.b, k.a, k.b
-    q, q3 = x.q * k.q, s.q
-    return _reduced((a1 * a2 + b1 * b2 * d) * q3 + s.a * q,
-                    (a1 * b2 + b1 * a2) * q3 + s.b * q, q * q3, d)
-
-
 @dataclass(frozen=True)
 class ContinuedFraction:
     """Eventually periodic continued fraction ``[preperiod; period repeating]``.

@@ -23,7 +23,12 @@ successor lists, forward and backward cylinder steps), so a partition's
 overlaps are scanned once.  Both cylinder steps run one exact kernel,
 :func:`_step_strips`, over entry lists derived from the table once per
 direction, when a strip is first stepped: each piece is clipped to an
-entry's box and only a hit is mapped, x*k + s per coordinate.
+entry's box and only a hit is mapped, x*k + s per coordinate.  The kernel
+works on integers.  Every strip bound lies in the module (1/Q)*Z[lam] of a
+per-partition :class:`StripBasis`, so a piece is a strip of eight integers,
+two per bound, and multiplying by lam or mu (or their inverses) is a fixed
+integer matrix; :func:`strip_of` encodes a box and :func:`strip_rect`
+decodes a strip where a box is wanted.
 Point location scans nothing either: :func:`locate` tests the boxes of a
 cover list, also cached on the partition, of every (cell, translate) whose
 closed box can meet the unit square.
@@ -47,9 +52,11 @@ Verifiers:
 
 Everything that enumerates words goes through one iterative walker,
 :func:`walk_words`: a preorder walk of the word tree with an explicit stack
-that steps cylinder strips with :func:`advance_strips` and hands each word
-to several :class:`WordVisitor` objects at once, so one walk of a
-partition's word tree serves every check that needs it.
+that steps cylinder strips with :func:`advance_strips` and hands each word,
+with its integer strips, to several :class:`WordVisitor` objects at once,
+so one walk of a partition's word tree serves every check that needs it.
+The visitors read widths and areas off the integers and decode a strip only
+where they return a box.
 ``refinement_cells_depth``, ``verify_nfold_range`` and the window check of
 ``verify_generator_decay`` are visitors over it.
 """
@@ -59,10 +66,10 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
-from .exact import QuadReal, floor_surd, mul_add
+from .exact import QuadReal, _reduced, _sign, floor_surd
 from .sft import TransitionGraph
 from .torus import EigenFrame, InvariantError, Mat2Z
 
@@ -474,7 +481,7 @@ def refinement_cells_depth(part: TorusPartition, depth: int
 
     ``depth == 1`` reproduces :func:`refine` up to ordering.  Cells come in
     the order :func:`walk_words` reaches them: by word, lexicographically."""
-    cells = _DepthCells(depth)
+    cells = _DepthCells(part, depth)
     walk_words(part, [cells])
     return cells.result()
 
@@ -523,35 +530,135 @@ def _build_step_table(part: TorusPartition) -> dict[tuple[int, int], list[Overla
     return table
 
 
-def advance_strips(part: TorusPartition, pieces: Sequence[EigenRect], cur: int,
-                   nxt: int) -> list[EigenRect]:
-    """One forward step of cylinder tracking: components of phi(piece) meeting
-    box(nxt), anchored there.  Pieces must lie inside box(cur).  One
+Strip = tuple[int, int, int, int, int, int, int, int]
+
+
+@dataclass(frozen=True)
+class StripBasis:
+    """Integer coordinates for the strip bounds of one partition.
+
+    With t and delta the trace and determinant of the acting matrix, lam
+    solves lam^2 = t*lam - delta and mu = t - lam.  ``lam`` is
+    (a + b*sqrt(d)) / q.  Every bound x of a strip is the integer pair
+    (X, Y) with x = (X + Y*lam) / Q, Q being the lcm of |b|*q over the box
+    bounds and the lattice generators' frame coordinates.  Multiplying by
+    lam, mu or their inverses maps these pairs through fixed integer
+    matrices, so strips step in integers and are decoded only where read.
+    ``boxes`` holds the partition's boxes as strips.
+    """
+
+    t: int
+    delta: int
+    a: int
+    b: int
+    q: int
+    d: int
+    modulus: int
+    boxes: tuple[Strip, ...]
+
+    def pair(self, x: QuadReal) -> tuple[int, int]:
+        """The pair (X, Y) of x; :class:`InvariantError` for x outside
+        the module."""
+        if x.d not in (0, self.d):
+            raise InvariantError(f"{x} lies outside the strip module")
+        scale = x.q * self.b
+        big_x, rem_x = divmod((x.a * self.b - x.b * self.a) * self.modulus, scale)
+        big_y, rem_y = divmod(x.b * self.q * self.modulus, scale)
+        if rem_x or rem_y:
+            raise InvariantError(f"{x} lies outside the strip module")
+        return big_x, big_y
+
+    def value(self, big_x: int, big_y: int) -> QuadReal:
+        """The element (X + Y*lam) / Q, in canonical form."""
+        return _reduced(big_x * self.q + big_y * self.a, big_y * self.b,
+                        self.modulus * self.q, self.d)
+
+    def strip(self, box: EigenRect) -> Strip:
+        pair = self.pair
+        return (*pair(box.u_lo), *pair(box.u_hi), *pair(box.w_lo), *pair(box.w_hi))
+
+    def rect(self, strip: Strip) -> EigenRect:
+        value = self.value
+        return _rect(value(strip[0], strip[1]), value(strip[2], strip[3]),
+                     value(strip[4], strip[5]), value(strip[6], strip[7]))
+
+    def factor(self, forward: bool, along_u: bool) -> tuple[int, int, int, int]:
+        """(m00, m01, m10, m11) with (X, Y) -> (m00*X + m01*Y, m10*X + m11*Y)
+        multiplying by lam and mu forward, by 1/lam and 1/mu backward
+        (1/lam = delta*mu and 1/mu = delta*lam, as lam*mu = delta)."""
+        t, dl = self.t, self.delta
+        if forward:
+            return (0, -dl, 1, t) if along_u else (t, dl, -1, 0)
+        return (dl * t, 1, -dl, 0) if along_u else (0, -1, dl, dl * t)
+
+
+def _strip_basis(part: TorusPartition) -> StripBasis:
+    """The partition's :class:`StripBasis`, built on the first strip step
+    and cached on the partition."""
+
+    def build():
+        acting, lam = part.acting, part.lam_act
+        t, delta = acting.trace(), acting.det()
+        if lam * lam != lam * t - delta or part.mu_act != t - lam:
+            raise InvariantError("the acting eigenvalues do not solve "
+                                 "x^2 = t*x - delta with lam + mu = t")
+        frame = part.frame
+        modulus = 1
+        for x in itertools.chain(
+                (x for box in part.boxes
+                 for x in (box.u_lo, box.u_hi, box.w_lo, box.w_hi)),
+                (frame.u10, frame.u01, frame.w10, frame.w01)):
+            modulus = math.lcm(modulus, abs(lam.b) * x.q)
+        basis = StripBasis(t, delta, lam.a, lam.b, lam.q, lam.d, modulus, ())
+        return replace(basis, boxes=tuple(basis.strip(box) for box in part.boxes))
+
+    return _cached(part, "_strip_basis", build)
+
+
+def strip_of(part: TorusPartition, box: EigenRect) -> Strip:
+    """The strip of a box: its bounds u_lo, u_hi, w_lo, w_hi as integer
+    pairs of the partition's :class:`StripBasis`.  Raises
+    :class:`InvariantError` for a bound outside the basis's module."""
+    return _strip_basis(part).strip(box)
+
+
+def strip_rect(part: TorusPartition, strip: Strip) -> EigenRect:
+    """The box of a strip, every bound in canonical form."""
+    return _strip_basis(part).rect(strip)
+
+
+def advance_strips(part: TorusPartition, strips: Sequence[Strip], cur: int,
+                   nxt: int) -> list[Strip]:
+    """One forward step of cylinder tracking: components of phi(strip)
+    meeting box(nxt), anchored there.  Strips must lie inside box(cur).  One
     :func:`_step_strips` pass over the forward entry lists."""
-    return _step_strips(_strip_entries(part, True), pieces, cur, nxt)
+    return _step_strips(_strip_entries(part, True), strips, cur, nxt)
 
 
-def pullback_strips(part: TorusPartition, pieces: Sequence[EigenRect], cur: int,
-                    prv: int) -> list[EigenRect]:
-    """One backward step: components of phi^-1(piece) meeting box(prv),
-    anchored there.  Pieces must lie inside box(cur).  One
+def pullback_strips(part: TorusPartition, strips: Sequence[Strip], cur: int,
+                    prv: int) -> list[Strip]:
+    """One backward step: components of phi^-1(strip) meeting box(prv),
+    anchored there.  Strips must lie inside box(cur).  One
     :func:`_step_strips` pass over the backward entry lists, which read the
-    forward step table's entries for (prv, cur) backwards; the pieces come
+    forward step table's entries for (prv, cur) backwards; the strips come
     out in the table's lattice order."""
-    return _step_strips(_strip_entries(part, False), pieces, cur, prv)
+    return _step_strips(_strip_entries(part, False), strips, cur, prv)
 
 
 def _strip_entries(part: TorusPartition, forward: bool):
-    """``(entries, ku, kw, flip_u, flip_w)`` for one direction of strip
-    steps, derived from the forward step table on the first step and cached
-    on the partition.  ``entries[(cur, to)]`` holds, per table entry in
-    order, the bounds of a clip box inside box(cur) and a shift (su, sw): a
-    hit x maps to x*k + s per coordinate, and ``flip_*`` marks a negative
-    factor.  Forward, the clip is phi^-1(comp - shift), the factors are
+    """``(entries, fu, fw, flip_u, flip_w, basis)`` for one direction of
+    strip steps, derived from the forward step table on the first step and
+    cached on the partition.  ``entries[(cur, to)]`` holds, per table entry
+    in order, the strip of a clip box inside box(cur) and a shift
+    (su, sw) as two pairs: a hit x maps to x*k + s per coordinate, k's
+    integer matrix being ``fu`` or ``fw`` and ``flip_*`` marking a negative
+    k.  Forward, the clip is phi^-1(comp - shift), the factors are
     (lam, mu) and the shift is the table's; backward, the clip is comp, the
     factors are (1/lam, 1/mu) and the shift is -phi^-1(shift)."""
 
     def build():
+        basis = _strip_basis(part)
+        pair = basis.pair
         lam, mu = part.lam_act, part.mu_act
         if not forward:
             lam, mu = lam.inverse(), mu.inverse()
@@ -563,40 +670,49 @@ def _strip_entries(part: TorusPartition, forward: bool):
                     clip, su, sw = part.phi_inv_box(comp.translate(-du, -dw)), du, dw
                 else:
                     clip, su, sw = comp, -du * lam, -dw * mu
-                rows.append((clip.u_lo, clip.u_hi, clip.w_lo, clip.w_hi, su, sw))
-        return entries, lam, mu, lam.sign() < 0, mu.sign() < 0
+                rows.append((*basis.strip(clip), *pair(su), *pair(sw)))
+        return (entries, basis.factor(forward, True), basis.factor(forward, False),
+                lam.sign() < 0, mu.sign() < 0, basis)
 
     return _cached(part, "_forward_strips" if forward else "_backward_strips", build)
 
 
-def _step_strips(steps, pieces: Sequence[EigenRect], cur: int, to: int
-                 ) -> list[EigenRect]:
-    """The strip-step kernel: each piece, against each entry of (cur, to),
+def _step_strips(steps, strips: Sequence[Strip], cur: int, to: int) -> list[Strip]:
+    """The strip-step kernel: each strip, against each entry of (cur, to),
     is clipped to the entry's box, u first, and only a nonempty hit is
-    mapped.  The strict tests prove a hit's bounds ordered and a nonzero
-    factor keeps them so, swapped when negative, so the boxes are built
-    unchecked."""
-    entries, ku, kw, flip_u, flip_w = steps
-    rows = entries.get((cur, to), ())
+    mapped.  A bound comparison is the sign of the difference's
+    (X + Y*lam)*q, which is (X*q + Y*a) + Y*b*sqrt(d); a step builds no
+    field element and takes no gcd."""
+    entries, (u00, u01, u10, u11), (w00, w01, w10, w11), flip_u, flip_w, basis = steps
+    q, a, b, d = basis.q, basis.a, basis.b, basis.d
+    sign = _sign
     out = []
-    for piece in pieces:
-        p_ulo, p_uhi, p_wlo, p_whi = piece.u_lo, piece.u_hi, piece.w_lo, piece.w_hi
-        for c_ulo, c_uhi, c_wlo, c_whi, su, sw in rows:
-            u_lo = c_ulo if p_ulo < c_ulo else p_ulo
-            u_hi = c_uhi if c_uhi < p_uhi else p_uhi
-            if not u_lo < u_hi:
+    for ulx, uly, uhx, uhy, wlx, wly, whx, why in strips:
+        for (culx, culy, cuhx, cuhy, cwlx, cwly, cwhx, cwhy,
+             sux, suy, swx, swy) in entries.get((cur, to), ()):
+            x, y = culx - ulx, culy - uly
+            lo_x, lo_y = (culx, culy) if sign(x * q + y * a, y * b, d) > 0 else (ulx, uly)
+            x, y = uhx - cuhx, uhy - cuhy
+            hi_x, hi_y = (cuhx, cuhy) if sign(x * q + y * a, y * b, d) > 0 else (uhx, uhy)
+            x, y = hi_x - lo_x, hi_y - lo_y
+            if sign(x * q + y * a, y * b, d) <= 0:
                 continue
-            w_lo = c_wlo if p_wlo < c_wlo else p_wlo
-            w_hi = c_whi if c_whi < p_whi else p_whi
-            if not w_lo < w_hi:
+            x, y = cwlx - wlx, cwly - wly
+            wlo_x, wlo_y = (cwlx, cwly) if sign(x * q + y * a, y * b, d) > 0 else (wlx, wly)
+            x, y = whx - cwhx, why - cwhy
+            whi_x, whi_y = (cwhx, cwhy) if sign(x * q + y * a, y * b, d) > 0 else (whx, why)
+            x, y = whi_x - wlo_x, whi_y - wlo_y
+            if sign(x * q + y * a, y * b, d) <= 0:
                 continue
-            u_lo, u_hi = mul_add(u_lo, ku, su), mul_add(u_hi, ku, su)
-            w_lo, w_hi = mul_add(w_lo, kw, sw), mul_add(w_hi, kw, sw)
+            u_lo = (u00 * lo_x + u01 * lo_y + sux, u10 * lo_x + u11 * lo_y + suy)
+            u_hi = (u00 * hi_x + u01 * hi_y + sux, u10 * hi_x + u11 * hi_y + suy)
+            w_lo = (w00 * wlo_x + w01 * wlo_y + swx, w10 * wlo_x + w11 * wlo_y + swy)
+            w_hi = (w00 * whi_x + w01 * whi_y + swx, w10 * whi_x + w11 * whi_y + swy)
             if flip_u:
                 u_lo, u_hi = u_hi, u_lo
             if flip_w:
                 w_lo, w_hi = w_hi, w_lo
-            out.append(_rect(u_lo, u_hi, w_lo, w_hi))
+            out.append((*u_lo, *u_hi, *w_lo, *w_hi))
     return out
 
 
@@ -611,15 +727,16 @@ def _rect(u_lo: QuadReal, u_hi: QuadReal, w_lo: QuadReal, w_hi: QuadReal
 
 def cylinder_components(part: TorusPartition, word: Sequence[int]) -> list[EigenRect]:
     """All components of the cylinder set for ``word`` at offset 0, i.e. of
-    the intersection over k of phi^-k R_{word[k]}, anchored in box(word[0])."""
+    the intersection over k of phi^-k R_{word[k]}, anchored in box(word[0]):
+    strips pulled back along the word and decoded at the end."""
     if not word:
         raise ValueError("empty word")
     cur = word[-1]
-    pieces = [part.boxes[cur]]
+    strips = [_strip_basis(part).boxes[cur]]
     for sym in reversed(word[:-1]):
-        pieces = pullback_strips(part, pieces, cur, sym)
+        strips = pullback_strips(part, strips, cur, sym)
         cur = sym
-    return pieces
+    return [strip_rect(part, strip) for strip in strips]
 
 
 # -- the word tree -------------------------------------------------------------------
@@ -628,16 +745,19 @@ def cylinder_components(part: TorusPartition, word: Sequence[int]) -> list[Eigen
 class WordVisitor:
     """One consumer of a :func:`walk_words` traversal.
 
-    ``max_len`` is the longest word it wants.  ``visit(word, pieces)`` runs
+    ``max_len`` is the longest word it wants.  ``visit(word, strips)`` runs
     once per word of length at most ``max_len``, in walk order; ``word`` is
-    the walker's buffer, valid only during the call.  ``result()`` returns
-    what the visitor found, or re-raises the exception that stopped it.
+    the walker's buffer, valid only during the call, and ``strips`` are the
+    word's cylinder pieces as integer strips of the partition's
+    :class:`StripBasis`, which :func:`strip_rect` decodes into boxes.
+    ``result()`` returns what the visitor found, or re-raises the exception
+    that stopped it.
     """
 
     max_len = 0
     error: Exception | None = None
 
-    def visit(self, word: list[int], pieces: list[EigenRect]) -> None:
+    def visit(self, word: list[int], strips: list[Strip]) -> None:
         raise NotImplementedError
 
     def result(self):
@@ -690,11 +810,12 @@ def walk_words(part: TorusPartition, visitors: Sequence[WordVisitor]) -> None:
     s_0 ... s_k whose steps follow the support of the transition graph
     (:func:`_step_successors`), as deep as the deepest visitor still
     running.  Each word reaches every visitor that wants its length together
-    with its pieces: the components of phi^k of its cylinder, anchored in
-    box(s_k), one :func:`advance_strips` step from its parent's.  Children
-    come in ascending order, so the words of each length arrive in
-    lexicographic order; an empty cylinder's descendants are visited with no
-    pieces and cost no step.
+    with its strips: the components of phi^k of its cylinder, anchored in
+    box(s_k), one :func:`advance_strips` step from its parent's, as integer
+    strips that :func:`strip_rect` decodes.  Children come in ascending
+    order, so the words of each length arrive in lexicographic order; an
+    empty cylinder's descendants are visited with no strips and cost no
+    step.
 
     An exception raised by a visitor is kept on its ``error`` and stops that
     visitor alone; one raised by the walk itself is kept on every visitor
@@ -704,7 +825,7 @@ def walk_words(part: TorusPartition, visitors: Sequence[WordVisitor]) -> None:
     try:
         succ = _step_successors(part)
         step = advance_strips
-        boxes = part.boxes
+        boxes = _strip_basis(part).boxes
         word: list[int] = []
         stack = [(0, sym, None) for sym in reversed(range(part.n))]
         while live and stack:
@@ -735,18 +856,20 @@ def walk_words(part: TorusPartition, visitors: Sequence[WordVisitor]) -> None:
 class _DepthCells(WordVisitor):
     """The cells of :func:`refinement_cells_depth`, in walk order."""
 
-    def __init__(self, depth: int):
+    def __init__(self, part: TorusPartition, depth: int):
         if depth < 1:
             raise ValueError("depth must be >= 1")
+        self.basis = _strip_basis(part)
         self.depth = depth
         self.max_len = depth + 1
         self.cells: list[RefinementCell] = []
 
-    def visit(self, word, pieces):
+    def visit(self, word, strips):
         if len(word) == self.max_len:
             symbols = tuple(word)
-            self.cells.extend(RefinementCell(symbols, -self.depth, piece)
-                              for piece in pieces)
+            rect = self.basis.rect
+            self.cells.extend(RefinementCell(symbols, -self.depth, rect(strip))
+                              for strip in strips)
 
     def _value(self) -> list[RefinementCell]:
         return self.cells
@@ -755,24 +878,34 @@ class _DepthCells(WordVisitor):
 class CellAreaSum(WordVisitor):
     """Number and exact total area of the cells of the depth-fold refinement
     (those of :func:`refinement_cells_depth`), summed as the walk reaches
-    them; ``result()`` is ``(cells, area)``."""
+    them; ``result()`` is ``(cells, area)``.  The products of the strips'
+    widths are summed in Z[lam], as (A, B) with A + B*lam, over the
+    :class:`StripBasis` modulus squared, and decoded once."""
 
     def __init__(self, part: TorusPartition, depth: int):
         if depth < 1:
             raise ValueError("depth must be >= 1")
         self.frame = part.frame
+        self.basis = _strip_basis(part)
         self.max_len = depth + 1
         self.cells = 0
-        self.area = QuadReal(0)
+        self.sum = (0, 0)
 
-    def visit(self, word, pieces):
-        if len(word) == self.max_len:
-            for piece in pieces:
-                self.cells += 1
-                self.area = self.area + piece.area(self.frame)
+    def visit(self, word, strips):
+        if len(word) == self.max_len and strips:
+            t, delta = self.basis.t, self.basis.delta
+            big_a, big_b = self.sum
+            for ulx, uly, uhx, uhy, wlx, wly, whx, why in strips:
+                ux, uy, wx, wy = uhx - ulx, uhy - uly, whx - wlx, why - wly
+                # lam^2 = t*lam - delta
+                big_a += ux * wx - delta * uy * wy
+                big_b += ux * wy + uy * wx + t * uy * wy
+            self.cells += len(strips)
+            self.sum = (big_a, big_b)
 
     def _value(self) -> tuple[int, QuadReal]:
-        return self.cells, self.area
+        dims = self.basis.value(*self.sum) / self.basis.modulus
+        return self.cells, dims * abs(self.frame.det)
 
 
 # -- verifiers -----------------------------------------------------------------------
@@ -960,25 +1093,31 @@ class WindowCheck(WordVisitor):
     def __init__(self, part: TorusPartition, up_to: int):
         self.up_to = up_to
         self.max_len = 2 * up_to + 1
-        self.u_dims = [box.u_dim for box in part.boxes]
-        mu_sq = part.mu_act * part.mu_act
-        scale = QuadReal(1)
-        self.w_dims: dict[int, list[QuadReal]] = {}  # word length -> per first symbol
+        # the expected widths as StripBasis pairs: per box its u width, and
+        # per word length 2n+1 its w width times mu^(2n), one integer matrix
+        # step per factor mu
+        basis = _strip_basis(part)
+        self.u_dims = [(uhx - ulx, uhy - uly) for ulx, uly, uhx, uhy, *_ in basis.boxes]
+        m00, m01, m10, m11 = basis.factor(True, False)
+        widths = [(whx - wlx, why - wly) for *_, wlx, wly, whx, why in basis.boxes]
+        # word length -> per first symbol
+        self.w_dims: dict[int, list[tuple[int, int]]] = {}
         for n in range(1, up_to + 1):
-            scale = scale * mu_sq
-            self.w_dims[2 * n + 1] = [box.w_dim * scale for box in part.boxes]
+            for _ in range(2):
+                widths = [(m00 * x + m01 * y, m10 * x + m11 * y) for x, y in widths]
+            self.w_dims[2 * n + 1] = widths
         self.failure: tuple[int, str] | None = None  # (word length, message)
 
-    def visit(self, word, pieces):
+    def visit(self, word, strips):
         length = len(word)
         w_dims = self.w_dims.get(length)
         if w_dims is None or (self.failure and self.failure[0] <= length):
             return
-        u_dim, w_dim = self.u_dims[word[-1]], w_dims[word[0]]
-        for piece in pieces:
-            if piece.u_dim != u_dim:
+        (ux, uy), (wx, wy) = self.u_dims[word[-1]], w_dims[word[0]]
+        for ulx, uly, uhx, uhy, wlx, wly, whx, why in strips:
+            if uhx - ulx != ux or uhy - uly != uy:
                 message = f"expanding dimension of window cell for {word} clipped"
-            elif piece.w_dim != w_dim:
+            elif whx - wlx != wx or why - wly != wy:
                 message = f"contracting dimension of window cell for {word} off-formula"
             else:
                 continue
@@ -1022,23 +1161,30 @@ def verify_generator_decay(part: TorusPartition, depth: int,
         raise ValueError(f"the window check covers n <= {windows.up_to}, "
                          f"not n <= {up_to}")
     windows.result()
-    frame = part.frame
+    frame, boxes = part.frame, part.boxes
     mu_abs = abs(part.mu_act)
     d_sq = partition_diam_sq(part)
     two_steps = [{k for j in row for k in succ[j]} for row in succ]
     reach = [{i} for i in range(part.n)]  # endpoints reachable in 2n steps
+    # diam_sq(u*m, w*m) = m^2 * diam_sq(u, w): one diameter per endpoint pair
+    pair_sq: dict[tuple[int, int], QuadReal] = {}
     mu_n = QuadReal(1)
     rows = []
     for n in range(0, depth + 1):
         if n:
             reach = [set().union(*(two_steps[k] for k in row)) for row in reach]
             mu_n = mu_n * mu_abs
-        u_dims = [box.u_dim * mu_n for box in part.boxes]
-        w_dims = [box.w_dim * mu_n for box in part.boxes]
-        cands = [parallelogram_diam_sq(frame, u_dims[j], w_dims[i])
-                 for i in range(part.n) for j in reach[i]]
+        cands = []
+        for i in range(part.n):
+            for j in reach[i]:
+                cand = pair_sq.get((i, j))
+                if cand is None:
+                    cand = pair_sq[i, j] = parallelogram_diam_sq(
+                        frame, boxes[j].u_dim, boxes[i].w_dim)
+                cands.append(cand)
         if not cands:
             raise InvariantError("no endpoint pair is reachable")
-        rows.append(DecayRow(n, d_sq * (mu_n * mu_n), max(cands),
+        mu_sq = mu_n * mu_n
+        rows.append(DecayRow(n, d_sq * mu_sq, mu_sq * max(cands),
                              0 < n <= enumerate_up_to))
     return rows

@@ -27,11 +27,14 @@ from markov_torus.partition import (
     NfoldReport,
     RefinementCell,
     TorusPartition,
+    WindowCheck,
+    _step_successors,
     _step_table,
     lattice_in_frame_box,
     parallelogram_diam_sq,
     partition_diam_sq,
     transition_graph,
+    walk_words,
 )
 from markov_torus.sft import TransitionGraph
 from markov_torus.torus import EigenFrame
@@ -694,6 +697,68 @@ def _check_window_dims(part: TorusPartition, succ, n: int,
 
     for start in range(part.n):
         dfs([start], [part.boxes[start]])
+
+
+# -- decay rows with one diameter per row and pair ------------------------------
+
+# The generator-decay verifier before it kept one diameter per endpoint pair
+# and scaled it by mu^(2n), kept verbatim: it computes the diameter of every
+# reachable pair again at every depth.
+
+
+def verify_generator_decay_per_row(part: TorusPartition, depth: int,
+                                   enumerate_up_to: int = 2,
+                                   windows: WindowCheck | None = None
+                                   ) -> list[DecayRow]:
+    """Diameters of symmetric refinements W_n = join of phi^-k R, |k| <= n.
+
+    For n <= enumerate_up_to the cells are enumerated exactly and their
+    dimensions are asserted to match the endpoint formula (expanding dimension
+    |mu|^n * u(last symbol), contracting |mu|^n * w(first symbol)); beyond
+    that the formula itself gives the exact maximum over endpoint pairs
+    reachable in 2n steps of the transition graph.  All enumerated n are
+    checked in one walk of the words of length 2*enumerate_up_to + 1;
+    ``windows`` passes a :class:`WindowCheck` that a shared walk of ``part``
+    has already fed, in place of that walk.
+
+    bound_sq is the squared claimed bound d(R)^2 * |mu|^(2n).  A window cell
+    mixes the expanding dimension of its last symbol with the contracting
+    dimension of its first, so measured_sq can exceed bound_sq on a partition
+    whose widest mixed pair beats every single cell (the two-box base
+    partition does this for some matrices at small n).  On the canonical
+    refinement every mixed pair is dominated by the dimensions of an actual
+    cell, so there ok holds at every depth; a False ok is a finding about the
+    partition, not an arithmetic error.
+    """
+    succ = _step_successors(part)
+    up_to = max(0, min(depth, enumerate_up_to))
+    if windows is None:
+        windows = WindowCheck(part, up_to)
+        walk_words(part, [windows])
+    elif windows.up_to != up_to:
+        raise ValueError(f"the window check covers n <= {windows.up_to}, "
+                         f"not n <= {up_to}")
+    windows.result()
+    frame = part.frame
+    mu_abs = abs(part.mu_act)
+    d_sq = partition_diam_sq(part)
+    two_steps = [{k for j in row for k in succ[j]} for row in succ]
+    reach = [{i} for i in range(part.n)]  # endpoints reachable in 2n steps
+    mu_n = QuadReal(1)
+    rows = []
+    for n in range(0, depth + 1):
+        if n:
+            reach = [set().union(*(two_steps[k] for k in row)) for row in reach]
+            mu_n = mu_n * mu_abs
+        u_dims = [box.u_dim * mu_n for box in part.boxes]
+        w_dims = [box.w_dim * mu_n for box in part.boxes]
+        cands = [parallelogram_diam_sq(frame, u_dims[j], w_dims[i])
+                 for i in range(part.n) for j in reach[i]]
+        if not cands:
+            raise InvariantError("no endpoint pair is reachable")
+        rows.append(DecayRow(n, d_sq * (mu_n * mu_n), max(cands),
+                             0 < n <= enumerate_up_to))
+    return rows
 
 
 # -- per-iterate coding -------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from markov_torus.exact import ContinuedFraction, QuadReal, cf_expand, mul_add
+from markov_torus.exact import ContinuedFraction, QuadReal, cf_expand
 
 DISCS = [2, 3, 5, 7, 8, 13, 21]
 
@@ -44,31 +44,6 @@ def test_field_axioms(data, d):
     if a != QuadReal(0):
         assert a * a.inverse() == QuadReal(1)
 
-
-
-def _ints(x: QuadReal):
-    return x.a, x.b, x.q, x.d
-
-
-@given(st.data(), st_disc)
-def test_mul_add_is_product_plus_sum(data, d):
-    """One normalisation gives the same canonical integers as two, over
-    rational and irrational operands alike."""
-    x, k, s = (data.draw(st_quad(d=d)) for _ in range(3))
-    assert _ints(mul_add(x, k, s)) == _ints(x * k + s)
-
-
-@given(st.data(), st.permutations([0, 1, 2]))
-def test_mul_add_refuses_mixed_radicands(data, slots):
-    """Two different radicands among the operands raise, even where x*k
-    alone is rational and x*k + s would not raise."""
-    d1, d2 = data.draw(st.lists(st_disc, min_size=2, max_size=2, unique=True))
-    irrational = st.fractions(min_value=1, max_value=50, max_denominator=40)
-    operands = [QuadReal(data.draw(st_rational), data.draw(irrational), d)
-                for d in (d1, d2)] + [data.draw(st_quad())]
-    x, k, s = (operands[i] for i in slots)
-    with pytest.raises(ValueError):
-        mul_add(x, k, s)
 
 @given(st_quad())
 def test_galois_conjugate_norm_is_rational(x):

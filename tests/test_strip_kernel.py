@@ -1,12 +1,16 @@
 """The one strip-step kernel behind ``advance_strips`` and ``pullback_strips``
 against the scale-translate-intersect steps it replaced (kept verbatim in
 ``oracles``): the same boxes, in the same order, down to the integers of
-every bound, for every cell pair of the base, refined and negative-control
-partitions of one ladder matrix per sign case; whole boxes, pieces that
-touch a clip box along an edge, and drawn sub-boxes.  Then metamorphic
-steps: the same boxes acting by A^2 step like two A steps, and acting by
-A^-1 they have the transposed graph."""
+every bound once decoded, for every cell pair of the base, refined and
+negative-control partitions of one ladder matrix per sign case; whole boxes,
+pieces that touch a clip box along an edge, and drawn sub-boxes.  The
+integer strip basis round-trips every box and refuses bounds outside its
+module, and a walk on it builds no field element.  Then metamorphic steps:
+the same boxes acting by A^2 step like two A steps, and acting by A^-1 they
+have the transposed graph."""
 
+import math
+from fractions import Fraction
 from functools import cache
 
 import pytest
@@ -14,15 +18,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from markov_torus import exact as exact_module
 from markov_torus.cli import _break_partition
 from markov_torus.construct import SignCase, build_markov_construction
+from markov_torus.exact import QuadReal
 from markov_torus.partition import (
+    CellAreaSum,
     EigenRect,
+    InvariantError,
+    NfoldCount,
     TorusPartition,
     _step_table,
+    _strip_basis,
+    _strip_entries,
     advance_strips,
     pullback_strips,
+    refinement_cells_depth,
+    strip_of,
+    strip_rect,
     transition_graph,
+    walk_words,
 )
 from markov_torus.torus import Mat2Z
 
@@ -48,10 +63,13 @@ def form(matrix: Mat2Z, tag: str) -> TorusPartition:
     return _break_partition(part) if tag.endswith("broken") else part
 
 
+def ints(x: QuadReal):
+    return x.a, x.b, x.q, x.d
+
+
 def exact(boxes):
     """Every bound of every box as its integers, in order."""
-    return [tuple((x.a, x.b, x.q, x.d) for x in (b.u_lo, b.u_hi, b.w_lo, b.w_hi))
-            for b in boxes]
+    return [tuple(ints(x) for x in (b.u_lo, b.u_hi, b.w_lo, b.w_hi)) for b in boxes]
 
 
 def clips(part: TorusPartition, cur: int, to: int, forward: bool):
@@ -77,11 +95,23 @@ def touching(box: EigenRect, clip: EigenRect):
     return out
 
 
+def advance(part: TorusPartition, boxes, cur: int, to: int):
+    """``advance_strips`` on boxes: encoded, stepped and decoded."""
+    strips = advance_strips(part, [strip_of(part, box) for box in boxes], cur, to)
+    return [strip_rect(part, strip) for strip in strips]
+
+
+def pullback(part: TorusPartition, boxes, cur: int, to: int):
+    """``pullback_strips`` on boxes: encoded, stepped and decoded."""
+    strips = pullback_strips(part, [strip_of(part, box) for box in boxes], cur, to)
+    return [strip_rect(part, strip) for strip in strips]
+
+
 def assert_steps_match(part: TorusPartition, pieces, cur: int, tag):
     for to in range(part.n):
-        assert exact(advance_strips(part, pieces, cur, to)) == \
+        assert exact(advance(part, pieces, cur, to)) == \
             exact(oracles.advance_strips(part, pieces, cur, to)), (tag, cur, to)
-        assert exact(pullback_strips(part, pieces, cur, to)) == \
+        assert exact(pullback(part, pieces, cur, to)) == \
             exact(oracles.pullback_strips(part, pieces, cur, to)), (tag, cur, to)
 
 
@@ -103,14 +133,18 @@ def test_steps_match_the_old_steps(case):
 
 
 @st.composite
-def sub_box(draw, box: EigenRect, ends):
-    """A sub-box of ``box`` whose ends are drawn fractions of its extents or,
-    now and then, ends of a clip box inside it."""
+def sub_box(draw, box: EigenRect, ends, mu_abs: QuadReal):
+    """A sub-box of ``box`` whose ends lie in the strip module or, now and
+    then, are ends of a clip box inside it.  An end is lo + m*|mu|^k*(hi - lo)
+    with 0 <= m <= |lam|^k: |mu|^k is in Z[lam], so the end is in the
+    module whenever lo and hi are, and it lies in [lo, hi] as |lam*mu| = 1."""
     def interval(lo, hi, snaps):
-        cuts = sorted(draw(st.lists(
-            st.fractions(0, 1, max_denominator=12), min_size=2, max_size=2,
-            unique=True)))
-        a, b = (lo + (hi - lo) * t for t in cuts)
+        k = draw(st.integers(0, 4))
+        step = (hi - lo) * mu_abs ** k
+        top = (1 / mu_abs ** k).floor()
+        cuts = sorted(draw(st.lists(st.integers(0, top), min_size=2, max_size=2,
+                                    unique=True)))
+        a, b = (lo + step * m for m in cuts)
         inside = [x for x in snaps if lo <= x <= hi]
         if inside and draw(st.booleans()):
             x = draw(st.sampled_from(inside))
@@ -132,8 +166,95 @@ def test_drawn_pieces_step_like_the_old_steps(case, tag, data):
     box = part.boxes[cur]
     ends = [clip for to in range(part.n) for forward in (True, False)
             for clip in clips(part, cur, to, forward)]
-    pieces = data.draw(st.lists(sub_box(box, ends), min_size=1, max_size=3))
+    pieces = data.draw(st.lists(sub_box(box, ends, abs(part.mu_act)),
+                                min_size=1, max_size=3))
     assert_steps_match(part, pieces, cur, tag)
+
+
+# -- the strip basis ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("case", list(MATRICES), ids=lambda c: c.name)
+def test_strip_basis_round_trips_every_box_and_clip(case):
+    for tag in FORMS:
+        part = form(MATRICES[case], tag)
+        boxes = list(part.boxes) + [
+            clip for cur in range(part.n) for to in range(part.n)
+            for forward in (True, False) for clip in clips(part, cur, to, forward)]
+        assert exact(strip_rect(part, strip_of(part, box)) for box in boxes) == \
+            exact(boxes), tag
+
+
+def test_strip_basis_denominators():
+    """The module denominator Q is the lcm of |b|*q over the bounds and the
+    lattice generators, lam being (a + b*sqrt(d))/q: d = 12 for -2 -3 -1 -2,
+    and its dented base partition needs 32 times the real one's Q."""
+    matrix = MATRICES[SignCase.MINUS_MINUS]
+    real, broken = form(matrix, "base"), form(matrix, "base-broken")
+    assert _strip_basis(real).d == 12
+    assert (_strip_basis(real).modulus, _strip_basis(broken).modulus) == (36, 1152)
+    for part in (real, broken):
+        basis = _strip_basis(part)
+        lam = QuadReal(Fraction(basis.a, basis.q), Fraction(basis.b, basis.q), basis.d)
+        assert lam == part.lam_act
+        assert part.mu_act == basis.t - lam and lam * part.mu_act == basis.delta
+
+
+def test_strip_of_refuses_bounds_outside_the_module():
+    part = form(MATRICES[SignCase.PLUS_MINUS], "refined")
+    box = part.boxes[0]
+    modulus = _strip_basis(part).modulus
+    finer = box.u_lo + Fraction(1, 7 * modulus)  # 1/(7Q) is not (X + Y*lam)/Q
+    assert finer < box.u_hi
+    with pytest.raises(InvariantError, match="outside the strip module"):
+        strip_of(part, EigenRect(finer, box.u_hi, box.w_lo, box.w_hi))
+    # a box of -2 -3 -1 -2 has bounds in Q(sqrt(12)), not in Q(sqrt(5))
+    other = form(MATRICES[SignCase.MINUS_MINUS], "base").boxes[0]
+    with pytest.raises(InvariantError, match="outside the strip module"):
+        strip_of(part, other)
+
+
+def test_strip_basis_checks_the_acting_eigenvalues():
+    part = form(MATRICES[SignCase.PLUS_MINUS], "refined")
+    wrong = TorusPartition(part.frame, part.acting, part.lam_act, -part.mu_act,
+                           part.boxes, part.labels)
+    with pytest.raises(InvariantError, match="do not solve"):
+        strip_of(wrong, part.boxes[0])
+
+
+def test_base_walk_builds_no_field_element(monkeypatch):
+    """Once the basis and the entry lists exist, a whole base walk of
+    -2 -3 -1 -2 to depth 5 (the ``verify`` visitors) builds no QuadReal and
+    takes no gcd: every step is integer pairs."""
+    part = construction(MATRICES[SignCase.MINUS_MINUS]).base.partition
+    _strip_entries(part, True)
+    made, gcds = [], []
+    make, gcd = exact_module._make, math.gcd
+    monkeypatch.setattr(exact_module, "_make",
+                        lambda *args: made.append(args) or make(*args))
+    monkeypatch.setattr(math, "gcd", lambda *args: gcds.append(args) or gcd(*args))
+    visitors = [NfoldCount(3, 5), *(CellAreaSum(part, k) for k in range(2, 6))]
+    walk_words(part, visitors)
+    assert (len(made), len(gcds)) == (0, 0)
+    monkeypatch.undo()
+    assert [v.result()[0] for v in visitors[1:]] == [30, 112, 418, 1560]
+
+
+@pytest.mark.parametrize("case", list(MATRICES), ids=lambda c: c.name)
+def test_cell_area_sums_match_decoded_cells(case):
+    """The integer area sums equal the areas of the decoded cells, also on
+    the broken forms, where they are not 1."""
+    for tag in FORMS:
+        part = form(MATRICES[case], tag)
+        for depth in (1, 2, 3):
+            sums = CellAreaSum(part, depth)
+            walk_words(part, [sums])
+            cells = refinement_cells_depth(part, depth)
+            total = QuadReal(0)
+            for cell in cells:
+                total = total + cell.rect.area(part.frame)
+            cells_got, area = sums.result()
+            assert (cells_got, ints(area)) == (len(cells), ints(total)), (tag, depth)
 
 
 # -- metamorphic steps -------------------------------------------------------------
@@ -155,14 +276,14 @@ def composition_failures(part: TorusPartition) -> list[tuple[str, int, int]]:
     bad = []
     for i, box_i in enumerate(part.boxes):
         for k, box_k in enumerate(part.boxes):
-            forward = [box for j in range(part.n) for box in advance_strips(
-                part, advance_strips(part, [box_i], i, j), j, k)]
-            if sorted(exact(advance_strips(twice, [box_i], i, k))) != \
+            forward = [box for j in range(part.n) for box in advance(
+                part, advance(part, [box_i], i, j), j, k)]
+            if sorted(exact(advance(twice, [box_i], i, k))) != \
                     sorted(exact(forward)):
                 bad.append(("forward", i, k))
-            backward = [box for j in range(part.n) for box in pullback_strips(
-                part, pullback_strips(part, [box_k], k, j), j, i)]
-            if sorted(exact(pullback_strips(twice, [box_k], k, i))) != \
+            backward = [box for j in range(part.n) for box in pullback(
+                part, pullback(part, [box_k], k, j), j, i)]
+            if sorted(exact(pullback(twice, [box_k], k, i))) != \
                     sorted(exact(backward)):
                 bad.append(("backward", i, k))
     return bad
@@ -176,12 +297,17 @@ def test_markov_partition_is_markov_for_a_squared_and_a_inverse(matrix):
         n = part.n
         g_sq = tuple(tuple(sum(g[i][j] * g[j][k] for j in range(n))
                            for k in range(n)) for i in range(n))
-        assert transition_graph(squared(part)).matrix == g_sq, tag
+        twice = squared(part)
+        assert transition_graph(twice).matrix == g_sq, tag
         assert composition_failures(part) == [], tag
         inverse = TorusPartition(part.frame, part.acting.inverse(),
                                  part.lam_act.inverse(), part.mu_act.inverse(),
                                  part.boxes, part.labels)
         assert transition_graph(inverse).matrix == tuple(zip(*g)), tag
+        # both build a strip basis and step as the old steps do
+        for other in (twice, inverse):
+            for cur, box in enumerate(other.boxes):
+                assert_steps_match(other, [box], cur, tag)
 
 
 @pytest.mark.parametrize("matrix", LADDER, ids=lambda m: f"{m.a} {m.b} {m.c} {m.d}")

@@ -85,6 +85,32 @@ def test_decay_rows_and_window_errors_match(construction):
             assert new == old, (tag, depth, up_to)
 
 
+LADDER = ("1 1 1 0", "-1 -1 -1 0", "2 1 1 1", "0 1 1 3", "-2 -3 -1 -2",
+          "3 2 1 1", "5 2 2 1", "10 1 1 0", "15 1 1 0")
+
+
+def _decay_ints(rows):
+    return [(row.depth, row.enumerated,
+             *((x.a, x.b, x.q, x.d) for x in (row.bound_sq, row.measured_sq)))
+            for row in rows]
+
+
+@pytest.mark.parametrize("text", LADDER)
+def test_decay_rows_match_per_row_diameters(text):
+    """One diameter per endpoint pair, scaled by mu^(2n), gives the integers
+    of the rows that computed every pair's diameter at every depth.  The
+    broken forms fail the window check, so they enumerate nothing; the
+    others share one window walk to length 3 (length 5 on N* 17 takes
+    seconds and adds nothing to the diameters)."""
+    built = build_markov_construction(Mat2Z(*map(int, text.split())))
+    for tag, part in partitions(built):
+        windows = WindowCheck(part, 0 if tag.endswith("broken") else 1)
+        walk_words(part, [windows])
+        rows = verify_generator_decay(part, 8, windows.up_to, windows)
+        assert _decay_ints(rows) == _decay_ints(oracles.verify_generator_decay_per_row(
+            part, 8, windows.up_to, windows)), (text, tag)
+
+
 def test_first_window_error_matches_per_n_walks(construction):
     """One walk to length 2*up_to+1 reports what the old per-n walks
     reported first: the smallest failing n, its first word in DFS order."""
