@@ -44,7 +44,6 @@ from .partition import (
     verify_areas,
     verify_boundary_alignment,
     verify_generator_decay,
-    verify_nfold,
     verify_nfold_range,
     verify_translate_disjoint,
     walk_words,
@@ -132,7 +131,6 @@ __all__ = [
     "verify_areas",
     "verify_boundary_alignment",
     "verify_generator_decay",
-    "verify_nfold",
     "verify_nfold_range",
     "verify_translate_disjoint",
     "walk_words",

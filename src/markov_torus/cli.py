@@ -20,6 +20,7 @@ size grows with the distance.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -591,6 +592,7 @@ _HANDLERS: dict[str, Callable[[RunConfig], int]] = {
 # -- argument plumbing ---------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="markov-torus",

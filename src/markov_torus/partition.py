@@ -44,9 +44,11 @@ Verifiers:
   ("vertical", constant-u) boundary edges into itself, and the inverse map
   does the same for expanding ("horizontal", constant-w) edges: the defining
   boundary condition for a Markov partition, checked by exact 1-D interval
-  coverage on each image line modulo the lattice;
-* ``verify_nfold`` -- every word admissible for the transition graph has a
-  nonempty cylinder cell, by exact box intersection;
+  coverage on each image line modulo the lattice.  Edges are joined by the
+  class of their line modulo the lattice (:func:`lattice_coords`), so each
+  image is checked against the edges of its own line only;
+* ``verify_nfold_range`` -- every word admissible for the transition graph,
+  with length in a range, has a nonempty cylinder, by exact strip stepping;
 * ``verify_generator_decay`` -- symmetric refinements shrink like |mu|^n, by
   exact dimension bookkeeping cross-checked against enumerated cells.
 
@@ -67,11 +69,12 @@ import bisect
 import itertools
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .exact import QuadReal, _reduced, _sign, floor_surd
 from .sft import TransitionGraph
-from .torus import EigenFrame, InvariantError, Mat2Z
+from .torus import EigenFrame, InvariantError, Mat2Z, lattice_coords
 
 
 @dataclass(frozen=True)
@@ -828,9 +831,9 @@ def walk_words(part: TorusPartition, visitors: Sequence[WordVisitor]) -> None:
         boxes = _strip_basis(part).boxes
         word: list[int] = []
         stack = [(0, sym, None) for sym in reversed(range(part.n))]
+        limit = max((v.max_len for v in live), default=0)
         while live and stack:
             depth, sym, parent = stack.pop()
-            limit = max(v.max_len for v in live)
             if depth >= limit:
                 continue
             del word[depth:]
@@ -839,13 +842,17 @@ def walk_words(part: TorusPartition, visitors: Sequence[WordVisitor]) -> None:
             else:
                 pieces = step(part, parent, word[-1], sym) if parent else []
             word.append(sym)
+            failed = False
             for v in live:
                 if depth < v.max_len:
                     try:
                         v.visit(word, pieces)
                     except Exception as exc:
                         v.error = exc
-            live = [v for v in live if v.error is None]
+                        failed = True
+            if failed:
+                live = [v for v in live if v.error is None]
+                limit = max((v.max_len for v in live), default=0)
             if depth + 1 < limit:
                 stack.extend((depth + 1, nxt, pieces) for nxt in reversed(succ[sym]))
     except Exception as exc:
@@ -941,17 +948,47 @@ class AlignmentWitness:
     gap_at: QuadReal
 
 
-def _cover_gap(lo: QuadReal, hi: QuadReal, pieces: list[tuple[QuadReal, QuadReal]]
+def _cover_gap(lo: QuadReal, hi: QuadReal, pieces: Sequence[tuple[QuadReal, QuadReal]]
                ) -> QuadReal | None:
-    """First uncovered point of [lo, hi] under the closed pieces, or None."""
+    """First uncovered point of [lo, hi] under the sorted closed pieces, or None."""
     cur = lo
-    for p_lo, p_hi in sorted(pieces, key=lambda p: (p[0], p[1])):
+    for p_lo, p_hi in pieces:
         if p_lo > cur:
             return cur
         cur = max(cur, p_hi)
         if cur >= hi:
             return None
     return cur if cur < hi else None
+
+
+def _edge_gaps(kind: str, edges: list[tuple[QuadReal, QuadReal, QuadReal]],
+               line: tuple[QuadReal, QuadReal], span: tuple[QuadReal, QuadReal],
+               line_factor: QuadReal, span_factor: QuadReal) -> list[AlignmentWitness]:
+    """Witnesses for the edges (x, lo, hi), two per cell, whose image
+    (line_factor*x, span_factor*[lo, hi]) the edges do not cover modulo the
+    lattice.  ``line`` and ``span`` hold the generators' frame coordinates
+    along and across the edges.  Lines x and y differ by a lattice point
+    exactly when the :func:`lattice_coords` of x and y agree mod 1, so spans
+    are listed per class, moved back by their integer part, and sorted once."""
+    def split(x: QuadReal) -> tuple[tuple[Fraction, Fraction], QuadReal]:
+        s, t = lattice_coords(x, *line)
+        m, n = math.floor(s), math.floor(t)
+        return (s - m, t - n), span[0] * m + span[1] * n
+
+    classes: dict[tuple[Fraction, Fraction], list[tuple[QuadReal, QuadReal]]] = {}
+    for x, lo, hi in edges:
+        key, shift = split(x)
+        classes.setdefault(key, []).append((lo - shift, hi - shift))
+    for pieces in classes.values():
+        pieces.sort()
+    witnesses = []
+    for k, (x, lo, hi) in enumerate(edges):
+        key, shift = split(line_factor * x)
+        a, b = sorted((lo * span_factor, hi * span_factor))
+        gap = _cover_gap(a - shift, b - shift, classes.get(key, ()))
+        if gap is not None:
+            witnesses.append(AlignmentWitness(kind, k // 2, x, gap + shift))
+    return witnesses
 
 
 def verify_boundary_alignment(part: TorusPartition) -> list[AlignmentWitness]:
@@ -963,43 +1000,13 @@ def verify_boundary_alignment(part: TorusPartition) -> list[AlignmentWitness]:
     inverse map must send constant-w edges into the expanding boundary.
     Returns witnesses for every uncovered image segment.
     """
-    frame = part.frame
-    lam, mu = part.lam_act, part.mu_act
-    v_edges = []
-    h_edges = []
-    for box in part.boxes:
-        v_edges += [(box.u_lo, box.w_lo, box.w_hi), (box.u_hi, box.w_lo, box.w_hi)]
-        h_edges += [(box.w_lo, box.u_lo, box.u_hi), (box.w_hi, box.u_lo, box.u_hi)]
-    witnesses = []
-    for cell, (u, w_lo, w_hi) in zip(
-        (i for i in range(part.n) for _ in (0, 1)), v_edges
-    ):
-        u_img = lam * u
-        a, b = sorted((w_lo * mu, w_hi * mu))
-        pieces = []
-        for u2, w2_lo, w2_hi in v_edges:
-            q = frame.lattice_shift(du=u_img - u2)
-            if q is not None:
-                wq = frame.lattice_frame(*q)[1]
-                pieces.append((w2_lo + wq, w2_hi + wq))
-        gap = _cover_gap(a, b, pieces)
-        if gap is not None:
-            witnesses.append(AlignmentWitness("contracting-edge", cell, u, gap))
-    for cell, (w, u_lo, u_hi) in zip(
-        (i for i in range(part.n) for _ in (0, 1)), h_edges
-    ):
-        w_img = w / mu
-        a, b = sorted((u_lo / lam, u_hi / lam))
-        pieces = []
-        for w2, u2_lo, u2_hi in h_edges:
-            q = frame.lattice_shift(dw=w_img - w2)
-            if q is not None:
-                uq = frame.lattice_frame(*q)[0]
-                pieces.append((u2_lo + uq, u2_hi + uq))
-        gap = _cover_gap(a, b, pieces)
-        if gap is not None:
-            witnesses.append(AlignmentWitness("expanding-edge", cell, w, gap))
-    return witnesses
+    frame, boxes = part.frame, part.boxes
+    v_edges = [(u, b.w_lo, b.w_hi) for b in boxes for u in (b.u_lo, b.u_hi)]
+    h_edges = [(w, b.u_lo, b.u_hi) for b in boxes for w in (b.w_lo, b.w_hi)]
+    u_gen, w_gen = (frame.u10, frame.u01), (frame.w10, frame.w01)
+    return (_edge_gaps("contracting-edge", v_edges, u_gen, w_gen, part.lam_act, part.mu_act)
+            + _edge_gaps("expanding-edge", h_edges, w_gen, u_gen,
+                         part.mu_act.inverse(), part.lam_act.inverse()))
 
 
 @dataclass(frozen=True)
@@ -1052,11 +1059,6 @@ def verify_nfold_range(part: TorusPartition, min_len: int, max_len: int
     counter = NfoldCount(min_len, max_len)
     walk_words(part, [counter])
     return counter.result()
-
-
-def verify_nfold(part: TorusPartition, length: int) -> NfoldReport:
-    """Single-length form of :func:`verify_nfold_range`."""
-    return verify_nfold_range(part, length, length)[length]
 
 
 def partition_diam_sq(part: TorusPartition) -> QuadReal:

@@ -11,9 +11,11 @@ half-integer coordinates).  The expanding eigenvector is v_lam = (c, lam - a),
 legitimate because c = 0 would force integer unit eigenvalues.
 
 :class:`EigenFrame` converts between plane coordinates and coordinates along
-(v_lam, v_mu); since the eigenline slopes are irrational, a lattice point is
-recoverable exactly from either one of its frame coordinates by solving a
-rational 2x2 system (:meth:`EigenFrame.lattice_shift`).
+(v_lam, v_mu).  Since the eigenline slopes are irrational, either frame
+coordinate of the lattice generators is a basis of Q(sqrt(D)) over Q, and
+:func:`lattice_coords` writes any value of that coordinate in it by solving a
+rational 2x2 system: the value belongs to a lattice point exactly when both
+rational coordinates are integers, and they are that point.
 """
 
 from __future__ import annotations
@@ -205,9 +207,9 @@ class EigenFrame:
     determinant is -c * sqrt(D), nonzero, so conversions are exact field
     arithmetic.  ``u10/w10`` and ``u01/w01`` are the frame coordinates of the
     lattice generators (1,0) and (0,1); because the eigenline slopes are
-    irrational, (m, n) -> (u, w) is injective on the lattice and invertible by
-    rational linear algebra (:meth:`lattice_shift`).  The lattice point (m, n)
-    is the plane point (m, n) itself.
+    irrational, (m, n) -> u and (m, n) -> w are each injective on the lattice
+    and invertible by rational linear algebra (:func:`lattice_coords`).  The
+    lattice point (m, n) is the plane point (m, n) itself.
     """
 
     eig: EigenData
@@ -238,32 +240,21 @@ class EigenFrame:
     def lattice_frame(self, m: int, n: int) -> tuple[QuadReal, QuadReal]:
         return (self.u10 * m + self.u01 * n, self.w10 * m + self.w01 * n)
 
-    def lattice_shift(self, du: QuadReal | None = None,
-                      dw: QuadReal | None = None) -> tuple[int, int] | None:
-        """The unique lattice point with frame coordinates (du, dw), if any.
 
-        Either coordinate may be left out: m * c10 + n * c01 = value for one
-        coordinate c is two rational equations over the basis (1, sqrt(D)),
-        so it alone determines the lattice point or rules it out; the other
-        coordinate, when given, is then checked.  The rational system is
-        nonsingular because the eigenlines contain no nonzero lattice points.
-        """
-        if du is None:
-            value, c10, c01 = dw, self.w10, self.w01
-        else:
-            value, c10, c01 = du, self.u10, self.u01
-        # Cramer's rule on the integer parts (a + b*sqrt(D)) / q
-        det = c10.a * c01.b - c01.a * c10.b
-        if det == 0:
-            raise InvariantError("a lattice point lies on an eigenline")
-        den = value.q * det
-        m, m_rem = divmod((value.a * c01.b - value.b * c01.a) * c10.q, den)
-        n, n_rem = divmod((c10.a * value.b - c10.b * value.a) * c01.q, den)
-        if m_rem or n_rem:
-            return None
-        if du is not None and dw is not None and self.lattice_frame(m, n)[1] != dw:
-            return None
-        return (m, n)
+def lattice_coords(value: QuadReal, c10: QuadReal, c01: QuadReal
+                   ) -> tuple[Fraction, Fraction]:
+    """The rationals (s, t) with s * c10 + t * c01 == value, for one frame
+    coordinate c10, c01 of the lattice generators (1, 0) and (0, 1): value is
+    that coordinate of a lattice point exactly when s and t are integers,
+    and the point is then (s, t).  The 2x2 system over the basis
+    (1, sqrt(D)) is nonsingular since no eigenline holds a lattice point."""
+    # Cramer's rule on the integer parts (a + b*sqrt(D)) / q
+    det = c10.a * c01.b - c01.a * c10.b
+    if det == 0:
+        raise InvariantError("a lattice point lies on an eigenline")
+    den = value.q * det
+    return (Fraction((value.a * c01.b - value.b * c01.a) * c10.q, den),
+            Fraction((c10.a * value.b - c10.b * value.a) * c01.q, den))
 
 
 def _solve(vl: PlanePoint, vm: PlanePoint, det: QuadReal, p: PlanePoint):

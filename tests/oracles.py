@@ -19,6 +19,7 @@ import numpy as np
 from markov_torus.coding import BoundaryAmbiguity, PreimageReport, SymbolicWord
 from markov_torus.exact import QuadReal, floor_surd
 from markov_torus.partition import (
+    AlignmentWitness,
     BoundaryHit,
     CellHit,
     DecayRow,
@@ -886,3 +887,90 @@ def preimage_report(self, point, depth: int, max_words: int = 8
     return PreimageReport(
         depth, count, tuple() if truncated else tuple(found), truncated
     )
+
+
+# -- pairwise boundary coverage ---------------------------------------------------
+
+
+def lattice_shift(frame: EigenFrame, du: QuadReal | None = None,
+                  dw: QuadReal | None = None) -> tuple[int, int] | None:
+    """The unique lattice point with frame coordinates (du, dw), if any.
+
+    Either coordinate may be left out: m * c10 + n * c01 = value for one
+    coordinate c is two rational equations over the basis (1, sqrt(D)),
+    so it alone determines the lattice point or rules it out; the other
+    coordinate, when given, is then checked.  The rational system is
+    nonsingular because the eigenlines contain no nonzero lattice points.
+    """
+    if du is None:
+        value, c10, c01 = dw, frame.w10, frame.w01
+    else:
+        value, c10, c01 = du, frame.u10, frame.u01
+    # Cramer's rule on the integer parts (a + b*sqrt(D)) / q
+    det = c10.a * c01.b - c01.a * c10.b
+    if det == 0:
+        raise InvariantError("a lattice point lies on an eigenline")
+    den = value.q * det
+    m, m_rem = divmod((value.a * c01.b - value.b * c01.a) * c10.q, den)
+    n, n_rem = divmod((c10.a * value.b - c10.b * value.a) * c01.q, den)
+    if m_rem or n_rem:
+        return None
+    if du is not None and dw is not None and frame.lattice_frame(m, n)[1] != dw:
+        return None
+    return (m, n)
+
+
+def _cover_gap(lo: QuadReal, hi: QuadReal, pieces: list[tuple[QuadReal, QuadReal]]
+               ) -> QuadReal | None:
+    """First uncovered point of [lo, hi] under the closed pieces, or None."""
+    cur = lo
+    for p_lo, p_hi in sorted(pieces, key=lambda p: (p[0], p[1])):
+        if p_lo > cur:
+            return cur
+        cur = max(cur, p_hi)
+        if cur >= hi:
+            return None
+    return cur if cur < hi else None
+
+
+def verify_boundary_alignment(part: TorusPartition) -> list[AlignmentWitness]:
+    """The Markov boundary condition, one lattice solve per pair of edges:
+    8*N^2 solves (the method ``frame.lattice_shift`` became
+    :func:`lattice_shift` above, unchanged)."""
+    frame = part.frame
+    lam, mu = part.lam_act, part.mu_act
+    v_edges = []
+    h_edges = []
+    for box in part.boxes:
+        v_edges += [(box.u_lo, box.w_lo, box.w_hi), (box.u_hi, box.w_lo, box.w_hi)]
+        h_edges += [(box.w_lo, box.u_lo, box.u_hi), (box.w_hi, box.u_lo, box.u_hi)]
+    witnesses = []
+    for cell, (u, w_lo, w_hi) in zip(
+        (i for i in range(part.n) for _ in (0, 1)), v_edges
+    ):
+        u_img = lam * u
+        a, b = sorted((w_lo * mu, w_hi * mu))
+        pieces = []
+        for u2, w2_lo, w2_hi in v_edges:
+            q = lattice_shift(frame, du=u_img - u2)
+            if q is not None:
+                wq = frame.lattice_frame(*q)[1]
+                pieces.append((w2_lo + wq, w2_hi + wq))
+        gap = _cover_gap(a, b, pieces)
+        if gap is not None:
+            witnesses.append(AlignmentWitness("contracting-edge", cell, u, gap))
+    for cell, (w, u_lo, u_hi) in zip(
+        (i for i in range(part.n) for _ in (0, 1)), h_edges
+    ):
+        w_img = w / mu
+        a, b = sorted((u_lo / lam, u_hi / lam))
+        pieces = []
+        for w2, u2_lo, u2_hi in h_edges:
+            q = lattice_shift(frame, dw=w_img - w2)
+            if q is not None:
+                uq = frame.lattice_frame(*q)[0]
+                pieces.append((u2_lo + uq, u2_hi + uq))
+        gap = _cover_gap(a, b, pieces)
+        if gap is not None:
+            witnesses.append(AlignmentWitness("expanding-edge", cell, w, gap))
+    return witnesses

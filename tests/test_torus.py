@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from markov_torus.exact import QuadReal
 from markov_torus.torus import (
     EigenFrame,
+    InvariantError,
     Mat2Z,
     NotAutomorphismError,
     NotHyperbolicError,
@@ -17,6 +18,7 @@ from markov_torus.torus import (
     count_periodic_points,
     hyperbolic_check,
     is_hyperbolic,
+    lattice_coords,
 )
 from oracles import brute_torus_periodic, float_eigen
 
@@ -126,13 +128,24 @@ def test_frame_round_trip_golden():
         u, w = frame.lattice_frame(m, n)
         x, y = frame.to_plane(u, w)
         assert x == m and y == n
-        assert frame.lattice_shift(u, w) == (m, n)
+        # either coordinate alone gives back the lattice point
+        assert lattice_coords(u, frame.u10, frame.u01) == (m, n)
+        assert lattice_coords(w, frame.w10, frame.w01) == (m, n)
     # a generic point converts and comes back
     u, w = frame.to_frame((Fraction(1, 3), Fraction(2, 7)))
     x, y = frame.to_plane(u, w)
     assert x == Fraction(1, 3) and y == Fraction(2, 7)
-    # frame coordinates not hit by the lattice give None
-    assert frame.lattice_shift(u, w) is None
+    # its coordinates are those of no lattice point, but still solve exactly
+    for value, c10, c01 in ((u, frame.u10, frame.u01), (w, frame.w10, frame.w01)):
+        s, t = lattice_coords(value, c10, c01)
+        assert (s.denominator, t.denominator) != (1, 1)
+        assert c10 * s + c01 * t == value
+
+
+def test_lattice_coords_rejects_a_rational_basis():
+    # two rational multiples of one element: a lattice point on the line
+    with pytest.raises(InvariantError):
+        lattice_coords(QuadReal(1), QuadReal(1), QuadReal(2))
 
 
 @settings(max_examples=20, deadline=None)
@@ -145,4 +158,6 @@ def test_frame_determinant_formula(seed):
     # v_lam x v_mu = c (mu - lam) = -+ c sqrt(D), sign following the lam branch
     branch = 1 if m.trace() > 0 else -1
     assert frame.det == QuadReal(0, -branch * m.c, eig.disc)
-    assert frame.lattice_shift(*frame.lattice_frame(3, -2)) == (3, -2)
+    u, w = frame.lattice_frame(3, -2)
+    assert lattice_coords(u, frame.u10, frame.u01) == (3, -2)
+    assert lattice_coords(w, frame.w10, frame.w01) == (3, -2)
