@@ -15,6 +15,11 @@ walk would exceed ``WALK_WORD_BUDGET`` words.  ``decode`` refuses, by the
 same cap, a word whose window lies more than that many steps from time 0:
 its cylinder is moved to time 0 by that many exact powers of the map, whose
 size grows with the distance.
+
+Commands that build the construction refuse a matrix whose refined
+partition would have more than ``MARKOV_TORUS_MAX_CELLS`` cells (default
+800), before building anything: N*, the sum of the model matrix's entries,
+is known once the matrix is conjugated, and the build grows like N*^2.
 """
 
 from __future__ import annotations
@@ -29,7 +34,12 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .coding import BoundaryAmbiguity, CodingContext, SymbolicWord
-from .construct import MarkovConstruction, build_markov_construction, count_intersections
+from .construct import (
+    MarkovConstruction,
+    build_markov_construction,
+    conjugate_nonnegative,
+    count_intersections,
+)
 from .multmap import ExpansionAmbiguity, MultiplicationSystem
 from .partition import (
     CellAreaSum,
@@ -72,6 +82,12 @@ EXIT_REJECT = 2
 DEFAULT_ENUM_CAP = 8
 ENUM_CAP_ENV = "MARKOV_TORUS_MAX_DEPTH"
 
+# refined cells (N*) a build may have: at N* 202, 402 and 602 a build takes
+# 0.85, 4.4 and 8.9 s of CPU on a 2-core host (Python 3.11), peaking at 330
+# MB for N* 602, and grows like N*^2, so the default keeps one near 15 s
+DEFAULT_CELL_CAP = 800
+CELL_CAP_ENV = "MARKOV_TORUS_MAX_CELLS"
+
 # words one `verify` walk may visit; counted before walking, so that an
 # oversized request fails at once instead of running for minutes
 WALK_WORD_BUDGET = 1_000_000
@@ -84,16 +100,18 @@ class CliError(Exception):
     """A request that cannot be served; message is printed, exit status 1."""
 
 
-def enumeration_cap() -> int:
-    raw = os.environ.get(ENUM_CAP_ENV)
+def _env_cap(name: str, default: int) -> int:
+    """The positive integer in environment variable ``name``, or ``default``
+    when it is unset."""
+    raw = os.environ.get(name)
     if raw is None:
-        return DEFAULT_ENUM_CAP
+        return default
     try:
         cap = int(raw)
     except ValueError as exc:
-        raise CliError(f"{ENUM_CAP_ENV} must be an integer, got {raw!r}") from exc
+        raise CliError(f"{name} must be an integer, got {raw!r}") from exc
     if cap < 1:
-        raise CliError(f"{ENUM_CAP_ENV} must be >= 1, got {cap}")
+        raise CliError(f"{name} must be >= 1, got {cap}")
     return cap
 
 
@@ -112,6 +130,7 @@ class RunConfig:
     base: int = 2
     inject_break: bool = False
     enum_cap: int = DEFAULT_ENUM_CAP
+    cell_cap: int = DEFAULT_CELL_CAP
 
     def __post_init__(self):
         if self.depth is not None and self.depth < 0:
@@ -180,6 +199,23 @@ def _emit(payload: dict, lines: Sequence[str], as_json: bool) -> None:
 # -- commands ------------------------------------------------------------------
 
 
+def _check_cells(cfg: RunConfig) -> None:
+    """Refuse a matrix whose refined partition would have more than
+    ``cfg.cell_cap`` cells, before any overlap table is built."""
+    model = conjugate_nonnegative(cfg.matrix).model
+    cells = model.a + model.b + model.c + model.d
+    if cells > cfg.cell_cap:
+        raise CliError(
+            f"the refined partition would have N* = {cells} cells, more than "
+            f"the cell cap {cfg.cell_cap}; set {CELL_CAP_ENV} to raise it"
+        )
+
+
+def _construction(cfg: RunConfig) -> MarkovConstruction:
+    _check_cells(cfg)
+    return build_markov_construction(cfg.matrix)
+
+
 def cmd_analyze(cfg: RunConfig) -> int:
     try:
         eig = hyperbolic_check(cfg.matrix)
@@ -241,7 +277,7 @@ def _construction_lines(rep: dict) -> list[str]:
 
 
 def cmd_construct(cfg: RunConfig) -> int:
-    construction = build_markov_construction(cfg.matrix)
+    construction = _construction(cfg)
     rep = construction_report(construction)
     lines = _construction_lines(rep)
     if cfg.svg_path:
@@ -375,7 +411,7 @@ def _run_checks(construction: MarkovConstruction, depth: int, cap: int,
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    construction = build_markov_construction(cfg.matrix)
+    construction = _construction(cfg)
     depth = cfg.depth if cfg.depth is not None else 4
     checks = _run_checks(construction, depth, cfg.enum_cap, cfg.inject_break)
     all_ok = all(c["ok"] for c in checks)
@@ -398,6 +434,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 def cmd_encode(cfg: RunConfig) -> int:
     if cfg.point is None:
         raise CliError('encode needs --point "p/q r/s"')
+    _check_cells(cfg)
     ctx = CodingContext.from_matrix(cfg.matrix)
     depth = cfg.depth if cfg.depth is not None else 8
     result = ctx.encode(cfg.point, depth)
@@ -444,6 +481,7 @@ def cmd_decode(cfg: RunConfig) -> int:
         word = SymbolicWord.parse(cfg.word)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
+    _check_cells(cfg)
     ctx = CodingContext.from_matrix(cfg.matrix)
     # steps from time 0 to the nearest time of the word's window
     reach = max(0, word.offset, -(word.offset + len(word) - 1))
@@ -491,7 +529,7 @@ def cmd_decode(cfg: RunConfig) -> int:
 
 
 def cmd_periodic(cfg: RunConfig) -> int:
-    construction = build_markov_construction(cfg.matrix)
+    construction = _construction(cfg)
     top = cfg.depth if cfg.depth is not None else 6
     if top < 1:
         raise CliError("--depth must be >= 1 for periodic counts")
@@ -565,7 +603,7 @@ def cmd_multmap(cfg: RunConfig) -> int:
 
 
 def cmd_render(cfg: RunConfig) -> int:
-    construction = build_markov_construction(cfg.matrix)
+    construction = _construction(cfg)
     depth = cfg.depth if cfg.depth is not None else 1
     svg = render_construction_svg(construction, depth)
     if cfg.svg_path:
@@ -669,7 +707,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         max_words=getattr(args, "max_words", 8),
         base=getattr(args, "base", 2),
         inject_break=getattr(args, "inject_break", False),
-        enum_cap=enumeration_cap(),
+        enum_cap=_env_cap(ENUM_CAP_ENV, DEFAULT_ENUM_CAP),
+        cell_cap=_env_cap(CELL_CAP_ENV, DEFAULT_CELL_CAP),
     )
 
 

@@ -11,16 +11,27 @@ the integer points of a frame-coordinate box, a parallelogram in the plane.
 The scan runs column by column: the lattice point (m, n) is the plane point
 itself, so m runs over the integers in the box's x-extent, and for each m the
 admissible n form one interval whose ends are exact integer floors.  The cost
-is one step per column plus one per lattice point found.
+is one step per column plus one per lattice point found.  Scans and
+overlaps run in integers (:class:`_Grid`): the box bounds and the lattice
+generators' frame coordinates are brought to one common denominator Q, so a
+value is a pair (A, B) meaning (A + B*sqrt(D)) / Q, a lattice point's frame
+coordinates m*U10 + n*U01 are integer combinations of the generators'
+pairs, and each comparison is the sign of one pair.
 
-All-pairs overlaps come from :func:`overlap_table`: one scan per moving cell,
-over the translates that bring it into the hull of all target cells, each
-hit tested against the targets whose contracting interval can meet it.  The
-step table of a partition is such a table, for the forward images of its
-cells, cached on the partition and overlap-checked once when built.  It is
-the only source of transitions in both directions (graph, refinement,
-successor lists, forward and backward cylinder steps), so a partition's
-overlaps are scanned once.  Both cylinder steps run one exact kernel,
+All-pairs overlaps come from :func:`_int_overlaps`: one
+:func:`lattice_in_frame_box` scan per moving cell, over the translates that
+bring it into the hull of all target cells, each hit moved, bisected into
+the targets whose contracting interval can meet it and intersected with
+them, all in the pairs of one grid per table.  Entries are decoded into
+boxes only where a caller reads one (:func:`overlap_table`,
+:func:`translate_overlaps`, :func:`_step_table`).
+The step table of a partition is such a table, for the forward images of its
+cells, cached on the partition in integers and overlap-checked once when
+built.  It is the only source of transitions in both directions (graph,
+refinement, successor lists, forward and backward cylinder steps), so a
+partition's overlaps are scanned once; the graph and the successor lists
+read its counts, so the constructor's recheck of the refined partition
+decodes nothing.  Both cylinder steps run one exact kernel,
 :func:`_step_strips`, over entry lists derived from the table once per
 direction, when a strip is first stepped: each piece is clipped to an
 entry's box and only a hit is mapped, x*k + s per coordinate.  The kernel
@@ -212,10 +223,10 @@ class TorusPartition:
         ))
 
 
-def _cached(part: TorusPartition, name: str, compute, *args):
-    """``compute(*args)``, kept on the partition under ``name`` after the
-    first call: the partition is immutable, so what is derived from it is
-    too."""
+def _cached(part, name: str, compute, *args):
+    """``compute(*args)``, kept on the partition (or frame) under ``name``
+    after the first call: the object is immutable, so what is derived from
+    it is too."""
     value = part.__dict__.get(name)
     if value is None:
         value = compute(*args)
@@ -225,96 +236,248 @@ def _cached(part: TorusPartition, name: str, compute, *args):
 
 # -- lattice enumeration -------------------------------------------------------
 
+# a box's bounds u_lo, u_hi, w_lo, w_hi as integer pairs of a _Grid
+Box = tuple[int, int, int, int, int, int, int, int]
+
+
+def _frame_forms(frame: EigenFrame):
+    """What every :class:`_Grid` of a frame starts from, cached on the
+    frame: the lcm of the generators' denominators; vl0 and vm0 over their
+    common denominator V, with their signs, since x = u*vl0 + w*vm0 is
+    monotone in u and in w and so bounded by two corners; and per frame
+    coordinate c, the n-bound (bound - c10*m) / c01 as bound*inv + slope*m,
+    that is inv = 1/c01 and slope = -c10/c01, swapping the bounds for a
+    negative c01."""
+
+    def build():
+        gens_q = math.lcm(frame.u10.q, frame.u01.q, frame.w10.q, frame.w01.q)
+        vl0, vm0 = frame.eig.v_lam[0], frame.eig.v_mu[0]
+        v = math.lcm(vl0.q, vm0.q)
+        x_form = (vl0.a * (v // vl0.q), vl0.b * (v // vl0.q),
+                  vm0.a * (v // vm0.q), vm0.b * (v // vm0.q), v,
+                  vl0.sign() > 0, vm0.sign() > 0)
+        n_forms = []
+        for c10, c01 in ((frame.u10, frame.u01), (frame.w10, frame.w01)):
+            inv = c01.inverse()
+            n_forms.append((inv, -c10 * inv, c01.sign() < 0))
+        return gens_q, x_form, n_forms
+
+    return _cached(frame, "_grid_forms", build)
+
+
+class _Grid:
+    """Lattice scans in integers, over one common denominator.
+
+    Q is the lcm of the denominators of the values the grid is made for and
+    of the lattice generators' frame coordinates.  Each such value x is the
+    integer pair (A, B) with x = (A + B*sqrt(D)) / Q, and so is every sum of
+    them, a lattice point's frame coordinates m*U10 + n*U01 included: a sum
+    is a sum of pairs, x < y is one ``_sign`` of the difference, and a value
+    is decoded only where a caller reads it.
+    """
+
+    def __init__(self, frame: EigenFrame, values: Iterable[QuadReal]):
+        d = frame.eig.disc
+        gens_q, x_form, n_forms = _frame_forms(frame)
+        q = gens_q
+        for x in values:
+            if x.d not in (0, d):
+                raise ValueError(f"mixed radicands {x.d} and {d}")
+            q = math.lcm(q, x.q)
+        self.d, self.q = d, q
+        self.u10, self.u01, self.w10, self.w01 = map(
+            self.pair, (frame.u10, frame.u01, frame.w10, frame.w01))
+        la, lb, ma, mb, v, l_pos, m_pos = x_form
+        self.x_form = (la, lb, ma, mb, q * v, l_pos, m_pos)
+        # for a bound (A, B), bound*inv + slope*m is
+        # ((A*p + B*r + a1*m) + (A*s + B*p + b1*m)*sqrt(D)) / L
+        self.n_forms = []
+        for inv, slope, flip in n_forms:
+            den = math.lcm(q * inv.q, slope.q)
+            k = den // (q * inv.q)
+            ks = den // slope.q
+            self.n_forms.append((inv.a * k, inv.b * d * k, inv.b * k,
+                                 slope.a * ks, slope.b * ks, den, flip))
+
+    def pair(self, x: QuadReal) -> tuple[int, int]:
+        """The pair (A, B) of x; :class:`InvariantError` for x off the
+        common denominator."""
+        k, rem = divmod(self.q, x.q)
+        if rem:
+            raise InvariantError(f"{x} lies off the grid's denominator {self.q}")
+        return x.a * k, x.b * k
+
+    def value(self, a: int, b: int) -> QuadReal:
+        """The element (a + b*sqrt(D)) / Q, in canonical form."""
+        return _reduced(a, b, self.q, self.d)
+
+    def box(self, box: EigenRect) -> Box:
+        pair = self.pair
+        return (*pair(box.u_lo), *pair(box.u_hi), *pair(box.w_lo), *pair(box.w_hi))
+
+    def scan(self, ula: int, ulb: int, uha: int, uhb: int,
+             wla: int, wlb: int, wha: int, whb: int) -> list[tuple[int, int]]:
+        """The lattice points (m, n) whose frame coordinates lie in the
+        closed box with these bounds, in ascending (m, n) order.
+
+        Column by column: m runs over the integers in the box's plane
+        x-extent, and each closed constraint bounds n by an affine form
+        (bound - c10*m) / c01 in m, c being the u- or w-coordinate of the
+        lattice generators, so each column's n-interval ends are exact
+        integer floors.  Every hit is re-checked against the box."""
+        d, sign = self.d, _sign
+        la, lb, ma, mb, xq, l_pos, m_pos = self.x_form
+        u_ends, w_ends = ((ula, ulb), (uha, uhb)), ((wla, wlb), (wha, whb))
+        (uxa, uxb), (uya, uyb) = u_ends if l_pos else u_ends[::-1]
+        (wxa, wxb), (wya, wyb) = w_ends if m_pos else w_ends[::-1]
+        m_lo = -floor_surd(-(uxa * la + uxb * lb * d + wxa * ma + wxb * mb * d),
+                           -(uxa * lb + uxb * la + wxa * mb + wxb * ma), xq, d)
+        m_hi = floor_surd(uya * la + uyb * lb * d + wya * ma + wyb * mb * d,
+                          uya * lb + uyb * la + wya * mb + wyb * ma, xq, d)
+        lows, highs = [], []
+        for (p, r, s, a1, b1, den, flip), (lo_a, lo_b, hi_a, hi_b) in zip(
+                self.n_forms, ((ula, ulb, uha, uhb), (wla, wlb, wha, whb))):
+            lo = (lo_a * p + lo_b * r, a1, lo_a * s + lo_b * p, b1, den)
+            hi = (hi_a * p + hi_b * r, a1, hi_a * s + hi_b * p, b1, den)
+            lows.append(hi if flip else lo)
+            highs.append(lo if flip else hi)
+        (u10a, u10b), (u01a, u01b) = self.u10, self.u01
+        (w10a, w10b), (w01a, w01b) = self.w10, self.w01
+        hits = []
+        for m in range(m_lo, m_hi + 1):
+            n_lo = max(-floor_surd(-a0 - a1 * m, -b0 - b1 * m, den, d)
+                       for a0, a1, b0, b1, den in lows)
+            n_hi = min(floor_surd(a0 + a1 * m, b0 + b1 * m, den, d)
+                       for a0, a1, b0, b1, den in highs)
+            ua, ub = m * u10a + n_lo * u01a, m * u10b + n_lo * u01b
+            wa, wb = m * w10a + n_lo * w01a, m * w10b + n_lo * w01b
+            for n in range(n_lo, n_hi + 1):
+                if (sign(ua - ula, ub - ulb, d) < 0 or sign(uha - ua, uhb - ub, d) < 0
+                        or sign(wa - wla, wb - wlb, d) < 0
+                        or sign(wha - wa, whb - wb, d) < 0):
+                    raise InvariantError(f"column scan hit {(m, n)} lies outside the box")
+                hits.append((m, n))
+                ua, ub, wa, wb = ua + u01a, ub + u01b, wa + w01a, wb + w01b
+        return hits
+
 
 def lattice_in_frame_box(frame: EigenFrame, u_lo: QuadReal, u_hi: QuadReal,
                          w_lo: QuadReal, w_hi: QuadReal
                          ) -> list[tuple[tuple[int, int], tuple[QuadReal, QuadReal]]]:
     """All lattice points whose frame coordinates lie in the closed box, in
     ascending (m, n) order, each as ``((m, n), (qu, qw))`` with its frame
-    coordinates.
-
-    Column by column: m runs over the integers in the box's plane x-extent,
-    and each closed constraint bounds n by an affine form (bound - c10*m) / c01
-    in m, c being the u- or w-coordinate of the lattice generators.  The forms
-    are brought to integers (a + b*sqrt(D)) / q once per scan, so each
-    column's n-interval ends are exact integer floors.  Every hit is
-    re-checked against the box, and its frame coordinates are returned with
-    it so that callers need not recompute them.
-    """
-    # x = u*vl0 + w*vm0 is monotone in u and in w, so two corners bound it
-    vl0, vm0 = frame.eig.v_lam[0], frame.eig.v_mu[0]
-    u_left, u_right = (u_lo, u_hi) if vl0.sign() > 0 else (u_hi, u_lo)
-    w_left, w_right = (w_lo, w_hi) if vm0.sign() > 0 else (w_hi, w_lo)
-    x_min = u_left * vl0 + w_left * vm0
-    x_max = u_right * vl0 + w_right * vm0
-    lows, highs = [], []
-    for c10, c01, lo, hi in ((frame.u10, frame.u01, u_lo, u_hi),
-                             (frame.w10, frame.w01, w_lo, w_hi)):
-        inv = c01.inverse()
-        slope = -c10 * inv
-        lo_form, hi_form = _column_form(lo * inv, slope), _column_form(hi * inv, slope)
-        if c01.sign() < 0:
-            lo_form, hi_form = hi_form, lo_form
-        lows.append(lo_form)
-        highs.append(hi_form)
-    d = frame.eig.disc
-    hits = []
-    for m in range(-((-x_min).floor()), x_max.floor() + 1):
-        n_lo = max(-floor_surd(-a0 - a1 * m, -b0 - b1 * m, q, d)
-                   for a0, a1, b0, b1, q in lows)
-        n_hi = min(floor_surd(a0 + a1 * m, b0 + b1 * m, q, d)
-                   for a0, a1, b0, b1, q in highs)
-        for n in range(n_lo, n_hi + 1):
-            qu, qw = frame.lattice_frame(m, n)
-            if not (u_lo <= qu <= u_hi and w_lo <= qw <= w_hi):
-                raise InvariantError(f"column scan hit {(m, n)} lies outside the box")
-            hits.append(((m, n), (qu, qw)))
-    return hits
-
-
-def _column_form(const: QuadReal, slope: QuadReal) -> tuple[int, int, int, int, int]:
-    """Integers (a0, a1, b0, b1, q), q > 0, with const + slope*m equal to
-    ((a0 + a1*m) + (b0 + b1*m)*sqrt(D)) / q for every integer m."""
-    q = math.lcm(const.q, slope.q)
-    kc, ks = q // const.q, q // slope.q
-    return (const.a * kc, slope.a * ks, const.b * kc, slope.b * ks, q)
+    coordinates, so that callers need not recompute them: one
+    :meth:`_Grid.scan` over the box's bounds.  Every lattice scan of the
+    package, the overlap tables' included, runs through here."""
+    grid = _Grid(frame, (u_lo, u_hi, w_lo, w_hi))
+    pair = grid.pair
+    return [((m, n), frame.lattice_frame(m, n))
+            for m, n in grid.scan(*pair(u_lo), *pair(u_hi), *pair(w_lo), *pair(w_hi))]
 
 
 Overlap = tuple[tuple[int, int], tuple[QuadReal, QuadReal], EigenRect]
+# an overlap in integers: ((m, n), (dua, dub, dwa, dwb), box), the frame
+# coordinates of (m, n) and the bounds of the intersection as pairs of a _Grid
+IntOverlap = tuple[tuple[int, int], tuple[int, int, int, int], Box]
 
 
 def overlap_table(frame: EigenFrame, targets: Sequence[EigenRect],
                   movers: Sequence[EigenRect]) -> dict[tuple[int, int], list[Overlap]]:
     """Per pair (i, j) whose boxes overlap modulo the lattice, the
     :func:`translate_overlaps` entries of target j and mover i, in the same
-    ascending lattice order; pairs without overlap are absent.
+    ascending lattice order; pairs without overlap are absent.  The entries
+    of :func:`_int_overlaps`, decoded."""
+    return _decoded(*_int_overlaps(frame, targets, movers))
+
+
+def _int_overlaps(frame: EigenFrame, targets: Sequence[EigenRect],
+                  movers: Sequence[EigenRect]
+                  ) -> tuple[_Grid, dict[tuple[int, int], list[IntOverlap]]]:
+    """:func:`overlap_table` in integers: one :class:`_Grid` for every bound
+    of the targets and movers, and per overlapping pair (i, j) its entries
+    as :data:`IntOverlap`.
 
     One lattice scan per mover, over the translates that bring it into the
     frame-coordinate hull of all targets.  Each hit is tested only against
     the targets whose w-interval can meet the moved box: with the targets
     sorted by ``w_lo``, those with ``moved.w_lo - tallest < w_lo < moved.w_hi``,
-    ``tallest`` being the largest target ``w_dim``.  The exact intersection
-    decides.
+    ``tallest`` being the largest target ``w_dim``.  The open intersection
+    decides.  Translating, bisecting and intersecting are integer sums and
+    sign tests of pairs.
     """
+    grid = _Grid(frame, (x for box in itertools.chain(targets, movers)
+                         for x in (box.u_lo, box.u_hi, box.w_lo, box.w_hi)))
+    d, sign, pair = grid.d, _sign, grid.pair
+    boxes = [grid.box(box) for box in targets]
     order = sorted(range(len(targets)), key=lambda j: targets[j].w_lo)
-    lows = [targets[j].w_lo for j in order]
-    tallest = max(box.w_dim for box in targets)
+    lows = [boxes[j][4:6] for j in order]
+    ta, tb = pair(max(box.w_dim for box in targets))
     u_lo = min(box.u_lo for box in targets)
     u_hi = max(box.u_hi for box in targets)
-    w_lo, w_hi = lows[0], max(box.w_hi for box in targets)
-    table: dict[tuple[int, int], list[Overlap]] = {}
+    w_lo, w_hi = targets[order[0]].w_lo, max(box.w_hi for box in targets)
+    (u10a, u10b), (u01a, u01b) = grid.u10, grid.u01
+    (w10a, w10b), (w01a, w01b) = grid.w10, grid.w01
+    table: dict[tuple[int, int], list[IntOverlap]] = {}
     for i, mover in enumerate(movers):
-        for q, shift in lattice_in_frame_box(
-            frame, u_lo - mover.u_hi, u_hi - mover.u_lo,
-            w_lo - mover.w_hi, w_hi - mover.w_lo,
-        ):
-            moved = mover.translate(*shift)
-            first = bisect.bisect_right(lows, moved.w_lo - tallest)
-            for j in order[first:bisect.bisect_left(lows, moved.w_hi)]:
-                inter = targets[j].intersect(moved)
-                if inter is not None:
-                    table.setdefault((i, j), []).append((q, shift, inter))
-    return table
+        mula, mulb, muha, muhb, mwla, mwlb, mwha, mwhb = grid.box(mover)
+        for (m, n), _ in lattice_in_frame_box(
+                frame, u_lo - mover.u_hi, u_hi - mover.u_lo,
+                w_lo - mover.w_hi, w_hi - mover.w_lo):
+            dua, dub = m * u10a + n * u01a, m * u10b + n * u01b
+            dwa, dwb = m * w10a + n * w01a, m * w10b + n * w01b
+            ula, ulb, uha, uhb = mula + dua, mulb + dub, muha + dua, muhb + dub
+            wla, wlb, wha, whb = mwla + dwa, mwlb + dwb, mwha + dwa, mwhb + dwb
+            for k in range(_first_above(lows, wla - ta, wlb - tb, d), len(lows)):
+                bwla, bwlb = lows[k]
+                if sign(bwla - wha, bwlb - whb, d) >= 0:
+                    break
+                j = order[k]
+                bula, bulb, buha, buhb, _, _, bwha, bwhb = boxes[j]
+                lo = (bula, bulb) if sign(bula - ula, bulb - ulb, d) > 0 else (ula, ulb)
+                hi = (buha, buhb) if sign(uha - buha, uhb - buhb, d) > 0 else (uha, uhb)
+                if sign(hi[0] - lo[0], hi[1] - lo[1], d) <= 0:
+                    continue
+                wlo = (bwla, bwlb) if sign(bwla - wla, bwlb - wlb, d) > 0 else (wla, wlb)
+                whi = (bwha, bwhb) if sign(wha - bwha, whb - bwhb, d) > 0 else (wha, whb)
+                if sign(whi[0] - wlo[0], whi[1] - wlo[1], d) <= 0:
+                    continue
+                table.setdefault((i, j), []).append(
+                    ((m, n), (dua, dub, dwa, dwb), (*lo, *hi, *wlo, *whi)))
+    return grid, table
+
+
+def _first_above(lows: list[tuple[int, int]], a: int, b: int, d: int) -> int:
+    """:func:`bisect.bisect_right` of the value (a, b) in ascending pairs:
+    the first index whose pair exceeds it, one sign test per step."""
+    lo, hi = 0, len(lows)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        la, lb = lows[mid]
+        if _sign(la - a, lb - b, d) > 0:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def _decoded(grid: _Grid, table: dict[tuple[int, int], list[IntOverlap]]
+             ) -> dict[tuple[int, int], list[Overlap]]:
+    """The entries of an integer table as ``(q, (du, dw), overlap)``, every
+    value decoded into canonical form."""
+    value = grid.value
+    return {pair: [(q, (value(dua, dub), value(dwa, dwb)),
+                    _rect(value(ula, ulb), value(uha, uhb), value(wla, wlb), value(wha, whb)))
+                   for q, (dua, dub, dwa, dwb), (ula, ulb, uha, uhb, wla, wlb, wha, whb)
+                   in entries]
+            for pair, entries in table.items()}
+
+
+def _boxes_meet(a: Box, b: Box, d: int) -> bool:
+    """Whether two open boxes of one grid overlap: along both axes, each
+    starts below the other's end."""
+    return all(_sign(a[k + 2] - b[k], a[k + 3] - b[k + 1], d) > 0
+               and _sign(b[k + 2] - a[k], b[k + 3] - a[k + 1], d) > 0
+               for k in (0, 4))
 
 
 def translate_overlaps(frame: EigenFrame, target: EigenRect, moving: EigenRect
@@ -443,11 +606,12 @@ class RefinementCell:
 def transition_graph(part: TorusPartition) -> TransitionGraph:
     """Geometric transition multiplicities: entry (i, j) counts the components
     of phi(R_i) intersected with R_j on the torus, the entries of the forward
-    step table for (i, j).  Cached on the partition."""
+    step table for (i, j), counted without decoding them.  Cached on the
+    partition."""
     n = part.n
 
     def build():
-        table = _step_table(part)
+        table = _step_ints(part)[1]
         return TransitionGraph([[len(table.get((i, j), ())) for j in range(n)]
                                 for i in range(n)])
 
@@ -506,31 +670,41 @@ def refined_partition(part: TorusPartition) -> TorusPartition:
 def _step_table(part: TorusPartition) -> dict[tuple[int, int], list[Overlap]]:
     """Per cell pair (cur, nxt) where phi(box cur) meets box(nxt) modulo the
     lattice: the :func:`translate_overlaps` entries ``(q, (du, dw), comp)``
-    of the one pair, in lattice order, all from one :func:`overlap_table`.
-    Building it raises :class:`InvariantError` when two entries of one pair
-    overlap: the stepped cell then overlaps its own lattice translate.
+    of the one pair, in lattice order: :func:`_step_ints`, decoded on the
+    first read and cached on the partition.
 
-    Cached on the partition.  For any piece inside box(cur), the lattice
-    translates of its image that meet box(nxt) are among the tabulated ones,
-    and each overlap equals (phi(piece) + shift) intersected with the
-    tabulated component; one table lookup therefore replaces the per-step
-    lattice scan when tracking cylinders along a word.  Read backwards, each
-    entry is also a component of phi^-1(box nxt) meeting box(cur), so the
-    table serves both :func:`advance_strips` and :func:`pullback_strips`,
-    through the per-direction entry lists of :func:`_strip_entries`;
-    :func:`transition_graph`, :func:`refine` and :func:`_step_successors`
-    read it too.
+    For any piece inside box(cur), the lattice translates of its image that
+    meet box(nxt) are among the tabulated ones, and each overlap equals
+    (phi(piece) + shift) intersected with the tabulated component; one table
+    lookup therefore replaces the per-step lattice scan when tracking
+    cylinders along a word.  Read backwards, each entry is also a component
+    of phi^-1(box nxt) meeting box(cur), so the table serves both
+    :func:`advance_strips` and :func:`pullback_strips`, through the
+    per-direction entry lists of :func:`_strip_entries`; :func:`refine`
+    reads it too.
     """
-    return _cached(part, "_forward_table", _build_step_table, part)
+    return _cached(part, "_forward_table", lambda: _decoded(*_step_ints(part)))
 
 
-def _build_step_table(part: TorusPartition) -> dict[tuple[int, int], list[Overlap]]:
-    table = overlap_table(part.frame, part.boxes, [part.phi_box(b) for b in part.boxes])
-    for entries in table.values():
-        for (_, _, a), (_, _, b) in itertools.combinations(entries, 2):
-            if a.intersect(b) is not None:
-                raise InvariantError("image strips overlap inside one cell")
-    return table
+def _step_ints(part: TorusPartition
+               ) -> tuple[_Grid, dict[tuple[int, int], list[IntOverlap]]]:
+    """The forward step table in integers, one :func:`_int_overlaps` of the
+    cells' forward images against the cells, cached on the partition: what
+    :func:`transition_graph` and :func:`_step_successors` read, and what
+    :func:`_step_table` decodes.  Building it raises :class:`InvariantError`
+    when two entries of one pair overlap: the stepped cell then overlaps its
+    own lattice translate."""
+
+    def build():
+        grid, table = _int_overlaps(part.frame, part.boxes,
+                                    [part.phi_box(b) for b in part.boxes])
+        for entries in table.values():
+            for (_, _, a), (_, _, b) in itertools.combinations(entries, 2):
+                if _boxes_meet(a, b, grid.d):
+                    raise InvariantError("image strips overlap inside one cell")
+        return grid, table
+
+    return _cached(part, "_step_ints", build)
 
 
 Strip = tuple[int, int, int, int, int, int, int, int]
@@ -774,12 +948,12 @@ class WordVisitor:
 
 def _step_successors(part: TorusPartition) -> list[list[int]]:
     """Per cell, the cells its image meets, ascending: the support of
-    :func:`transition_graph`, read off the forward step table.  Cached on
+    :func:`transition_graph`, read off the integer step table.  Cached on
     the partition; callers must not change the lists."""
 
     def build():
         succ: list[list[int]] = [[] for _ in range(part.n)]
-        for i, j in sorted(_step_table(part)):
+        for i, j in sorted(_step_ints(part)[1]):
             succ[i].append(j)
         return succ
 
@@ -921,7 +1095,7 @@ class CellAreaSum(WordVisitor):
 def verify_translate_disjoint(part: TorusPartition) -> list[tuple[int, int, tuple[int, int]]]:
     """Overlap witnesses (i, j, q) where cell i meets cell j + q on the torus;
     empty means the cells are pairwise disjoint and each embeds."""
-    table = overlap_table(part.frame, part.boxes, part.boxes)
+    table = _int_overlaps(part.frame, part.boxes, part.boxes)[1]
     bad = []
     for i in range(part.n):
         for j in range(i, part.n):
@@ -948,17 +1122,32 @@ class AlignmentWitness:
     gap_at: QuadReal
 
 
-def _cover_gap(lo: QuadReal, hi: QuadReal, pieces: Sequence[tuple[QuadReal, QuadReal]]
-               ) -> QuadReal | None:
-    """First uncovered point of [lo, hi] under the sorted closed pieces, or None."""
-    cur = lo
-    for p_lo, p_hi in pieces:
-        if p_lo > cur:
-            return cur
-        cur = max(cur, p_hi)
-        if cur >= hi:
-            return None
-    return cur if cur < hi else None
+def _merged(pieces: list[tuple[QuadReal, QuadReal]]
+            ) -> tuple[list[QuadReal], list[QuadReal]]:
+    """The union of closed pieces as disjoint closed intervals, ascending,
+    their starts and ends in two lists; touching pieces merge."""
+    starts: list[QuadReal] = []
+    ends: list[QuadReal] = []
+    for lo, hi in sorted(pieces):
+        if ends and lo <= ends[-1]:
+            if hi > ends[-1]:
+                ends[-1] = hi
+        else:
+            starts.append(lo)
+            ends.append(hi)
+    return starts, ends
+
+
+def _cover_gap(lo: QuadReal, hi: QuadReal,
+               cover: tuple[list[QuadReal], list[QuadReal]]) -> QuadReal | None:
+    """First point of [lo, hi] that the :func:`_merged` intervals leave
+    uncovered, or None: lo itself when no interval holds it, else the end of
+    the one that does, when that falls short of hi."""
+    starts, ends = cover
+    k = bisect.bisect_right(starts, lo) - 1
+    if k < 0 or ends[k] < lo:
+        return lo
+    return ends[k] if ends[k] < hi else None
 
 
 def _edge_gaps(kind: str, edges: list[tuple[QuadReal, QuadReal, QuadReal]],
@@ -969,7 +1158,8 @@ def _edge_gaps(kind: str, edges: list[tuple[QuadReal, QuadReal, QuadReal]],
     lattice.  ``line`` and ``span`` hold the generators' frame coordinates
     along and across the edges.  Lines x and y differ by a lattice point
     exactly when the :func:`lattice_coords` of x and y agree mod 1, so spans
-    are listed per class, moved back by their integer part, and sorted once."""
+    are listed per class, moved back by their integer part, and merged once
+    into disjoint intervals that each image bisects."""
     def split(x: QuadReal) -> tuple[tuple[Fraction, Fraction], QuadReal]:
         s, t = lattice_coords(x, *line)
         m, n = math.floor(s), math.floor(t)
@@ -979,13 +1169,12 @@ def _edge_gaps(kind: str, edges: list[tuple[QuadReal, QuadReal, QuadReal]],
     for x, lo, hi in edges:
         key, shift = split(x)
         classes.setdefault(key, []).append((lo - shift, hi - shift))
-    for pieces in classes.values():
-        pieces.sort()
+    covers = {key: _merged(pieces) for key, pieces in classes.items()}
     witnesses = []
     for k, (x, lo, hi) in enumerate(edges):
         key, shift = split(line_factor * x)
         a, b = sorted((lo * span_factor, hi * span_factor))
-        gap = _cover_gap(a - shift, b - shift, classes.get(key, ()))
+        gap = _cover_gap(a - shift, b - shift, covers.get(key, ([], [])))
         if gap is not None:
             witnesses.append(AlignmentWitness(kind, k // 2, x, gap + shift))
     return witnesses

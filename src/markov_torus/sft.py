@@ -169,23 +169,54 @@ def prune_to_recurrent(graph: TransitionGraph) -> tuple[TransitionGraph, list[in
 
 
 def char_poly(graph: TransitionGraph) -> tuple[int, ...]:
-    """Integer coefficients of det(xI - A), leading coefficient first,
-    via the Faddeev-LeVerrier recursion run over exact rationals."""
+    """Integer coefficients of det(xI - A), leading coefficient first, in
+    O(n^3) exact rational operations (Cohen, *A Course in Computational
+    Algebraic Number Theory*, Alg. 2.2.9).
+
+    A is brought to upper Hessenberg form H by similarity transforms over
+    the rationals: a row swap with the matching column swap, or a row
+    operation with its inverse column operation.  The characteristic
+    polynomials p_k of the leading k x k blocks of H then satisfy
+    p_k = (x - h_kk)*p_(k-1) - sum over i < k of
+    h_ik * h_(i+1),i * ... * h_k,(k-1) * p_(i-1)."""
     n = graph.n
-    a = [[Fraction(x) for x in row] for row in graph.matrix]
-    m = [[Fraction(0)] * n for _ in range(n)]
-    coeffs = [Fraction(1)]
-    for k in range(1, n + 1):
-        # M_k = A M_{k-1} + c_{k-1} I
-        m = [
-            [sum(a[i][t] * m[t][j] for t in range(n)) + (coeffs[-1] if i == j else 0)
-             for j in range(n)]
-            for i in range(n)
-        ]
-        trace_am = sum(sum(a[i][t] * m[t][i] for t in range(n)) for i in range(n))
-        coeffs.append(-trace_am / k)
+    h = [[Fraction(x) for x in row] for row in graph.matrix]
+    for m in range(1, n - 1):
+        pivot = next((i for i in range(m, n) if h[i][m - 1]), None)
+        if pivot is None:
+            continue
+        if pivot != m:
+            h[pivot], h[m] = h[m], h[pivot]
+            for row in h:
+                row[pivot], row[m] = row[m], row[pivot]
+        t = h[m][m - 1]
+        for i in range(m + 1, n):
+            u = h[i][m - 1] / t
+            if not u:
+                continue
+            row_i, row_m = h[i], h[m]
+            for j in range(n):
+                row_i[j] -= u * row_m[j]
+            for row in h:
+                row[m] += u * row[i]
+    # polys[k]: the coefficients of p_k, constant term first
+    polys = [[Fraction(1)]]
+    for k in range(n):
+        prev = polys[-1]
+        p = [Fraction(0)] + prev
+        for e, c in enumerate(prev):
+            p[e] -= h[k][k] * c
+        t = Fraction(1)
+        for i in range(k - 1, -1, -1):
+            t *= h[i + 1][i]
+            if not t:
+                break
+            c = t * h[i][k]
+            for e, x in enumerate(polys[i]):
+                p[e] -= c * x
+        polys.append(p)
     out = []
-    for c in coeffs:
+    for c in reversed(polys[-1]):
         if c.denominator != 1:
             raise InvariantError(f"integer matrix gave coefficient {c}")
         out.append(int(c))

@@ -20,10 +20,12 @@ rational coordinates are integers, and they are that point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from .exact import QuadReal
+from .exact import QuadReal, _reduced
 
 RationalPoint = tuple[Fraction, Fraction]
 PlanePoint = tuple[QuadReal, QuadReal]
@@ -238,7 +240,22 @@ class EigenFrame:
         return (u * vl[0] + w * vm[0], u * vl[1] + w * vm[1])
 
     def lattice_frame(self, m: int, n: int) -> tuple[QuadReal, QuadReal]:
-        return (self.u10 * m + self.u01 * n, self.w10 * m + self.w01 * n)
+        (ua, ub, ua1, ub1, uq), (wa, wb, wa1, wb1, wq) = self._generator_ints
+        d = self.eig.disc
+        return (_reduced(ua * m + ua1 * n, ub * m + ub1 * n, uq, d),
+                _reduced(wa * m + wa1 * n, wb * m + wb1 * n, wq, d))
+
+    @cached_property
+    def _generator_ints(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Per frame coordinate c, (a10, b10, a01, b01, q) with
+        c10 = (a10 + b10*sqrt(D)) / q and c01 = (a01 + b01*sqrt(D)) / q, so
+        that c10*m + c01*n is reduced once."""
+        out = []
+        for c10, c01 in ((self.u10, self.u01), (self.w10, self.w01)):
+            q = math.lcm(c10.q, c01.q)
+            k10, k01 = q // c10.q, q // c01.q
+            out.append((c10.a * k10, c10.b * k10, c01.a * k01, c01.b * k01, q))
+        return tuple(out)
 
 
 def lattice_coords(value: QuadReal, c10: QuadReal, c01: QuadReal

@@ -171,6 +171,36 @@ def brute_lattice_in_frame_box(frame, u_lo, u_hi, w_lo, w_hi):
     return hits
 
 
+# -- characteristic polynomial -------------------------------------------------
+
+# ``sft.char_poly`` before it reduced to Hessenberg form, kept verbatim (only
+# renamed): the Faddeev-LeVerrier recursion, O(n^4) rational operations.
+
+
+def faddeev_char_poly(graph: TransitionGraph) -> tuple[int, ...]:
+    """Integer coefficients of det(xI - A), leading coefficient first,
+    via the Faddeev-LeVerrier recursion run over exact rationals."""
+    n = graph.n
+    a = [[Fraction(x) for x in row] for row in graph.matrix]
+    m = [[Fraction(0)] * n for _ in range(n)]
+    coeffs = [Fraction(1)]
+    for k in range(1, n + 1):
+        # M_k = A M_{k-1} + c_{k-1} I
+        m = [
+            [sum(a[i][t] * m[t][j] for t in range(n)) + (coeffs[-1] if i == j else 0)
+             for j in range(n)]
+            for i in range(n)
+        ]
+        trace_am = sum(sum(a[i][t] * m[t][i] for t in range(n)) for i in range(n))
+        coeffs.append(-trace_am / k)
+    out = []
+    for c in coeffs:
+        if c.denominator != 1:
+            raise InvariantError(f"integer matrix gave coefficient {c}")
+        out.append(int(c))
+    return tuple(out)
+
+
 # -- per-pair overlap scans ------------------------------------------------------
 
 # The package's all-pairs overlaps before they came from one sweep per moving

@@ -15,7 +15,14 @@ from hypothesis import strategies as st
 import oracles
 from markov_torus.cli import _break_partition
 from markov_torus.construct import build_markov_construction
-from markov_torus.partition import EigenRect, TorusPartition, verify_boundary_alignment
+from markov_torus.exact import QuadReal
+from markov_torus.partition import (
+    EigenRect,
+    TorusPartition,
+    _cover_gap,
+    _merged,
+    verify_boundary_alignment,
+)
 from markov_torus.torus import Mat2Z
 
 LADDER = ("1 1 1 0", "-1 -1 -1 0", "2 1 1 1", "0 1 1 3", "-2 -3 -1 -2",
@@ -85,3 +92,17 @@ def test_moved_edges_match_pairwise_solves(text, refined, moves):
         if moved is not None:
             part = moved
     assert_same_witnesses(part, (text, refined, moves))
+
+
+_END = st.integers(-12, 12).map(lambda k: QuadReal(Fraction(k, 4)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_END, _END), max_size=8), _END, _END)
+def test_merged_cover_gap_matches_the_walk(ends, lo, hi):
+    """One bisect into the merged intervals gives the walk's gap, on pieces
+    that overlap, touch, nest and repeat."""
+    pieces = [(a, b) if a <= b else (b, a) for a, b in ends]
+    if not lo < hi:
+        lo, hi = hi, lo + 1
+    assert _cover_gap(lo, hi, _merged(pieces)) == oracles._cover_gap(lo, hi, pieces)

@@ -11,7 +11,9 @@ from pathlib import Path
 
 import pytest
 
+from markov_torus import partition
 from markov_torus.cli import (
+    CELL_CAP_ENV,
     DEFAULT_ENUM_CAP,
     ENUM_CAP_ENV,
     EXIT_FAIL,
@@ -253,6 +255,47 @@ def test_bad_enum_cap_env(capsys, monkeypatch):
     monkeypatch.setenv(ENUM_CAP_ENV, "0")
     code, _, err = run(capsys, "render", "--matrix", FIB)
     assert code == EXIT_FAIL and ENUM_CAP_ENV in err
+
+
+# N* = 17 cells
+SEVENTEEN = "15 1 1 0"
+
+
+@pytest.mark.parametrize("argv", [
+    ("construct",), ("verify", "--depth", "1"), ("periodic", "--depth", "1"),
+    ("render", "--depth", "0"), ("encode", "--point", "1/3 1/7", "--depth", "1"),
+    ("decode", "--word", "0,1@0"),
+], ids=lambda argv: argv[0])
+def test_cell_cap_refuses_before_building(capsys, monkeypatch, argv):
+    """Over the cap, every building command exits 1 at once, naming the
+    variable, and no overlap table is built."""
+    def no_table(*args):
+        raise AssertionError("an overlap table was built")
+
+    monkeypatch.setattr(partition, "_int_overlaps", no_table)
+    monkeypatch.setenv(CELL_CAP_ENV, "16")
+    code, out, err = run(capsys, argv[0], "--matrix", SEVENTEEN, *argv[1:])
+    assert code == EXIT_FAIL and out == ""
+    assert CELL_CAP_ENV in err and "N* = 17" in err and "Traceback" not in err
+
+
+def test_cell_cap_admits_its_own_size(capsys, monkeypatch):
+    monkeypatch.setenv(CELL_CAP_ENV, "17")
+    code, out, _ = run(capsys, "construct", "--matrix", SEVENTEEN)
+    assert code == EXIT_OK and "17" in out
+
+
+def test_bad_cell_cap_env(capsys, monkeypatch):
+    for raw in ("many", "0"):
+        monkeypatch.setenv(CELL_CAP_ENV, raw)
+        code, _, err = run(capsys, "construct", "--matrix", FIB)
+        assert code == EXIT_FAIL and CELL_CAP_ENV in err
+
+
+def test_cell_cap_keeps_rejections_of_bad_matrices(capsys, monkeypatch):
+    monkeypatch.setenv(CELL_CAP_ENV, "1")
+    code, _, err = run(capsys, "construct", "--matrix", "1 1 0 1")
+    assert code == EXIT_REJECT and CELL_CAP_ENV not in err
 
 
 # -- encode / decode -----------------------------------------------------------

@@ -211,7 +211,9 @@ def test_drawn_boxes_match_pair_scans(case, boxes, touches, stepped):
 @pytest.mark.parametrize("case", list(MATRICES), ids=lambda c: c.name)
 def test_refined_forward_table_is_built_by_the_constructor(case, monkeypatch):
     """The constructor's geometric recheck derives the refined partition's
-    step table, so the walks of ``verify`` and decode scan nothing more."""
+    step table, so the walks of ``verify`` and decode scan nothing more.
+    The recheck scans through ``lattice_in_frame_box``: a fresh copy of the
+    partition scans there once per cell."""
     built = build_markov_construction(MATRICES[case])
     scans = []
     scan = partition.lattice_in_frame_box
@@ -230,3 +232,83 @@ def test_refined_forward_table_is_built_by_the_constructor(case, monkeypatch):
             for k in succ[j]:
                 ctx.decode(SymbolicWord((i, j, k), -1))
     assert scans == []
+    transition_graph(_copy(built.refined))
+    assert len(scans) == built.refined.n
+
+
+def _copy(part, acting=None, power=1):
+    """The partition's boxes in a new partition, with nothing cached; with
+    ``acting``, the same boxes acting by that power of the map."""
+    return TorusPartition(part.frame, acting or part.acting, part.lam_act ** power,
+                          part.mu_act ** power, part.boxes, part.labels)
+
+
+@pytest.mark.parametrize("case", list(MATRICES), ids=lambda c: c.name)
+def test_build_leaves_the_refined_table_undecoded(case):
+    """The recheck reads the integer table's counts only: after a build the
+    refined partition holds no decoded step table, and the first read
+    decodes the pair scans' entries."""
+    built = build_markov_construction(MATRICES[case])
+    part = built.refined
+    assert "_forward_table" not in part.__dict__
+    movers = [part.phi_box(box) for box in part.boxes]
+    assert _step_table(part) == pair_table(part.frame, part.boxes, movers)
+
+
+LADDER = ("1 1 1 0", "-1 -1 -1 0", "2 1 1 1", "0 1 1 3", "-2 -3 -1 -2",
+          "3 2 1 1", "5 2 2 1", "10 1 1 0", "15 1 1 0")
+
+
+@pytest.mark.parametrize("text", LADDER)
+def test_boxes_acting_by_the_square_match_pair_scans(text):
+    """The ladder's base and refined boxes acting by A^2: the images span
+    more than one lattice cell, so a mover meets the targets along several
+    translates.  The integer table's entries decode to the pair scans', its
+    counts are the pair scans' graph, and its successor lists that graph's
+    support."""
+    built = build_markov_construction(Mat2Z(*map(int, text.split())))
+    for tag, part in (("base", built.base.partition), ("refined", built.refined)):
+        square = _copy(part, part.acting @ part.acting, 2)
+        movers = [square.phi_box(box) for box in square.boxes]
+        expected = pair_table(square.frame, square.boxes, movers)
+        translates = {(i, q) for (i, _), entries in expected.items()
+                      for q, _, _ in entries}
+        assert len(translates) > len(movers), tag
+        grid, ints = partition._int_overlaps(square.frame, square.boxes, movers)
+        assert partition._decoded(grid, ints) == expected, tag
+        graph = oracles.pair_transition_graph(square).matrix
+        assert transition_graph(square).matrix == graph, tag
+        assert _step_successors(square) == \
+            [[j for j, count in enumerate(row) if count] for row in graph], tag
+        assert _step_table(square) == expected, tag
+
+
+@pytest.mark.parametrize("bound", range(4), ids=["u_lo", "u_hi", "w_lo", "w_hi"])
+def test_a_lone_denominator_enters_the_grid(bound):
+    """One bound of one box carries a prime that no other value's
+    denominator has: the table's common denominator must still take it in,
+    whichever bound it is, as targets, as movers and as their images."""
+    part = base_partition(SignCase.PLUS_PLUS)
+    box = part.boxes[0]
+    bounds = [box.u_lo, box.u_hi, box.w_lo, box.w_hi]
+    step = (box.u_dim, box.w_dim)[bound // 2] * Fraction(1, 7919)
+    bounds[bound] += step if bound % 2 else -step
+    targets = [EigenRect(*bounds), *part.boxes[1:]]
+    for movers in (targets, [part.phi_box(b) for b in targets]):
+        assert overlap_table(part.frame, targets, movers) == \
+            pair_table(part.frame, targets, movers)
+
+
+def test_scan_recheck_refuses_a_hit_outside_the_box(monkeypatch):
+    """Column bounds one too wide on each side give hits outside the box:
+    the scan's re-check refuses them, in a single scan and in an overlap
+    table."""
+    part = base_partition(SignCase.PLUS_MINUS)
+    floor = partition.floor_surd
+    monkeypatch.setattr(partition, "floor_surd", lambda *args: floor(*args) + 1)
+    box = part.boxes[0]
+    with pytest.raises(InvariantError, match="lies outside the box"):
+        partition.lattice_in_frame_box(part.frame, box.u_lo, box.u_hi,
+                                       box.w_lo, box.w_hi)
+    with pytest.raises(InvariantError, match="lies outside the box"):
+        overlap_table(part.frame, part.boxes, part.boxes)

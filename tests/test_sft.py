@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from markov_torus import sft
+from markov_torus.construct import build_markov_construction
 from markov_torus.sft import (
     PerronData,
     TransitionGraph,
@@ -17,7 +19,13 @@ from markov_torus.sft import (
     prune_to_recurrent,
     to_dot,
 )
-from oracles import brute_count_blocks, brute_count_periodic, numpy_spectral_radius
+from markov_torus.torus import Mat2Z
+from oracles import (
+    brute_count_blocks,
+    brute_count_periodic,
+    faddeev_char_poly,
+    numpy_spectral_radius,
+)
 
 FIB = TransitionGraph([[1, 1], [1, 0]])
 
@@ -92,6 +100,41 @@ def test_char_poly_matches_numpy(g):
     exact = char_poly(g)
     numeric = np.poly(np.array(g.matrix, dtype=float))
     assert np.allclose(np.array(exact, dtype=float), numeric, atol=1e-6)
+
+
+st_count_matrix = st.integers(min_value=1, max_value=7).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(min_value=0, max_value=9), min_size=n, max_size=n),
+        min_size=n,
+        max_size=n,
+    )
+).map(TransitionGraph)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st_count_matrix)
+def test_char_poly_matches_faddeev_leverrier(g):
+    """Hessenberg reduction gives the coefficients of the recursion it
+    replaced, on nonnegative integer matrices (singular and reducible ones
+    included)."""
+    assert char_poly(g) == faddeev_char_poly(g)
+
+
+# the ladder, then a model whose refined graph has 28 cells
+REFINED = ("1 1 1 0", "-1 -1 -1 0", "2 1 1 1", "0 1 1 3", "-2 -3 -1 -2",
+           "3 2 1 1", "5 2 2 1", "10 1 1 0", "15 1 1 0", "8 1 17 2")
+
+
+@pytest.mark.parametrize("text", REFINED)
+def test_refined_char_poly_and_perron_data_match_faddeev_leverrier(text, monkeypatch):
+    """On refined graphs: the same coefficients, and ``perron_data`` returns
+    the same tuple and radius as it did over the recursion."""
+    g = build_markov_construction(Mat2Z(*map(int, text.split()))).refined_graph
+    poly = faddeev_char_poly(g)  # O(n^4): about a second at 28 cells
+    assert char_poly(g) == poly
+    data = perron_data(g)
+    monkeypatch.setattr(sft, "char_poly", lambda graph: poly)
+    assert perron_data(g) == data
 
 
 def test_perron_radius_fibonacci():

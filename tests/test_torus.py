@@ -161,3 +161,15 @@ def test_frame_determinant_formula(seed):
     u, w = frame.lattice_frame(3, -2)
     assert lattice_coords(u, frame.u10, frame.u01) == (3, -2)
     assert lattice_coords(w, frame.w10, frame.w01) == (3, -2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 6),
+       st.integers(-50, 50), st.integers(-50, 50))
+def test_lattice_frame_is_the_generators_combination(seed, m, n):
+    """One reduction of the generators' integers gives the field sums
+    m*c10 + n*c01, integers and all."""
+    frame = EigenFrame.from_eigen(hyperbolic_check(random_hyperbolic(random.Random(seed))))
+    got = frame.lattice_frame(m, n)
+    want = (frame.u10 * m + frame.u01 * n, frame.w10 * m + frame.w01 * n)
+    assert [(x.a, x.b, x.q, x.d) for x in got] == [(x.a, x.b, x.q, x.d) for x in want]
