@@ -32,14 +32,19 @@ refinement, successor lists, forward and backward cylinder steps), so a
 partition's overlaps are scanned once; the graph and the successor lists
 read its counts, so the constructor's recheck of the refined partition
 decodes nothing.  Both cylinder steps run one exact kernel,
-:func:`_step_strips`, over entry lists derived from the table once per
-direction, when a strip is first stepped: each piece is clipped to an
-entry's box and only a hit is mapped, x*k + s per coordinate.  The kernel
-works on integers.  Every strip bound lies in the module (1/Q)*Z[lam] of a
-per-partition :class:`StripBasis`, so a piece is a strip of eight integers,
-two per bound, and multiplying by lam or mu (or their inverses) is a fixed
-integer matrix; :func:`strip_of` encodes a box and :func:`strip_rect`
-decodes a strip where a box is wanted.
+:func:`_step_strips`, over entry lists derived from the integer table
+once per direction, when a strip is first stepped: each piece is clipped
+to an entry's box and only a hit is mapped, x*k + s per coordinate.  The
+kernel works on integers.  Every strip bound lies in the module
+(1/Q)*Z[lam] of a per-partition :class:`StripBasis`, so a piece is a strip
+of eight integers, two per bound, and multiplying by lam or mu (or their
+inverses) is a fixed integer matrix; :func:`strip_of` encodes a box and
+:func:`strip_rect` decodes a strip where a box is wanted.  Pieces and
+entry boxes lie in the cell being stepped, so on an axis where either
+spans the cell's whole side the clip is the other's side, found by a
+compare of four integers.  That is the Markov property: on a Markov
+partition no step compares a bound, and only a partition that breaks it
+(a dented cell) reaches the sign tests.
 Point location scans nothing either: :func:`locate` tests the boxes of a
 cover list, also cached on the partition, of every (cell, translate) whose
 closed box can meet the unit square.
@@ -680,8 +685,8 @@ def _step_table(part: TorusPartition) -> dict[tuple[int, int], list[Overlap]]:
     cylinders along a word.  Read backwards, each entry is also a component
     of phi^-1(box nxt) meeting box(cur), so the table serves both
     :func:`advance_strips` and :func:`pullback_strips`, through the
-    per-direction entry lists of :func:`_strip_entries`; :func:`refine`
-    reads it too.
+    per-direction entry lists that :func:`_strip_entries` builds from its
+    integers; :func:`refine` reads the decoded view.
     """
     return _cached(part, "_forward_table", lambda: _decoded(*_step_ints(part)))
 
@@ -690,10 +695,10 @@ def _step_ints(part: TorusPartition
                ) -> tuple[_Grid, dict[tuple[int, int], list[IntOverlap]]]:
     """The forward step table in integers, one :func:`_int_overlaps` of the
     cells' forward images against the cells, cached on the partition: what
-    :func:`transition_graph` and :func:`_step_successors` read, and what
-    :func:`_step_table` decodes.  Building it raises :class:`InvariantError`
-    when two entries of one pair overlap: the stepped cell then overlaps its
-    own lattice translate."""
+    :func:`transition_graph`, :func:`_step_successors` and
+    :func:`_strip_entries` read, and what :func:`_step_table` decodes.
+    Building it raises :class:`InvariantError` when two entries of one pair
+    overlap: the stepped cell then overlaps its own lattice translate."""
 
     def build():
         grid, table = _int_overlaps(part.frame, part.boxes,
@@ -738,11 +743,19 @@ class StripBasis:
         the module."""
         if x.d not in (0, self.d):
             raise InvariantError(f"{x} lies outside the strip module")
-        scale = x.q * self.b
-        big_x, rem_x = divmod((x.a * self.b - x.b * self.a) * self.modulus, scale)
-        big_y, rem_y = divmod(x.b * self.q * self.modulus, scale)
+        return self.pair_of(x.a, x.b, x.q)
+
+    def pair_of(self, a: int, b: int, q: int) -> tuple[int, int]:
+        """The pair (X, Y) of (a + b*sqrt(d)) / q, in lowest terms or not.
+        sqrt(d) is (self.q*lam - self.a) / self.b, so X and Y are
+        (a*self.b - b*self.a)*Q / (q*self.b) and b*self.q*Q / (q*self.b);
+        :class:`InvariantError` where they are not integers."""
+        scale = q * self.b
+        big_x, rem_x = divmod((a * self.b - b * self.a) * self.modulus, scale)
+        big_y, rem_y = divmod(b * self.q * self.modulus, scale)
         if rem_x or rem_y:
-            raise InvariantError(f"{x} lies outside the strip module")
+            raise InvariantError(
+                f"{_reduced(a, b, q, self.d)} lies outside the strip module")
         return big_x, big_y
 
     def value(self, big_x: int, big_y: int) -> QuadReal:
@@ -767,6 +780,21 @@ class StripBasis:
         if forward:
             return (0, -dl, 1, t) if along_u else (t, dl, -1, 0)
         return (dl * t, 1, -dl, 0) if along_u else (0, -1, dl, dl * t)
+
+    def sign(self, big_x: int, big_y: int) -> int:
+        """The sign of (X + Y*lam): that of its multiple by q, which is
+        (X*q + Y*a) + Y*b*sqrt(d)."""
+        return _sign(big_x * self.q + big_y * self.a, big_y * self.b, self.d)
+
+    def inside(self, side: tuple[int, int, int, int],
+               whole: tuple[int, int, int, int]) -> bool:
+        """Whether the side (lo, hi), two pairs, is a nonempty interval
+        inside the side ``whole``: whole_lo <= lo < hi <= whole_hi."""
+        (lo_x, lo_y, hi_x, hi_y), (w_lo_x, w_lo_y, w_hi_x, w_hi_y) = side, whole
+        sign = self.sign
+        return (sign(lo_x - w_lo_x, lo_y - w_lo_y) >= 0
+                and sign(hi_x - lo_x, hi_y - lo_y) > 0
+                and sign(w_hi_x - hi_x, w_hi_y - hi_y) >= 0)
 
 
 def _strip_basis(part: TorusPartition) -> StripBasis:
@@ -809,7 +837,8 @@ def advance_strips(part: TorusPartition, strips: Sequence[Strip], cur: int,
     """One forward step of cylinder tracking: components of phi(strip)
     meeting box(nxt), anchored there.  Strips must lie inside box(cur).  One
     :func:`_step_strips` pass over the forward entry lists."""
-    return _step_strips(_strip_entries(part, True), strips, cur, nxt)
+    steps = part.__dict__.get("_forward_strips") or _strip_entries(part, True)
+    return _step_strips(steps, strips, cur, nxt)
 
 
 def pullback_strips(part: TorusPartition, strips: Sequence[Strip], cur: int,
@@ -819,78 +848,159 @@ def pullback_strips(part: TorusPartition, strips: Sequence[Strip], cur: int,
     :func:`_step_strips` pass over the backward entry lists, which read the
     forward step table's entries for (prv, cur) backwards; the strips come
     out in the table's lattice order."""
-    return _step_strips(_strip_entries(part, False), strips, cur, prv)
+    steps = part.__dict__.get("_backward_strips") or _strip_entries(part, False)
+    return _step_strips(steps, strips, cur, prv)
+
+
+def _side_image(side: tuple[int, int, int, int], factor: tuple[int, int, int, int],
+                sx: int, sy: int, flip: bool) -> tuple[int, int, int, int]:
+    """The image of the side (lo, hi), two pairs, under x -> x*k + s, k's
+    integer matrix being ``factor``; ``flip`` marks a negative k, whose
+    image runs from the image of hi."""
+    m00, m01, m10, m11 = factor
+    lo_x, lo_y, hi_x, hi_y = side
+    lo = (m00 * lo_x + m01 * lo_y + sx, m10 * lo_x + m11 * lo_y + sy)
+    hi = (m00 * hi_x + m01 * hi_y + sx, m10 * hi_x + m11 * hi_y + sy)
+    return (*hi, *lo) if flip else (*lo, *hi)
 
 
 def _strip_entries(part: TorusPartition, forward: bool):
-    """``(entries, fu, fw, flip_u, flip_w, basis)`` for one direction of
-    strip steps, derived from the forward step table on the first step and
-    cached on the partition.  ``entries[(cur, to)]`` holds, per table entry
-    in order, the strip of a clip box inside box(cur) and a shift
-    (su, sw) as two pairs: a hit x maps to x*k + s per coordinate, k's
-    integer matrix being ``fu`` or ``fw`` and ``flip_*`` marking a negative
-    k.  Forward, the clip is phi^-1(comp - shift), the factors are
-    (lam, mu) and the shift is the table's; backward, the clip is comp, the
-    factors are (1/lam, 1/mu) and the shift is -phi^-1(shift)."""
+    """``(entries, sides, fu, fw, flip_u, flip_w, basis)`` for one direction
+    of strip steps, derived from the integer step table
+    (:func:`_step_ints`) on the first step and cached on the partition.
+
+    ``entries[(cur, to)]`` holds one row per table entry, in order: a
+    clip box inside box(cur) as its u side and its w side (two pairs
+    each), a shift (su, sw) as two pairs, whether the clip's u side and
+    its w side are box(cur)'s whole sides, and the clip's image as its u
+    side and its w side.  A hit x maps to x*k + s per coordinate, k's
+    integer matrix being ``fu`` or ``fw`` and ``flip_*`` marking a
+    negative k.  ``sides[c]`` holds box(c)'s u side and w side, four
+    integers each.  Forward, the clip is
+    phi^-1(comp - shift), whose image is comp, the factors are (lam, mu)
+    and the shift is the table's; backward, the clip is comp, whose image
+    is phi^-1(comp - shift), the factors are (1/lam, 1/mu) and the shift
+    is -phi^-1(shift).
+
+    The table's pairs over its grid's denominator enter the basis through
+    :meth:`StripBasis.pair_of`.  Raises :class:`InvariantError` for a table
+    over another radicand or a value outside the basis's module, and when a
+    clip leaves box(cur) or has an empty side: the kernel's shortcuts
+    assume neither happens."""
 
     def build():
         basis = _strip_basis(part)
-        pair = basis.pair
-        lam, mu = part.lam_act, part.mu_act
-        if not forward:
-            lam, mu = lam.inverse(), mu.inverse()
+        grid, table = _step_ints(part)
+        if grid.d != basis.d:
+            raise InvariantError(f"the step table's radicand {grid.d} is not "
+                                 f"the strip basis's {basis.d}")
+
+        def pair(a: int, b: int) -> tuple[int, int]:
+            return basis.pair_of(a, b, grid.q)
+
+        back_u, back_w = basis.factor(False, True), basis.factor(False, False)
+        flip_u, flip_w = part.lam_act.sign() < 0, part.mu_act.sign() < 0
+        sides = [(box[:4], box[4:]) for box in basis.boxes]
         entries = {}
-        for (i, j), overlaps in _step_table(part).items():
+        for (i, j), overlaps in table.items():
+            cur = i if forward else j
+            box_u, box_w = sides[cur]
             rows = entries[(i, j) if forward else (j, i)] = []
-            for _, (du, dw), comp in overlaps:
+            for _, (dua, dub, dwa, dwb), (ula, ulb, uha, uhb, wla, wlb, wha, whb) in overlaps:
+                comp_u = (*pair(ula, ulb), *pair(uha, uhb))
+                comp_w = (*pair(wla, wlb), *pair(wha, whb))
+                sux, suy = pair(dua, dub)
+                swx, swy = pair(dwa, dwb)
+                # -phi^-1(shift), so that phi^-1(x - shift) = x/k + back
+                m00, m01, m10, m11 = back_u
+                bux, buy = -(m00 * sux + m01 * suy), -(m10 * sux + m11 * suy)
+                m00, m01, m10, m11 = back_w
+                bwx, bwy = -(m00 * swx + m01 * swy), -(m10 * swx + m11 * swy)
+                pre_u = _side_image(comp_u, back_u, bux, buy, flip_u)
+                pre_w = _side_image(comp_w, back_w, bwx, bwy, flip_w)
                 if forward:
-                    clip, su, sw = part.phi_inv_box(comp.translate(-du, -dw)), du, dw
+                    clip_u, clip_w, img_u, img_w = pre_u, pre_w, comp_u, comp_w
+                    shift = (sux, suy, swx, swy)
                 else:
-                    clip, su, sw = comp, -du * lam, -dw * mu
-                rows.append((*basis.strip(clip), *pair(su), *pair(sw)))
-        return (entries, basis.factor(forward, True), basis.factor(forward, False),
-                lam.sign() < 0, mu.sign() < 0, basis)
+                    clip_u, clip_w, img_u, img_w = comp_u, comp_w, pre_u, pre_w
+                    shift = (bux, buy, bwx, bwy)
+                if not (basis.inside(clip_u, box_u) and basis.inside(clip_w, box_w)):
+                    raise InvariantError(f"a clip of the step {(i, j)} leaves "
+                                         f"box({cur}) or has an empty side")
+                rows.append((clip_u, clip_w, *shift, clip_u == box_u,
+                             clip_w == box_w, img_u, img_w))
+        return (entries, sides, basis.factor(forward, True),
+                basis.factor(forward, False), flip_u, flip_w, basis)
 
     return _cached(part, "_forward_strips" if forward else "_backward_strips", build)
 
 
 def _step_strips(steps, strips: Sequence[Strip], cur: int, to: int) -> list[Strip]:
     """The strip-step kernel: each strip, against each entry of (cur, to),
-    is clipped to the entry's box, u first, and only a nonempty hit is
-    mapped.  A bound comparison is the sign of the difference's
-    (X + Y*lam)*q, which is (X*q + Y*a) + Y*b*sqrt(d); a step builds no
+    is clipped to the entry's box and only a nonempty hit is mapped.
+
+    Strips must lie inside box(cur).  Every caller in the package keeps
+    this: it steps a box, or a strip that a step to cur returned, and such
+    a strip lies in the image of a clip, inside box(cur).  Every clip lies
+    inside box(cur) too, with both sides nonempty, as
+    :func:`_strip_entries` checks.  So on an axis where either side is
+    box(cur)'s whole side, clipping compares nothing: a whole strip side
+    (four integers compared) leaves the clip's side, whose image the row
+    holds, and a whole clip side leaves the strip's side, which is only
+    mapped.  Other sides go through :func:`_clip_side`.  On a Markov
+    partition no side does: forward, every strip spans box(cur)'s u side
+    and every clip its w side, and backward the reverse.  A step builds no
     field element and takes no gcd."""
-    entries, (u00, u01, u10, u11), (w00, w01, w10, w11), flip_u, flip_w, basis = steps
-    q, a, b, d = basis.q, basis.a, basis.b, basis.d
-    sign = _sign
+    entries, sides, fu, fw, flip_u, flip_w, basis = steps
+    rows = entries.get((cur, to))
+    if not rows:
+        return []
+    box_u, box_w = sides[cur]
     out = []
-    for ulx, uly, uhx, uhy, wlx, wly, whx, why in strips:
-        for (culx, culy, cuhx, cuhy, cwlx, cwly, cwhx, cwhy,
-             sux, suy, swx, swy) in entries.get((cur, to), ()):
-            x, y = culx - ulx, culy - uly
-            lo_x, lo_y = (culx, culy) if sign(x * q + y * a, y * b, d) > 0 else (ulx, uly)
-            x, y = uhx - cuhx, uhy - cuhy
-            hi_x, hi_y = (cuhx, cuhy) if sign(x * q + y * a, y * b, d) > 0 else (uhx, uhy)
-            x, y = hi_x - lo_x, hi_y - lo_y
-            if sign(x * q + y * a, y * b, d) <= 0:
-                continue
-            x, y = cwlx - wlx, cwly - wly
-            wlo_x, wlo_y = (cwlx, cwly) if sign(x * q + y * a, y * b, d) > 0 else (wlx, wly)
-            x, y = whx - cwhx, why - cwhy
-            whi_x, whi_y = (cwhx, cwhy) if sign(x * q + y * a, y * b, d) > 0 else (whx, why)
-            x, y = whi_x - wlo_x, whi_y - wlo_y
-            if sign(x * q + y * a, y * b, d) <= 0:
-                continue
-            u_lo = (u00 * lo_x + u01 * lo_y + sux, u10 * lo_x + u11 * lo_y + suy)
-            u_hi = (u00 * hi_x + u01 * hi_y + sux, u10 * hi_x + u11 * hi_y + suy)
-            w_lo = (w00 * wlo_x + w01 * wlo_y + swx, w10 * wlo_x + w11 * wlo_y + swy)
-            w_hi = (w00 * whi_x + w01 * whi_y + swx, w10 * whi_x + w11 * whi_y + swy)
-            if flip_u:
-                u_lo, u_hi = u_hi, u_lo
-            if flip_w:
-                w_lo, w_hi = w_hi, w_lo
-            out.append((*u_lo, *u_hi, *w_lo, *w_hi))
+    for strip in strips:
+        u_side, w_side = strip[:4], strip[4:]
+        whole_u, whole_w = u_side == box_u, w_side == box_w
+        # a side that may pass through, times k: each row adds its shift
+        if not whole_u:
+            ku = _side_image(u_side, fu, 0, 0, flip_u)
+        if not whole_w:
+            kw = _side_image(w_side, fw, 0, 0, flip_w)
+        for (clip_u, clip_w, sux, suy, swx, swy, clip_whole_u, clip_whole_w,
+             img_u, img_w) in rows:
+            if whole_u:
+                u = img_u
+            elif clip_whole_u:
+                u = (ku[0] + sux, ku[1] + suy, ku[2] + sux, ku[3] + suy)
+            else:
+                u = _clip_side(basis, u_side, clip_u, fu, sux, suy, flip_u)
+                if u is None:
+                    continue
+            if whole_w:
+                w = img_w
+            elif clip_whole_w:
+                w = (kw[0] + swx, kw[1] + swy, kw[2] + swx, kw[3] + swy)
+            else:
+                w = _clip_side(basis, w_side, clip_w, fw, swx, swy, flip_w)
+                if w is None:
+                    continue
+            out.append(u + w)
     return out
+
+
+def _clip_side(basis: StripBasis, side, clip, factor, sx: int, sy: int, flip: bool):
+    """The general clip of one axis: the image under x -> x*k + s of the
+    side (lo, hi) met with the clip's side, or None where they do not
+    overlap; three sign tests."""
+    sign = basis.sign
+    lo_x, lo_y, hi_x, hi_y = side
+    clo_x, clo_y, chi_x, chi_y = clip
+    if sign(clo_x - lo_x, clo_y - lo_y) > 0:
+        lo_x, lo_y = clo_x, clo_y
+    if sign(hi_x - chi_x, hi_y - chi_y) > 0:
+        hi_x, hi_y = chi_x, chi_y
+    if sign(hi_x - lo_x, hi_y - lo_y) <= 0:
+        return None
+    return _side_image((lo_x, lo_y, hi_x, hi_y), factor, sx, sy, flip)
 
 
 def _rect(u_lo: QuadReal, u_hi: QuadReal, w_lo: QuadReal, w_hi: QuadReal
@@ -1329,10 +1439,12 @@ def verify_generator_decay(part: TorusPartition, depth: int,
     dimensions are asserted to match the endpoint formula (expanding dimension
     |mu|^n * u(last symbol), contracting |mu|^n * w(first symbol)); beyond
     that the formula itself gives the exact maximum over endpoint pairs
-    reachable in 2n steps of the transition graph.  All enumerated n are
-    checked in one walk of the words of length 2*enumerate_up_to + 1;
-    ``windows`` passes a :class:`WindowCheck` that a shared walk of ``part``
-    has already fed, in place of that walk.
+    reachable in 2n steps of the transition graph.  The diameter grows with
+    the expanding dimension, so each first symbol's maximum is at its
+    widest reachable last symbol: one diameter per first symbol.  All
+    enumerated n are checked in one walk of the words of length
+    2*enumerate_up_to + 1; ``windows`` passes a :class:`WindowCheck` that a
+    shared walk of ``part`` has already fed, in place of that walk.
 
     bound_sq is the squared claimed bound d(R)^2 * |mu|^(2n).  A window cell
     mixes the expanding dimension of its last symbol with the contracting
@@ -1357,6 +1469,9 @@ def verify_generator_decay(part: TorusPartition, depth: int,
     d_sq = partition_diam_sq(part)
     two_steps = [{k for j in row for k in succ[j]} for row in succ]
     reach = [{i} for i in range(part.n)]  # endpoints reachable in 2n steps
+    # at a fixed w_dim the diameter grows with u_dim, so per first symbol
+    # only the widest reachable last symbol can give the maximum
+    widest = sorted(range(part.n), key=lambda j: boxes[j].u_dim, reverse=True)
     # diam_sq(u*m, w*m) = m^2 * diam_sq(u, w): one diameter per endpoint pair
     pair_sq: dict[tuple[int, int], QuadReal] = {}
     mu_n = QuadReal(1)
@@ -1366,13 +1481,15 @@ def verify_generator_decay(part: TorusPartition, depth: int,
             reach = [set().union(*(two_steps[k] for k in row)) for row in reach]
             mu_n = mu_n * mu_abs
         cands = []
-        for i in range(part.n):
-            for j in reach[i]:
-                cand = pair_sq.get((i, j))
-                if cand is None:
-                    cand = pair_sq[i, j] = parallelogram_diam_sq(
-                        frame, boxes[j].u_dim, boxes[i].w_dim)
-                cands.append(cand)
+        for i, ends in enumerate(reach):
+            j = next((j for j in widest if j in ends), None)
+            if j is None:
+                continue
+            cand = pair_sq.get((i, j))
+            if cand is None:
+                cand = pair_sq[i, j] = parallelogram_diam_sq(
+                    frame, boxes[j].u_dim, boxes[i].w_dim)
+            cands.append(cand)
         if not cands:
             raise InvariantError("no endpoint pair is reachable")
         mu_sq = mu_n * mu_n

@@ -31,6 +31,7 @@ from markov_torus.partition import (
     WindowCheck,
     _step_successors,
     _step_table,
+    _strip_basis,
     lattice_in_frame_box,
     parallelogram_diam_sq,
     partition_diam_sq,
@@ -574,6 +575,42 @@ def pullback_strips(part: TorusPartition, pieces: Sequence[EigenRect], cur: int,
                 out.append(part.phi_inv_box(EigenRect(
                     hit.u_lo - du, hit.u_hi - du, hit.w_lo - dw, hit.w_hi - dw)))
     return out
+
+
+# -- strip entry lists ------------------------------------------------------------
+
+# The per-direction entry lists of the strip kernel before they were built
+# from the integer step table: the decoded table, each entry re-encoded
+# through QuadReal.  Kept verbatim apart from the name and the cache, which
+# would clash with the package's.
+
+
+def strip_entries(part: TorusPartition, forward: bool):
+    """``(entries, fu, fw, flip_u, flip_w, basis)`` for one direction of
+    strip steps, derived from the forward step table.  ``entries[(cur, to)]``
+    holds, per table entry in order, the strip of a clip box inside box(cur)
+    and a shift (su, sw) as two pairs: a hit x maps to x*k + s per
+    coordinate, k's integer matrix being ``fu`` or ``fw`` and ``flip_*``
+    marking a negative k.  Forward, the clip is phi^-1(comp - shift), the
+    factors are (lam, mu) and the shift is the table's; backward, the clip
+    is comp, the factors are (1/lam, 1/mu) and the shift is
+    -phi^-1(shift)."""
+    basis = _strip_basis(part)
+    pair = basis.pair
+    lam, mu = part.lam_act, part.mu_act
+    if not forward:
+        lam, mu = lam.inverse(), mu.inverse()
+    entries = {}
+    for (i, j), overlaps in _step_table(part).items():
+        rows = entries[(i, j) if forward else (j, i)] = []
+        for _, (du, dw), comp in overlaps:
+            if forward:
+                clip, su, sw = part.phi_inv_box(comp.translate(-du, -dw)), du, dw
+            else:
+                clip, su, sw = comp, -du * lam, -dw * mu
+            rows.append((*basis.strip(clip), *pair(su), *pair(sw)))
+    return (entries, basis.factor(forward, True), basis.factor(forward, False),
+            lam.sign() < 0, mu.sign() < 0, basis)
 
 
 # -- recursive word-tree walkers -------------------------------------------------

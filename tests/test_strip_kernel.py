@@ -3,13 +3,17 @@ against the scale-translate-intersect steps it replaced (kept verbatim in
 ``oracles``): the same boxes, in the same order, down to the integers of
 every bound once decoded, for every cell pair of the base, refined and
 negative-control partitions of one ladder matrix per sign case; whole boxes,
-pieces that touch a clip box along an edge, and drawn sub-boxes.  The
-integer strip basis round-trips every box and refuses bounds outside its
+pieces that touch a clip box along an edge, drawn sub-boxes, and drawn
+pieces spanning a whole side of their cell.  The entry lists built from the
+integer step table match the builder over the decoded one, refuse a clip
+outside its cell, and on a Markov partition let no step compare anything.
+The integer strip basis round-trips every box and refuses bounds outside its
 module, and a walk on it builds no field element.  Then metamorphic steps:
 the same boxes acting by A^2 step like two A steps, and acting by A^-1 they
 have the transposed graph."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 from functools import cache
 
@@ -19,6 +23,7 @@ from hypothesis import strategies as st
 
 import oracles
 from markov_torus import exact as exact_module
+from markov_torus import partition as partition_module
 from markov_torus.cli import _break_partition
 from markov_torus.construct import SignCase, build_markov_construction
 from markov_torus.exact import QuadReal
@@ -27,11 +32,14 @@ from markov_torus.partition import (
     EigenRect,
     InvariantError,
     NfoldCount,
+    StripBasis,
     TorusPartition,
+    _Grid,
     _step_table,
     _strip_basis,
     _strip_entries,
     advance_strips,
+    cylinder_components,
     pullback_strips,
     refinement_cells_depth,
     strip_of,
@@ -169,6 +177,125 @@ def test_drawn_pieces_step_like_the_old_steps(case, tag, data):
     pieces = data.draw(st.lists(sub_box(box, ends, abs(part.mu_act)),
                                 min_size=1, max_size=3))
     assert_steps_match(part, pieces, cur, tag)
+
+
+@pytest.mark.parametrize("whole_u, whole_w",
+                         [(True, False), (False, True), (True, True), (False, False)],
+                         ids=["whole-u", "whole-w", "whole-both", "whole-neither"])
+@settings(max_examples=40, deadline=None)
+@given(case=st.sampled_from(list(MATRICES)), tag=st.sampled_from(FORMS), data=st.data())
+def test_pieces_with_whole_sides_step_like_the_old_steps(whole_u, whole_w, case, tag, data):
+    """Pieces that span box(cur)'s whole u side, its whole w side, both or
+    neither: the sides that take the kernel's shortcuts, against the old
+    steps on every form, in both directions."""
+    part = form(MATRICES[case], tag)
+    cur = data.draw(st.integers(0, part.n - 1))
+    box = part.boxes[cur]
+    ends = [clip for to in range(part.n) for forward in (True, False)
+            for clip in clips(part, cur, to, forward)]
+    drawn = data.draw(sub_box(box, ends, abs(part.mu_act)))
+    u = (box.u_lo, box.u_hi) if whole_u else (drawn.u_lo, drawn.u_hi)
+    w = (box.w_lo, box.w_hi) if whole_w else (drawn.w_lo, drawn.w_hi)
+    assert_steps_match(part, [EigenRect(*u, *w)], cur, tag)
+
+
+def test_entry_lists_match_the_decoded_builder():
+    """The entry lists built from the integer step table hold, tuple for
+    tuple, the clips and shifts that the builder over the decoded table
+    held; each clip's flags say whether its sides are box(cur)'s, and its
+    image is the other direction's clip of the same table entry."""
+    parts = [(case.name, tag, form(matrix, tag))
+             for case, matrix in MATRICES.items() for tag in FORMS]
+    parts += [("40 1 1 0", tag, form(Mat2Z(40, 1, 1, 0), tag)) for tag in FORMS]
+    for name, tag, part in parts:
+        new = {forward: _strip_entries(part, forward) for forward in (True, False)}
+        old = {forward: oracles.strip_entries(part, forward) for forward in (True, False)}
+        boxes = _strip_basis(part).boxes
+        for forward in (True, False):
+            entries, sides, *rest = new[forward]
+            old_entries, *old_rest = old[forward]
+            assert rest == old_rest, (name, tag, forward)
+            assert sides == [(box[:4], box[4:]) for box in boxes]
+            assert list(entries) == list(old_entries), (name, tag, forward)
+            for (cur, to), rows in entries.items():
+                assert [(*clip_u, *clip_w, *shift) for clip_u, clip_w, *shift, _, _, _, _
+                        in rows] == old_entries[cur, to], (name, tag, forward)
+                back = old[not forward][0][to, cur]
+                for (clip_u, clip_w, *_, whole_u, whole_w, img_u, img_w), other \
+                        in zip(rows, back, strict=True):
+                    assert (whole_u, whole_w) == (clip_u == boxes[cur][:4],
+                                                  clip_w == boxes[cur][4:])
+                    assert img_u + img_w == other[:8]
+
+
+def admissible_words(part: TorusPartition, length: int):
+    graph = transition_graph(part).matrix
+    words = [(i,) for i in range(part.n)]
+    for _ in range(length - 1):
+        words = [word + (j,) for word in words for j in range(part.n)
+                 if graph[word[-1]][j]]
+    return words
+
+
+@pytest.mark.parametrize("matrix", [*MATRICES.values(), Mat2Z(0, 1, 1, 3),
+                                    Mat2Z(3, 2, 1, 1)],
+                         ids=lambda m: f"{m.a} {m.b} {m.c} {m.d}")
+def test_markov_steps_compare_nothing(matrix, monkeypatch):
+    """On a Markov partition every side of every step takes a shortcut: a
+    forward walk to length 5 and the backward steps of every cylinder of
+    length 4 make no sign test.  The dented forms do make some, in both
+    directions, so the count sees the general clip."""
+    calls = []
+    sign = partition_module._sign
+
+    def counting(*args):
+        calls.append(args)
+        return sign(*args)
+
+    for tag in FORMS:
+        part = form(matrix, tag)
+        words = admissible_words(part, 4)
+        _strip_entries(part, True)
+        _strip_entries(part, False)
+        monkeypatch.setattr(partition_module, "_sign", counting)
+        walk_words(part, [NfoldCount(1, 5)])
+        forward, calls[:] = len(calls), []
+        for word in words:
+            cylinder_components(part, word)
+        backward, calls[:] = len(calls), []
+        monkeypatch.undo()
+        if tag.endswith("broken"):
+            assert forward > 0 and backward > 0, tag
+        else:
+            assert (forward, backward) == (0, 0), tag
+
+
+def test_entry_lists_refuse_a_clip_outside_its_cell(monkeypatch):
+    """The shortcuts rest on every clip lying in box(cur): a forward clip
+    moved by phi where phi^-1 belongs leaves it, and building the list
+    says so."""
+    part = replace(form(MATRICES[SignCase.PLUS_MINUS], "refined"))
+    factor = StripBasis.factor
+    monkeypatch.setattr(StripBasis, "factor",
+                        lambda self, forward, along_u: factor(self, True, along_u))
+    with pytest.raises(InvariantError, match="leaves box"):
+        _strip_entries(part, True)
+
+
+def test_change_of_basis_refuses_values_outside_the_module():
+    """The step table's pairs enter the strip basis only from the same
+    field and only where they lie in its module."""
+    part = replace(form(MATRICES[SignCase.PLUS_MINUS], "refined"))
+    basis = _strip_basis(part)
+    finer = QuadReal(Fraction(1, 7 * basis.modulus))  # not (X + Y*lam)/Q
+    grid = _Grid(part.frame, [finer])
+    assert basis.pair_of(*grid.pair(part.boxes[0].u_hi), grid.q) == \
+        basis.pair(part.boxes[0].u_hi)
+    with pytest.raises(InvariantError, match="outside the strip module"):
+        basis.pair_of(*grid.pair(finer), grid.q)
+    object.__setattr__(part, "_strip_basis", replace(basis, d=basis.d + 1))
+    with pytest.raises(InvariantError, match="radicand"):
+        _strip_entries(part, True)
 
 
 # -- the strip basis ---------------------------------------------------------------

@@ -97,18 +97,23 @@ def _decay_ints(rows):
 
 @pytest.mark.parametrize("text", LADDER)
 def test_decay_rows_match_per_row_diameters(text):
-    """One diameter per endpoint pair, scaled by mu^(2n), gives the integers
-    of the rows that computed every pair's diameter at every depth.  The
-    broken forms fail the window check, so they enumerate nothing; the
+    """One diameter per first symbol, at its widest reachable last symbol
+    and scaled by mu^(2n), gives the integers of the rows that computed
+    every reachable pair's diameter at every depth, for each depth 0..8.
+    The broken forms fail the window check, so they enumerate nothing; the
     others share one window walk to length 3 (length 5 on N* 17 takes
     seconds and adds nothing to the diameters)."""
     built = build_markov_construction(Mat2Z(*map(int, text.split())))
     for tag, part in partitions(built):
-        windows = WindowCheck(part, 0 if tag.endswith("broken") else 1)
-        walk_words(part, [windows])
-        rows = verify_generator_decay(part, 8, windows.up_to, windows)
-        assert _decay_ints(rows) == _decay_ints(oracles.verify_generator_decay_per_row(
-            part, 8, windows.up_to, windows)), (text, tag)
+        top = 0 if tag.endswith("broken") else 1
+        walks = [WindowCheck(part, up_to) for up_to in range(top + 1)]
+        walk_words(part, walks)
+        for depth in range(9):
+            windows = walks[min(depth, top)]
+            rows = verify_generator_decay(part, depth, top, windows)
+            assert _decay_ints(rows) == _decay_ints(
+                oracles.verify_generator_decay_per_row(part, depth, top, windows)
+            ), (text, tag, depth)
 
 
 def test_first_window_error_matches_per_n_walks(construction):
