@@ -7,25 +7,24 @@ cylinder contains a point.  All arithmetic is exact; itineraries are computed
 on the conjugated model torus, where the partition boxes live, and points are
 carried across by the (unimodular, hence exact) conjugation.
 
-``encode`` locates only the first iterate of its window.  From there it
-follows the forward step table, which is the Markov property at work: if x
-lies in R_i + q, its image lies in exactly one tabulated component of row i,
-so each next symbol is the one component whose open box holds the stepped
-frame coordinates (u, w) -> (lam*u, mu*w), shifted by that component's
-translate.  No hit means the iterate lies on a component's closure, and
-``locate`` on the exact plane iterate then names the candidate cells.
-``locate`` itself scans no lattice: it tests the boxes of the partition's
-precomputed cover list (:func:`partition._cover_list`).  Neither does
-:meth:`DecodeResult.contains`: it steps the point to the word's first time,
-where the cylinder sits inside the first symbol's cell, and tests that
-cell's entries of the cover list.
+A point enters the partition's strip basis once, as a ``ModPoint``:
+matrices act on its integer numerators, its frame pairs meet strips in
+integers, and field elements are built only for what a caller reads.
+``encode`` locates only the first iterate of its window and then follows
+the forward strip entries, the Markov property at work: if x lies in
+R_i + q, its image lies in exactly one tabulated component of row i, so the
+next symbol is the one row whose open image box holds the stepped frame
+pairs (lam*u, mu*w) plus the row's shift.  No hit means the iterate lies on
+a component's closure, and ``locate`` names the candidate cells.  Neither
+``locate`` nor :meth:`DecodeResult.contains` scans a lattice: they test the
+translates of the partition's cover list.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -36,20 +35,22 @@ from .partition import (
     CellHit,
     EigenRect,
     InvariantError,
+    ModPoint,
+    Strip,
     TorusPartition,
     _cover_list,
-    _floor,
+    _side_image,
     _step_successors,
-    _step_table,
     _strip_basis,
+    _strip_entries,
     advance_strips,
     closed_translate_meets,
-    cylinder_components,
-    # not called here, but perfbench/tracing.py wraps it under this module
+    cylinder_strips,
+    # not called here, but perfbench/tracing.py wraps them under this module
+    cylinder_components,  # noqa: F401
     lattice_in_frame_box,  # noqa: F401
     locate,
     partition_diam_sq,
-    strip_rect,
 )
 from .torus import EigenFrame, Mat2Z
 
@@ -63,26 +64,9 @@ __all__ = [
 ]
 
 
-def _mod1(value):
-    """Reduce an exact coordinate (Fraction or QuadReal) into [0, 1)."""
-    return value - _floor(value)
-
-
-def _point_mod1(point):
-    x, y = point
-    return (_mod1(x), _mod1(y))
-
-
 def _cells(hits) -> tuple[int, ...]:
     """The cells of some :class:`CellHit` values, ascending and once each."""
     return tuple(sorted({h.index for h in hits}))
-
-
-def _frame_of(frame: EigenFrame, point, translate) -> tuple[QuadReal, QuadReal]:
-    """Frame coordinates of the plane point ``point`` + ``translate``."""
-    pu, pw = frame.to_frame(point)
-    qu, qw = frame.lattice_frame(*translate)
-    return pu + qu, pw + qw
 
 
 @dataclass(frozen=True)
@@ -158,8 +142,8 @@ class DecodeResult:
     ``diameter_bound_sq`` is the squared a-priori bound
     d(partition)^2 * mu^(2 * min(forward depth, backward depth)); the exact
     squared diameter ``diam_sq`` never exceeds it (checked on construction).
-    The bound itself is kept squared because the diameter is a square root
-    that generally leaves the quadratic field.
+    Both stay squared: a diameter generally leaves the quadratic field.
+    ``anchored_strip`` is ``anchored`` as a strip, which ``contains`` tests.
     """
 
     word: SymbolicWord
@@ -169,6 +153,7 @@ class DecodeResult:
     center: tuple[QuadReal, QuadReal]
     diam_sq: QuadReal
     diameter_bound_sq: QuadReal
+    anchored_strip: Strip = field(repr=False)
 
     @property
     def diam(self) -> float:
@@ -181,15 +166,17 @@ class DecodeResult:
     def contains(self, point, closed: bool = True) -> bool:
         """Exact membership of a model-torus point in the cylinder: the
         point is in ``rect`` + q exactly when its iterate at ``word.offset``
-        is in ``anchored`` + A^offset q, inside the first symbol's cell."""
-        part, first = self.partition, self.word.symbols[0]
-        y = _point_mod1((part.acting ** self.word.offset).act(point))
-        yu, yw = part.frame.to_frame(y)
-        for (m, n), moved in _cover_list(part)[first]:
-            if moved.contains_frame(yu, yw, closed=True):
-                qu, qw = part.frame.lattice_frame(m, n)
-                if self.anchored.contains_frame(yu + qu, yw + qw, closed=closed):
-                    return True
+        is in ``anchored`` + A^offset q, inside the first symbol's cell: so
+        at one of that cell's cover translates."""
+        part = self.partition
+        basis = _strip_basis(part)
+        y = basis.reduce(basis.point(point).act(part.acting ** self.word.offset))[0]
+        (u0, u1, w0, w1), k = basis.frame(y), y.k
+        for _, (qu0, qu1, qw0, qw1) in _cover_list(part)[self.word.symbols[0]]:
+            place = basis.place((u0 + k * qu0, u1 + k * qu1, w0 + k * qw0, w1 + k * qw1),
+                                k, self.anchored_strip)
+            if place > 0 or (closed and place == 0):
+                return True
         return False
 
 
@@ -233,13 +220,19 @@ class CodingContext:
     def _from_input(self) -> Mat2Z:
         return self.construction.conjugation.conjugator.inverse()
 
+    def _carried(self, point, mat: Mat2Z) -> ModPoint:
+        """A plane point times ``mat``, reduced mod 1, in the strip basis."""
+        basis = _strip_basis(self.part)
+        return basis.reduce(basis.point(point).act(mat))[0]
+
     def to_model(self, point) -> tuple:
         """Carry a point of the input matrix's torus to the model torus."""
-        return _point_mod1(self._from_input.act(point))
+        return _strip_basis(self.part).values(self._carried(point, self._from_input))
 
     def from_model(self, point) -> tuple:
         """Carry a model-torus point back to the input matrix's torus."""
-        return _point_mod1(self.construction.conjugation.conjugator.act(point))
+        return _strip_basis(self.part).values(
+            self._carried(point, self.construction.conjugation.conjugator))
 
     # -- orbits ---------------------------------------------------------------
 
@@ -247,40 +240,8 @@ class CodingContext:
         """Exact iterates of the model map for times lo..hi inclusive."""
         if lo > hi:
             raise ValueError("empty time window")
-        acting = self.part.acting
-        backward = acting.inverse()
-        orbit = {0: _point_mod1(point_model)}
-        y = orbit[0]
-        for k in range(1, hi + 1):
-            y = _point_mod1(acting.act(y))
-            orbit[k] = y
-        y = orbit[0]
-        for k in range(-1, lo - 1, -1):
-            y = _point_mod1(backward.act(y))
-            orbit[k] = y
-        return {k: orbit[k] for k in range(lo, hi + 1)}
-
-    def _closure_hits(self, y) -> tuple[CellHit, ...]:
-        """Every (cell, translate) whose closed box holds ``y`` + translate:
-        the :func:`locate` hits of the model-torus point ``y``."""
-        hit = locate(self.part, y)
-        return (hit,) if isinstance(hit, CellHit) else hit.candidates
-
-    def _closure_cells(self, y) -> tuple[int, ...]:
-        """Cells whose closure contains the model-torus point ``y``."""
-        return _cells(self._closure_hits(y))
-
-    @cached_property
-    def _forward_rows(self) -> list[list[tuple[int, tuple, EigenRect]]]:
-        """Per cell i, every entry of row i of the forward step table as
-        ``(j, (du, dw), piece)``: the component of phi(box i) + (du, dw)
-        meeting box j, moved back by (du, dw) into phi(box i).  A stepped
-        point (u, w) lies in the component exactly when it lies in the
-        piece, so the test needs no addition."""
-        table = _step_table(self.part)
-        return [[(j, shift, comp.translate(-shift[0], -shift[1]))
-                 for j in row for _, shift, comp in table[i, j]]
-                for i, row in enumerate(_step_successors(self.part))]
+        values, acting = _strip_basis(self.part).values, self.part.acting
+        return {t: values(self._carried(point_model, acting ** t)) for t in range(lo, hi + 1)}
 
     # -- encoding ------------------------------------------------------------
 
@@ -291,43 +252,46 @@ class CodingContext:
         there).
 
         Only iterate -depth is located.  Each later iterate steps the frame
-        coordinates of the previous one's representative and takes the one
-        component of the forward step table's row that holds them; two
-        raise :class:`InvariantError` (cells overlap), none hands the exact
-        plane iterate to :func:`locate`, which finds the boundary."""
+        pairs of the previous one's representative by the forward factor
+        matrices and takes the one forward strip row whose open image box
+        holds them plus its shift; two raise :class:`InvariantError` (cells
+        overlap), none hands the iterate to :func:`locate`."""
         if depth < 0:
             raise ValueError("depth must be >= 0")
-        part, frame = self.part, self.frame
-        start = _point_mod1((part.acting ** -depth).act(self.to_model(point)))
+        part = self.part
+        basis = _strip_basis(part)
+        start = self._carried(point, self._from_input @ part.acting ** -depth)
         hit = locate(part, start)
         if isinstance(hit, BoundaryHit):
-            return BoundaryAmbiguity(-depth, start, _cells(hit.candidates))
-        u, w = _frame_of(frame, start, hit.translate)
-        cur = hit.index
+            return BoundaryAmbiguity(-depth, basis.values(start), _cells(hit.candidates))
+        cur, k = hit.index, start.k
+        u0, u1, w0, w1 = basis.frame(start.moved(*hit.translate))
         symbols = [cur]
-        rows = self._forward_rows
-        lam, mu = part.lam_act, part.mu_act
-        for k in range(1 - depth, depth + 1):
-            u, w = u * lam, w * mu
+        entries, succ = _strip_entries(part, True)[0], _step_successors(part)
+        (a, b, c, d), (e, f, g, h) = basis.factor(True, True), basis.factor(True, False)
+        place = basis.place
+        for time in range(1 - depth, depth + 1):
+            u0, u1, w0, w1 = a * u0 + b * u1, c * u0 + d * u1, e * w0 + f * w1, g * w0 + h * w1
             nxt = None
-            for j, step, piece in rows[cur]:
-                if piece.contains_frame(u, w):
-                    if nxt is not None:
-                        raise InvariantError(
-                            f"iterate {k} lies in two cells, {nxt} and {j}"
-                        )
-                    nxt, shift = j, step
+            for j in succ[cur]:
+                for _, _, su0, su1, sw0, sw1, _, _, img_u, img_w in entries[cur, j]:
+                    at = (u0 + k * su0, u1 + k * su1, w0 + k * sw0, w1 + k * sw1)
+                    if place(at, k, img_u + img_w) > 0:
+                        if nxt is not None:
+                            raise InvariantError(f"iterate {time} lies in two cells, "
+                                                 f"{nxt} and {j}")
+                        nxt, stepped = j, at
             if nxt is None:
                 # on a component's closure: name the candidates exactly
-                y = _point_mod1((part.acting ** (k + depth)).act(start))
+                y = basis.reduce(start.act(part.acting ** (time + depth)))[0]
                 hit = locate(part, y)
                 if isinstance(hit, BoundaryHit):
-                    return BoundaryAmbiguity(k, y, _cells(hit.candidates))
+                    return BoundaryAmbiguity(time, basis.values(y), _cells(hit.candidates))
                 cur = hit.index
-                u, w = _frame_of(frame, y, hit.translate)
+                u0, u1, w0, w1 = basis.frame(y.moved(*hit.translate))
             else:
                 cur = nxt
-                u, w = u + shift[0], w + shift[1]
+                u0, u1, w0, w1 = stepped
             symbols.append(cur)
         word = SymbolicWord(tuple(symbols), -depth)
         matrix = self.construction.refined_graph.matrix
@@ -343,46 +307,43 @@ class CodingContext:
     def decode(self, word: SymbolicWord) -> DecodeResult:
         """Exact cylinder box named by ``word``.
 
+        The cylinder's strip is scaled to time zero, and the decay bound
+        d(partition)^2 * mu^(2h) taken, by integer factor-matrix powers.
         Raises ``ValueError`` if the word leaves the symbol range or its
         cylinder is empty (the word is not admissible)."""
+        part = self.part
         for s in word.symbols:
-            if not 0 <= s < self.part.n:
-                raise ValueError(f"symbol {s} out of range 0..{self.part.n - 1}")
-        pieces = cylinder_components(self.part, word.symbols)
-        if not pieces:
+            if not 0 <= s < part.n:
+                raise ValueError(f"symbol {s} out of range 0..{part.n - 1}")
+        strips = cylinder_strips(part, word.symbols)
+        if not strips:
             raise ValueError(f"word {word} names an empty cylinder")
-        if len(pieces) > 1:
-            raise InvariantError(
-                f"cylinder of {word} is not connected on the refinement"
-            )
-        anchored = pieces[0]
-        shift = -word.offset  # move the first constrained time to time zero
-        rect = anchored.scaled(
-            self.part.lam_act ** shift, self.part.mu_act ** shift
-        )
-        cu = (rect.u_lo + rect.u_hi) / 2
-        cw = (rect.w_lo + rect.w_hi) / 2
-        cx, cy = self.frame.to_plane(cu, cw)
-        diam_sq = rect.diam_sq(self.frame)
+        if len(strips) > 1:
+            raise InvariantError(f"cylinder of {word} is not connected on the refinement")
+        basis = _strip_basis(part)
+        strip, shift = strips[0], -word.offset  # first constrained time to zero
+        lam, mu = basis.unit(True, shift), basis.unit(False, shift)
+        rect = (_side_image(strip[:4], basis.times(lam), 0, 0, basis.sign(*lam) < 0)
+                + _side_image(strip[4:], basis.times(mu), 0, 0, basis.sign(*mu) < 0))
+        box = basis.rect(rect)
+        cx, cy = self.frame.to_plane((box.u_lo + box.u_hi) / 2, (box.w_lo + box.w_hi) / 2)
+        diam_sq = box.diam_sq(self.frame)
         # a-priori decay bound from the shallower side of the window; for any
         # admissible word the mixed endpoint dimensions are dominated by the
         # dimensions of an actual cell, so the bound holds exactly
         half_depth = min(word.offset + len(word) - 1, -word.offset)
-        bound_sq = partition_diam_sq(self.part) * (
-            self.part.mu_act ** 2
-        ) ** half_depth
+        bound_sq = partition_diam_sq(part) * basis.value(*basis.unit(False, 2 * half_depth), 1)
         if (bound_sq - diam_sq).sign() < 0:
-            raise InvariantError(
-                f"cylinder of {word} exceeds its decay bound"
-            )
+            raise InvariantError(f"cylinder of {word} exceeds its decay bound")
         return DecodeResult(
             word=word,
-            partition=self.part,
-            anchored=anchored,
-            rect=rect,
-            center=(_mod1(cx), _mod1(cy)),
+            partition=part,
+            anchored=basis.rect(strip),
+            rect=box,
+            center=(cx - cx.floor(), cy - cy.floor()),
             diam_sq=diam_sq,
             diameter_bound_sq=bound_sq,
+            anchored_strip=strip,
         )
 
     # -- preimage structure of the factor map ---------------------------------
@@ -393,39 +354,37 @@ class CodingContext:
         ``point`` (input-matrix torus): the point lies in the closure of the
         word's (connected, nonempty) cylinder.
 
-        Membership is tested geometrically against the partial cylinder at
-        every step, not per-iterate against cell closures: the latter would
-        let different times pick different lattice representatives and
-        overcount.  For a point whose orbit window avoids all cell boundaries
-        the answer is the single itinerary; on boundaries several words code
-        the point."""
+        Membership is tested against the partial cylinder at every step, not
+        per iterate against cell closures, which would let different times
+        pick different lattice representatives and overcount.  A point whose
+        window avoids all cell boundaries has the single itinerary; on
+        boundaries several words code it."""
         if depth < 0:
             raise ValueError("depth must be >= 0")
-        orbit = self.model_orbit(self.to_model(point), -depth, depth)
+        part = self.part
+        basis = _strip_basis(part)
+        start = self._carried(point, self._from_input @ part.acting ** -depth)
         length = 2 * depth + 1
-        part, frame = self.part, self.frame
         closures: dict[int, list] = {}
 
         def closure(pos: int) -> list[tuple[int, list]]:
-            # per cell j ascending, the frame coordinates of every
-            # representative of the orbit point at position pos in box(j)'s
-            # closure; a closed cylinder piece inside box(j) can only hold
-            # one of these
+            # per cell j ascending, the frame pairs of every representative
+            # of the orbit point at position pos in box(j)'s closure; a
+            # closed cylinder piece inside box(j) can only hold one of these
             if pos not in closures:
-                y = orbit[pos - depth]
+                y = basis.reduce(start.act(part.acting ** pos))[0]
+                hit = locate(part, y)
                 reps: dict[int, list] = {}
-                for hit in self._closure_hits(y):
-                    reps.setdefault(hit.index, []).append(
-                        _frame_of(frame, y, hit.translate))
+                for h in (hit,) if isinstance(hit, CellHit) else hit.candidates:
+                    reps.setdefault(h.index, []).append(basis.frame(y.moved(*h.translate)))
                 closures[pos] = sorted(reps.items())
             return closures[pos]
 
         # preorder DFS with an explicit stack: each entry extends ``word``,
         # whose strip is the phi^(len(word)-1)-advanced partial cylinder
-        # anchored in box(word[-1]), by symbol j; a strip is decoded only
-        # to test it against the point
+        # anchored in box(word[-1]), by symbol j
         found: list[SymbolicWord] = []
-        boxes = _strip_basis(part).boxes
+        boxes, k = basis.boxes, start.k
         stack = [((), boxes[i], i, None) for i, _ in reversed(closure(0))]
         while stack:
             word, strip, j, reps = stack.pop()
@@ -438,8 +397,7 @@ class CodingContext:
                         "cylinder split into several components on the refinement"
                     )
                 strip = comps[0]
-                piece = strip_rect(part, strip)
-                if not any(piece.contains_frame(u, w, closed=True) for u, w in reps):
+                if not any(basis.place(at, k, strip) >= 0 for at in reps):
                     continue
             word += (j,)
             if len(word) == length:

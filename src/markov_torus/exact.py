@@ -132,11 +132,6 @@ class QuadReal:
         return cls(Fraction(value))
 
     @classmethod
-    def sqrt_of(cls, d: int) -> "QuadReal":
-        """sqrt(d) as a field element."""
-        return cls(0, 1, d)
-
-    @classmethod
     def parse(cls, text: str) -> "QuadReal":
         """Inverse of :meth:`exact_str`; also accepts a bare rational."""
         m = _PARSE_RE.match(text)

@@ -6,48 +6,31 @@ eigenvectors.  A :class:`TorusPartition` bundles the frame, the acting matrix
 (diagonal in frame coordinates), and one plane representative box per cell;
 the torus cell is the image of the box under the quotient map.
 
-Everything here is exact.  Lattice-translate searches reduce to enumerating
-the integer points of a frame-coordinate box, a parallelogram in the plane.
-The scan runs column by column: the lattice point (m, n) is the plane point
-itself, so m runs over the integers in the box's x-extent, and for each m the
-admissible n form one interval whose ends are exact integer floors.  The cost
-is one step per column plus one per lattice point found.  Scans and
-overlaps run in integers (:class:`_Grid`): the box bounds and the lattice
-generators' frame coordinates are brought to one common denominator Q, so a
-value is a pair (A, B) meaning (A + B*sqrt(D)) / Q, a lattice point's frame
-coordinates m*U10 + n*U01 are integer combinations of the generators'
-pairs, and each comparison is the sign of one pair.
-
-All-pairs overlaps come from :func:`_int_overlaps`: one
-:func:`lattice_in_frame_box` scan per moving cell, over the translates that
-bring it into the hull of all target cells, each hit moved, bisected into
-the targets whose contracting interval can meet it and intersected with
-them, all in the pairs of one grid per table.  Entries are decoded into
-boxes only where a caller reads one (:func:`overlap_table`,
-:func:`translate_overlaps`, :func:`_step_table`).
+Everything here is exact, and the hot paths run on integers over one common
+denominator.  Lattice scans and overlap tables use a :class:`_Grid`, whose
+values are pairs (A, B) = (A + B*sqrt(D)) / Q: a scan runs column by column
+over the box's plane x-extent, each column's n-interval having exact integer
+floors for ends.  All-pairs overlaps (:func:`_int_overlaps`) take one scan
+per moving cell and decode entries into boxes only where a caller reads one.
 The step table of a partition is such a table, for the forward images of its
-cells, cached on the partition in integers and overlap-checked once when
-built.  It is the only source of transitions in both directions (graph,
-refinement, successor lists, forward and backward cylinder steps), so a
-partition's overlaps are scanned once; the graph and the successor lists
-read its counts, so the constructor's recheck of the refined partition
-decodes nothing.  Both cylinder steps run one exact kernel,
-:func:`_step_strips`, over entry lists derived from the integer table
-once per direction, when a strip is first stepped: each piece is clipped
-to an entry's box and only a hit is mapped, x*k + s per coordinate.  The
-kernel works on integers.  Every strip bound lies in the module
-(1/Q)*Z[lam] of a per-partition :class:`StripBasis`, so a piece is a strip
-of eight integers, two per bound, and multiplying by lam or mu (or their
-inverses) is a fixed integer matrix; :func:`strip_of` encodes a box and
-:func:`strip_rect` decodes a strip where a box is wanted.  Pieces and
-entry boxes lie in the cell being stepped, so on an axis where either
-spans the cell's whole side the clip is the other's side, found by a
-compare of four integers.  That is the Markov property: on a Markov
-partition no step compares a bound, and only a partition that breaks it
-(a dented cell) reaches the sign tests.
-Point location scans nothing either: :func:`locate` tests the boxes of a
-cover list, also cached on the partition, of every (cell, translate) whose
-closed box can meet the unit square.
+cells, cached in integers and overlap-checked once: the only source of
+transitions in both directions (graph, refinement, successor lists, cylinder
+steps), so a partition's overlaps are scanned once.
+
+Cylinders and points live in a per-partition :class:`StripBasis`: pairs
+(X, Y) = (X + Y*lam) / Q over the module (1/Q)*Z[lam], where multiplying by
+lam, mu or their inverses is a fixed integer matrix.  A piece is a strip of
+eight integers, stepped by one kernel, :func:`_step_strips`, over entry
+lists derived from the step table once per direction.  Pieces and entry
+boxes lie in the cell being stepped, so on an axis where either spans the
+cell's whole side the clip is the other's side: on a Markov partition no
+step compares a bound, and only a partition that breaks it (a dented cell)
+reaches the sign tests.  A point is a :class:`ModPoint`, its coordinates
+over one denominator k; the acting matrix moves its numerators, and its
+frame pairs over Q*k are a fixed integer map of them.  :func:`locate` moves
+those pairs by each entry of a cover list, cached on the partition, of every
+(cell, translate) whose closed box can meet the unit square, and tests them
+against the cell's strip.
 
 Verifiers:
 
@@ -58,25 +41,19 @@ Verifiers:
   closures cover the torus;
 * ``verify_boundary_alignment`` -- the map carries the union of contracting
   ("vertical", constant-u) boundary edges into itself, and the inverse map
-  does the same for expanding ("horizontal", constant-w) edges: the defining
-  boundary condition for a Markov partition, checked by exact 1-D interval
-  coverage on each image line modulo the lattice.  Edges are joined by the
-  class of their line modulo the lattice (:func:`lattice_coords`), so each
-  image is checked against the edges of its own line only;
+  does the same for expanding ("horizontal", constant-w) edges, checked by
+  exact 1-D interval coverage on each image line, joined by the class of
+  the line modulo the lattice (:func:`lattice_coords`);
 * ``verify_nfold_range`` -- every word admissible for the transition graph,
   with length in a range, has a nonempty cylinder, by exact strip stepping;
 * ``verify_generator_decay`` -- symmetric refinements shrink like |mu|^n, by
   exact dimension bookkeeping cross-checked against enumerated cells.
 
 Everything that enumerates words goes through one iterative walker,
-:func:`walk_words`: a preorder walk of the word tree with an explicit stack
-that steps cylinder strips with :func:`advance_strips` and hands each word,
-with its integer strips, to several :class:`WordVisitor` objects at once,
-so one walk of a partition's word tree serves every check that needs it.
-The visitors read widths and areas off the integers and decode a strip only
-where they return a box.
+:func:`walk_words`, which steps strips with :func:`advance_strips` and hands
+each word, with its strips, to several :class:`WordVisitor` objects at once:
 ``refinement_cells_depth``, ``verify_nfold_range`` and the window check of
-``verify_generator_decay`` are visitors over it.
+``verify_generator_decay``.
 """
 
 from __future__ import annotations
@@ -86,7 +63,7 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .exact import QuadReal, _reduced, _sign, floor_surd
 from .sft import TransitionGraph
@@ -128,25 +105,11 @@ class EigenRect:
             wa, wb = wb, wa
         return EigenRect(ua, ub, wa, wb)
 
-    def intersect(self, other: "EigenRect") -> "EigenRect | None":
-        u_lo = max(self.u_lo, other.u_lo)
-        u_hi = min(self.u_hi, other.u_hi)
-        w_lo = max(self.w_lo, other.w_lo)
-        w_hi = min(self.w_hi, other.w_hi)
-        if u_lo < u_hi and w_lo < w_hi:
-            return EigenRect(u_lo, u_hi, w_lo, w_hi)
-        return None
-
     def meets_closed(self, other: "EigenRect") -> bool:
         return (
             max(self.u_lo, other.u_lo) <= min(self.u_hi, other.u_hi)
             and max(self.w_lo, other.w_lo) <= min(self.w_hi, other.w_hi)
         )
-
-    def contains_frame(self, u: QuadReal, w: QuadReal, closed: bool = False) -> bool:
-        if closed:
-            return self.u_lo <= u <= self.u_hi and self.w_lo <= w <= self.w_hi
-        return self.u_lo < u < self.u_hi and self.w_lo < w < self.w_hi
 
     def corners_frame(self):
         return (
@@ -169,13 +132,12 @@ class EigenRect:
 
 def parallelogram_diam_sq(frame: EigenFrame, u_dim: QuadReal, w_dim: QuadReal) -> QuadReal:
     """Squared diameter of a box with the given frame dimensions: the longer
-    of the two diagonals a*v_lam +- b*v_mu, decided exactly."""
+    of the two diagonals a +- b, a = u_dim*v_lam and b = w_dim*v_mu, whose
+    square is |a|^2 + |b|^2 + 2*|a.b|, decided exactly."""
     vl, vm = frame.eig.v_lam, frame.eig.v_mu
     ax, ay = vl[0] * u_dim, vl[1] * u_dim
     bx, by = vm[0] * w_dim, vm[1] * w_dim
-    d1 = (ax + bx) ** 2 + (ay + by) ** 2
-    d2 = (ax - bx) ** 2 + (ay - by) ** 2
-    return max(d1, d2)
+    return ax * ax + ay * ay + bx * bx + by * by + 2 * abs(ax * bx + ay * by)
 
 
 @dataclass(frozen=True)
@@ -222,11 +184,6 @@ class TorusPartition:
     def phi_box(self, box: EigenRect) -> EigenRect:
         return box.scaled(self.lam_act, self.mu_act)
 
-    def phi_inv_box(self, box: EigenRect) -> EigenRect:
-        return box.scaled(*_cached(
-            self, "_inverse_act", lambda: (self.lam_act.inverse(), self.mu_act.inverse())
-        ))
-
 
 def _cached(part, name: str, compute, *args):
     """``compute(*args)``, kept on the partition (or frame) under ``name``
@@ -248,11 +205,10 @@ Box = tuple[int, int, int, int, int, int, int, int]
 def _frame_forms(frame: EigenFrame):
     """What every :class:`_Grid` of a frame starts from, cached on the
     frame: the lcm of the generators' denominators; vl0 and vm0 over their
-    common denominator V, with their signs, since x = u*vl0 + w*vm0 is
-    monotone in u and in w and so bounded by two corners; and per frame
-    coordinate c, the n-bound (bound - c10*m) / c01 as bound*inv + slope*m,
-    that is inv = 1/c01 and slope = -c10/c01, swapping the bounds for a
-    negative c01."""
+    common denominator V, with their signs (x = u*vl0 + w*vm0 is monotone in
+    u and w, so two corners bound it); and per frame coordinate c, the
+    n-bound (bound - c10*m) / c01 as bound*inv + slope*m, the bounds swapped
+    for a negative c01."""
 
     def build():
         gens_q = math.lcm(frame.u10.q, frame.u01.q, frame.w10.q, frame.w01.q)
@@ -274,11 +230,10 @@ class _Grid:
     """Lattice scans in integers, over one common denominator.
 
     Q is the lcm of the denominators of the values the grid is made for and
-    of the lattice generators' frame coordinates.  Each such value x is the
-    integer pair (A, B) with x = (A + B*sqrt(D)) / Q, and so is every sum of
-    them, a lattice point's frame coordinates m*U10 + n*U01 included: a sum
-    is a sum of pairs, x < y is one ``_sign`` of the difference, and a value
-    is decoded only where a caller reads it.
+    of the lattice generators' frame coordinates.  Each such value, and each
+    sum of them (a lattice point's frame coordinates m*U10 + n*U01
+    included), is the integer pair (A, B) of (A + B*sqrt(D)) / Q: x < y is
+    one ``_sign`` of the difference, and a value is decoded where read.
     """
 
     def __init__(self, frame: EigenFrame, values: Iterable[QuadReal]):
@@ -403,12 +358,10 @@ def _int_overlaps(frame: EigenFrame, targets: Sequence[EigenRect],
     as :data:`IntOverlap`.
 
     One lattice scan per mover, over the translates that bring it into the
-    frame-coordinate hull of all targets.  Each hit is tested only against
-    the targets whose w-interval can meet the moved box: with the targets
-    sorted by ``w_lo``, those with ``moved.w_lo - tallest < w_lo < moved.w_hi``,
-    ``tallest`` being the largest target ``w_dim``.  The open intersection
-    decides.  Translating, bisecting and intersecting are integer sums and
-    sign tests of pairs.
+    frame-coordinate hull of all targets.  Each hit is tested, by its open
+    intersection, only against the targets sorted by ``w_lo`` with
+    ``moved.w_lo - tallest < w_lo < moved.w_hi``, ``tallest`` being the
+    largest target ``w_dim``: integer sums and sign tests of pairs.
     """
     grid = _Grid(frame, (x for box in itertools.chain(targets, movers)
                          for x in (box.u_lo, box.u_hi, box.w_lo, box.w_hi)))
@@ -529,19 +482,18 @@ class BoundaryHit:
 
 
 def _cover_list(part: TorusPartition
-                ) -> list[list[tuple[tuple[int, int], EigenRect]]]:
-    """Per cell, every (translate q, box - q) whose closed box, moved back
-    by q, can meet the closed unit square: the only places a point of
-    [0, 1)^2 can lie in that cell, in ascending lattice order.  Cached on
-    the partition.
+                ) -> list[list[tuple[tuple[int, int], tuple[int, int, int, int]]]]:
+    """Per cell, every translate q, with its frame pairs in the partition's
+    :class:`StripBasis`, such that the cell's closed box moved back by q can
+    meet the closed unit square, in ascending lattice order: where a point
+    of [0, 1)^2 can lie in that cell.  Cached on the partition.
 
     One lattice scan per cell over the translates that bring the square's
-    frame hull into the box's, kept when the box and the moved square also
-    meet along the plane axes, x and y.  Those four directions are the edge
-    normals of the two parallelograms, so the test is exact."""
+    frame hull into the box's, kept when the two also meet along the plane
+    axes: with u and w, the edge normals of both, so the test is exact."""
 
     def build():
-        frame = part.frame
+        frame, basis = part.frame, _strip_basis(part)
         corners = [frame.lattice_frame(m, n) for m in (0, 1) for n in (0, 1)]
         su_lo, su_hi = min(u for u, _ in corners), max(u for u, _ in corners)
         sw_lo, sw_hi = min(w for _, w in corners), max(w for _, w in corners)
@@ -550,8 +502,8 @@ def _cover_list(part: TorusPartition
             xs, ys = zip(*box.corners_plane(frame))
             x_lo, x_hi, y_lo, y_hi = min(xs), max(xs), min(ys), max(ys)
             cover.append([
-                ((m, n), box.translate(-qu, -qw))
-                for (m, n), (qu, qw) in lattice_in_frame_box(
+                ((m, n), basis.frame(ModPoint(m, 0, n, 0, 1, False)))
+                for (m, n), _ in lattice_in_frame_box(
                     frame, box.u_lo - su_hi, box.u_hi - su_lo,
                     box.w_lo - sw_hi, box.w_hi - sw_lo,
                 )
@@ -562,29 +514,30 @@ def _cover_list(part: TorusPartition
     return _cached(part, "_cover", build)
 
 
-def _floor(value) -> int:
-    return value.floor() if isinstance(value, QuadReal) else math.floor(value)
-
-
 def locate(part: TorusPartition, point) -> CellHit | BoundaryHit:
-    """Exact cell membership for a plane point (rational or field-valued).
-
-    No lattice scan: the point is reduced into [0, 1)^2 and tested against
-    the boxes of the partition's cover list, whose translates are then
+    """Exact cell membership for a plane point, rational or field-valued, or
+    its :class:`ModPoint`: no lattice scan and no field element.  The point,
+    reduced into [0, 1)^2, is moved by each translate of the cover list and
+    its frame pairs tested against the cell's strip; the translates are then
     shifted back by the floor, so they apply to the point as given."""
-    fx, fy = _floor(point[0]), _floor(point[1])
-    pu, pw = part.frame.to_frame((point[0] - fx, point[1] - fy))
+    basis = _strip_basis(part)
+    mod = point if isinstance(point, ModPoint) else basis.point(point)
+    mod, fx, fy = basis.reduce(mod)
+    (u0, u1, w0, w1), k = basis.frame(mod), mod.k
     interior: list[CellHit] = []
     boundary: list[CellHit] = []
     for i, entries in enumerate(_cover_list(part)):
-        for (m, n), moved in entries:
-            if moved.contains_frame(pu, pw, closed=True):
-                hit = CellHit(i, (m - fx, n - fy))
-                (interior if moved.contains_frame(pu, pw) else boundary).append(hit)
-    if len(interior) > 1 or (interior and boundary):
-        raise InvariantError(f"cells overlap at {point}: {interior} {boundary}")
-    if interior:
+        for (m, n), (qu0, qu1, qw0, qw1) in entries:
+            place = basis.place((u0 + k * qu0, u1 + k * qu1, w0 + k * qw0, w1 + k * qw1),
+                                k, basis.boxes[i])
+            if place >= 0:
+                (interior if place else boundary).append(CellHit(i, (m - fx, n - fy)))
+    if interior and len(interior) + len(boundary) == 1:
         return interior[0]
+    if isinstance(point, ModPoint):
+        point = basis.values(point)
+    if interior:
+        raise InvariantError(f"cells overlap at {point}: {interior} {boundary}")
     if boundary:
         return BoundaryHit(tuple(sorted(boundary, key=lambda h: (h.index, h.translate))))
     raise InvariantError(f"point {point} escaped the partition")
@@ -676,29 +629,22 @@ def _step_table(part: TorusPartition) -> dict[tuple[int, int], list[Overlap]]:
     """Per cell pair (cur, nxt) where phi(box cur) meets box(nxt) modulo the
     lattice: the :func:`translate_overlaps` entries ``(q, (du, dw), comp)``
     of the one pair, in lattice order: :func:`_step_ints`, decoded on the
-    first read and cached on the partition.
+    first read and cached on the partition, for :func:`refine`.
 
     For any piece inside box(cur), the lattice translates of its image that
     meet box(nxt) are among the tabulated ones, and each overlap equals
-    (phi(piece) + shift) intersected with the tabulated component; one table
-    lookup therefore replaces the per-step lattice scan when tracking
-    cylinders along a word.  Read backwards, each entry is also a component
-    of phi^-1(box nxt) meeting box(cur), so the table serves both
-    :func:`advance_strips` and :func:`pullback_strips`, through the
-    per-direction entry lists that :func:`_strip_entries` builds from its
-    integers; :func:`refine` reads the decoded view.
-    """
+    (phi(piece) + shift) intersected with the tabulated component.  Read
+    backwards, each entry is a component of phi^-1(box nxt) meeting box(cur),
+    so the table serves both step directions (:func:`_strip_entries`)."""
     return _cached(part, "_forward_table", lambda: _decoded(*_step_ints(part)))
 
 
 def _step_ints(part: TorusPartition
                ) -> tuple[_Grid, dict[tuple[int, int], list[IntOverlap]]]:
     """The forward step table in integers, one :func:`_int_overlaps` of the
-    cells' forward images against the cells, cached on the partition: what
-    :func:`transition_graph`, :func:`_step_successors` and
-    :func:`_strip_entries` read, and what :func:`_step_table` decodes.
-    Building it raises :class:`InvariantError` when two entries of one pair
-    overlap: the stepped cell then overlaps its own lattice translate."""
+    cells' forward images against the cells, cached on the partition.
+    Raises :class:`InvariantError` when two entries of one pair overlap: the
+    stepped cell then overlaps its own lattice translate."""
 
     def build():
         grid, table = _int_overlaps(part.frame, part.boxes,
@@ -715,6 +661,31 @@ def _step_ints(part: TorusPartition
 Strip = tuple[int, int, int, int, int, int, int, int]
 
 
+class ModPoint(NamedTuple):
+    """The plane point ((x0 + x1*lam) / k, (y0 + y1*lam) / k) of a
+    :class:`StripBasis`, k > 0 chosen per point; matrices act on the
+    numerators.  ``field`` records whether it came as field elements."""
+
+    x0: int
+    x1: int
+    y0: int
+    y1: int
+    k: int
+    field: bool
+
+    def act(self, mat: Mat2Z) -> "ModPoint":
+        """The row action point -> point * mat, on the numerators."""
+        x0, x1, y0, y1, k, field = self
+        a, b, c, d = mat.a, mat.b, mat.c, mat.d
+        return ModPoint(x0 * a + y0 * c, x1 * a + y1 * c,
+                        x0 * b + y0 * d, x1 * b + y1 * d, k, field)
+
+    def moved(self, m: int, n: int) -> "ModPoint":
+        """The point plus the lattice point (m, n)."""
+        x0, x1, y0, y1, k, field = self
+        return ModPoint(x0 + m * k, x1, y0 + n * k, y1, k, field)
+
+
 @dataclass(frozen=True)
 class StripBasis:
     """Integer coordinates for the strip bounds of one partition.
@@ -727,6 +698,10 @@ class StripBasis:
     lam, mu or their inverses maps these pairs through fixed integer
     matrices, so strips step in integers and are decoded only where read.
     ``boxes`` holds the partition's boxes as strips.
+
+    ``frame_map`` is the fixed 4x4 integer matrix that takes a
+    :class:`ModPoint`'s numerators over k to its frame pairs over Q*k:
+    u = x*u10 + y*u01 and w = x*w10 + y*w01, with the generators' pairs.
     """
 
     t: int
@@ -737,6 +712,7 @@ class StripBasis:
     d: int
     modulus: int
     boxes: tuple[Strip, ...]
+    frame_map: tuple[int, ...] = ()
 
     def pair(self, x: QuadReal) -> tuple[int, int]:
         """The pair (X, Y) of x; :class:`InvariantError` for x outside
@@ -758,10 +734,18 @@ class StripBasis:
                 f"{_reduced(a, b, q, self.d)} lies outside the strip module")
         return big_x, big_y
 
-    def value(self, big_x: int, big_y: int) -> QuadReal:
-        """The element (X + Y*lam) / Q, in canonical form."""
+    def over(self, x: QuadReal) -> tuple[int, int, int]:
+        """(X, Y, N) with x = (X + Y*lam) / N and N > 0, for any x of the
+        field: :meth:`pair_of`'s numerators over their own denominator."""
+        if x.d not in (0, self.d):
+            raise InvariantError(f"{x} lies outside the strip module")
+        big_x, big_y, den = x.a * self.b - x.b * self.a, x.b * self.q, x.q * self.b
+        return (big_x, big_y, den) if den > 0 else (-big_x, -big_y, -den)
+
+    def value(self, big_x: int, big_y: int, den: int = 0) -> QuadReal:
+        """The element (X + Y*lam) / den (default Q), in canonical form."""
         return _reduced(big_x * self.q + big_y * self.a, big_y * self.b,
-                        self.modulus * self.q, self.d)
+                        (den or self.modulus) * self.q, self.d)
 
     def strip(self, box: EigenRect) -> Strip:
         pair = self.pair
@@ -772,6 +756,17 @@ class StripBasis:
         return _rect(value(strip[0], strip[1]), value(strip[2], strip[3]),
                      value(strip[4], strip[5]), value(strip[6], strip[7]))
 
+    def unit(self, along_u: bool, n: int) -> tuple[int, int]:
+        """The pair over 1 of lam^n (``along_u``) or mu^n, by squaring the
+        unit, the first column of its factor matrix."""
+        e, power, n = self.factor(n >= 0, along_u)[::2], (1, 0), abs(n)
+        while n:
+            m00, m01, m10, m11 = self.times(e)
+            if n & 1:
+                power = (m00 * power[0] + m01 * power[1], m10 * power[0] + m11 * power[1])
+            e, n = (m00 * e[0] + m01 * e[1], m10 * e[0] + m11 * e[1]), n >> 1
+        return power
+
     def factor(self, forward: bool, along_u: bool) -> tuple[int, int, int, int]:
         """(m00, m01, m10, m11) with (X, Y) -> (m00*X + m01*Y, m10*X + m11*Y)
         multiplying by lam and mu forward, by 1/lam and 1/mu backward
@@ -780,6 +775,12 @@ class StripBasis:
         if forward:
             return (0, -dl, 1, t) if along_u else (t, dl, -1, 0)
         return (dl * t, 1, -dl, 0) if along_u else (0, -1, dl, dl * t)
+
+    def times(self, e: tuple[int, int]) -> tuple[int, int, int, int]:
+        """The integer matrix of multiplication by the element of pair e,
+        as lam^2 = t*lam - delta."""
+        e0, e1 = e
+        return e0, -self.delta * e1, e1, e0 + self.t * e1
 
     def sign(self, big_x: int, big_y: int) -> int:
         """The sign of (X + Y*lam): that of its multiple by q, which is
@@ -795,6 +796,56 @@ class StripBasis:
         return (sign(lo_x - w_lo_x, lo_y - w_lo_y) >= 0
                 and sign(hi_x - lo_x, hi_y - lo_y) > 0
                 and sign(w_hi_x - hi_x, w_hi_y - hi_y) >= 0)
+
+    def point(self, point) -> ModPoint:
+        """The :class:`ModPoint` of a point of rationals or field elements."""
+        field, parts = False, []
+        for c in point:
+            if isinstance(c, QuadReal):
+                field = True
+                parts.append(self.over(c))
+            else:
+                parts.append((c.numerator, 0, c.denominator))
+        (xa, xb, xn), (ya, yb, yn) = parts
+        k = math.lcm(xn, yn)
+        return ModPoint(xa * (k // xn), xb * (k // xn), ya * (k // yn), yb * (k // yn),
+                        k, field)
+
+    def values(self, point: ModPoint) -> tuple:
+        """A point's coordinates, as field elements or fractions as it came."""
+        x0, x1, y0, y1, k, field = point
+        if field:
+            return self.value(x0, x1, k), self.value(y0, y1, k)
+        return Fraction(x0, k), Fraction(y0, k)
+
+    def reduce(self, point: ModPoint) -> tuple[ModPoint, int, int]:
+        """The point reduced into [0, 1)^2, and the floors taken off: each
+        coordinate's is floor(((X*q + Y*a) + Y*b*sqrt(d)) / (k*q))."""
+        x0, x1, y0, y1, k, field = point
+        fx, fy = (floor_surd(big_x * self.q + big_y * self.a, big_y * self.b, k * self.q,
+                             self.d) for big_x, big_y in ((x0, x1), (y0, y1)))
+        return ModPoint(x0 - fx * k, x1, y0 - fy * k, y1, k, field), fx, fy
+
+    def frame(self, point: ModPoint) -> tuple[int, int, int, int]:
+        """The frame pairs (u0, u1, w0, w1) of a point, over Q*k."""
+        f, (x0, x1, y0, y1) = self.frame_map, point[:4]
+        return tuple(f[r] * x0 + f[r + 1] * x1 + f[r + 2] * y0 + f[r + 3] * y1
+                     for r in (0, 4, 8, 12))
+
+    def place(self, at: tuple[int, int, int, int], k: int, strip: Strip) -> int:
+        """Where the frame point of pairs ``at`` over Q*k lies against the
+        closed box of a strip: -1 outside, 0 on its boundary, 1 inside."""
+        u0, u1, w0, w1 = at
+        ula, ulb, uha, uhb, wla, wlb, wha, whb = strip
+        q, a, b, d = self.q, self.a, self.b, self.d
+        lowest = 1
+        for x, y in ((u0 - k * ula, u1 - k * ulb), (k * uha - u0, k * uhb - u1),
+                     (w0 - k * wla, w1 - k * wlb), (k * wha - w0, k * whb - w1)):
+            side = _sign(x * q + y * a, y * b, d)  # self.sign(x, y), inlined
+            if side < 0:
+                return -1
+            lowest *= side
+        return lowest
 
 
 def _strip_basis(part: TorusPartition) -> StripBasis:
@@ -815,7 +866,12 @@ def _strip_basis(part: TorusPartition) -> StripBasis:
                 (frame.u10, frame.u01, frame.w10, frame.w01)):
             modulus = math.lcm(modulus, abs(lam.b) * x.q)
         basis = StripBasis(t, delta, lam.a, lam.b, lam.q, lam.d, modulus, ())
-        return replace(basis, boxes=tuple(basis.strip(box) for box in part.boxes))
+        frame_map = ()
+        for c10, c01 in ((frame.u10, frame.u01), (frame.w10, frame.w01)):
+            e, f = basis.times(basis.pair(c10)), basis.times(basis.pair(c01))
+            frame_map += (e[0], e[1], f[0], f[1], e[2], e[3], f[2], f[3])
+        return replace(basis, boxes=tuple(basis.strip(box) for box in part.boxes),
+                       frame_map=frame_map)
 
     return _cached(part, "_strip_basis", build)
 
@@ -870,21 +926,17 @@ def _strip_entries(part: TorusPartition, forward: bool):
     (:func:`_step_ints`) on the first step and cached on the partition.
 
     ``entries[(cur, to)]`` holds one row per table entry, in order: a
-    clip box inside box(cur) as its u side and its w side (two pairs
-    each), a shift (su, sw) as two pairs, whether the clip's u side and
-    its w side are box(cur)'s whole sides, and the clip's image as its u
-    side and its w side.  A hit x maps to x*k + s per coordinate, k's
-    integer matrix being ``fu`` or ``fw`` and ``flip_*`` marking a
-    negative k.  ``sides[c]`` holds box(c)'s u side and w side, four
-    integers each.  Forward, the clip is
-    phi^-1(comp - shift), whose image is comp, the factors are (lam, mu)
-    and the shift is the table's; backward, the clip is comp, whose image
-    is phi^-1(comp - shift), the factors are (1/lam, 1/mu) and the shift
-    is -phi^-1(shift).
-
-    The table's pairs over its grid's denominator enter the basis through
-    :meth:`StripBasis.pair_of`.  Raises :class:`InvariantError` for a table
-    over another radicand or a value outside the basis's module, and when a
+    clip box inside box(cur) as its u side and w side (two pairs each), a
+    shift (su, sw) as two pairs, whether the clip's sides are box(cur)'s
+    whole sides, and the clip's image as its u side and w side.  A hit x
+    maps to x*k + s per coordinate, k's integer matrix being ``fu`` or
+    ``fw`` and ``flip_*`` marking a negative k; ``sides[c]`` holds box(c)'s
+    u side and w side.  Forward,
+    the clip is phi^-1(comp - shift), whose image is comp, with factors
+    (lam, mu) and the table's shift; backward, the clip is comp, whose
+    image is phi^-1(comp - shift), with factors (1/lam, 1/mu) and shift
+    -phi^-1(shift).  Raises :class:`InvariantError` for a table over
+    another radicand or a value outside the basis's module, and when a
     clip leaves box(cur) or has an empty side: the kernel's shortcuts
     assume neither happens."""
 
@@ -939,18 +991,15 @@ def _step_strips(steps, strips: Sequence[Strip], cur: int, to: int) -> list[Stri
     """The strip-step kernel: each strip, against each entry of (cur, to),
     is clipped to the entry's box and only a nonempty hit is mapped.
 
-    Strips must lie inside box(cur).  Every caller in the package keeps
-    this: it steps a box, or a strip that a step to cur returned, and such
-    a strip lies in the image of a clip, inside box(cur).  Every clip lies
-    inside box(cur) too, with both sides nonempty, as
-    :func:`_strip_entries` checks.  So on an axis where either side is
+    Strips must lie inside box(cur), as a box or a strip that a step to cur
+    returned does; so does every clip, with both sides nonempty
+    (:func:`_strip_entries` checks).  So on an axis where either side is
     box(cur)'s whole side, clipping compares nothing: a whole strip side
-    (four integers compared) leaves the clip's side, whose image the row
-    holds, and a whole clip side leaves the strip's side, which is only
-    mapped.  Other sides go through :func:`_clip_side`.  On a Markov
-    partition no side does: forward, every strip spans box(cur)'s u side
-    and every clip its w side, and backward the reverse.  A step builds no
-    field element and takes no gcd."""
+    leaves the clip's side, whose image the row holds, and a whole clip
+    side leaves the strip's side, which is only mapped.  Other sides go
+    through :func:`_clip_side`; on a Markov partition none does (forward,
+    every strip spans box(cur)'s u side and every clip its w side, and
+    backward the reverse).  A step builds no field element."""
     entries, sides, fu, fw, flip_u, flip_w, basis = steps
     rows = entries.get((cur, to))
     if not rows:
@@ -1015,7 +1064,13 @@ def _rect(u_lo: QuadReal, u_hi: QuadReal, w_lo: QuadReal, w_hi: QuadReal
 def cylinder_components(part: TorusPartition, word: Sequence[int]) -> list[EigenRect]:
     """All components of the cylinder set for ``word`` at offset 0, i.e. of
     the intersection over k of phi^-k R_{word[k]}, anchored in box(word[0]):
-    strips pulled back along the word and decoded at the end."""
+    the :func:`cylinder_strips`, decoded."""
+    return [strip_rect(part, strip) for strip in cylinder_strips(part, word)]
+
+
+def cylinder_strips(part: TorusPartition, word: Sequence[int]) -> list[Strip]:
+    """The components of :func:`cylinder_components` as strips: box(last
+    symbol) pulled back along the word."""
     if not word:
         raise ValueError("empty word")
     cur = word[-1]
@@ -1023,7 +1078,7 @@ def cylinder_components(part: TorusPartition, word: Sequence[int]) -> list[Eigen
     for sym in reversed(word[:-1]):
         strips = pullback_strips(part, strips, cur, sym)
         cur = sym
-    return [strip_rect(part, strip) for strip in strips]
+    return strips
 
 
 # -- the word tree -------------------------------------------------------------------
@@ -1035,11 +1090,9 @@ class WordVisitor:
     ``max_len`` is the longest word it wants.  ``visit(word, strips)`` runs
     once per word of length at most ``max_len``, in walk order; ``word`` is
     the walker's buffer, valid only during the call, and ``strips`` are the
-    word's cylinder pieces as integer strips of the partition's
-    :class:`StripBasis`, which :func:`strip_rect` decodes into boxes.
+    word's cylinder pieces as strips (:func:`strip_rect` decodes them).
     ``result()`` returns what the visitor found, or re-raises the exception
-    that stopped it.
-    """
+    that stopped it."""
 
     max_len = 0
     error: Exception | None = None
@@ -1094,15 +1147,12 @@ def walk_words(part: TorusPartition, visitors: Sequence[WordVisitor]) -> None:
     """Feed every visitor the admissible words of the partition's word tree.
 
     One preorder depth-first walk, with an explicit stack, over the words
-    s_0 ... s_k whose steps follow the support of the transition graph
-    (:func:`_step_successors`), as deep as the deepest visitor still
-    running.  Each word reaches every visitor that wants its length together
-    with its strips: the components of phi^k of its cylinder, anchored in
-    box(s_k), one :func:`advance_strips` step from its parent's, as integer
-    strips that :func:`strip_rect` decodes.  Children come in ascending
-    order, so the words of each length arrive in lexicographic order; an
-    empty cylinder's descendants are visited with no strips and cost no
-    step.
+    s_0 ... s_k whose steps follow :func:`_step_successors`, as deep as the
+    deepest visitor still running.  Each word reaches every visitor that
+    wants its length with its strips: the components of phi^k of its
+    cylinder, anchored in box(s_k), one :func:`advance_strips` step from its
+    parent's.  Words of each length arrive in lexicographic order; an empty
+    cylinder's descendants are visited with no strips and cost no step.
 
     An exception raised by a visitor is kept on its ``error`` and stops that
     visitor alone; one raised by the walk itself is kept on every visitor
@@ -1169,9 +1219,8 @@ class _DepthCells(WordVisitor):
 class CellAreaSum(WordVisitor):
     """Number and exact total area of the cells of the depth-fold refinement
     (those of :func:`refinement_cells_depth`), summed as the walk reaches
-    them; ``result()`` is ``(cells, area)``.  The products of the strips'
-    widths are summed in Z[lam], as (A, B) with A + B*lam, over the
-    :class:`StripBasis` modulus squared, and decoded once."""
+    them; ``result()`` is ``(cells, area)``.  The strips' width products are
+    summed in Z[lam] over the modulus squared and decoded once."""
 
     def __init__(self, part: TorusPartition, depth: int):
         if depth < 1:
@@ -1436,24 +1485,22 @@ def verify_generator_decay(part: TorusPartition, depth: int,
     """Diameters of symmetric refinements W_n = join of phi^-k R, |k| <= n.
 
     For n <= enumerate_up_to the cells are enumerated exactly and their
-    dimensions are asserted to match the endpoint formula (expanding dimension
+    dimensions checked against the endpoint formula (expanding dimension
     |mu|^n * u(last symbol), contracting |mu|^n * w(first symbol)); beyond
-    that the formula itself gives the exact maximum over endpoint pairs
-    reachable in 2n steps of the transition graph.  The diameter grows with
-    the expanding dimension, so each first symbol's maximum is at its
-    widest reachable last symbol: one diameter per first symbol.  All
-    enumerated n are checked in one walk of the words of length
-    2*enumerate_up_to + 1; ``windows`` passes a :class:`WindowCheck` that a
-    shared walk of ``part`` has already fed, in place of that walk.
+    that the formula gives the exact maximum over endpoint pairs reachable
+    in 2n steps.  The diameter grows with the expanding dimension, so one
+    diameter per first symbol, at its widest reachable last symbol, is
+    enough.  The enumerated n are checked in one walk of the words of length
+    2*enumerate_up_to + 1, or by ``windows``, a :class:`WindowCheck` that a
+    shared walk of ``part`` has already fed.
 
     bound_sq is the squared claimed bound d(R)^2 * |mu|^(2n).  A window cell
     mixes the expanding dimension of its last symbol with the contracting
-    dimension of its first, so measured_sq can exceed bound_sq on a partition
-    whose widest mixed pair beats every single cell (the two-box base
-    partition does this for some matrices at small n).  On the canonical
-    refinement every mixed pair is dominated by the dimensions of an actual
-    cell, so there ok holds at every depth; a False ok is a finding about the
-    partition, not an arithmetic error.
+    dimension of its first, so measured_sq can exceed bound_sq where the
+    widest mixed pair beats every single cell (the two-box base partition,
+    for some matrices at small n).  On the canonical refinement every mixed
+    pair is dominated by an actual cell, so ok holds at every depth; a False
+    ok is a finding about the partition, not an arithmetic error.
     """
     succ = _step_successors(part)
     up_to = max(0, min(depth, enumerate_up_to))

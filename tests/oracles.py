@@ -16,7 +16,12 @@ from typing import Sequence
 
 import numpy as np
 
-from markov_torus.coding import BoundaryAmbiguity, PreimageReport, SymbolicWord
+from markov_torus.coding import (
+    BoundaryAmbiguity,
+    DecodeResult,
+    PreimageReport,
+    SymbolicWord,
+)
 from markov_torus.exact import QuadReal, floor_surd
 from markov_torus.partition import (
     AlignmentWitness,
@@ -29,12 +34,15 @@ from markov_torus.partition import (
     RefinementCell,
     TorusPartition,
     WindowCheck,
+    _cached,
     _step_successors,
     _step_table,
     _strip_basis,
+    cylinder_components,
     lattice_in_frame_box,
     parallelogram_diam_sq,
     partition_diam_sq,
+    strip_of,
     transition_graph,
     walk_words,
 )
@@ -221,7 +229,7 @@ def pair_translate_overlaps(frame, target, moving):
         target.w_lo - moving.w_hi,
         target.w_hi - moving.w_lo,
     ):
-        inter = target.intersect(moving.translate(*shift))
+        inter = intersect(target, moving.translate(*shift))
         if inter is not None:
             out.append((q, shift, inter))
     return out
@@ -234,7 +242,7 @@ def pair_image_components(part, source, container):
              in pair_translate_overlaps(part.frame, part.boxes[container], img)]
     comps.sort(key=lambda item: (item[1].w_lo, item[1].u_lo))
     for (_, a), (_, b) in itertools.combinations(comps, 2):
-        if a.intersect(b) is not None:
+        if intersect(a, b) is not None:
             raise InvariantError("image strips overlap inside one cell")
     return comps
 
@@ -550,7 +558,7 @@ def advance_strips(part: TorusPartition, pieces: Sequence[EigenRect], cur: int,
     for piece in pieces:
         img = part.phi_box(piece)
         for _, (du, dw), comp in entries:
-            hit = comp.intersect(img.translate(du, dw))
+            hit = intersect(comp, img.translate(du, dw))
             if hit is not None:
                 out.append(hit)
     return out
@@ -570,9 +578,9 @@ def pullback_strips(part: TorusPartition, pieces: Sequence[EigenRect], cur: int,
     out = []
     for piece in pieces:
         for _, (du, dw), comp in entries:
-            hit = comp.intersect(piece)
+            hit = intersect(comp, piece)
             if hit is not None:
-                out.append(part.phi_inv_box(EigenRect(
+                out.append(phi_inv_box(part, EigenRect(
                     hit.u_lo - du, hit.u_hi - du, hit.w_lo - dw, hit.w_hi - dw)))
     return out
 
@@ -605,7 +613,7 @@ def strip_entries(part: TorusPartition, forward: bool):
         rows = entries[(i, j) if forward else (j, i)] = []
         for _, (du, dw), comp in overlaps:
             if forward:
-                clip, su, sw = part.phi_inv_box(comp.translate(-du, -dw)), du, dw
+                clip, su, sw = phi_inv_box(part, comp.translate(-du, -dw)), du, dw
             else:
                 clip, su, sw = comp, -du * lam, -dw * mu
             rows.append((*basis.strip(clip), *pair(su), *pair(sw)))
@@ -847,9 +855,9 @@ def locate(part: TorusPartition, point) -> CellHit | BoundaryHit:
         for q, (qu, qw) in lattice_in_frame_box(
             part.frame, box.u_lo - pu, box.u_hi - pu, box.w_lo - pw, box.w_hi - pw
         ):
-            if box.contains_frame(pu + qu, pw + qw):
+            if contains_frame(box, pu + qu, pw + qw):
                 interior.append(CellHit(i, q))
-            elif box.contains_frame(pu + qu, pw + qw, closed=True):
+            elif contains_frame(box, pu + qu, pw + qw, closed=True):
                 boundary.append(CellHit(i, q))
     if len(interior) > 1 or (interior and boundary):
         raise InvariantError(f"cells overlap at {point}: {interior} {boundary}")
@@ -869,7 +877,7 @@ def _rect_contains_torus(frame: EigenFrame, rect: EigenRect, point,
         frame,
         rect.u_lo - pu, rect.u_hi - pu, rect.w_lo - pw, rect.w_hi - pw,
     ):
-        if rect.contains_frame(pu + qu, pw + qw, closed=closed):
+        if contains_frame(rect, pu + qu, pw + qw, closed=closed):
             return True
     return False
 
@@ -954,6 +962,254 @@ def preimage_report(self, point, depth: int, max_words: int = 8
     return PreimageReport(
         depth, count, tuple() if truncated else tuple(found), truncated
     )
+
+
+# -- step-table coding in field elements -----------------------------------------
+
+# The coding path before points were carried in the strip basis: the cover
+# list as boxes, ``locate`` testing them in field elements, the encoder that
+# stepped frame coordinates against the decoded forward rows, and decode
+# and membership as they were; kept verbatim (methods as functions, the
+# caches under names of their own) as the reference for the coding oracle
+# test.  ``quad_decode`` also fills in the anchored strip, a field the
+# result has gained since.
+
+
+def _floor(value) -> int:
+    return value.floor() if isinstance(value, QuadReal) else math.floor(value)
+
+
+def _mod1(value):
+    """Reduce an exact coordinate (Fraction or QuadReal) into [0, 1)."""
+    return value - _floor(value)
+
+
+def _point_mod1(point):
+    x, y = point
+    return (_mod1(x), _mod1(y))
+
+
+def _frame_of(frame: EigenFrame, point, translate) -> tuple[QuadReal, QuadReal]:
+    """Frame coordinates of the plane point ``point`` + ``translate``."""
+    pu, pw = frame.to_frame(point)
+    qu, qw = frame.lattice_frame(*translate)
+    return pu + qu, pw + qw
+
+
+def cover_list(part: TorusPartition
+               ) -> list[list[tuple[tuple[int, int], EigenRect]]]:
+    """Per cell, every (translate q, box - q) whose closed box, moved back
+    by q, can meet the closed unit square: the only places a point of
+    [0, 1)^2 can lie in that cell, in ascending lattice order.  Cached on
+    the partition."""
+
+    def build():
+        frame = part.frame
+        corners = [frame.lattice_frame(m, n) for m in (0, 1) for n in (0, 1)]
+        su_lo, su_hi = min(u for u, _ in corners), max(u for u, _ in corners)
+        sw_lo, sw_hi = min(w for _, w in corners), max(w for _, w in corners)
+        cover = []
+        for box in part.boxes:
+            xs, ys = zip(*box.corners_plane(frame))
+            x_lo, x_hi, y_lo, y_hi = min(xs), max(xs), min(ys), max(ys)
+            cover.append([
+                ((m, n), box.translate(-qu, -qw))
+                for (m, n), (qu, qw) in lattice_in_frame_box(
+                    frame, box.u_lo - su_hi, box.u_hi - su_lo,
+                    box.w_lo - sw_hi, box.w_hi - sw_lo,
+                )
+                if x_lo <= m + 1 and m <= x_hi and y_lo <= n + 1 and n <= y_hi
+            ])
+        return cover
+
+    return _cached(part, "_quad_cover", build)
+
+
+def quad_locate(part: TorusPartition, point) -> CellHit | BoundaryHit:
+    """Exact cell membership for a plane point (rational or field-valued).
+
+    No lattice scan: the point is reduced into [0, 1)^2 and tested against
+    the boxes of the partition's cover list, whose translates are then
+    shifted back by the floor, so they apply to the point as given."""
+    fx, fy = _floor(point[0]), _floor(point[1])
+    pu, pw = part.frame.to_frame((point[0] - fx, point[1] - fy))
+    interior: list[CellHit] = []
+    boundary: list[CellHit] = []
+    for i, entries in enumerate(cover_list(part)):
+        for (m, n), moved in entries:
+            if contains_frame(moved, pu, pw, closed=True):
+                hit = CellHit(i, (m - fx, n - fy))
+                (interior if contains_frame(moved, pu, pw) else boundary).append(hit)
+    if len(interior) > 1 or (interior and boundary):
+        raise InvariantError(f"cells overlap at {point}: {interior} {boundary}")
+    if interior:
+        return interior[0]
+    if boundary:
+        return BoundaryHit(tuple(sorted(boundary, key=lambda h: (h.index, h.translate))))
+    raise InvariantError(f"point {point} escaped the partition")
+
+
+def forward_rows(self) -> list[list[tuple[int, tuple, EigenRect]]]:
+    """Per cell i, every entry of row i of the forward step table as
+    ``(j, (du, dw), piece)``: the component of phi(box i) + (du, dw)
+    meeting box j, moved back by (du, dw) into phi(box i).  A stepped
+    point (u, w) lies in the component exactly when it lies in the
+    piece, so the test needs no addition."""
+
+    def build():
+        table = _step_table(self.part)
+        return [[(j, shift, comp.translate(-shift[0], -shift[1]))
+                 for j in row for _, shift, comp in table[i, j]]
+                for i, row in enumerate(_step_successors(self.part))]
+
+    return _cached(self.part, "_quad_forward_rows", build)
+
+
+def quad_encode(self, point, depth: int) -> SymbolicWord | BoundaryAmbiguity:
+    """Itinerary of ``point`` (input-matrix torus) for iterates
+    -depth..depth, or a :class:`BoundaryAmbiguity` describing the first
+    iterate that lies on a cell boundary (no single word is canonical
+    there).
+
+    Only iterate -depth is located.  Each later iterate steps the frame
+    coordinates of the previous one's representative and takes the one
+    component of the forward step table's row that holds them; two
+    raise :class:`InvariantError` (cells overlap), none hands the exact
+    plane iterate to :func:`locate`, which finds the boundary."""
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    part, frame = self.part, self.frame
+    start = _point_mod1((part.acting ** -depth).act(self.to_model(point)))
+    hit = quad_locate(part, start)
+    if isinstance(hit, BoundaryHit):
+        return BoundaryAmbiguity(-depth, start, _cells(hit.candidates))
+    u, w = _frame_of(frame, start, hit.translate)
+    cur = hit.index
+    symbols = [cur]
+    rows = forward_rows(self)
+    lam, mu = part.lam_act, part.mu_act
+    for k in range(1 - depth, depth + 1):
+        u, w = u * lam, w * mu
+        nxt = None
+        for j, step, piece in rows[cur]:
+            if contains_frame(piece, u, w):
+                if nxt is not None:
+                    raise InvariantError(
+                        f"iterate {k} lies in two cells, {nxt} and {j}"
+                    )
+                nxt, shift = j, step
+        if nxt is None:
+            # on a component's closure: name the candidates exactly
+            y = _point_mod1((part.acting ** (k + depth)).act(start))
+            hit = quad_locate(part, y)
+            if isinstance(hit, BoundaryHit):
+                return BoundaryAmbiguity(k, y, _cells(hit.candidates))
+            cur = hit.index
+            u, w = _frame_of(frame, y, hit.translate)
+        else:
+            cur = nxt
+            u, w = u + shift[0], w + shift[1]
+        symbols.append(cur)
+    word = SymbolicWord(tuple(symbols), -depth)
+    matrix = self.construction.refined_graph.matrix
+    for a, b in zip(symbols, symbols[1:]):
+        if matrix[a][b] == 0:
+            raise InvariantError(
+                f"itinerary {word} uses a non-edge {a}->{b}"
+            )
+    return word
+
+
+def _cells(hits) -> tuple[int, ...]:
+    """The cells of some :class:`CellHit` values, ascending and once each."""
+    return tuple(sorted({h.index for h in hits}))
+
+
+def quad_decode(self, word: SymbolicWord) -> DecodeResult:
+    """Exact cylinder box named by ``word``.
+
+    Raises ``ValueError`` if the word leaves the symbol range or its
+    cylinder is empty (the word is not admissible)."""
+    for s in word.symbols:
+        if not 0 <= s < self.part.n:
+            raise ValueError(f"symbol {s} out of range 0..{self.part.n - 1}")
+    pieces = cylinder_components(self.part, word.symbols)
+    if not pieces:
+        raise ValueError(f"word {word} names an empty cylinder")
+    if len(pieces) > 1:
+        raise InvariantError(
+            f"cylinder of {word} is not connected on the refinement"
+        )
+    anchored = pieces[0]
+    shift = -word.offset  # move the first constrained time to time zero
+    rect = anchored.scaled(
+        self.part.lam_act ** shift, self.part.mu_act ** shift
+    )
+    cu = (rect.u_lo + rect.u_hi) / 2
+    cw = (rect.w_lo + rect.w_hi) / 2
+    cx, cy = self.frame.to_plane(cu, cw)
+    diam_sq = rect.diam_sq(self.frame)
+    # a-priori decay bound from the shallower side of the window; for any
+    # admissible word the mixed endpoint dimensions are dominated by the
+    # dimensions of an actual cell, so the bound holds exactly
+    half_depth = min(word.offset + len(word) - 1, -word.offset)
+    bound_sq = partition_diam_sq(self.part) * (
+        self.part.mu_act ** 2
+    ) ** half_depth
+    if (bound_sq - diam_sq).sign() < 0:
+        raise InvariantError(
+            f"cylinder of {word} exceeds its decay bound"
+        )
+    return DecodeResult(
+        word=word,
+        partition=self.part,
+        anchored=anchored,
+        rect=rect,
+        center=(_mod1(cx), _mod1(cy)),
+        diam_sq=diam_sq,
+        diameter_bound_sq=bound_sq,
+        anchored_strip=strip_of(self.part, anchored),
+    )
+
+
+def quad_contains(self, point, closed: bool = True) -> bool:
+    """Exact membership of a model-torus point in the cylinder: the
+    point is in ``rect`` + q exactly when its iterate at ``word.offset``
+    is in ``anchored`` + A^offset q, inside the first symbol's cell."""
+    part, first = self.partition, self.word.symbols[0]
+    y = _point_mod1((part.acting ** self.word.offset).act(point))
+    yu, yw = part.frame.to_frame(y)
+    for (m, n), moved in cover_list(part)[first]:
+        if contains_frame(moved, yu, yw, closed=True):
+            qu, qw = part.frame.lattice_frame(m, n)
+            if contains_frame(self.anchored, yu + qu, yw + qw, closed=closed):
+                return True
+    return False
+
+
+def intersect(a: EigenRect, b: EigenRect) -> EigenRect | None:
+    """The open intersection of two boxes, or None where it is empty: the
+    box's method before the strip kernel left it without a caller in the
+    package."""
+    u_lo, u_hi = max(a.u_lo, b.u_lo), min(a.u_hi, b.u_hi)
+    w_lo, w_hi = max(a.w_lo, b.w_lo), min(a.w_hi, b.w_hi)
+    if u_lo < u_hi and w_lo < w_hi:
+        return EigenRect(u_lo, u_hi, w_lo, w_hi)
+    return None
+
+
+def contains_frame(rect: EigenRect, u: QuadReal, w: QuadReal, closed: bool = False) -> bool:
+    """Whether the frame point (u, w) lies in the open box, or in the closed
+    one: the box's method before membership moved to integer strips."""
+    if closed:
+        return rect.u_lo <= u <= rect.u_hi and rect.w_lo <= w <= rect.w_hi
+    return rect.u_lo < u < rect.u_hi and rect.w_lo < w < rect.w_hi
+
+
+def phi_inv_box(part: TorusPartition, box: EigenRect) -> EigenRect:
+    """The box's image under phi^-1, as the partition's method computed it
+    before the strip entry lists left it without a caller in the package."""
+    return box.scaled(part.lam_act.inverse(), part.mu_act.inverse())
 
 
 # -- pairwise boundary coverage ---------------------------------------------------

@@ -14,7 +14,7 @@ from markov_torus.coding import (
 from markov_torus.exact import QuadReal
 from markov_torus.partition import InvariantError, partition_diam_sq
 from markov_torus.torus import Mat2Z
-from oracles import _rect_contains_torus
+from oracles import _closure_cells, _rect_contains_torus
 
 FIB = Mat2Z(1, 1, 1, 0)
 
@@ -115,7 +115,7 @@ def test_encode_reports_boundary_points_as_ambiguity(ctx):
     assert len(result.candidates) >= 2
     assert "boundary" in str(result)
     # the candidates really are the closure cells of the reported point
-    assert result.candidates == ctx._closure_cells(result.point)
+    assert result.candidates == _closure_cells(ctx, result.point)
 
 
 def test_encode_validates_depth(ctx):

@@ -3,7 +3,9 @@ replaced (kept verbatim in ``oracles``): ``locate`` from the cover list,
 ``encode`` words and boundary ambiguities, ``preimage_report`` counts and
 words, and ``DecodeResult.contains``, on one ladder matrix per sign case and
 ``40 1 1 0``, at drawn rational points, lattice points, points on cell edges
-and field-valued points, inside and outside the unit square."""
+and field-valued points, inside and outside the unit square.  Coding on
+integer points in the strip basis is also checked against the field-element
+coding it replaced (``oracles.quad_*``), on the real and the broken forms."""
 
 import dataclasses
 import json
@@ -15,9 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from markov_torus import coding, partition
+from markov_torus import coding, exact, partition, torus
 from markov_torus.cli import _break_partition, main
-from markov_torus.coding import BoundaryAmbiguity, CodingContext, SymbolicWord
+from markov_torus.coding import BoundaryAmbiguity, CodingContext, DecodeResult, SymbolicWord
 from markov_torus.construct import SignCase
 from markov_torus.partition import InvariantError, TorusPartition, locate, transition_graph
 from markov_torus.torus import Mat2Z
@@ -210,7 +212,95 @@ def test_gap_in_the_partition_matches_oracle(name):
             outcome(lambda: oracles.encode(broken, point, 6))
 
 
+# -- integer points against the field-element coding ---------------------------------
+
+
+@cache
+def broken_context(name: str) -> CodingContext:
+    return _with_refined(context(name), _break_partition(context(name).part))
+
+
+def either(call):
+    """What a call returns, or the type and message of the InvariantError or
+    ValueError it raises."""
+    try:
+        return call()
+    except (InvariantError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(list(MATRICES)), st.booleans(), _POINT, st.integers(0, 5))
+def test_integer_coding_matches_field_coding(name, broken, drawn, depth):
+    """``locate``, ``encode``, ``decode`` (at the encoded offset and two
+    others, so that both scale directions and a negative decay exponent
+    occur) and ``contains`` (open and closed, at the point, lattice copies
+    of it, the centre and the corners) give exactly what the field-element
+    coding gave, errors and their messages included."""
+    ctx = broken_context(name) if broken else context(name)
+    point = model_point(ctx, drawn)
+    assert either(lambda: locate(ctx.part, point)) == \
+        either(lambda: oracles.quad_locate(ctx.part, point))
+    x = ctx.from_model(point)
+    word = either(lambda: ctx.encode(x, depth))
+    assert word == either(lambda: oracles.quad_encode(ctx, x, depth))
+    if not isinstance(word, SymbolicWord):
+        return
+    for offset in (word.offset, 0, 2):
+        shifted = SymbolicWord(word.symbols, offset)
+        res = either(lambda: ctx.decode(shifted))
+        assert res == either(lambda: oracles.quad_decode(ctx, shifted))
+        if not isinstance(res, DecodeResult):
+            continue
+        corners = [ctx.frame.to_plane(u, w) for u, w in res.rect.corners_frame()]
+        for px, py in [point, res.center, *corners]:
+            for m, n in ((0, 0), (2, -1)):
+                for closed in (True, False):
+                    assert res.contains((px + m, py + n), closed) == \
+                        oracles.quad_contains(res, (px + m, py + n), closed)
+
+
+@pytest.mark.parametrize("name", list(MATRICES))
+def test_boundary_points_keep_their_types(name):
+    """A boundary iterate is reported as the field-element coding reported
+    it: fractions for a rational point, field elements for a field point."""
+    ctx = context(name)
+    box = ctx.part.boxes[0]
+    for y in [(Fraction(0), Fraction(0)),
+              ctx.frame.to_plane(box.u_lo, box.w_lo + box.w_dim / 3)]:
+        point = ctx.from_model(y)
+        got, want = ctx.encode(point, 2), oracles.quad_encode(ctx, point, 2)
+        assert isinstance(got, BoundaryAmbiguity) and got == want
+        assert [type(c) for c in got.point] == [type(c) for c in want.point]
+
+
 # -- work -----------------------------------------------------------------------------
+
+
+def test_interior_encode_builds_no_field_element_per_iterate(monkeypatch):
+    """Once the tables exist, an interior encode at depth 20 makes no more
+    ``exact._reduced`` calls, which every field element but the simplest
+    goes through, than one at depth 5."""
+    ctx = context("40 1 1 0")
+    point = (Fraction(5, 17), Fraction(2, 13))
+    ctx.encode(point, 20)  # builds the cover list and the entry lists
+    calls = []
+    reduced = exact._reduced
+
+    def counted(*args):
+        calls.append(args)
+        return reduced(*args)
+
+    counts = []
+    for depth in (5, 20):
+        for module in (exact, partition, torus):
+            monkeypatch.setattr(module, "_reduced", counted)
+        calls.clear()
+        assert isinstance(ctx.encode(point, depth), SymbolicWord)
+        counts.append(len(calls))
+        monkeypatch.undo()
+    assert counts[1] <= counts[0]
+
 
 
 def test_interior_encode_scans_no_lattice(monkeypatch):

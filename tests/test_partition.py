@@ -30,7 +30,7 @@ from markov_torus.partition import (
     walk_words,
 )
 from markov_torus.torus import EigenFrame, Mat2Z, hyperbolic_check
-from oracles import brute_lattice_in_frame_box
+from oracles import brute_lattice_in_frame_box, intersect
 
 FIB = Mat2Z(1, 1, 1, 0)          # negative contracting eigenvalue
 FIB_SQ = Mat2Z(2, 1, 1, 1)       # both eigenvalues positive
@@ -131,7 +131,7 @@ def test_refined_cells_sit_inside_their_containers(construction):
     part = construction.base.partition
     for cell in construction.cells:
         box = part.boxes[cell.symbols[1]]
-        assert cell.rect.intersect(box) == cell.rect
+        assert intersect(cell.rect, box) == cell.rect
 
 
 def test_refined_labels_are_words(construction):

@@ -85,7 +85,7 @@ def clips(part: TorusPartition, cur: int, to: int, forward: bool):
     phi^-1(comp - shift) forward, the component itself backward."""
     table = _step_table(part)
     if forward:
-        return [part.phi_inv_box(comp.translate(-du, -dw))
+        return [oracles.phi_inv_box(part, comp.translate(-du, -dw))
                 for _, (du, dw), comp in table.get((cur, to), ())]
     return [comp for _, _, comp in table.get((to, cur), ())]
 
