@@ -427,7 +427,7 @@ class CodingContext:
             return False
         r1 = self.decode(first).rect
         r2 = self.decode(second).rect
-        return bool(closed_translate_meets(self.frame, r1, r2))
+        return bool(closed_translate_meets(self.part, r1, r2))
 
     # -- resolution depth -----------------------------------------------------
 

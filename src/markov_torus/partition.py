@@ -6,31 +6,32 @@ eigenvectors.  A :class:`TorusPartition` bundles the frame, the acting matrix
 (diagonal in frame coordinates), and one plane representative box per cell;
 the torus cell is the image of the box under the quotient map.
 
-Everything here is exact, and the hot paths run on integers over one common
-denominator.  Lattice scans and overlap tables use a :class:`_Grid`, whose
-values are pairs (A, B) = (A + B*sqrt(D)) / Q: a scan runs column by column
-over the box's plane x-extent, each column's n-interval having exact integer
-floors for ends.  All-pairs overlaps (:func:`_int_overlaps`) take one scan
-per moving cell and decode entries into boxes only where a caller reads one.
-The step table of a partition is such a table, for the forward images of its
-cells, cached in integers and overlap-checked once: the only source of
-transitions in both directions (graph, refinement, successor lists, cylinder
-steps), so a partition's overlaps are scanned once.
+Everything here is exact, and the hot paths run on integers in one
+per-partition :class:`StripBasis`: pairs (X, Y) = (X + Y*lam) / Q over the
+module (1/Q)*Z[lam], Q taking in every box bound and the lattice
+generators' frame coordinates, where multiplying by lam, mu or their
+inverses is a fixed integer matrix and a comparison is the sign of one
+pair.  A lattice scan runs column by column over the box's plane x-extent,
+c*(u + w), each column's n-interval having exact integer floors for ends.
+All-pairs overlaps (:func:`_int_overlaps`) take one scan per moving cell and
+decode entries into boxes only where a caller reads one.  The step table of
+a partition is such a table, for the forward images of its cells, cached on
+strips and overlap-checked once: the only source of transitions in both
+directions (graph, refinement, successor lists, cylinder steps), so a
+partition's overlaps are scanned once.
 
-Cylinders and points live in a per-partition :class:`StripBasis`: pairs
-(X, Y) = (X + Y*lam) / Q over the module (1/Q)*Z[lam], where multiplying by
-lam, mu or their inverses is a fixed integer matrix.  A piece is a strip of
-eight integers, stepped by one kernel, :func:`_step_strips`, over entry
-lists derived from the step table once per direction.  Pieces and entry
-boxes lie in the cell being stepped, so on an axis where either spans the
-cell's whole side the clip is the other's side: on a Markov partition no
-step compares a bound, and only a partition that breaks it (a dented cell)
-reaches the sign tests.  A point is a :class:`ModPoint`, its coordinates
-over one denominator k; the acting matrix moves its numerators, and its
-frame pairs over Q*k are a fixed integer map of them.  :func:`locate` moves
-those pairs by each entry of a cover list, cached on the partition, of every
-(cell, translate) whose closed box can meet the unit square, and tests them
-against the cell's strip.
+A cylinder piece is a strip of eight integers, stepped by one kernel,
+:func:`_step_strips`, over entry lists read off the step table once per
+direction.  Pieces and entry boxes lie in the cell being stepped, so on an
+axis where either spans the cell's whole side the clip is the other's side:
+on a Markov partition no step compares a bound, and only a partition that
+breaks it (a dented cell) reaches the sign tests.  A point is a
+:class:`ModPoint`, its coordinates over one denominator k; the acting
+matrix moves its numerators, and its frame pairs over Q*k are a fixed
+integer map of them.  :func:`locate` moves those pairs by each entry of a
+cover list, cached on the partition, of every (cell, translate) whose
+closed box can meet the unit square, and tests them against the cell's
+strip.
 
 Verifiers:
 
@@ -59,6 +60,7 @@ each word, with its strips, to several :class:`WordVisitor` objects at once:
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -104,12 +106,6 @@ class EigenRect:
         if wa > wb:
             wa, wb = wb, wa
         return EigenRect(ua, ub, wa, wb)
-
-    def meets_closed(self, other: "EigenRect") -> bool:
-        return (
-            max(self.u_lo, other.u_lo) <= min(self.u_hi, other.u_hi)
-            and max(self.w_lo, other.w_lo) <= min(self.w_hi, other.w_hi)
-        )
 
     def corners_frame(self):
         return (
@@ -198,147 +194,31 @@ def _cached(part, name: str, compute, *args):
 
 # -- lattice enumeration -------------------------------------------------------
 
-# a box's bounds u_lo, u_hi, w_lo, w_hi as integer pairs of a _Grid
-Box = tuple[int, int, int, int, int, int, int, int]
+
+def lattice_in_frame_box(frame: EigenFrame, basis: StripBasis, strip: Strip
+                         ) -> list[tuple[tuple[int, int], tuple[QuadReal, QuadReal],
+                                         tuple[int, int, int, int]]]:
+    """All lattice points whose frame coordinates lie in the closed box of a
+    strip of ``basis``, in ascending (m, n) order, each as
+    ``((m, n), (qu, qw), (u0, u1, w0, w1))``: its frame coordinates, also as
+    pairs of the basis.  One :meth:`StripBasis.scan`; every lattice scan of
+    the package, the overlap tables' included, runs through here."""
+    return [(q, frame.lattice_frame(*q), pairs) for q, pairs in basis.scan(strip)]
 
 
-def _frame_forms(frame: EigenFrame):
-    """What every :class:`_Grid` of a frame starts from, cached on the
-    frame: the lcm of the generators' denominators; vl0 and vm0 over their
-    common denominator V, with their signs (x = u*vl0 + w*vm0 is monotone in
-    u and w, so two corners bound it); and per frame coordinate c, the
-    n-bound (bound - c10*m) / c01 as bound*inv + slope*m, the bounds swapped
-    for a negative c01."""
-
-    def build():
-        gens_q = math.lcm(frame.u10.q, frame.u01.q, frame.w10.q, frame.w01.q)
-        vl0, vm0 = frame.eig.v_lam[0], frame.eig.v_mu[0]
-        v = math.lcm(vl0.q, vm0.q)
-        x_form = (vl0.a * (v // vl0.q), vl0.b * (v // vl0.q),
-                  vm0.a * (v // vm0.q), vm0.b * (v // vm0.q), v,
-                  vl0.sign() > 0, vm0.sign() > 0)
-        n_forms = []
-        for c10, c01 in ((frame.u10, frame.u01), (frame.w10, frame.w01)):
-            inv = c01.inverse()
-            n_forms.append((inv, -c10 * inv, c01.sign() < 0))
-        return gens_q, x_form, n_forms
-
-    return _cached(frame, "_grid_forms", build)
+def _minus(a: Strip, b: Strip) -> Strip:
+    """The box of the translates v for which b + v meets the closed box of
+    a: a's lower ends minus b's upper ends, and a's upper minus b's lower."""
+    return (a[0] - b[2], a[1] - b[3], a[2] - b[0], a[3] - b[1],
+            a[4] - b[6], a[5] - b[7], a[6] - b[4], a[7] - b[5])
 
 
-class _Grid:
-    """Lattice scans in integers, over one common denominator.
-
-    Q is the lcm of the denominators of the values the grid is made for and
-    of the lattice generators' frame coordinates.  Each such value, and each
-    sum of them (a lattice point's frame coordinates m*U10 + n*U01
-    included), is the integer pair (A, B) of (A + B*sqrt(D)) / Q: x < y is
-    one ``_sign`` of the difference, and a value is decoded where read.
-    """
-
-    def __init__(self, frame: EigenFrame, values: Iterable[QuadReal]):
-        d = frame.eig.disc
-        gens_q, x_form, n_forms = _frame_forms(frame)
-        q = gens_q
-        for x in values:
-            if x.d not in (0, d):
-                raise ValueError(f"mixed radicands {x.d} and {d}")
-            q = math.lcm(q, x.q)
-        self.d, self.q = d, q
-        self.u10, self.u01, self.w10, self.w01 = map(
-            self.pair, (frame.u10, frame.u01, frame.w10, frame.w01))
-        la, lb, ma, mb, v, l_pos, m_pos = x_form
-        self.x_form = (la, lb, ma, mb, q * v, l_pos, m_pos)
-        # for a bound (A, B), bound*inv + slope*m is
-        # ((A*p + B*r + a1*m) + (A*s + B*p + b1*m)*sqrt(D)) / L
-        self.n_forms = []
-        for inv, slope, flip in n_forms:
-            den = math.lcm(q * inv.q, slope.q)
-            k = den // (q * inv.q)
-            ks = den // slope.q
-            self.n_forms.append((inv.a * k, inv.b * d * k, inv.b * k,
-                                 slope.a * ks, slope.b * ks, den, flip))
-
-    def pair(self, x: QuadReal) -> tuple[int, int]:
-        """The pair (A, B) of x; :class:`InvariantError` for x off the
-        common denominator."""
-        k, rem = divmod(self.q, x.q)
-        if rem:
-            raise InvariantError(f"{x} lies off the grid's denominator {self.q}")
-        return x.a * k, x.b * k
-
-    def value(self, a: int, b: int) -> QuadReal:
-        """The element (a + b*sqrt(D)) / Q, in canonical form."""
-        return _reduced(a, b, self.q, self.d)
-
-    def box(self, box: EigenRect) -> Box:
-        pair = self.pair
-        return (*pair(box.u_lo), *pair(box.u_hi), *pair(box.w_lo), *pair(box.w_hi))
-
-    def scan(self, ula: int, ulb: int, uha: int, uhb: int,
-             wla: int, wlb: int, wha: int, whb: int) -> list[tuple[int, int]]:
-        """The lattice points (m, n) whose frame coordinates lie in the
-        closed box with these bounds, in ascending (m, n) order.
-
-        Column by column: m runs over the integers in the box's plane
-        x-extent, and each closed constraint bounds n by an affine form
-        (bound - c10*m) / c01 in m, c being the u- or w-coordinate of the
-        lattice generators, so each column's n-interval ends are exact
-        integer floors.  Every hit is re-checked against the box."""
-        d, sign = self.d, _sign
-        la, lb, ma, mb, xq, l_pos, m_pos = self.x_form
-        u_ends, w_ends = ((ula, ulb), (uha, uhb)), ((wla, wlb), (wha, whb))
-        (uxa, uxb), (uya, uyb) = u_ends if l_pos else u_ends[::-1]
-        (wxa, wxb), (wya, wyb) = w_ends if m_pos else w_ends[::-1]
-        m_lo = -floor_surd(-(uxa * la + uxb * lb * d + wxa * ma + wxb * mb * d),
-                           -(uxa * lb + uxb * la + wxa * mb + wxb * ma), xq, d)
-        m_hi = floor_surd(uya * la + uyb * lb * d + wya * ma + wyb * mb * d,
-                          uya * lb + uyb * la + wya * mb + wyb * ma, xq, d)
-        lows, highs = [], []
-        for (p, r, s, a1, b1, den, flip), (lo_a, lo_b, hi_a, hi_b) in zip(
-                self.n_forms, ((ula, ulb, uha, uhb), (wla, wlb, wha, whb))):
-            lo = (lo_a * p + lo_b * r, a1, lo_a * s + lo_b * p, b1, den)
-            hi = (hi_a * p + hi_b * r, a1, hi_a * s + hi_b * p, b1, den)
-            lows.append(hi if flip else lo)
-            highs.append(lo if flip else hi)
-        (u10a, u10b), (u01a, u01b) = self.u10, self.u01
-        (w10a, w10b), (w01a, w01b) = self.w10, self.w01
-        hits = []
-        for m in range(m_lo, m_hi + 1):
-            n_lo = max(-floor_surd(-a0 - a1 * m, -b0 - b1 * m, den, d)
-                       for a0, a1, b0, b1, den in lows)
-            n_hi = min(floor_surd(a0 + a1 * m, b0 + b1 * m, den, d)
-                       for a0, a1, b0, b1, den in highs)
-            ua, ub = m * u10a + n_lo * u01a, m * u10b + n_lo * u01b
-            wa, wb = m * w10a + n_lo * w01a, m * w10b + n_lo * w01b
-            for n in range(n_lo, n_hi + 1):
-                if (sign(ua - ula, ub - ulb, d) < 0 or sign(uha - ua, uhb - ub, d) < 0
-                        or sign(wa - wla, wb - wlb, d) < 0
-                        or sign(wha - wa, whb - wb, d) < 0):
-                    raise InvariantError(f"column scan hit {(m, n)} lies outside the box")
-                hits.append((m, n))
-                ua, ub, wa, wb = ua + u01a, ub + u01b, wa + w01a, wb + w01b
-        return hits
-
-
-def lattice_in_frame_box(frame: EigenFrame, u_lo: QuadReal, u_hi: QuadReal,
-                         w_lo: QuadReal, w_hi: QuadReal
-                         ) -> list[tuple[tuple[int, int], tuple[QuadReal, QuadReal]]]:
-    """All lattice points whose frame coordinates lie in the closed box, in
-    ascending (m, n) order, each as ``((m, n), (qu, qw))`` with its frame
-    coordinates, so that callers need not recompute them: one
-    :meth:`_Grid.scan` over the box's bounds.  Every lattice scan of the
-    package, the overlap tables' included, runs through here."""
-    grid = _Grid(frame, (u_lo, u_hi, w_lo, w_hi))
-    pair = grid.pair
-    return [((m, n), frame.lattice_frame(m, n))
-            for m, n in grid.scan(*pair(u_lo), *pair(u_hi), *pair(w_lo), *pair(w_hi))]
+def _bounds(boxes: Iterable[EigenRect]) -> Iterable[QuadReal]:
+    """Every bound of the boxes, for a basis modulus to take in."""
+    return (x for box in boxes for x in (box.u_lo, box.u_hi, box.w_lo, box.w_hi))
 
 
 Overlap = tuple[tuple[int, int], tuple[QuadReal, QuadReal], EigenRect]
-# an overlap in integers: ((m, n), (dua, dub, dwa, dwb), box), the frame
-# coordinates of (m, n) and the bounds of the intersection as pairs of a _Grid
-IntOverlap = tuple[tuple[int, int], tuple[int, int, int, int], Box]
 
 
 def overlap_table(frame: EigenFrame, targets: Sequence[EigenRect],
@@ -346,16 +226,20 @@ def overlap_table(frame: EigenFrame, targets: Sequence[EigenRect],
     """Per pair (i, j) whose boxes overlap modulo the lattice, the
     :func:`translate_overlaps` entries of target j and mover i, in the same
     ascending lattice order; pairs without overlap are absent.  The entries
-    of :func:`_int_overlaps`, decoded."""
-    return _decoded(*_int_overlaps(frame, targets, movers))
+    of :func:`_int_overlaps` over a basis of the frame's own eigenvalue that
+    takes in every bound, decoded."""
+    eig = frame.eig
+    basis = StripBasis.build(frame, eig.matrix, eig.lam, eig.mu,
+                             _bounds(itertools.chain(targets, movers)))
+    return _decoded(basis, _int_overlaps(frame, basis, list(map(basis.strip, targets)),
+                                         list(map(basis.strip, movers))))
 
 
-def _int_overlaps(frame: EigenFrame, targets: Sequence[EigenRect],
-                  movers: Sequence[EigenRect]
-                  ) -> tuple[_Grid, dict[tuple[int, int], list[IntOverlap]]]:
-    """:func:`overlap_table` in integers: one :class:`_Grid` for every bound
-    of the targets and movers, and per overlapping pair (i, j) its entries
-    as :data:`IntOverlap`.
+def _int_overlaps(frame: EigenFrame, basis: StripBasis, targets: Sequence[Strip],
+                  movers: Sequence[Strip]) -> dict[tuple[int, int], list]:
+    """:func:`overlap_table` on strips of one basis: per overlapping pair
+    (i, j), entries ``((m, n), (du0, du1, dw0, dw1), overlap)`` with the
+    frame pairs of (m, n) and the intersection as a strip.
 
     One lattice scan per mover, over the translates that bring it into the
     frame-coordinate hull of all targets.  Each hit is tested, by its open
@@ -363,78 +247,76 @@ def _int_overlaps(frame: EigenFrame, targets: Sequence[EigenRect],
     ``moved.w_lo - tallest < w_lo < moved.w_hi``, ``tallest`` being the
     largest target ``w_dim``: integer sums and sign tests of pairs.
     """
-    grid = _Grid(frame, (x for box in itertools.chain(targets, movers)
-                         for x in (box.u_lo, box.u_hi, box.w_lo, box.w_hi)))
-    d, sign, pair = grid.d, _sign, grid.pair
-    boxes = [grid.box(box) for box in targets]
-    order = sorted(range(len(targets)), key=lambda j: targets[j].w_lo)
-    lows = [boxes[j][4:6] for j in order]
-    ta, tb = pair(max(box.w_dim for box in targets))
-    u_lo = min(box.u_lo for box in targets)
-    u_hi = max(box.u_hi for box in targets)
-    w_lo, w_hi = targets[order[0]].w_lo, max(box.w_hi for box in targets)
-    (u10a, u10b), (u01a, u01b) = grid.u10, grid.u01
-    (w10a, w10b), (w01a, w01b) = grid.w10, grid.w01
-    table: dict[tuple[int, int], list[IntOverlap]] = {}
+    q, a, b, d, key = basis.q, basis.a, basis.b, basis.d, basis.order()
+    order = sorted(range(len(targets)), key=lambda j: key(targets[j][4:6]))
+    lows = [targets[j][4:6] for j in order]
+    tx, ty = max(((t[6] - t[4], t[7] - t[5]) for t in targets), key=key)
+    hull = (*min((t[:2] for t in targets), key=key), *max((t[2:4] for t in targets), key=key),
+            *lows[0], *max((t[6:] for t in targets), key=key))
+    table: dict[tuple[int, int], list] = {}
     for i, mover in enumerate(movers):
-        mula, mulb, muha, muhb, mwla, mwlb, mwha, mwhb = grid.box(mover)
-        for (m, n), _ in lattice_in_frame_box(
-                frame, u_lo - mover.u_hi, u_hi - mover.u_lo,
-                w_lo - mover.w_hi, w_hi - mover.w_lo):
-            dua, dub = m * u10a + n * u01a, m * u10b + n * u01b
-            dwa, dwb = m * w10a + n * w01a, m * w10b + n * w01b
-            ula, ulb, uha, uhb = mula + dua, mulb + dub, muha + dua, muhb + dub
-            wla, wlb, wha, whb = mwla + dwa, mwlb + dwb, mwha + dwa, mwhb + dwb
-            for k in range(_first_above(lows, wla - ta, wlb - tb, d), len(lows)):
-                bwla, bwlb = lows[k]
-                if sign(bwla - wha, bwlb - whb, d) >= 0:
+        mulx, muly, muhx, muhy, mwlx, mwly, mwhx, mwhy = mover
+        for hit, _, shift in lattice_in_frame_box(frame, basis, _minus(hull, mover)):
+            dux, duy, dwx, dwy = shift
+            ulx, uly, uhx, uhy = mulx + dux, muly + duy, muhx + dux, muhy + duy
+            wlx, wly, whx, why = mwlx + dwx, mwly + dwy, mwhx + dwx, mwhy + dwy
+            # below, a pair (x, y) has the sign of (x*q + y*a) + y*b*sqrt(d)
+            for k in range(_first_above(basis, lows, wlx - tx, wly - ty), len(lows)):
+                blx, bly = lows[k]
+                x, y = blx - whx, bly - why
+                if _sign(x * q + y * a, y * b, d) >= 0:
                     break
                 j = order[k]
-                bula, bulb, buha, buhb, _, _, bwha, bwhb = boxes[j]
-                lo = (bula, bulb) if sign(bula - ula, bulb - ulb, d) > 0 else (ula, ulb)
-                hi = (buha, buhb) if sign(uha - buha, uhb - buhb, d) > 0 else (uha, uhb)
-                if sign(hi[0] - lo[0], hi[1] - lo[1], d) <= 0:
+                bulx, buly, buhx, buhy, _, _, bwhx, bwhy = targets[j]
+                x, y = bulx - ulx, buly - uly
+                lo = (bulx, buly) if _sign(x * q + y * a, y * b, d) > 0 else (ulx, uly)
+                x, y = uhx - buhx, uhy - buhy
+                hi = (buhx, buhy) if _sign(x * q + y * a, y * b, d) > 0 else (uhx, uhy)
+                x, y = hi[0] - lo[0], hi[1] - lo[1]
+                if _sign(x * q + y * a, y * b, d) <= 0:
                     continue
-                wlo = (bwla, bwlb) if sign(bwla - wla, bwlb - wlb, d) > 0 else (wla, wlb)
-                whi = (bwha, bwhb) if sign(wha - bwha, whb - bwhb, d) > 0 else (wha, whb)
-                if sign(whi[0] - wlo[0], whi[1] - wlo[1], d) <= 0:
+                x, y = blx - wlx, bly - wly
+                wlo = (blx, bly) if _sign(x * q + y * a, y * b, d) > 0 else (wlx, wly)
+                x, y = whx - bwhx, why - bwhy
+                whi = (bwhx, bwhy) if _sign(x * q + y * a, y * b, d) > 0 else (whx, why)
+                x, y = whi[0] - wlo[0], whi[1] - wlo[1]
+                if _sign(x * q + y * a, y * b, d) <= 0:
                     continue
-                table.setdefault((i, j), []).append(
-                    ((m, n), (dua, dub, dwa, dwb), (*lo, *hi, *wlo, *whi)))
-    return grid, table
+                table.setdefault((i, j), []).append((hit, shift, (*lo, *hi, *wlo, *whi)))
+    return table
 
 
-def _first_above(lows: list[tuple[int, int]], a: int, b: int, d: int) -> int:
-    """:func:`bisect.bisect_right` of the value (a, b) in ascending pairs:
+def _first_above(basis: StripBasis, lows: list[tuple[int, int]], x: int, y: int) -> int:
+    """:func:`bisect.bisect_right` of the pair (x, y) in ascending pairs:
     the first index whose pair exceeds it, one sign test per step."""
+    q, a, b, d = basis.q, basis.a, basis.b, basis.d
     lo, hi = 0, len(lows)
     while lo < hi:
         mid = (lo + hi) // 2
-        la, lb = lows[mid]
-        if _sign(la - a, lb - b, d) > 0:
+        dx, dy = lows[mid][0] - x, lows[mid][1] - y
+        if _sign(dx * q + dy * a, dy * b, d) > 0:
             hi = mid
         else:
             lo = mid + 1
     return lo
 
 
-def _decoded(grid: _Grid, table: dict[tuple[int, int], list[IntOverlap]]
+def _decoded(basis: StripBasis, table: dict[tuple[int, int], list]
              ) -> dict[tuple[int, int], list[Overlap]]:
     """The entries of an integer table as ``(q, (du, dw), overlap)``, every
     value decoded into canonical form."""
-    value = grid.value
-    return {pair: [(q, (value(dua, dub), value(dwa, dwb)),
-                    _rect(value(ula, ulb), value(uha, uhb), value(wla, wlb), value(wha, whb)))
-                   for q, (dua, dub, dwa, dwb), (ula, ulb, uha, uhb, wla, wlb, wha, whb)
-                   in entries]
+    value, rect = basis.value, basis.rect
+    return {pair: [(q, (value(*shift[:2]), value(*shift[2:])), rect(comp))
+                   for q, shift, comp in entries]
             for pair, entries in table.items()}
 
 
-def _boxes_meet(a: Box, b: Box, d: int) -> bool:
-    """Whether two open boxes of one grid overlap: along both axes, each
+def _boxes_meet(basis: StripBasis, a: Strip, b: Strip) -> bool:
+    """Whether the open boxes of two strips overlap: along both axes, each
     starts below the other's end."""
-    return all(_sign(a[k + 2] - b[k], a[k + 3] - b[k + 1], d) > 0
-               and _sign(b[k + 2] - a[k], b[k + 3] - a[k + 1], d) > 0
+    sign = basis.sign
+    return all(sign(a[k + 2] - b[k], a[k + 3] - b[k + 1]) > 0
+               and sign(b[k + 2] - a[k], b[k + 3] - a[k + 1]) > 0
                for k in (0, 4))
 
 
@@ -446,20 +328,15 @@ def translate_overlaps(frame: EigenFrame, target: EigenRect, moving: EigenRect
     return overlap_table(frame, [target], [moving]).get((0, 0), [])
 
 
-def closed_translate_meets(frame: EigenFrame, a: EigenRect, b: EigenRect
+def closed_translate_meets(part: TorusPartition, a: EigenRect, b: EigenRect
                            ) -> list[tuple[int, int]]:
-    """Lattice translates q where the closures of a and b + q intersect."""
-    out = []
-    for q, (du, dw) in lattice_in_frame_box(
-        frame,
-        a.u_lo - b.u_hi,
-        a.u_hi - b.u_lo,
-        a.w_lo - b.w_hi,
-        a.w_hi - b.w_lo,
-    ):
-        if a.meets_closed(b.translate(du, dw)):
-            out.append(q)
-    return out
+    """Lattice translates q where the closures of a and b + q intersect,
+    for boxes in the partition's :class:`StripBasis`: the hits of one scan,
+    since closed intervals meet exactly when each starts below the other's
+    end."""
+    basis = _strip_basis(part)
+    return [q for q, _, _ in lattice_in_frame_box(
+        part.frame, basis, _minus(basis.strip(a), basis.strip(b)))]
 
 
 # -- membership ------------------------------------------------------------------
@@ -494,19 +371,18 @@ def _cover_list(part: TorusPartition
 
     def build():
         frame, basis = part.frame, _strip_basis(part)
-        corners = [frame.lattice_frame(m, n) for m in (0, 1) for n in (0, 1)]
-        su_lo, su_hi = min(u for u, _ in corners), max(u for u, _ in corners)
-        sw_lo, sw_hi = min(w for _, w in corners), max(w for _, w in corners)
+        key = basis.order()
+        corners = [basis.frame(ModPoint(m, 0, n, 0, 1, False)) for m in (0, 1) for n in (0, 1)]
+        us = sorted((c[:2] for c in corners), key=key)
+        ws = sorted((c[2:] for c in corners), key=key)
+        square = (*us[0], *us[-1], *ws[0], *ws[-1])
         cover = []
-        for box in part.boxes:
+        for box, strip in zip(part.boxes, basis.boxes):
             xs, ys = zip(*box.corners_plane(frame))
             x_lo, x_hi, y_lo, y_hi = min(xs), max(xs), min(ys), max(ys)
             cover.append([
-                ((m, n), basis.frame(ModPoint(m, 0, n, 0, 1, False)))
-                for (m, n), _ in lattice_in_frame_box(
-                    frame, box.u_lo - su_hi, box.u_hi - su_lo,
-                    box.w_lo - sw_hi, box.w_hi - sw_lo,
-                )
+                ((m, n), pairs)
+                for (m, n), _, pairs in lattice_in_frame_box(frame, basis, _minus(strip, square))
                 if x_lo <= m + 1 and m <= x_hi and y_lo <= n + 1 and n <= y_hi
             ])
         return cover
@@ -569,7 +445,7 @@ def transition_graph(part: TorusPartition) -> TransitionGraph:
     n = part.n
 
     def build():
-        table = _step_ints(part)[1]
+        table = _step_ints(part)
         return TransitionGraph([[len(table.get((i, j), ())) for j in range(n)]
                                 for i in range(n)])
 
@@ -628,32 +504,38 @@ def refined_partition(part: TorusPartition) -> TorusPartition:
 def _step_table(part: TorusPartition) -> dict[tuple[int, int], list[Overlap]]:
     """Per cell pair (cur, nxt) where phi(box cur) meets box(nxt) modulo the
     lattice: the :func:`translate_overlaps` entries ``(q, (du, dw), comp)``
-    of the one pair, in lattice order: :func:`_step_ints`, decoded on the
-    first read and cached on the partition, for :func:`refine`.
+    of the one pair, in lattice order: :func:`_step_ints`, decoded through
+    the partition's :class:`StripBasis` on the first read and cached on the
+    partition, for :func:`refine`.
 
     For any piece inside box(cur), the lattice translates of its image that
     meet box(nxt) are among the tabulated ones, and each overlap equals
     (phi(piece) + shift) intersected with the tabulated component.  Read
     backwards, each entry is a component of phi^-1(box nxt) meeting box(cur),
     so the table serves both step directions (:func:`_strip_entries`)."""
-    return _cached(part, "_forward_table", lambda: _decoded(*_step_ints(part)))
+    return _cached(part, "_forward_table",
+                   lambda: _decoded(_strip_basis(part), _step_ints(part)))
 
 
-def _step_ints(part: TorusPartition
-               ) -> tuple[_Grid, dict[tuple[int, int], list[IntOverlap]]]:
-    """The forward step table in integers, one :func:`_int_overlaps` of the
-    cells' forward images against the cells, cached on the partition.
-    Raises :class:`InvariantError` when two entries of one pair overlap: the
-    stepped cell then overlaps its own lattice translate."""
+def _step_ints(part: TorusPartition) -> dict[tuple[int, int], list]:
+    """The forward step table on strips, one :func:`_int_overlaps` of the
+    cells' forward images, mapped by the forward factor matrices, against
+    the cells, cached on the partition.  Raises :class:`InvariantError`
+    when two entries of one pair overlap: the stepped cell then overlaps its
+    own lattice translate."""
 
     def build():
-        grid, table = _int_overlaps(part.frame, part.boxes,
-                                    [part.phi_box(b) for b in part.boxes])
+        basis = _strip_basis(part)
+        fu, fw = basis.factor(True, True), basis.factor(True, False)
+        flip_u, flip_w = part.lam_act.sign() < 0, part.mu_act.sign() < 0
+        images = [_side_image(box[:4], fu, 0, 0, flip_u) + _side_image(box[4:], fw, 0, 0, flip_w)
+                  for box in basis.boxes]
+        table = _int_overlaps(part.frame, basis, basis.boxes, images)
         for entries in table.values():
             for (_, _, a), (_, _, b) in itertools.combinations(entries, 2):
-                if _boxes_meet(a, b, grid.d):
+                if _boxes_meet(basis, a, b):
                     raise InvariantError("image strips overlap inside one cell")
-        return grid, table
+        return table
 
     return _cached(part, "_step_ints", build)
 
@@ -688,7 +570,8 @@ class ModPoint(NamedTuple):
 
 @dataclass(frozen=True)
 class StripBasis:
-    """Integer coordinates for the strip bounds of one partition.
+    """Integer coordinates for the strip bounds of one partition, or of the
+    boxes of one overlap table (:meth:`build`).
 
     With t and delta the trace and determinant of the acting matrix, lam
     solves lam^2 = t*lam - delta and mu = t - lam.  ``lam`` is
@@ -701,7 +584,9 @@ class StripBasis:
 
     ``frame_map`` is the fixed 4x4 integer matrix that takes a
     :class:`ModPoint`'s numerators over k to its frame pairs over Q*k:
-    u = x*u10 + y*u01 and w = x*w10 + y*w01, with the generators' pairs.
+    u = x*u10 + y*u01 and w = x*w10 + y*w01, with the generators' pairs
+    ``lattice`` = (u10, u01, w10, w01).  ``columns`` holds what
+    :meth:`scan` bounds its columns by.
     """
 
     t: int
@@ -712,31 +597,64 @@ class StripBasis:
     d: int
     modulus: int
     boxes: tuple[Strip, ...]
-    frame_map: tuple[int, ...] = ()
+    frame_map: tuple[int, ...]
+    lattice: tuple[int, ...]
+    columns: tuple
+
+    @classmethod
+    def build(cls, frame: EigenFrame, acting: Mat2Z, lam: QuadReal, mu: QuadReal,
+              values: Iterable[QuadReal]) -> StripBasis:
+        """The basis of ``lam`` and ``mu``, the eigenvalues of ``acting`` on
+        ``frame``'s directions, whose Q takes in ``values`` and the lattice
+        generators' frame coordinates; with no ``boxes``.  Raises
+        :class:`InvariantError` unless lam^2 = t*lam - delta and
+        mu = t - lam."""
+        t, delta = acting.trace(), acting.det()
+        if lam * lam != lam * t - delta or mu != t - lam:
+            raise InvariantError("the acting eigenvalues do not solve "
+                                 "x^2 = t*x - delta with lam + mu = t")
+        gens = (frame.u10, frame.u01, frame.w10, frame.w01)
+        modulus = 1
+        for x in itertools.chain(values, gens):
+            modulus = math.lcm(modulus, abs(lam.b) * x.q)
+        basis = cls(t, delta, lam.a, lam.b, lam.q, lam.d, modulus, (), (), (), ())
+        u10, u01, w10, w01 = map(basis.pair, gens)
+        frame_map = ()
+        for c10, c01 in ((u10, u01), (w10, w01)):
+            e, f = basis.times(c10), basis.times(c01)
+            frame_map += (e[0], e[1], f[0], f[1], e[2], e[3], f[2], f[3])
+        q, a, b = lam.q, lam.a, lam.b
+        # x = c*(u + w), as v_lam[0] == v_mu[0] == c, the frame matrix's c
+        c = frame.eig.matrix.c
+        columns = [(c * q, c * a, c * b, modulus * q, c > 0)]
+        for (c10x, c10y), (p, r) in ((u10, u01), (w10, w01)):
+            # (x - m*c10) / c01 is (x - m*c10)*(p + r*mu) / norm, with
+            # norm = (p + r*lam)*(p + r*mu); in sqrt(d) and over |norm|*q, the
+            # numerator of x = (X, Y) is X*(kxa, kxb) + Y*(kya, kyb), and m
+            # adds m*(ma, mb)
+            s, norm = p + r * t, p * p + p * r * t + r * r * delta
+            sg = 1 if norm > 0 else -1
+            kxa, kya, kxb, kyb = sg * (s * q - r * a), sg * (r * delta * q + p * a), \
+                -sg * r * b, sg * p * b
+            columns.append((kxa, kya, kxb, kyb, -(c10x * kxa + c10y * kya),
+                            -(c10x * kxb + c10y * kyb), abs(norm) * q, basis.sign(p, r) < 0))
+        return replace(basis, frame_map=frame_map, lattice=(*u10, *u01, *w10, *w01),
+                       columns=tuple(columns))
 
     def pair(self, x: QuadReal) -> tuple[int, int]:
-        """The pair (X, Y) of x; :class:`InvariantError` for x outside
-        the module."""
-        if x.d not in (0, self.d):
-            raise InvariantError(f"{x} lies outside the strip module")
-        return self.pair_of(x.a, x.b, x.q)
-
-    def pair_of(self, a: int, b: int, q: int) -> tuple[int, int]:
-        """The pair (X, Y) of (a + b*sqrt(d)) / q, in lowest terms or not.
-        sqrt(d) is (self.q*lam - self.a) / self.b, so X and Y are
-        (a*self.b - b*self.a)*Q / (q*self.b) and b*self.q*Q / (q*self.b);
-        :class:`InvariantError` where they are not integers."""
-        scale = q * self.b
-        big_x, rem_x = divmod((a * self.b - b * self.a) * self.modulus, scale)
-        big_y, rem_y = divmod(b * self.q * self.modulus, scale)
+        """The pair (X, Y) of x: :meth:`over`'s numerators brought to Q;
+        :class:`InvariantError` for x outside the module."""
+        big_x, big_y, den = self.over(x)
+        big_x, rem_x = divmod(big_x * self.modulus, den)
+        big_y, rem_y = divmod(big_y * self.modulus, den)
         if rem_x or rem_y:
-            raise InvariantError(
-                f"{_reduced(a, b, q, self.d)} lies outside the strip module")
+            raise InvariantError(f"{x} lies outside the strip module")
         return big_x, big_y
 
     def over(self, x: QuadReal) -> tuple[int, int, int]:
         """(X, Y, N) with x = (X + Y*lam) / N and N > 0, for any x of the
-        field: :meth:`pair_of`'s numerators over their own denominator."""
+        field: sqrt(d) is (q*lam - a) / b, so X = x.a*b - x.b*a, Y = x.b*q
+        and N = x.q*b, signs flipped for a negative b."""
         if x.d not in (0, self.d):
             raise InvariantError(f"{x} lies outside the strip module")
         big_x, big_y, den = x.a * self.b - x.b * self.a, x.b * self.q, x.q * self.b
@@ -786,6 +704,61 @@ class StripBasis:
         """The sign of (X + Y*lam): that of its multiple by q, which is
         (X*q + Y*a) + Y*b*sqrt(d)."""
         return _sign(big_x * self.q + big_y * self.a, big_y * self.b, self.d)
+
+    def order(self):
+        """A sort key, ``key=basis.order()``, ordering pairs by value."""
+        sign = self.sign
+        return functools.cmp_to_key(lambda x, y: sign(x[0] - y[0], x[1] - y[1]))
+
+    def scan(self, strip: Strip) -> list[tuple[tuple[int, int], tuple[int, int, int, int]]]:
+        """The lattice points (m, n) whose frame coordinates lie in the
+        closed box of a strip, in ascending (m, n) order, each with its
+        frame pairs (u0, u1, w0, w1).
+
+        Column by column: m runs over the integers of the box's plane
+        x-extent, c*(u + w) at two corners, and each closed constraint
+        bounds n by (bound - m*c10) / c01, c being the u- or w-coordinate of
+        the lattice generators: a pair affine in m over an integer, once
+        multiplied by the conjugate of c01, so each column's n-interval ends
+        are exact floors of (A + B*sqrt(d)) / N.  Every hit is re-checked
+        against the box."""
+        q, a, b, d = self.q, self.a, self.b, self.d
+        ulx, uly, uhx, uhy, wlx, wly, whx, why = strip
+        (cq, ca, cb, xq, c_pos), *n_forms = self.columns
+        lo, hi = (ulx + wlx, uly + wly), (uhx + whx, uhy + why)
+        (lo_x, lo_y), (hi_x, hi_y) = (lo, hi) if c_pos else (hi, lo)
+        m_lo = -floor_surd(-(lo_x * cq + lo_y * ca), -lo_y * cb, xq, d)
+        m_hi = floor_surd(hi_x * cq + hi_y * ca, hi_y * cb, xq, d)
+        ends = []  # per axis: the lower n-bound negated, and the upper
+        for (kxa, kya, kxb, kyb, ma, mb, den, flip), (lx, ly, hx, hy) in zip(
+                n_forms, (strip[:4], strip[4:])):
+            if flip:
+                lx, ly, hx, hy = hx, hy, lx, ly
+            ends.append(((-lx * kxa - ly * kya, -ma, -lx * kxb - ly * kyb, -mb, den),
+                         (hx * kxa + hy * kya, ma, hx * kxb + hy * kyb, mb, den)))
+        ((ua0, ua1, ub0, ub1, u_den), (va0, va1, vb0, vb1, _)), \
+            ((wa0, wa1, wb0, wb1, w_den), (xa0, xa1, xb0, xb1, _)) = ends
+        u10x, u10y, u01x, u01y, w10x, w10y, w01x, w01y = self.lattice
+        hits = []
+        for m in range(m_lo, m_hi + 1):
+            # ceilings of the lower bounds, as minus the floors of minus them
+            n_lo = -min(floor_surd(ua0 + ua1 * m, ub0 + ub1 * m, u_den, d),
+                        floor_surd(wa0 + wa1 * m, wb0 + wb1 * m, w_den, d))
+            n_hi = min(floor_surd(va0 + va1 * m, vb0 + vb1 * m, u_den, d),
+                       floor_surd(xa0 + xa1 * m, xb0 + xb1 * m, w_den, d))
+            ux, uy = m * u10x + n_lo * u01x, m * u10y + n_lo * u01y
+            wx, wy = m * w10x + n_lo * w01x, m * w10y + n_lo * w01y
+            for n in range(n_lo, n_hi + 1):
+                # self.sign of each bound's distance to the hit, inlined
+                x0, y0, x1, y1 = ux - ulx, uy - uly, uhx - ux, uhy - uy
+                x2, y2, x3, y3 = wx - wlx, wy - wly, whx - wx, why - wy
+                if (_sign(x0 * q + y0 * a, y0 * b, d) < 0 or _sign(x1 * q + y1 * a, y1 * b, d) < 0
+                        or _sign(x2 * q + y2 * a, y2 * b, d) < 0
+                        or _sign(x3 * q + y3 * a, y3 * b, d) < 0):
+                    raise InvariantError(f"column scan hit {(m, n)} lies outside the box")
+                hits.append(((m, n), (ux, uy, wx, wy)))
+                ux, uy, wx, wy = ux + u01x, uy + u01y, wx + w01x, wy + w01y
+        return hits
 
     def inside(self, side: tuple[int, int, int, int],
                whole: tuple[int, int, int, int]) -> bool:
@@ -849,29 +822,13 @@ class StripBasis:
 
 
 def _strip_basis(part: TorusPartition) -> StripBasis:
-    """The partition's :class:`StripBasis`, built on the first strip step
-    and cached on the partition."""
+    """The partition's :class:`StripBasis`, over its boxes' bounds, built on
+    the first table or strip step and cached on the partition."""
 
     def build():
-        acting, lam = part.acting, part.lam_act
-        t, delta = acting.trace(), acting.det()
-        if lam * lam != lam * t - delta or part.mu_act != t - lam:
-            raise InvariantError("the acting eigenvalues do not solve "
-                                 "x^2 = t*x - delta with lam + mu = t")
-        frame = part.frame
-        modulus = 1
-        for x in itertools.chain(
-                (x for box in part.boxes
-                 for x in (box.u_lo, box.u_hi, box.w_lo, box.w_hi)),
-                (frame.u10, frame.u01, frame.w10, frame.w01)):
-            modulus = math.lcm(modulus, abs(lam.b) * x.q)
-        basis = StripBasis(t, delta, lam.a, lam.b, lam.q, lam.d, modulus, ())
-        frame_map = ()
-        for c10, c01 in ((frame.u10, frame.u01), (frame.w10, frame.w01)):
-            e, f = basis.times(basis.pair(c10)), basis.times(basis.pair(c01))
-            frame_map += (e[0], e[1], f[0], f[1], e[2], e[3], f[2], f[3])
-        return replace(basis, boxes=tuple(basis.strip(box) for box in part.boxes),
-                       frame_map=frame_map)
+        basis = StripBasis.build(part.frame, part.acting, part.lam_act, part.mu_act,
+                                 _bounds(part.boxes))
+        return replace(basis, boxes=tuple(map(basis.strip, part.boxes)))
 
     return _cached(part, "_strip_basis", build)
 
@@ -922,8 +879,8 @@ def _side_image(side: tuple[int, int, int, int], factor: tuple[int, int, int, in
 
 def _strip_entries(part: TorusPartition, forward: bool):
     """``(entries, sides, fu, fw, flip_u, flip_w, basis)`` for one direction
-    of strip steps, derived from the integer step table
-    (:func:`_step_ints`) on the first step and cached on the partition.
+    of strip steps, read off the step table's strips (:func:`_step_ints`) on
+    the first step and cached on the partition.
 
     ``entries[(cur, to)]`` holds one row per table entry, in order: a
     clip box inside box(cur) as its u side and w side (two pairs each), a
@@ -935,34 +892,22 @@ def _strip_entries(part: TorusPartition, forward: bool):
     the clip is phi^-1(comp - shift), whose image is comp, with factors
     (lam, mu) and the table's shift; backward, the clip is comp, whose
     image is phi^-1(comp - shift), with factors (1/lam, 1/mu) and shift
-    -phi^-1(shift).  Raises :class:`InvariantError` for a table over
-    another radicand or a value outside the basis's module, and when a
-    clip leaves box(cur) or has an empty side: the kernel's shortcuts
-    assume neither happens."""
+    -phi^-1(shift).  Raises :class:`InvariantError` when a clip leaves
+    box(cur) or has an empty side: the kernel's shortcuts assume neither
+    happens."""
 
     def build():
         basis = _strip_basis(part)
-        grid, table = _step_ints(part)
-        if grid.d != basis.d:
-            raise InvariantError(f"the step table's radicand {grid.d} is not "
-                                 f"the strip basis's {basis.d}")
-
-        def pair(a: int, b: int) -> tuple[int, int]:
-            return basis.pair_of(a, b, grid.q)
-
         back_u, back_w = basis.factor(False, True), basis.factor(False, False)
         flip_u, flip_w = part.lam_act.sign() < 0, part.mu_act.sign() < 0
         sides = [(box[:4], box[4:]) for box in basis.boxes]
         entries = {}
-        for (i, j), overlaps in table.items():
+        for (i, j), overlaps in _step_ints(part).items():
             cur = i if forward else j
             box_u, box_w = sides[cur]
             rows = entries[(i, j) if forward else (j, i)] = []
-            for _, (dua, dub, dwa, dwb), (ula, ulb, uha, uhb, wla, wlb, wha, whb) in overlaps:
-                comp_u = (*pair(ula, ulb), *pair(uha, uhb))
-                comp_w = (*pair(wla, wlb), *pair(wha, whb))
-                sux, suy = pair(dua, dub)
-                swx, swy = pair(dwa, dwb)
+            for _, (sux, suy, swx, swy), comp in overlaps:
+                comp_u, comp_w = comp[:4], comp[4:]
                 # -phi^-1(shift), so that phi^-1(x - shift) = x/k + back
                 m00, m01, m10, m11 = back_u
                 bux, buy = -(m00 * sux + m01 * suy), -(m10 * sux + m11 * suy)
@@ -1116,7 +1061,7 @@ def _step_successors(part: TorusPartition) -> list[list[int]]:
 
     def build():
         succ: list[list[int]] = [[] for _ in range(part.n)]
-        for i, j in sorted(_step_ints(part)[1]):
+        for i, j in sorted(_step_ints(part)):
             succ[i].append(j)
         return succ
 
@@ -1254,7 +1199,8 @@ class CellAreaSum(WordVisitor):
 def verify_translate_disjoint(part: TorusPartition) -> list[tuple[int, int, tuple[int, int]]]:
     """Overlap witnesses (i, j, q) where cell i meets cell j + q on the torus;
     empty means the cells are pairwise disjoint and each embeds."""
-    table = _int_overlaps(part.frame, part.boxes, part.boxes)[1]
+    basis = _strip_basis(part)
+    table = _int_overlaps(part.frame, basis, basis.boxes, basis.boxes)
     bad = []
     for i in range(part.n):
         for j in range(i, part.n):

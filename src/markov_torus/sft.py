@@ -127,47 +127,6 @@ def higher_block_graph(graph: TransitionGraph) -> tuple[TransitionGraph, list[tu
     return TransitionGraph(rows), blocks
 
 
-def is_irreducible(graph: TransitionGraph) -> bool:
-    """Every ordered node pair is joined by a path (strong connectivity)."""
-    n = graph.n
-    adj = [[j for j in range(n) if graph.matrix[i][j]] for i in range(n)]
-    radj = [[i for i in range(n) if graph.matrix[i][j]] for j in range(n)]
-
-    def reaches_all(start: int, nbrs) -> bool:
-        stack = list(nbrs[start])
-        visited = set()
-        while stack:
-            v = stack.pop()
-            if v in visited:
-                continue
-            visited.add(v)
-            stack.extend(nbrs[v])
-        return visited == set(range(n))
-
-    return reaches_all(0, adj) and reaches_all(0, radj) if n > 1 else graph.matrix[0][0] > 0
-
-
-def prune_to_recurrent(graph: TransitionGraph) -> tuple[TransitionGraph, list[int]]:
-    """Drop nodes that cannot lie on a bi-infinite path (no in- or no out-edges,
-    iterated to a fixed point).  Returns the pruned graph and the surviving
-    original node indices.  Raises if nothing recurrent remains."""
-    keep = list(range(graph.n))
-    mat = [list(row) for row in graph.matrix]
-    changed = True
-    while changed:
-        changed = False
-        for k in range(len(keep) - 1, -1, -1):
-            out_deg = sum(mat[k])
-            in_deg = sum(row[k] for row in mat)
-            if out_deg == 0 or in_deg == 0:
-                del keep[k]
-                mat = [row[:k] + row[k + 1:] for i, row in enumerate(mat) if i != k]
-                changed = True
-    if not keep:
-        raise ValueError("no recurrent part: every node is transient")
-    return TransitionGraph(mat), keep
-
-
 def char_poly(graph: TransitionGraph) -> tuple[int, ...]:
     """Integer coefficients of det(xI - A), leading coefficient first, in
     O(n^3) exact rational operations (Cohen, *A Course in Computational

@@ -12,7 +12,7 @@ import math
 import re
 from fractions import Fraction
 from functools import total_ordering
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from markov_torus.coding import (
     PreimageReport,
     SymbolicWord,
 )
-from markov_torus.exact import QuadReal, floor_surd
+from markov_torus.exact import QuadReal, _reduced, _sign, floor_surd
 from markov_torus.partition import (
     AlignmentWitness,
     BoundaryHit,
@@ -39,7 +39,6 @@ from markov_torus.partition import (
     _step_table,
     _strip_basis,
     cylinder_components,
-    lattice_in_frame_box,
     parallelogram_diam_sq,
     partition_diam_sq,
     strip_of,
@@ -180,6 +179,176 @@ def brute_lattice_in_frame_box(frame, u_lo, u_hi, w_lo, w_hi):
     return hits
 
 
+# -- the column scan over a per-scan grid ----------------------------------------
+
+# The package's lattice scan before it ran on the partition's strip basis:
+# every scan brought its own bounds and the generators' frame coordinates to
+# one common denominator, a ``_Grid`` of pairs (A + B*sqrt(D)) / Q.  Kept
+# verbatim (the scan renamed) so that the oracles' scans share no code with
+# the package's; with ``closed_translate_meets`` as it was on that scan,
+# testing each hit's closed boxes in the field.
+
+
+# a box's bounds u_lo, u_hi, w_lo, w_hi as integer pairs of a _Grid
+Box = tuple[int, int, int, int, int, int, int, int]
+
+
+def _frame_forms(frame: EigenFrame):
+    """What every :class:`_Grid` of a frame starts from, cached on the
+    frame: the lcm of the generators' denominators; vl0 and vm0 over their
+    common denominator V, with their signs (x = u*vl0 + w*vm0 is monotone in
+    u and w, so two corners bound it); and per frame coordinate c, the
+    n-bound (bound - c10*m) / c01 as bound*inv + slope*m, the bounds swapped
+    for a negative c01."""
+
+    def build():
+        gens_q = math.lcm(frame.u10.q, frame.u01.q, frame.w10.q, frame.w01.q)
+        vl0, vm0 = frame.eig.v_lam[0], frame.eig.v_mu[0]
+        v = math.lcm(vl0.q, vm0.q)
+        x_form = (vl0.a * (v // vl0.q), vl0.b * (v // vl0.q),
+                  vm0.a * (v // vm0.q), vm0.b * (v // vm0.q), v,
+                  vl0.sign() > 0, vm0.sign() > 0)
+        n_forms = []
+        for c10, c01 in ((frame.u10, frame.u01), (frame.w10, frame.w01)):
+            inv = c01.inverse()
+            n_forms.append((inv, -c10 * inv, c01.sign() < 0))
+        return gens_q, x_form, n_forms
+
+    return _cached(frame, "_grid_forms", build)
+
+
+class _Grid:
+    """Lattice scans in integers, over one common denominator.
+
+    Q is the lcm of the denominators of the values the grid is made for and
+    of the lattice generators' frame coordinates.  Each such value, and each
+    sum of them (a lattice point's frame coordinates m*U10 + n*U01
+    included), is the integer pair (A, B) of (A + B*sqrt(D)) / Q: x < y is
+    one ``_sign`` of the difference, and a value is decoded where read.
+    """
+
+    def __init__(self, frame: EigenFrame, values: Iterable[QuadReal]):
+        d = frame.eig.disc
+        gens_q, x_form, n_forms = _frame_forms(frame)
+        q = gens_q
+        for x in values:
+            if x.d not in (0, d):
+                raise ValueError(f"mixed radicands {x.d} and {d}")
+            q = math.lcm(q, x.q)
+        self.d, self.q = d, q
+        self.u10, self.u01, self.w10, self.w01 = map(
+            self.pair, (frame.u10, frame.u01, frame.w10, frame.w01))
+        la, lb, ma, mb, v, l_pos, m_pos = x_form
+        self.x_form = (la, lb, ma, mb, q * v, l_pos, m_pos)
+        # for a bound (A, B), bound*inv + slope*m is
+        # ((A*p + B*r + a1*m) + (A*s + B*p + b1*m)*sqrt(D)) / L
+        self.n_forms = []
+        for inv, slope, flip in n_forms:
+            den = math.lcm(q * inv.q, slope.q)
+            k = den // (q * inv.q)
+            ks = den // slope.q
+            self.n_forms.append((inv.a * k, inv.b * d * k, inv.b * k,
+                                 slope.a * ks, slope.b * ks, den, flip))
+
+    def pair(self, x: QuadReal) -> tuple[int, int]:
+        """The pair (A, B) of x; :class:`InvariantError` for x off the
+        common denominator."""
+        k, rem = divmod(self.q, x.q)
+        if rem:
+            raise InvariantError(f"{x} lies off the grid's denominator {self.q}")
+        return x.a * k, x.b * k
+
+    def value(self, a: int, b: int) -> QuadReal:
+        """The element (a + b*sqrt(D)) / Q, in canonical form."""
+        return _reduced(a, b, self.q, self.d)
+
+    def box(self, box: EigenRect) -> Box:
+        pair = self.pair
+        return (*pair(box.u_lo), *pair(box.u_hi), *pair(box.w_lo), *pair(box.w_hi))
+
+    def scan(self, ula: int, ulb: int, uha: int, uhb: int,
+             wla: int, wlb: int, wha: int, whb: int) -> list[tuple[int, int]]:
+        """The lattice points (m, n) whose frame coordinates lie in the
+        closed box with these bounds, in ascending (m, n) order.
+
+        Column by column: m runs over the integers in the box's plane
+        x-extent, and each closed constraint bounds n by an affine form
+        (bound - c10*m) / c01 in m, c being the u- or w-coordinate of the
+        lattice generators, so each column's n-interval ends are exact
+        integer floors.  Every hit is re-checked against the box."""
+        d, sign = self.d, _sign
+        la, lb, ma, mb, xq, l_pos, m_pos = self.x_form
+        u_ends, w_ends = ((ula, ulb), (uha, uhb)), ((wla, wlb), (wha, whb))
+        (uxa, uxb), (uya, uyb) = u_ends if l_pos else u_ends[::-1]
+        (wxa, wxb), (wya, wyb) = w_ends if m_pos else w_ends[::-1]
+        m_lo = -floor_surd(-(uxa * la + uxb * lb * d + wxa * ma + wxb * mb * d),
+                           -(uxa * lb + uxb * la + wxa * mb + wxb * ma), xq, d)
+        m_hi = floor_surd(uya * la + uyb * lb * d + wya * ma + wyb * mb * d,
+                          uya * lb + uyb * la + wya * mb + wyb * ma, xq, d)
+        lows, highs = [], []
+        for (p, r, s, a1, b1, den, flip), (lo_a, lo_b, hi_a, hi_b) in zip(
+                self.n_forms, ((ula, ulb, uha, uhb), (wla, wlb, wha, whb))):
+            lo = (lo_a * p + lo_b * r, a1, lo_a * s + lo_b * p, b1, den)
+            hi = (hi_a * p + hi_b * r, a1, hi_a * s + hi_b * p, b1, den)
+            lows.append(hi if flip else lo)
+            highs.append(lo if flip else hi)
+        (u10a, u10b), (u01a, u01b) = self.u10, self.u01
+        (w10a, w10b), (w01a, w01b) = self.w10, self.w01
+        hits = []
+        for m in range(m_lo, m_hi + 1):
+            n_lo = max(-floor_surd(-a0 - a1 * m, -b0 - b1 * m, den, d)
+                       for a0, a1, b0, b1, den in lows)
+            n_hi = min(floor_surd(a0 + a1 * m, b0 + b1 * m, den, d)
+                       for a0, a1, b0, b1, den in highs)
+            ua, ub = m * u10a + n_lo * u01a, m * u10b + n_lo * u01b
+            wa, wb = m * w10a + n_lo * w01a, m * w10b + n_lo * w01b
+            for n in range(n_lo, n_hi + 1):
+                if (sign(ua - ula, ub - ulb, d) < 0 or sign(uha - ua, uhb - ub, d) < 0
+                        or sign(wa - wla, wb - wlb, d) < 0
+                        or sign(wha - wa, whb - wb, d) < 0):
+                    raise InvariantError(f"column scan hit {(m, n)} lies outside the box")
+                hits.append((m, n))
+                ua, ub, wa, wb = ua + u01a, ub + u01b, wa + w01a, wb + w01b
+        return hits
+
+
+def grid_lattice_in_frame_box(frame: EigenFrame, u_lo: QuadReal, u_hi: QuadReal,
+                         w_lo: QuadReal, w_hi: QuadReal
+                         ) -> list[tuple[tuple[int, int], tuple[QuadReal, QuadReal]]]:
+    """All lattice points whose frame coordinates lie in the closed box, in
+    ascending (m, n) order, each as ``((m, n), (qu, qw))`` with its frame
+    coordinates, so that callers need not recompute them: one
+    :meth:`_Grid.scan` over the box's bounds.  Every lattice scan of the
+    package, the overlap tables' included, runs through here."""
+    grid = _Grid(frame, (u_lo, u_hi, w_lo, w_hi))
+    pair = grid.pair
+    return [((m, n), frame.lattice_frame(m, n))
+            for m, n in grid.scan(*pair(u_lo), *pair(u_hi), *pair(w_lo), *pair(w_hi))]
+
+
+def closed_translate_meets(frame, a, b):
+    """Lattice translates q where the closures of a and b + q intersect."""
+    out = []
+    for q, (du, dw) in grid_lattice_in_frame_box(
+        frame,
+        a.u_lo - b.u_hi,
+        a.u_hi - b.u_lo,
+        a.w_lo - b.w_hi,
+        a.w_hi - b.w_lo,
+    ):
+        if meets_closed(a, b.translate(du, dw)):
+            out.append(q)
+    return out
+
+
+def meets_closed(self, other):
+    """``EigenRect.meets_closed``, as a function."""
+    return (
+        max(self.u_lo, other.u_lo) <= min(self.u_hi, other.u_hi)
+        and max(self.w_lo, other.w_lo) <= min(self.w_hi, other.w_hi)
+    )
+
+
 # -- characteristic polynomial -------------------------------------------------
 
 # ``sft.char_poly`` before it reduced to Hessenberg form, kept verbatim (only
@@ -222,7 +391,7 @@ def pair_translate_overlaps(frame, target, moving):
     each as ``(q, (du, dw), overlap)`` with the frame coordinates of q and
     the (nonempty) open intersection."""
     out = []
-    for q, shift in lattice_in_frame_box(
+    for q, shift in grid_lattice_in_frame_box(
         frame,
         target.u_lo - moving.u_hi,
         target.u_hi - moving.u_lo,
@@ -852,7 +1021,7 @@ def locate(part: TorusPartition, point) -> CellHit | BoundaryHit:
     interior: list[CellHit] = []
     boundary: list[CellHit] = []
     for i, box in enumerate(part.boxes):
-        for q, (qu, qw) in lattice_in_frame_box(
+        for q, (qu, qw) in grid_lattice_in_frame_box(
             part.frame, box.u_lo - pu, box.u_hi - pu, box.w_lo - pw, box.w_hi - pw
         ):
             if contains_frame(box, pu + qu, pw + qw):
@@ -873,7 +1042,7 @@ def _rect_contains_torus(frame: EigenFrame, rect: EigenRect, point,
     """Exact membership of a torus point in a frame box, testing every
     lattice representative that could land inside."""
     pu, pw = frame.to_frame(point)
-    for _, (qu, qw) in lattice_in_frame_box(
+    for _, (qu, qw) in grid_lattice_in_frame_box(
         frame,
         rect.u_lo - pu, rect.u_hi - pu, rect.w_lo - pw, rect.w_hi - pw,
     ):
@@ -1014,7 +1183,7 @@ def cover_list(part: TorusPartition
             x_lo, x_hi, y_lo, y_hi = min(xs), max(xs), min(ys), max(ys)
             cover.append([
                 ((m, n), box.translate(-qu, -qw))
-                for (m, n), (qu, qw) in lattice_in_frame_box(
+                for (m, n), (qu, qw) in grid_lattice_in_frame_box(
                     frame, box.u_lo - su_hi, box.u_hi - su_lo,
                     box.w_lo - sw_hi, box.w_hi - sw_lo,
                 )

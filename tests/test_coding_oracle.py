@@ -335,3 +335,19 @@ def test_encode_depth_500_from_the_command_line(capsys):
     assert code == 0
     assert len(payload["word"].split("@")[0].split(",")) == 1001
     assert payload["preimages"]["count"] == 1
+
+
+@pytest.mark.parametrize("name", list(MATRICES)[:4])
+def test_closed_translates_match_the_field_scan(name):
+    """The translates where two decoded cylinders' closures meet, as the
+    hits of one scan on the partition's strip basis, equal the field scan's
+    that tests each hit's closed boxes: every pair of cylinders of the
+    admissible words of length 2, at offsets 0 and -1."""
+    ctx = context(name)
+    succ = partition._step_successors(ctx.part)
+    rects = [ctx.decode(SymbolicWord((i, j), offset)).rect
+             for i in range(ctx.part.n) for j in succ[i] for offset in (0, -1)]
+    for a in rects:
+        for b in rects:
+            assert partition.closed_translate_meets(ctx.part, a, b) == \
+                oracles.closed_translate_meets(ctx.frame, a, b)

@@ -4,6 +4,7 @@ pair, on the base and refined partitions of all four sign cases, their
 negative-control forms and drawn boxes, and the same transition graphs,
 refinements, disjointness witnesses and backward steps built on them."""
 
+from dataclasses import replace
 from fractions import Fraction
 from functools import cache
 
@@ -274,8 +275,10 @@ def test_boxes_acting_by_the_square_match_pair_scans(text):
         translates = {(i, q) for (i, _), entries in expected.items()
                       for q, _, _ in entries}
         assert len(translates) > len(movers), tag
-        grid, ints = partition._int_overlaps(square.frame, square.boxes, movers)
-        assert partition._decoded(grid, ints) == expected, tag
+        basis = partition._strip_basis(square)
+        ints = partition._int_overlaps(square.frame, basis, basis.boxes,
+                                       list(map(basis.strip, movers)))
+        assert partition._decoded(basis, ints) == expected, tag
         graph = oracles.pair_transition_graph(square).matrix
         assert transition_graph(square).matrix == graph, tag
         assert _step_successors(square) == \
@@ -286,8 +289,9 @@ def test_boxes_acting_by_the_square_match_pair_scans(text):
 @pytest.mark.parametrize("bound", range(4), ids=["u_lo", "u_hi", "w_lo", "w_hi"])
 def test_a_lone_denominator_enters_the_grid(bound):
     """One bound of one box carries a prime that no other value's
-    denominator has: the table's common denominator must still take it in,
-    whichever bound it is, as targets, as movers and as their images."""
+    denominator has: the basis modulus must still take it in, whichever
+    bound it is, for a table's own basis (as targets, as movers and as
+    their images) and for the basis of a partition of those boxes."""
     part = base_partition(SignCase.PLUS_PLUS)
     box = part.boxes[0]
     bounds = [box.u_lo, box.u_hi, box.w_lo, box.w_hi]
@@ -297,6 +301,12 @@ def test_a_lone_denominator_enters_the_grid(bound):
     for movers in (targets, [part.phi_box(b) for b in targets]):
         assert overlap_table(part.frame, targets, movers) == \
             pair_table(part.frame, targets, movers)
+    dented = replace(part, boxes=tuple(targets))
+    assert partition._strip_basis(dented).modulus % 7919 == 0
+    assert verify_translate_disjoint(dented) == \
+        oracles.pair_verify_translate_disjoint(dented)
+    assert outcome(lambda: transition_graph(dented).matrix) == \
+        outcome(lambda: oracles.pair_transition_graph(dented).matrix)
 
 
 def test_scan_recheck_refuses_a_hit_outside_the_box(monkeypatch):
@@ -304,11 +314,10 @@ def test_scan_recheck_refuses_a_hit_outside_the_box(monkeypatch):
     the scan's re-check refuses them, in a single scan and in an overlap
     table."""
     part = base_partition(SignCase.PLUS_MINUS)
+    basis = partition._strip_basis(part)
     floor = partition.floor_surd
     monkeypatch.setattr(partition, "floor_surd", lambda *args: floor(*args) + 1)
-    box = part.boxes[0]
     with pytest.raises(InvariantError, match="lies outside the box"):
-        partition.lattice_in_frame_box(part.frame, box.u_lo, box.u_hi,
-                                       box.w_lo, box.w_hi)
+        partition.lattice_in_frame_box(part.frame, basis, basis.boxes[0])
     with pytest.raises(InvariantError, match="lies outside the box"):
         overlap_table(part.frame, part.boxes, part.boxes)

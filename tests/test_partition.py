@@ -16,6 +16,7 @@ from markov_torus.partition import (
     EigenRect,
     InvariantError,
     NfoldCount,
+    StripBasis,
     lattice_in_frame_box,
     locate,
     partition_diam_sq,
@@ -204,7 +205,8 @@ def test_lattice_scan_matches_bounding_box_oracle(mat, anchors, flat, corner):
     """The column scan returns the bounding-box scan's points, order
     included, on boxes whose edges run through lattice points (``corner``
     makes one a box corner) and on boxes with u_lo == u_hi (``flat``), each
-    with its own frame coordinates."""
+    with its own frame coordinates, decoded and as pairs of a basis over
+    the box's bounds."""
     frame = EigenFrame.from_eigen(hyperbolic_check(mat))
     if corner:
         anchors[2] = anchors[0]
@@ -213,7 +215,9 @@ def test_lattice_scan_matches_bounding_box_oracle(mat, anchors, flat, corner):
     if flat:
         us[1] = us[0]
     box = (us[0], us[1], ws[0], ws[1])
-    hits = lattice_in_frame_box(frame, *box)
-    assert [q for q, _ in hits] == brute_lattice_in_frame_box(frame, *box)
-    for q, coords in hits:
+    basis = StripBasis.build(frame, mat, frame.eig.lam, frame.eig.mu, box)
+    hits = lattice_in_frame_box(frame, basis, sum(map(basis.pair, box), ()))
+    assert [q for q, _, _ in hits] == brute_lattice_in_frame_box(frame, *box)
+    for q, coords, pairs in hits:
         assert coords == frame.lattice_frame(*q)
+        assert (basis.value(*pairs[:2]), basis.value(*pairs[2:])) == coords

@@ -14,9 +14,7 @@ from markov_torus.sft import (
     count_blocks,
     count_periodic,
     higher_block_graph,
-    is_irreducible,
     perron_data,
-    prune_to_recurrent,
     to_dot,
 )
 from markov_torus.torus import Mat2Z
@@ -72,21 +70,6 @@ def test_higher_block_presentation():
 def test_higher_block_rejects_multiplicities():
     with pytest.raises(ValueError):
         higher_block_graph(TransitionGraph([[2, 1], [1, 0]]))
-
-
-def test_irreducibility():
-    assert is_irreducible(FIB)
-    assert not is_irreducible(TransitionGraph([[1, 1], [0, 1]]))
-    assert is_irreducible(TransitionGraph([[1]]))
-    assert not is_irreducible(TransitionGraph([[0]]))
-
-
-def test_prune_to_recurrent():
-    g = TransitionGraph([[1, 1], [0, 0]])
-    pruned, kept = prune_to_recurrent(g)
-    assert pruned.matrix == ((1,),) and kept == [0]
-    with pytest.raises(ValueError):
-        prune_to_recurrent(TransitionGraph([[0, 1], [0, 0]]))
 
 
 def test_char_poly_quadratic():

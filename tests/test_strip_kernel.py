@@ -34,7 +34,6 @@ from markov_torus.partition import (
     NfoldCount,
     StripBasis,
     TorusPartition,
-    _Grid,
     _step_table,
     _strip_basis,
     _strip_entries,
@@ -283,19 +282,21 @@ def test_entry_lists_refuse_a_clip_outside_its_cell(monkeypatch):
 
 
 def test_change_of_basis_refuses_values_outside_the_module():
-    """The step table's pairs enter the strip basis only from the same
-    field and only where they lie in its module."""
-    part = replace(form(MATRICES[SignCase.PLUS_MINUS], "refined"))
+    """Values enter the strip basis only from the same field and only where
+    they lie in its module: every bound goes to its pair and back, and
+    1/(7Q) and an element of another field are refused."""
+    part = form(MATRICES[SignCase.PLUS_MINUS], "refined")
     basis = _strip_basis(part)
+    for box in part.boxes:
+        for x in (box.u_lo, box.u_hi, box.w_lo, box.w_hi):
+            assert basis.value(*basis.pair(x)) == x
     finer = QuadReal(Fraction(1, 7 * basis.modulus))  # not (X + Y*lam)/Q
-    grid = _Grid(part.frame, [finer])
-    assert basis.pair_of(*grid.pair(part.boxes[0].u_hi), grid.q) == \
-        basis.pair(part.boxes[0].u_hi)
+    big_x, big_y, den = basis.over(finer)
+    assert basis.value(big_x, big_y, den) == finer
     with pytest.raises(InvariantError, match="outside the strip module"):
-        basis.pair_of(*grid.pair(finer), grid.q)
-    object.__setattr__(part, "_strip_basis", replace(basis, d=basis.d + 1))
-    with pytest.raises(InvariantError, match="radicand"):
-        _strip_entries(part, True)
+        basis.pair(finer)
+    with pytest.raises(InvariantError, match="outside the strip module"):
+        basis.pair(QuadReal(0, 1, 12))  # sqrt(12) is not in Q(sqrt(5))
 
 
 # -- the strip basis ---------------------------------------------------------------
