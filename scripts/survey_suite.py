@@ -55,7 +55,7 @@ def survey_one(matrix: Mat2Z, verify: bool, nfold_max: int) -> dict:
         "conj_scale": construction.conjugation.conjugator.scale(),
         "n_star": part.n,
         "lam": f"{float(part.lam_act):+.6f}",
-        "radius": perron_data(construction.refined_graph).spectral_radius,
+        "radius": perron_data(construction.graph).spectral_radius,
         "build_s": built,
     }
     if verify:

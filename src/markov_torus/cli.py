@@ -533,23 +533,23 @@ def cmd_periodic(cfg: RunConfig) -> int:
     top = cfg.depth if cfg.depth is not None else 6
     if top < 1:
         raise CliError("--depth must be >= 1 for periodic counts")
-    rows = []
-    for n in range(1, top + 1):
-        rows.append({
-            "n": n,
-            "torus": count_periodic_points(cfg.matrix, n),
-            "sft_2node": count_periodic(construction.graph, n),
-            "sft_refined": count_periodic(construction.refined_graph, n),
-        })
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "matrix": matrix_json(cfg.matrix),
-        "rows": rows,
-    }
-    lines = ["  n  torus |det(A^n-I)|  2-node SFT  refined SFT"]
-    for row in rows:
-        lines.append(f"{row['n']:>3}  {row['torus']:>19}  {row['sft_2node']:>10}  "
-                     f"{row['sft_refined']:>11}")
+    rows, lines = [], []
+    for n in range(top, 0, -1):  # the largest counts first, to fail fast
+        # refined: tr((TS)^n) = tr((ST)^n), as the build checks G == T·S, S·T == P
+        shift = count_periodic(construction.graph, n)
+        torus = count_periodic_points(cfg.matrix, n)
+        try:
+            lines.append(f"{n:>3}  {torus:>19}  {shift:>10}  {shift:>11}")
+        except ValueError as exc:
+            raise CliError(
+                f"--depth {top}: the periodic counts have more digits than the "
+                f"{sys.get_int_max_str_digits()} this interpreter prints; "
+                f"use a lower --depth") from exc
+        rows.append({"n": n, "torus": torus,
+                     "sft_2node": shift, "sft_refined": shift})
+    payload = {"schema": SCHEMA_VERSION, "matrix": matrix_json(cfg.matrix),
+               "rows": rows[::-1]}
+    lines = ["  n  torus |det(A^n-I)|  2-node SFT  refined SFT"] + lines[::-1]
     _emit(payload, lines, cfg.json_out)
     return EXIT_OK
 

@@ -22,7 +22,8 @@ fact:
 3. ``build_markov_construction`` -- the refinement of the partition by its
    image, whose cells are in bijection with the edges of the transition
    graph; the geometric transition multiplicities are asserted to equal the
-   model matrix itself, via two independent counting methods.
+   model matrix itself, via two independent counting methods, and the
+   refined graph to be T·S with S·T the model (see the build).
 
 Independent count: ``count_intersections`` counts integer translates of the
 coordinate axes crossed by each image strip (shifted by the slide vector),
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .exact import QuadReal, cf_expand
 from .partition import (
@@ -41,6 +42,7 @@ from .partition import (
     InvariantError,
     RefinementCell,
     TorusPartition,
+    _step_successors,
     refine,
     refined_partition,
     transition_graph,
@@ -341,7 +343,7 @@ class MarkovConstruction:
     cells: tuple[RefinementCell, ...]
     refined: TorusPartition
     graph: TransitionGraph          # two-cell multiplicities == model matrix
-    refined_graph: TransitionGraph  # 0/1 graph on refinement cells
+    refined_graph: TransitionGraph  # geometric 0/1 graph on cells, == T·S
 
     @property
     def model(self) -> Mat2Z:
@@ -350,18 +352,6 @@ class MarkovConstruction:
     @property
     def acting(self) -> Mat2Z:
         return self.base.partition.acting
-
-
-def composition_graph(cells: Sequence[RefinementCell]) -> TransitionGraph:
-    """The purely combinatorial transition rule on refinement cells: cell k
-    (a component of phi R_i meet R_j) can precede cell l exactly when l's
-    image cell index equals k's containing cell index."""
-    rows = [
-        [1 if cells[k].symbols[1] == cells[l].symbols[0] else 0
-         for l in range(len(cells))]
-        for k in range(len(cells))
-    ]
-    return TransitionGraph(rows)
 
 
 def build_markov_construction(matrix: Mat2Z) -> MarkovConstruction:
@@ -386,15 +376,22 @@ def build_markov_construction(matrix: Mat2Z) -> MarkovConstruction:
             f"counts {graph.matrix}"
         )
 
+    # T and S, the cells' second and first symbols as 0/1 matrices: S·T
+    # counts the cells per word (i, j) and T·S is the composition rule
     cells = tuple(refine(part))
-    expected = sum(sum(row) for row in conj.model.rows())
-    if len(cells) != expected:
-        raise InvariantError(
-            f"refinement has {len(cells)} cells, expected {expected}"
-        )
+    words = [[0, 0], [0, 0]]
+    for cell in cells:
+        words[cell.symbols[0]][cell.symbols[1]] += 1
+    if tuple(map(tuple, words)) != conj.model.rows():
+        raise InvariantError(f"refinement cells per word {words} differ from "
+                             f"the model matrix {conj.model}")
     refined = refined_partition(part)
-    refined_graph = composition_graph(cells)
-    if transition_graph(refined).matrix != refined_graph.matrix:
+    refined_graph = transition_graph(refined)
+    starting = [[l for l, cell in enumerate(cells) if cell.symbols[0] == a]
+                for a in (0, 1)]
+    succ = _step_successors(refined)
+    if not refined_graph.is_zero_one() or any(
+            succ[k] != starting[cell.symbols[1]] for k, cell in enumerate(cells)):
         raise InvariantError(
             "geometric refined transitions differ from the composition rule"
         )

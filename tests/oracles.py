@@ -379,6 +379,25 @@ def faddeev_char_poly(graph: TransitionGraph) -> tuple[int, ...]:
     return tuple(out)
 
 
+# -- the composition rule --------------------------------------------------------
+
+# The refined graph as the build once materialized it, kept verbatim: T·S as a
+# full N* x N* matrix, where the build now compares the geometric graph's
+# successor rows with T·S without forming it.
+
+
+def composition_graph(cells: Sequence[RefinementCell]) -> TransitionGraph:
+    """The purely combinatorial transition rule on refinement cells: cell k
+    (a component of phi R_i meet R_j) can precede cell l exactly when l's
+    image cell index equals k's containing cell index."""
+    rows = [
+        [1 if cells[k].symbols[1] == cells[l].symbols[0] else 0
+         for l in range(len(cells))]
+        for k in range(len(cells))
+    ]
+    return TransitionGraph(rows)
+
+
 # -- per-pair overlap scans ------------------------------------------------------
 
 # The package's all-pairs overlaps before they came from one sweep per moving

@@ -146,6 +146,9 @@ def test_verify_json_shape(capsys):
     ("analyze_fibonacci", ("analyze", "--matrix", FIB, "--json")),
     ("construct_fibonacci", ("construct", "--matrix", FIB, "--json")),
     ("verify_fibonacci", ("verify", "--matrix", FIB, "--depth", "3", "--json")),
+    # MINUS_MINUS: the shift undercounts the torus at odd n
+    ("periodic_minus_2_3_1_2",
+     ("periodic", "--matrix", "-2 -3 -1 -2", "--depth", "8", "--json")),
 ])
 def test_golden_json(capsys, name, argv):
     code, out, _ = run(capsys, *argv)
@@ -421,6 +424,21 @@ def test_periodic_counts_match_library(capsys):
         assert row["torus"] == count_periodic_points(mat, n)
         assert row["sft_2node"] == count_periodic(construction.graph, n)
         assert row["sft_refined"] == count_periodic(construction.refined_graph, n)
+
+
+@pytest.mark.parametrize("form", [(), ("--json",)], ids=["text", "json"])
+def test_periodic_refuses_counts_it_cannot_print(capsys, form):
+    """At n = 25000 the counts of 1 1 1 0 have about 5,200 digits, over
+    Python's default limit on int-to-string conversion: refused before any
+    row is counted, with nothing on stdout."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, "periodic", "--matrix", FIB,
+                         "--depth", "25000", *form)
+    assert time.perf_counter() - start < 20
+    assert code == EXIT_FAIL
+    assert out == ""
+    assert "--depth 25000" in err
+    assert "use a lower --depth" in err
 
 
 # -- multmap -------------------------------------------------------------------

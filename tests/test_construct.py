@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from markov_torus import construct
 from markov_torus.construct import (
     BaseConstruction,
     ConjugationResult,
@@ -13,14 +14,24 @@ from markov_torus.construct import (
     SignCase,
     build_base_partition,
     build_markov_construction,
-    composition_graph,
     conjugate_nonnegative,
     count_intersections,
 )
 from markov_torus.exact import QuadReal
-from markov_torus.partition import refined_partition, transition_graph
+from markov_torus.partition import (
+    RefinementCell,
+    TorusPartition,
+    refined_partition,
+    transition_graph,
+)
 from markov_torus.render import construction_report
-from markov_torus.sft import char_poly, count_blocks, count_periodic, perron_data
+from markov_torus.sft import (
+    TransitionGraph,
+    char_poly,
+    count_blocks,
+    count_periodic,
+    perron_data,
+)
 from markov_torus.torus import (
     Mat2Z,
     NotHyperbolicError,
@@ -29,7 +40,7 @@ from markov_torus.torus import (
     is_hyperbolic,
 )
 
-from oracles import brute_conjugator
+from oracles import brute_conjugator, composition_graph
 from test_torus import random_hyperbolic
 
 FIB = Mat2Z(1, 1, 1, 0)
@@ -211,15 +222,72 @@ def test_corner_points_are_consistent():
         assert (base.corner("b''").u, base.corner("b''").w) == (box2.u_hi, box2.w_lo)
 
 
-@pytest.mark.parametrize("matrix", SUITE, ids=str)
+@pytest.mark.parametrize("matrix", SUITE + [Mat2Z(40, 1, 1, 0)], ids=str)
 def test_transition_counts_match_model(matrix):
+    """With T[k][a] = 1 when cell k's second symbol is a and S[a][l] = 1
+    when cell l's first symbol is a: S·T is the model matrix, and T·S (the
+    oracle's composition graph) is the geometric refined graph."""
     mc = build_markov_construction(matrix)
     assert mc.graph.matrix == mc.model.rows()
     assert count_intersections(mc.base).matrix == mc.model.rows()
     assert mc.refined.n == sum(sum(row) for row in mc.model.rows())
+    t = [[int(cell.symbols[1] == a) for a in (0, 1)] for cell in mc.cells]
+    s = [[int(cell.symbols[0] == a) for cell in mc.cells] for a in (0, 1)]
+    for a, b in itertools.product((0, 1), repeat=2):
+        st = sum(s[a][l] * t[l][b] for l in range(len(mc.cells)))
+        assert st == mc.model.rows()[a][b]
     assert mc.refined_graph.is_zero_one()
     assert mc.refined_graph.matrix == composition_graph(mc.cells).matrix
     assert transition_graph(mc.refined).matrix == mc.refined_graph.matrix
+
+
+def test_build_refuses_cells_whose_words_miss_the_model(monkeypatch):
+    """Swapping the symbols of the one (0, 1) cell of 1 1 1 0 keeps N* but
+    breaks S·T == P."""
+    real_refine = construct.refine
+
+    def swapped(part):
+        return [RefinementCell((1, 0), cell.offset, cell.rect)
+                if cell.symbols == (0, 1) else cell
+                for cell in real_refine(part)]
+
+    monkeypatch.setattr(construct, "refine", swapped)
+    with pytest.raises(InvariantError, match="per word"):
+        build_markov_construction(FIB)
+
+
+def test_build_refuses_a_geometric_graph_off_the_composition_rule(monkeypatch):
+    """Swapping the first and last refined boxes, labels kept, permutes the
+    geometric graph: still 0/1, but no longer T·S."""
+    real_refined_partition = construct.refined_partition
+
+    def swapped(part):
+        refined = real_refined_partition(part)
+        boxes = list(refined.boxes)
+        boxes[0], boxes[-1] = boxes[-1], boxes[0]
+        return TorusPartition.build(refined.frame, refined.acting, boxes,
+                                    refined.labels)
+
+    monkeypatch.setattr(construct, "refined_partition", swapped)
+    with pytest.raises(InvariantError, match="composition rule"):
+        build_markov_construction(FIB)
+
+
+def test_build_refuses_a_refined_graph_with_parallel_edges(monkeypatch):
+    """Two edges from one refined cell to another keep the support of T·S
+    but not the 0/1 graph."""
+    real_transition_graph = construct.transition_graph
+
+    def doubled(part):
+        graph = real_transition_graph(part)
+        if part.n == 2:
+            return graph
+        return TransitionGraph([[2 * x for x in graph.matrix[0]],
+                                *graph.matrix[1:]])
+
+    monkeypatch.setattr(construct, "transition_graph", doubled)
+    with pytest.raises(InvariantError, match="composition rule"):
+        build_markov_construction(FIB)
 
 
 @pytest.mark.parametrize("matrix", SUITE, ids=str)
