@@ -31,7 +31,7 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .coding import BoundaryAmbiguity, CodingContext, SymbolicWord
 from .construct import (
@@ -66,12 +66,10 @@ from .render import (
     quad_json,
     render_construction_svg,
 )
-from .sft import count_periodic
 from .torus import (
     Mat2Z,
     NotAutomorphismError,
     NotHyperbolicError,
-    count_periodic_points,
     hyperbolic_check,
 )
 
@@ -528,27 +526,39 @@ def cmd_decode(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+def _power_traces(mat: Mat2Z, top: int) -> Iterator[int]:
+    """tr(M^n) for n = 1..top, by the 2x2 Cayley-Hamilton recurrence
+    tr(M^n) = tr M * tr(M^(n-1)) - det M * tr(M^(n-2)), tr(M^0) = 2."""
+    t, det = mat.trace(), mat.det()
+    prev, cur = 2, t
+    for _ in range(top):
+        yield cur
+        prev, cur = cur, t * cur - det * prev
+
+
 def cmd_periodic(cfg: RunConfig) -> int:
-    construction = _construction(cfg)
+    construction = _construction(cfg)  # refuses a matrix that is not hyperbolic
     top = cfg.depth if cfg.depth is not None else 6
     if top < 1:
         raise CliError("--depth must be >= 1 for periodic counts")
-    rows, lines = [], []
-    for n in range(top, 0, -1):  # the largest counts first, to fail fast
-        # refined: tr((TS)^n) = tr((ST)^n), as the build checks G == T·S, S·T == P
-        shift = count_periodic(construction.graph, n)
-        torus = count_periodic_points(cfg.matrix, n)
+    det = cfg.matrix.det()
+    # torus: |det(A^n - I)| = |1 - tr(A^n) + det(A)^n|; refined SFT:
+    # tr((TS)^n) = tr((ST)^n) = tr(P^n), as the build checks G == T·S, S·T == P
+    rows = [{"n": n, "torus": abs(1 - trace + det ** n), "sft_2node": shift,
+             "sft_refined": shift}
+            for n, trace, shift in zip(range(1, top + 1), _power_traces(cfg.matrix, top),
+                                       _power_traces(construction.model, top))]
+    lines = []
+    for row in reversed(rows):  # the largest counts first, to fail fast
         try:
-            lines.append(f"{n:>3}  {torus:>19}  {shift:>10}  {shift:>11}")
+            shift = str(row["sft_2node"])  # both shift columns: one conversion
+            lines.append(f"{row['n']:>3}  {row['torus']:>19}  {shift:>10}  {shift:>11}")
         except ValueError as exc:
             raise CliError(
                 f"--depth {top}: the periodic counts have more digits than the "
                 f"{sys.get_int_max_str_digits()} this interpreter prints; "
                 f"use a lower --depth") from exc
-        rows.append({"n": n, "torus": torus,
-                     "sft_2node": shift, "sft_refined": shift})
-    payload = {"schema": SCHEMA_VERSION, "matrix": matrix_json(cfg.matrix),
-               "rows": rows[::-1]}
+    payload = {"schema": SCHEMA_VERSION, "matrix": matrix_json(cfg.matrix), "rows": rows}
     lines = ["  n  torus |det(A^n-I)|  2-node SFT  refined SFT"] + lines[::-1]
     _emit(payload, lines, cfg.json_out)
     return EXIT_OK

@@ -14,10 +14,15 @@ integers, and field elements are built only for what a caller reads.
 the forward strip entries, the Markov property at work: if x lies in
 R_i + q, its image lies in exactly one tabulated component of row i, so the
 next symbol is the one row whose open image box holds the stepped frame
-pairs (lam*u, mu*w) plus the row's shift.  No hit means the iterate lies on
-a component's closure, and ``locate`` names the candidate cells.  Neither
+pairs (lam*u, mu*w) plus the row's shift, each cell's rows of all its
+successors being one cached list.  No hit means the iterate lies on a
+component's closure, and ``locate`` names the candidate cells.  Neither
 ``locate`` nor :meth:`DecodeResult.contains` scans a lattice: they test the
-translates of the partition's cover list.
+translates of the partition's cover list.  ``decode`` takes the centre,
+the squared diameter and the decay check in integer pairs too, over the
+plane forms of :func:`_plane_forms`.  The powers of the acting matrix that
+a window or a word's offset needs are cached on the partition per
+exponent.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ from .partition import (
     ModPoint,
     Strip,
     TorusPartition,
+    _cached,
     _cover_list,
     _side_image,
     _step_successors,
@@ -170,7 +176,7 @@ class DecodeResult:
         at one of that cell's cover translates."""
         part = self.partition
         basis = _strip_basis(part)
-        y = basis.reduce(basis.point(point).act(part.acting ** self.word.offset))[0]
+        y = basis.reduce(basis.point(point).act(_acting_power(part, self.word.offset)))[0]
         (u0, u1, w0, w1), k = basis.frame(y), y.k
         for _, (qu0, qu1, qw0, qw1) in _cover_list(part)[self.word.symbols[0]]:
             place = basis.place((u0 + k * qu0, u1 + k * qu1, w0 + k * qw0, w1 + k * qw1),
@@ -260,30 +266,28 @@ class CodingContext:
             raise ValueError("depth must be >= 0")
         part = self.part
         basis = _strip_basis(part)
-        start = self._carried(point, self._from_input @ part.acting ** -depth)
+        start = self._carried(point, self._from_input @ _acting_power(part, -depth))
         hit = locate(part, start)
         if isinstance(hit, BoundaryHit):
             return BoundaryAmbiguity(-depth, basis.values(start), _cells(hit.candidates))
         cur, k = hit.index, start.k
         u0, u1, w0, w1 = basis.frame(start.moved(*hit.translate))
-        symbols = [cur]
-        entries, succ = _strip_entries(part, True)[0], _step_successors(part)
+        symbols, rows = [cur], _encode_rows(part)
         (a, b, c, d), (e, f, g, h) = basis.factor(True, True), basis.factor(True, False)
         place = basis.place
         for time in range(1 - depth, depth + 1):
             u0, u1, w0, w1 = a * u0 + b * u1, c * u0 + d * u1, e * w0 + f * w1, g * w0 + h * w1
             nxt = None
-            for j in succ[cur]:
-                for _, _, su0, su1, sw0, sw1, _, _, img_u, img_w in entries[cur, j]:
-                    at = (u0 + k * su0, u1 + k * su1, w0 + k * sw0, w1 + k * sw1)
-                    if place(at, k, img_u + img_w) > 0:
-                        if nxt is not None:
-                            raise InvariantError(f"iterate {time} lies in two cells, "
-                                                 f"{nxt} and {j}")
-                        nxt, stepped = j, at
+            for j, su0, su1, sw0, sw1, img in rows[cur]:
+                at = (u0 + k * su0, u1 + k * su1, w0 + k * sw0, w1 + k * sw1)
+                if place(at, k, img) > 0:
+                    if nxt is not None:
+                        raise InvariantError(f"iterate {time} lies in two cells, "
+                                             f"{nxt} and {j}")
+                    nxt, stepped = j, at
             if nxt is None:
                 # on a component's closure: name the candidates exactly
-                y = basis.reduce(start.act(part.acting ** (time + depth)))[0]
+                y = basis.reduce(start.act(_acting_power(part, time + depth)))[0]
                 hit = locate(part, y)
                 if isinstance(hit, BoundaryHit):
                     return BoundaryAmbiguity(time, basis.values(y), _cells(hit.candidates))
@@ -307,10 +311,14 @@ class CodingContext:
     def decode(self, word: SymbolicWord) -> DecodeResult:
         """Exact cylinder box named by ``word``.
 
-        The cylinder's strip is scaled to time zero, and the decay bound
-        d(partition)^2 * mu^(2h) taken, by integer factor-matrix powers.
-        Raises ``ValueError`` if the word leaves the symbol range or its
-        cylinder is empty (the word is not admissible)."""
+        All in the partition's strip basis: the cylinder's strip is scaled
+        to time zero by integer factor-matrix powers; its centre, reduced
+        mod 1 by an integer floor, and its squared diameter are integer
+        pairs over the plane forms of :func:`_plane_forms`; and the decay
+        bound d(partition)^2 * mu^(2h) is checked against the diameter by
+        one sign test.  Field elements are built only for the result's
+        fields.  Raises ``ValueError`` if the word leaves the symbol range
+        or its cylinder is empty (the word is not admissible)."""
         part = self.part
         for s in word.symbols:
             if not 0 <= s < part.n:
@@ -325,24 +333,39 @@ class CodingContext:
         lam, mu = basis.unit(True, shift), basis.unit(False, shift)
         rect = (_side_image(strip[:4], basis.times(lam), 0, 0, basis.sign(*lam) < 0)
                 + _side_image(strip[4:], basis.times(mu), 0, 0, basis.sign(*mu) < 0))
-        box = basis.rect(rect)
-        cx, cy = self.frame.to_plane((box.u_lo + box.u_hi) / 2, (box.w_lo + box.w_hi) / 2)
-        diam_sq = box.diam_sq(self.frame)
+        ulx, uly, uhx, uhy, wlx, wly, whx, why = rect
+        den, (vl, vm), (ll, mm, lm), diam = _plane_forms(part)
+        mul, big_q = basis.mul, basis.modulus
+        # the centre: the frame midpoint, over 2*Q, mapped to the plane by
+        # v_lam and v_mu, over 2*Q*den, and reduced mod 1
+        cu, cw = (ulx + uhx, uly + uhy), (wlx + whx, wly + why)
+        center_den, center = 2 * big_q * den, []
+        for vl_c, vm_c in zip(vl, vm):
+            (x0, y0), (x1, y1) = mul(cu, vl_c), mul(cw, vm_c)
+            cx, cy = x0 + x1, y0 + y1
+            cx -= basis.floor(cx, cy, center_den) * center_den
+            center.append(basis.value(cx, cy, center_den))
+        # the squared diameter |a|^2 + |b|^2 + 2|a.b| of a = du*v_lam and
+        # b = dw*v_mu, over (Q*den)^2: du, dw > 0, so |a.b| = du*dw*|v_lam.v_mu|
+        du, dw = (uhx - ulx, uhy - uly), (whx - wlx, why - wly)
+        (ax, ay), (bx, by), (cx, cy) = mul(mul(du, du), ll), mul(mul(dw, dw), mm), \
+            mul(mul(du, dw), lm)
+        dx, dy = ax + bx + 2 * cx, ay + by + 2 * cy
         # a-priori decay bound from the shallower side of the window; for any
         # admissible word the mixed endpoint dimensions are dominated by the
         # dimensions of an actual cell, so the bound holds exactly
         half_depth = min(word.offset + len(word) - 1, -word.offset)
-        bound_sq = partition_diam_sq(part) * basis.value(*basis.unit(False, 2 * half_depth), 1)
-        if (bound_sq - diam_sq).sign() < 0:
+        ex, ey = mul(basis.unit(False, 2 * half_depth), diam)  # over den^2
+        if basis.sign(ex * big_q * big_q - dx, ey * big_q * big_q - dy) < 0:
             raise InvariantError(f"cylinder of {word} exceeds its decay bound")
         return DecodeResult(
             word=word,
             partition=part,
             anchored=basis.rect(strip),
-            rect=box,
-            center=(cx - cx.floor(), cy - cy.floor()),
-            diam_sq=diam_sq,
-            diameter_bound_sq=bound_sq,
+            rect=basis.rect(rect),
+            center=tuple(center),
+            diam_sq=basis.value(dx, dy, (big_q * den) ** 2),
+            diameter_bound_sq=basis.value(ex, ey, den * den),
             anchored_strip=strip,
         )
 
@@ -363,7 +386,7 @@ class CodingContext:
             raise ValueError("depth must be >= 0")
         part = self.part
         basis = _strip_basis(part)
-        start = self._carried(point, self._from_input @ part.acting ** -depth)
+        start = self._carried(point, self._from_input @ _acting_power(part, -depth))
         length = 2 * depth + 1
         closures: dict[int, list] = {}
 
@@ -447,6 +470,59 @@ class CodingContext:
             if depth > 4096:
                 raise InvariantError("diameter bound failed to contract")
         return depth
+
+
+def _acting_power(part: TorusPartition, n: int) -> Mat2Z:
+    """``part.acting ** n``, cached on the partition per exponent: callers
+    ask for few (a window's depth, a word's offset, the iterates of a
+    window)."""
+    powers = _cached(part, "_powers", dict)
+    power = powers.get(n)
+    if power is None:
+        power = powers[n] = part.acting ** n
+    return power
+
+
+def _encode_rows(part: TorusPartition) -> list[list[tuple]]:
+    """Per cell, the forward strip rows of its successors in ascending
+    order, each as (successor, shift pairs su0, su1, sw0, sw1, image
+    strip): what an encode step tests.  Cached on the partition."""
+
+    def build():
+        entries, succ = _strip_entries(part, True)[0], _step_successors(part)
+        return [[(j, su0, su1, sw0, sw1, img_u + img_w)
+                 for j in succ[cur]
+                 for _, _, su0, su1, sw0, sw1, _, _, img_u, img_w in entries[cur, j]]
+                for cur in range(part.n)]
+
+    return _cached(part, "_encode_rows", build)
+
+
+def _plane_forms(part: TorusPartition):
+    """``(den, (v_lam, v_mu), (ll, mm, lm), diam)``: what decode needs of
+    the plane in the partition's :class:`StripBasis`, over one denominator
+    ``den``.  v_lam and v_mu are their plane coordinates as pairs over den;
+    ll = |v_lam|^2, mm = |v_mu|^2 and lm = |v_lam.v_mu|, and ``diam`` the
+    partition's squared diameter (:func:`partition_diam_sq`), are pairs
+    over den^2.  Cached on the partition."""
+
+    def build():
+        basis, eig = _strip_basis(part), part.frame.eig
+        over = [basis.over(x) for x in (*eig.v_lam, *eig.v_mu, partition_diam_sq(part))]
+        den = math.lcm(*(n for _, _, n in over))
+        vl0, vl1, vm0, vm1, (dx, dy) = [(x * (den // n), y * (den // n)) for x, y, n in over]
+        vl, vm = (vl0, vl1), (vm0, vm1)
+
+        def dot(e, f):
+            (x0, y0), (x1, y1) = basis.mul(e[0], f[0]), basis.mul(e[1], f[1])
+            return x0 + x1, y0 + y1
+
+        lm = dot(vl, vm)
+        if basis.sign(*lm) < 0:
+            lm = (-lm[0], -lm[1])
+        return den, (vl, vm), (dot(vl, vl), dot(vm, vm), lm), (dx * den, dy * den)
+
+    return _cached(part, "_plane_forms", build)
 
 
 def torus_dist_sq(a, b) -> QuadReal:

@@ -390,24 +390,62 @@ def _cover_list(part: TorusPartition
     return _cached(part, "_cover", build)
 
 
+def _cover_index(part: TorusPartition):
+    """``(lows, entries, tallest)``: the entries ``(position, cell, q, frame
+    pairs of q)`` of :func:`_cover_list`, ``position`` counting through the
+    list cell by cell, sorted by the w low of the cell's box moved back by
+    q (``lows``, pairs); ``tallest`` is the largest box height.  A point
+    with w coordinate w can lie only in the entries whose low is at most w
+    and at least w - tallest.  Cached on the partition."""
+
+    def build():
+        basis = _strip_basis(part)
+        boxes, key = basis.boxes, basis.order()
+        entries = [(i, q, pairs) for i, cover in enumerate(_cover_list(part))
+                   for q, pairs in cover]
+        lows = [(boxes[i][4] - pairs[2], boxes[i][5] - pairs[3]) for i, _, pairs in entries]
+        order = sorted(range(len(entries)), key=lambda e: key(lows[e]))
+        tallest = max(((s[6] - s[4], s[7] - s[5]) for s in boxes), key=key)
+        return [lows[e] for e in order], [(e, *entries[e]) for e in order], tallest
+
+    return _cached(part, "_cover_index", build)
+
+
 def locate(part: TorusPartition, point) -> CellHit | BoundaryHit:
     """Exact cell membership for a plane point, rational or field-valued, or
     its :class:`ModPoint`: no lattice scan and no field element.  The point,
-    reduced into [0, 1)^2, is moved by each translate of the cover list and
-    its frame pairs tested against the cell's strip; the translates are then
-    shifted back by the floor, so they apply to the point as given."""
+    reduced into [0, 1)^2, is moved by the translates of the cover list
+    whose cell's w side can hold it (:func:`_cover_index`: one bisection,
+    then a walk down the lows) and its frame pairs tested against the
+    cell's strip, in cover-list order; the translates are then shifted back
+    by the floor, so they apply to the point as given."""
     basis = _strip_basis(part)
     mod = point if isinstance(point, ModPoint) else basis.point(point)
     mod, fx, fy = basis.reduce(mod)
     (u0, u1, w0, w1), k = basis.frame(mod), mod.k
+    lows, entries, (tx, ty) = _cover_index(part)
+    sign, candidates = basis.sign, []
+    top, hi = 0, len(lows)
+    # the first low above w/k: _first_above with the lows scaled by k, kept
+    # apart so that the overlap scans' per-hit bisect pays no scaling
+    while top < hi:
+        mid = (top + hi) // 2
+        if sign(k * lows[mid][0] - w0, k * lows[mid][1] - w1) > 0:
+            hi = mid
+        else:
+            top = mid + 1
+    for e in range(top - 1, -1, -1):
+        lx, ly = lows[e]
+        if sign(k * (lx + tx) - w0, k * (ly + ty) - w1) < 0:
+            break
+        candidates.append(entries[e])
     interior: list[CellHit] = []
     boundary: list[CellHit] = []
-    for i, entries in enumerate(_cover_list(part)):
-        for (m, n), (qu0, qu1, qw0, qw1) in entries:
-            place = basis.place((u0 + k * qu0, u1 + k * qu1, w0 + k * qw0, w1 + k * qw1),
-                                k, basis.boxes[i])
-            if place >= 0:
-                (interior if place else boundary).append(CellHit(i, (m - fx, n - fy)))
+    for _, i, (m, n), (qu0, qu1, qw0, qw1) in sorted(candidates):
+        place = basis.place((u0 + k * qu0, u1 + k * qu1, w0 + k * qw0, w1 + k * qw1),
+                            k, basis.boxes[i])
+        if place >= 0:
+            (interior if place else boundary).append(CellHit(i, (m - fx, n - fy)))
     if interior and len(interior) + len(boundary) == 1:
         return interior[0]
     if isinstance(point, ModPoint):
@@ -700,6 +738,18 @@ class StripBasis:
         e0, e1 = e
         return e0, -self.delta * e1, e1, e0 + self.t * e1
 
+    def mul(self, e: tuple[int, int], f: tuple[int, int]) -> tuple[int, int]:
+        """The pair of the product of the elements of pairs e and f, over
+        the product of their denominators: :meth:`times` of e applied to f."""
+        (e0, e1), (f0, f1) = e, f
+        return e0 * f0 - self.delta * e1 * f1, e1 * f0 + (e0 + self.t * e1) * f1
+
+    def floor(self, big_x: int, big_y: int, den: int) -> int:
+        """floor((X + Y*lam) / den), as floor(((X*q + Y*a) + Y*b*sqrt(d))
+        / (den*q))."""
+        return floor_surd(big_x * self.q + big_y * self.a, big_y * self.b, den * self.q,
+                          self.d)
+
     def sign(self, big_x: int, big_y: int) -> int:
         """The sign of (X + Y*lam): that of its multiple by q, which is
         (X*q + Y*a) + Y*b*sqrt(d)."""
@@ -792,11 +842,9 @@ class StripBasis:
         return Fraction(x0, k), Fraction(y0, k)
 
     def reduce(self, point: ModPoint) -> tuple[ModPoint, int, int]:
-        """The point reduced into [0, 1)^2, and the floors taken off: each
-        coordinate's is floor(((X*q + Y*a) + Y*b*sqrt(d)) / (k*q))."""
+        """The point reduced into [0, 1)^2, and the floors taken off."""
         x0, x1, y0, y1, k, field = point
-        fx, fy = (floor_surd(big_x * self.q + big_y * self.a, big_y * self.b, k * self.q,
-                             self.d) for big_x, big_y in ((x0, x1), (y0, y1)))
+        fx, fy = self.floor(x0, x1, k), self.floor(y0, y1, k)
         return ModPoint(x0 - fx * k, x1, y0 - fy * k, y1, k, field), fx, fy
 
     def frame(self, point: ModPoint) -> tuple[int, int, int, int]:

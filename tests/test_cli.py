@@ -149,6 +149,9 @@ def test_verify_json_shape(capsys):
     # MINUS_MINUS: the shift undercounts the torus at odd n
     ("periodic_minus_2_3_1_2",
      ("periodic", "--matrix", "-2 -3 -1 -2", "--depth", "8", "--json")),
+    # MINUS_MINUS: the centre, diameter and decay bound taken in integers
+    ("decode_minus_2_3_1_2",
+     ("decode", "--matrix", "-2 -3 -1 -2", "--word", "0,2,7,3,0,0,2,5,0@-4", "--json")),
 ])
 def test_golden_json(capsys, name, argv):
     code, out, _ = run(capsys, *argv)
@@ -424,6 +427,25 @@ def test_periodic_counts_match_library(capsys):
         assert row["torus"] == count_periodic_points(mat, n)
         assert row["sft_2node"] == count_periodic(construction.graph, n)
         assert row["sft_refined"] == count_periodic(construction.refined_graph, n)
+
+
+LADDER = ("1 1 1 0", "-1 -1 -1 0", "2 1 1 1", "0 1 1 3", "-2 -3 -1 -2", "3 2 1 1",
+          "5 2 2 1", "10 1 1 0", "15 1 1 0")
+
+
+@pytest.mark.parametrize("text", LADDER)
+def test_periodic_recurrences_match_matrix_powers(capsys, text):
+    """The counts carried by the trace recurrences equal those of matrix
+    powers, tr(P^n) of the 2-node graph and |det(A^n - I)|, for n <= 40."""
+    code, payload, _ = run_json(capsys, "periodic", "--matrix", text, "--depth", "40", "--json")
+    assert code == EXIT_OK
+    mat = Mat2Z(*map(int, text.split()))
+    construction = build_markov_construction(mat)
+    assert [row["n"] for row in payload["rows"]] == list(range(1, 41))
+    for row in payload["rows"]:
+        n = row["n"]
+        assert row["torus"] == count_periodic_points(mat, n)
+        assert row["sft_2node"] == row["sft_refined"] == count_periodic(construction.graph, n)
 
 
 @pytest.mark.parametrize("form", [(), ("--json",)], ids=["text", "json"])

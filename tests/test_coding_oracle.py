@@ -303,6 +303,62 @@ def test_interior_encode_builds_no_field_element_per_iterate(monkeypatch):
 
 
 
+# QuadReal's arithmetic, floor and comparisons, as class attributes
+_FIELD_OPS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+              "__truediv__", "__rtruediv__", "__pow__", "__neg__", "__abs__", "inverse",
+              "floor", "sign", "_cmp")
+
+
+@pytest.mark.parametrize("name", [SignCase.PLUS_MINUS.name, "40 1 1 0"])
+def test_warm_decode_and_contains_make_no_field_arithmetic(monkeypatch, name):
+    """Once the tables exist, ``decode`` (at three offsets, so both scale
+    directions and a negative decay exponent occur) and ``contains`` build
+    field elements only for the result's fields: no ``QuadReal``
+    arithmetic, floor or comparison runs."""
+    ctx = context(name)
+    x = (Fraction(5, 17), Fraction(2, 13))
+    word, model = ctx.encode(x, 4), ctx.to_model(x)
+    words = [SymbolicWord(word.symbols, offset) for offset in (word.offset, 0, 2)]
+    for w in words:
+        ctx.decode(w).contains(model)
+    calls = []
+
+    def counted(name, method):
+        def call(*args):
+            calls.append(name)
+            return method(*args)
+        return call
+
+    for op in _FIELD_OPS:
+        if op in vars(exact.QuadReal):
+            monkeypatch.setattr(exact.QuadReal, op, counted(op, vars(exact.QuadReal)[op]))
+    results = [ctx.decode(w) for w in words]
+    inside = [res.contains(model, closed) for res in results for closed in (True, False)]
+    monkeypatch.undo()
+    assert calls == []
+    assert inside[:2] == [True, True]
+
+
+@pytest.mark.parametrize("name", list(MATRICES))
+def test_decay_bound_failure_matches_the_field_decode(name):
+    """With a partition's squared diameter set below every cell's, the
+    integer decode raises the field decode's error, message included, for
+    each one-symbol word and for an encoded word at three offsets."""
+    ctx = CodingContext.from_matrix(MATRICES[name])  # a fresh partition
+    part = ctx.part
+    smallest = min(box.diam_sq(ctx.frame) for box in part.boxes)
+    object.__setattr__(part, "_diam_sq", smallest / 2)
+    word = ctx.encode((Fraction(5, 17), Fraction(2, 13)), 1)
+    words = [SymbolicWord((i,), 0) for i in range(part.n)]
+    words += [SymbolicWord(word.symbols, offset) for offset in (word.offset, 0, 2)]
+    failed = 0
+    for w in words:
+        got = either(lambda: ctx.decode(w))
+        assert got == either(lambda: oracles.quad_decode(ctx, w))
+        failed += got == ("InvariantError", f"cylinder of {w} exceeds its decay bound")
+    assert failed >= part.n
+
+
 def test_interior_encode_scans_no_lattice(monkeypatch):
     """Once the cover list and the step tables exist, encoding a point whose
     window avoids every boundary locates one iterate and scans nothing."""
