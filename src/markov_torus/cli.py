@@ -558,6 +558,8 @@ def cmd_periodic(cfg: RunConfig) -> int:
                 f"--depth {top}: the periodic counts have more digits than the "
                 f"{sys.get_int_max_str_digits()} this interpreter prints; "
                 f"use a lower --depth") from exc
+        if cfg.json_out:  # the top row holds the largest counts; JSON prints no line
+            break
     payload = {"schema": SCHEMA_VERSION, "matrix": matrix_json(cfg.matrix), "rows": rows}
     lines = ["  n  torus |det(A^n-I)|  2-node SFT  refined SFT"] + lines[::-1]
     _emit(payload, lines, cfg.json_out)

@@ -10,13 +10,15 @@ carried across by the (unimodular, hence exact) conjugation.
 A point enters the partition's strip basis once, as a ``ModPoint``:
 matrices act on its integer numerators, its frame pairs meet strips in
 integers, and field elements are built only for what a caller reads.
-``encode`` locates only the first iterate of its window and then follows
-the forward strip entries, the Markov property at work: if x lies in
-R_i + q, its image lies in exactly one tabulated component of row i, so the
-next symbol is the one row whose open image box holds the stepped frame
-pairs (lam*u, mu*w) plus the row's shift, each cell's rows of all its
-successors being one cached list.  No hit means the iterate lies on a
-component's closure, and ``locate`` names the candidate cells.  Neither
+``encode`` and ``preimage_report`` locate only the first iterate of their
+window and then step the point, the Markov property at work: if x lies in
+R_i + q, its image lies in one tabulated component of row i, so the next
+symbols are the rows whose image box holds the stepped frame pairs
+(lam*u, mu*w) plus the row's shift (:func:`_forward_step`, cached per
+partition).  ``encode`` takes the one open hit; none means the
+iterate lies on a component's closure, and ``locate`` names the candidate
+cells.  ``preimage_report`` follows every closed hit of every
+representative, which finds the closed cylinders holding the point.  Neither
 ``locate`` nor :meth:`DecodeResult.contains` scans a lattice: they test the
 translates of the partition's cover list.  ``decode`` takes the centre,
 the squared diameter and the decay check in integer pairs too, over the
@@ -49,10 +51,10 @@ from .partition import (
     _step_successors,
     _strip_basis,
     _strip_entries,
-    advance_strips,
     closed_translate_meets,
     cylinder_strips,
     # not called here, but perfbench/tracing.py wraps them under this module
+    advance_strips,  # noqa: F401
     cylinder_components,  # noqa: F401
     lattice_in_frame_box,  # noqa: F401
     locate,
@@ -257,11 +259,10 @@ class CodingContext:
         iterate that lies on a cell boundary (no single word is canonical
         there).
 
-        Only iterate -depth is located.  Each later iterate steps the frame
-        pairs of the previous one's representative by the forward factor
-        matrices and takes the one forward strip row whose open image box
-        holds them plus its shift; two raise :class:`InvariantError` (cells
-        overlap), none hands the iterate to :func:`locate`."""
+        Only iterate -depth is located.  Each later iterate takes the one
+        row of :func:`_forward_step` whose open image holds the stepped
+        point; two raise :class:`InvariantError` (cells overlap), none hands
+        the iterate to :func:`locate`."""
         if depth < 0:
             raise ValueError("depth must be >= 0")
         part = self.part
@@ -271,39 +272,29 @@ class CodingContext:
         if isinstance(hit, BoundaryHit):
             return BoundaryAmbiguity(-depth, basis.values(start), _cells(hit.candidates))
         cur, k = hit.index, start.k
-        u0, u1, w0, w1 = basis.frame(start.moved(*hit.translate))
-        symbols, rows = [cur], _encode_rows(part)
-        (a, b, c, d), (e, f, g, h) = basis.factor(True, True), basis.factor(True, False)
-        place = basis.place
+        pairs, symbols, step = basis.frame(start.moved(*hit.translate)), [cur], _forward_step(part)
         for time in range(1 - depth, depth + 1):
-            u0, u1, w0, w1 = a * u0 + b * u1, c * u0 + d * u1, e * w0 + f * w1, g * w0 + h * w1
             nxt = None
-            for j, su0, su1, sw0, sw1, img in rows[cur]:
-                at = (u0 + k * su0, u1 + k * su1, w0 + k * sw0, w1 + k * sw1)
-                if place(at, k, img) > 0:
+            for j, at, side in step(cur, pairs, k):
+                if side > 0:
                     if nxt is not None:
-                        raise InvariantError(f"iterate {time} lies in two cells, "
-                                             f"{nxt} and {j}")
+                        raise InvariantError(f"iterate {time} lies in two cells, {nxt} and {j}")
                     nxt, stepped = j, at
-            if nxt is None:
+            if nxt is not None:
+                cur, pairs = nxt, stepped
+            else:
                 # on a component's closure: name the candidates exactly
                 y = basis.reduce(start.act(_acting_power(part, time + depth)))[0]
                 hit = locate(part, y)
                 if isinstance(hit, BoundaryHit):
                     return BoundaryAmbiguity(time, basis.values(y), _cells(hit.candidates))
-                cur = hit.index
-                u0, u1, w0, w1 = basis.frame(y.moved(*hit.translate))
-            else:
-                cur = nxt
-                u0, u1, w0, w1 = stepped
+                cur, pairs = hit.index, basis.frame(y.moved(*hit.translate))
             symbols.append(cur)
         word = SymbolicWord(tuple(symbols), -depth)
         matrix = self.construction.refined_graph.matrix
         for a, b in zip(symbols, symbols[1:]):
             if matrix[a][b] == 0:
-                raise InvariantError(
-                    f"itinerary {word} uses a non-edge {a}->{b}"
-                )
+                raise InvariantError(f"itinerary {word} uses a non-edge {a}->{b}")
         return word
 
     # -- decoding ------------------------------------------------------------
@@ -377,62 +368,47 @@ class CodingContext:
         ``point`` (input-matrix torus): the point lies in the closure of the
         word's (connected, nonempty) cylinder.
 
-        Membership is tested against the partial cylinder at every step, not
-        per iterate against cell closures, which would let different times
-        pick different lattice representatives and overcount.  A point whose
-        window avoids all cell boundaries has the single itinerary; on
-        boundaries several words code it."""
+        Only iterate -depth is located; its representatives in its
+        candidate cells' closed boxes start the words.  A word's
+        representatives are stepped (:func:`_forward_step`), and each row
+        whose closed image holds one extends the word, with the stepped
+        pairs as its representatives.  On a Markov partition every
+        admissible cylinder is a nonempty open box, so its closure is the
+        intersection of the closed boxes along the word: the words reached
+        are those of the closed cylinders holding the point.  A stepped
+        representative in no closed row (a gap), or inside the boxes of two
+        successors (an overlap), raises :class:`InvariantError`."""
         if depth < 0:
             raise ValueError("depth must be >= 0")
         part = self.part
         basis = _strip_basis(part)
         start = self._carried(point, self._from_input @ _acting_power(part, -depth))
-        length = 2 * depth + 1
-        closures: dict[int, list] = {}
-
-        def closure(pos: int) -> list[tuple[int, list]]:
-            # per cell j ascending, the frame pairs of every representative
-            # of the orbit point at position pos in box(j)'s closure; a
-            # closed cylinder piece inside box(j) can only hold one of these
-            if pos not in closures:
-                y = basis.reduce(start.act(part.acting ** pos))[0]
-                hit = locate(part, y)
-                reps: dict[int, list] = {}
-                for h in (hit,) if isinstance(hit, CellHit) else hit.candidates:
-                    reps.setdefault(h.index, []).append(basis.frame(y.moved(*h.translate)))
-                closures[pos] = sorted(reps.items())
-            return closures[pos]
-
-        # preorder DFS with an explicit stack: each entry extends ``word``,
-        # whose strip is the phi^(len(word)-1)-advanced partial cylinder
-        # anchored in box(word[-1]), by symbol j
+        hit = locate(part, start)
+        starts: dict[int, list] = {}
+        for h in (hit,) if isinstance(hit, CellHit) else hit.candidates:
+            starts.setdefault(h.index, []).append(basis.frame(start.moved(*h.translate)))
+        step, place, boxes, k = _forward_step(part), basis.place, basis.boxes, start.k
         found: list[SymbolicWord] = []
-        boxes, k = basis.boxes, start.k
-        stack = [((), boxes[i], i, None) for i, _ in reversed(closure(0))]
+        stack = [((i,), starts[i]) for i in sorted(starts, reverse=True)]
         while stack:
-            word, strip, j, reps = stack.pop()
-            if word:
-                comps = advance_strips(part, [strip], word[-1], j)
-                if not comps:
-                    continue
-                if len(comps) > 1:
-                    raise InvariantError(
-                        "cylinder split into several components on the refinement"
-                    )
-                strip = comps[0]
-                if not any(basis.place(at, k, strip) >= 0 for at in reps):
-                    continue
-            word += (j,)
-            if len(word) == length:
+            word, reps = stack.pop()
+            if len(word) == 2 * depth + 1:
                 found.append(SymbolicWord(word, -depth))
-            else:
-                stack.extend((word, strip, k, pts)
-                             for k, pts in reversed(closure(len(word))))
-        count = len(found)
-        truncated = count > max_words
-        return PreimageReport(
-            depth, count, tuple() if truncated else tuple(found), truncated
-        )
+                continue
+            time, nxt = len(word) - depth, {}
+            for pairs in reps:
+                hits = step(word[-1], pairs, k)
+                if not hits:
+                    raise InvariantError(f"iterate {time} escaped the partition")
+                inside = [j for j, at, _ in hits if place(at, k, boxes[j]) > 0]
+                if len(inside) > 1:
+                    raise InvariantError(f"iterate {time} lies in two cells, "
+                                         f"{inside[0]} and {inside[1]}")
+                for j, at, _ in hits:
+                    nxt.setdefault(j, []).append(at)
+            stack.extend((word + (j,), nxt[j]) for j in sorted(nxt, reverse=True))
+        truncated = len(found) > max_words
+        return PreimageReport(depth, len(found), () if truncated else tuple(found), truncated)
 
     def has_diamond(self, first: SymbolicWord, second: SymbolicWord) -> bool:
         """Whether two words exhibit the diamond pattern: they agree at some
@@ -483,19 +459,38 @@ def _acting_power(part: TorusPartition, n: int) -> Mat2Z:
     return power
 
 
-def _encode_rows(part: TorusPartition) -> list[list[tuple]]:
-    """Per cell, the forward strip rows of its successors in ascending
-    order, each as (successor, shift pairs su0, su1, sw0, sw1, image
-    strip): what an encode step tests.  Cached on the partition."""
+def _forward_step(part: TorusPartition):
+    """``step(cur, pairs, k)``: the forward strip rows of cell cur, its
+    successors' in ascending order, whose closed image holds the frame pairs
+    ``pairs`` (over Q*k, in box(cur)) stepped by the forward factor
+    matrices, each as (successor, the stepped pairs plus the row's shift,
+    0 on the image's boundary or 1 inside).  Built once, with the rows, the
+    factor matrices and ``place`` bound, and cached on the partition."""
 
     def build():
-        entries, succ = _strip_entries(part, True)[0], _step_successors(part)
-        return [[(j, su0, su1, sw0, sw1, img_u + img_w)
+        basis, succ = _strip_basis(part), _step_successors(part)
+        entries = _strip_entries(part, True)[0]
+        rows = [[(j, su0, su1, sw0, sw1, img_u + img_w)
                  for j in succ[cur]
                  for _, _, su0, su1, sw0, sw1, _, _, img_u, img_w in entries[cur, j]]
                 for cur in range(part.n)]
+        (a, b, c, d), (e, f, g, h) = basis.factor(True, True), basis.factor(True, False)
+        place = basis.place
 
-    return _cached(part, "_encode_rows", build)
+        def step(cur: int, pairs: tuple[int, int, int, int], k: int) -> list[tuple]:
+            u0, u1, w0, w1 = pairs
+            u0, u1, w0, w1 = a * u0 + b * u1, c * u0 + d * u1, e * w0 + f * w1, g * w0 + h * w1
+            hits = []
+            for j, su0, su1, sw0, sw1, img in rows[cur]:
+                at = (u0 + k * su0, u1 + k * su1, w0 + k * sw0, w1 + k * sw1)
+                side = place(at, k, img)
+                if side >= 0:
+                    hits.append((j, at, side))
+            return hits
+
+        return step
+
+    return _cached(part, "_forward_step", build)
 
 
 def _plane_forms(part: TorusPartition):

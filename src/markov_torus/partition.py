@@ -494,18 +494,20 @@ def refine(part: TorusPartition) -> list[RefinementCell]:
     """Cells of the common refinement of the partition and its image.
 
     Each returned cell is a component of phi(R_i) meet R_j, an entry of the
-    forward step table, with word (i, j) at offset -1, anchored in R_j's box.
-    Cells are grouped by (i, j) in lexicographic order and within a group by
-    contracting coordinate, which is deterministic.  Cached on the partition;
-    each call gets a new list.
+    forward step table (:func:`_step_ints`, each component decoded once),
+    with word (i, j) at offset -1, anchored in R_j's box.  Cells are grouped
+    by (i, j) in lexicographic order and within a group by contracting
+    coordinate, compared as pairs, which is deterministic.  Cached on the
+    partition; each call gets a new list.
     """
 
     def build():
-        cells = []
-        for pair, entries in sorted(_step_table(part).items()):
+        basis, cells = _strip_basis(part), []
+        key = basis.order()
+        for pair, entries in sorted(_step_ints(part).items()):
             comps = sorted((comp for _, _, comp in entries),
-                           key=lambda comp: (comp.w_lo, comp.u_lo))
-            cells += [RefinementCell(symbols=pair, offset=-1, rect=comp)
+                           key=lambda comp: (key(comp[4:6]), key(comp[:2])))
+            cells += [RefinementCell(symbols=pair, offset=-1, rect=basis.rect(comp))
                       for comp in comps]
         return tuple(cells)
 
@@ -539,26 +541,15 @@ def refined_partition(part: TorusPartition) -> TorusPartition:
                                 (cell.rect for cell in cells), labels)
 
 
-def _step_table(part: TorusPartition) -> dict[tuple[int, int], list[Overlap]]:
-    """Per cell pair (cur, nxt) where phi(box cur) meets box(nxt) modulo the
-    lattice: the :func:`translate_overlaps` entries ``(q, (du, dw), comp)``
-    of the one pair, in lattice order: :func:`_step_ints`, decoded through
-    the partition's :class:`StripBasis` on the first read and cached on the
-    partition, for :func:`refine`.
-
-    For any piece inside box(cur), the lattice translates of its image that
-    meet box(nxt) are among the tabulated ones, and each overlap equals
-    (phi(piece) + shift) intersected with the tabulated component.  Read
-    backwards, each entry is a component of phi^-1(box nxt) meeting box(cur),
-    so the table serves both step directions (:func:`_strip_entries`)."""
-    return _cached(part, "_forward_table",
-                   lambda: _decoded(_strip_basis(part), _step_ints(part)))
-
-
 def _step_ints(part: TorusPartition) -> dict[tuple[int, int], list]:
     """The forward step table on strips, one :func:`_int_overlaps` of the
     cells' forward images, mapped by the forward factor matrices, against
-    the cells, cached on the partition.  Raises :class:`InvariantError`
+    the cells, cached on the partition: per pair (cur, nxt), entries
+    ``(q, shift pairs, component strip)`` in lattice order.  For any piece
+    inside box(cur), the lattice translates of its image that meet box(nxt)
+    are among the tabulated ones; read backwards, each entry is a component
+    of phi^-1(box nxt) meeting box(cur), so the table serves both step
+    directions (:func:`_strip_entries`).  Raises :class:`InvariantError`
     when two entries of one pair overlap: the stepped cell then overlaps its
     own lattice translate."""
 

@@ -35,8 +35,9 @@ from markov_torus.partition import (
     TorusPartition,
     WindowCheck,
     _cached,
+    _decoded,
+    _step_ints,
     _step_successors,
-    _step_table,
     _strip_basis,
     cylinder_components,
     parallelogram_diam_sq,
@@ -731,6 +732,15 @@ class FractionQuadReal:
 
 
 # -- strip steps ----------------------------------------------------------------
+
+
+def _step_table(part: TorusPartition) -> dict:
+    """The forward step table with every entry decoded, ``(q, (du, dw),
+    comp)``: :func:`partition._step_ints` through the partition's strip
+    basis, cached on the partition (the oracle steps read it per step)."""
+    return _cached(part, "_forward_table",
+                   lambda: _decoded(_strip_basis(part), _step_ints(part)))
+
 
 # The forward and backward cylinder steps before they became one clip-then-map
 # kernel, kept verbatim: scale the whole piece, translate it per table entry

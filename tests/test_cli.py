@@ -152,6 +152,9 @@ def test_verify_json_shape(capsys):
     # MINUS_MINUS: the centre, diameter and decay bound taken in integers
     ("decode_minus_2_3_1_2",
      ("decode", "--matrix", "-2 -3 -1 -2", "--word", "0,2,7,3,0,0,2,5,0@-4", "--json")),
+    # MINUS_MINUS: a boundary point's codings, stepped from one located iterate
+    ("encode_minus_2_3_1_2_origin",
+     ("encode", "--matrix", "-2 -3 -1 -2", "--point", "0 0", "--depth", "3", "--json")),
 ])
 def test_golden_json(capsys, name, argv):
     code, out, _ = run(capsys, *argv)

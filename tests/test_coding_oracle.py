@@ -110,6 +110,35 @@ def test_preimage_report_matches_recursive_walk(name, drawn, depth):
         (want.count, want.words, want.truncated)
 
 
+def _corners_and_midpoints(ctx: CodingContext):
+    """The corners and edge midpoints of every cell's box, carried from the
+    model torus to the input matrix's."""
+    points = []
+    for box in ctx.part.boxes:
+        mid_u, mid_w = (box.u_lo + box.u_hi) / 2, (box.w_lo + box.w_hi) / 2
+        frame_points = list(box.corners_frame()) + [
+            (box.u_lo, mid_w), (box.u_hi, mid_w), (mid_u, box.w_lo), (mid_u, box.w_hi)]
+        points += [ctx.from_model(ctx.frame.to_plane(u, w)) for u, w in frame_points]
+    return points
+
+
+@pytest.mark.parametrize("name", [*list(MATRICES)[:4], "10 1 1 0"])
+def test_preimage_report_at_cell_boundaries_matches_oracle(name):
+    """Cell corners and edge midpoints have several codings, each carried by
+    its own lattice representative: stepping every representative of every
+    candidate cell finds the words that the per-iterate walk finds."""
+    ctx = context(name) if name in MATRICES else CodingContext.from_matrix(Mat2Z(10, 1, 1, 0))
+    several = 0
+    for point in _corners_and_midpoints(ctx):
+        for depth in (1, 2, 3):
+            got = ctx.preimage_report(point, depth, max_words=64)
+            want = oracles.preimage_report(ctx, point, depth, max_words=64)
+            assert (got.count, got.words, got.truncated) == \
+                (want.count, want.words, want.truncated), (point, depth)
+            several += got.count > 1
+    assert several
+
+
 @pytest.mark.parametrize("name", list(MATRICES))
 def test_boundary_reached_by_stepping_matches_oracle(name):
     """Points on a contracting (constant-u) edge at time 0 stay on the
@@ -210,6 +239,35 @@ def test_gap_in_the_partition_matches_oracle(name):
     for point in _points(30):
         assert outcome(lambda: broken.encode(point, 6)) == \
             outcome(lambda: oracles.encode(broken, point, 6))
+
+
+@pytest.mark.parametrize("name", list(MATRICES)[:4])
+def test_preimage_report_on_broken_refinements_matches_oracle(name):
+    """On the dented and the doubled refinement, a stepped representative
+    that no closed row holds (a gap) or that lies inside two cells (an
+    overlap) raises wherever the per-iterate walk's ``locate`` raises; every
+    other report is the walk's.  The overlap is a box test: a point of an
+    edge midpoint's orbit can lie on two rows' image boundaries and inside
+    both cells."""
+    ctx = context(name)
+    part = ctx.part
+    forms = [_with_refined(ctx, _break_partition(part)),
+             _with_refined(ctx, TorusPartition(
+                 part.frame, part.acting, part.lam_act, part.mu_act,
+                 part.boxes + part.boxes[:1], part.labels + ("again",)))]
+    raised = 0
+    for broken in forms:
+        for point in _points(20) + _corners_and_midpoints(ctx):
+            for depth in (1, 2, 3):
+                want = outcome(lambda: oracles.preimage_report(broken, point, depth, 64))
+                got = outcome(lambda: broken.preimage_report(point, depth, 64))
+                if isinstance(want, tuple):
+                    assert isinstance(got, tuple) and got[0] == want[0] == "InvariantError"
+                    raised += 1
+                else:
+                    assert (got.count, got.words, got.truncated) == \
+                        (want.count, want.words, want.truncated), (point, depth)
+    assert raised
 
 
 # -- integer points against the field-element coding ---------------------------------
@@ -381,6 +439,28 @@ def test_interior_encode_scans_no_lattice(monkeypatch):
     word = ctx.encode((Fraction(5, 17), Fraction(2, 13)), 20)
     assert isinstance(word, SymbolicWord) and len(word) == 41
     assert scans == []
+    assert len(locates) == 1
+
+
+def test_preimage_report_locates_once_and_steps_no_strip(monkeypatch):
+    """The origin has three codings on ``40 1 1 0``: the report locates its
+    first iterate only and steps the point, never a cylinder strip."""
+    ctx = CodingContext.from_matrix(MATRICES["40 1 1 0"])
+    ctx.preimage_report((Fraction(0), Fraction(0)), 2)  # builds the tables
+    locates, find = [], coding.locate
+
+    def counted_locate(*args):
+        locates.append(args)
+        return find(*args)
+
+    def no_strip_step(*args):
+        raise AssertionError("a cylinder strip was stepped")
+
+    monkeypatch.setattr(coding, "locate", counted_locate)
+    for module in (coding, partition):
+        monkeypatch.setattr(module, "advance_strips", no_strip_step)
+    report = ctx.preimage_report((Fraction(0), Fraction(0)), 20)
+    assert report.count == 3
     assert len(locates) == 1
 
 

@@ -27,7 +27,6 @@ from markov_torus.partition import (
     InvariantError,
     TorusPartition,
     _step_successors,
-    _step_table,
     overlap_table,
     pullback_strips,
     refine,
@@ -38,6 +37,7 @@ from markov_torus.partition import (
     verify_translate_disjoint,
 )
 from markov_torus.torus import Mat2Z
+from oracles import _step_table
 
 # one ladder matrix per sign case
 MATRICES = {
@@ -246,9 +246,10 @@ def _copy(part, acting=None, power=1):
 
 @pytest.mark.parametrize("case", list(MATRICES), ids=lambda c: c.name)
 def test_build_leaves_the_refined_table_undecoded(case):
-    """The recheck reads the integer table's counts only: after a build the
-    refined partition holds no decoded step table, and the first read
-    decodes the pair scans' entries."""
+    """The recheck reads the integer table's counts only, and ``refine``
+    decodes components one by one: after a build the refined partition
+    holds no decoded step table, and decoding the integer table gives the
+    pair scans' entries."""
     built = build_markov_construction(MATRICES[case])
     part = built.refined
     assert "_forward_table" not in part.__dict__

@@ -34,7 +34,6 @@ from markov_torus.partition import (
     NfoldCount,
     StripBasis,
     TorusPartition,
-    _step_table,
     _strip_basis,
     _strip_entries,
     advance_strips,
@@ -47,6 +46,7 @@ from markov_torus.partition import (
     walk_words,
 )
 from markov_torus.torus import Mat2Z
+from oracles import _step_table
 
 # one ladder matrix per sign case
 MATRICES = {
