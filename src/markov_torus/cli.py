@@ -617,6 +617,10 @@ def cmd_multmap(cfg: RunConfig) -> int:
 def cmd_render(cfg: RunConfig) -> int:
     construction = _construction(cfg)
     depth = cfg.depth if cfg.depth is not None else 1
+    cells = sum(map(sum, (construction.model ** depth).rows()))  # 1ᵀ·P^depth·1
+    if cells > WALK_WORD_BUDGET:
+        raise CliError(f"--depth {depth} draws {cells:,} cells, over the budget of "
+                       f"{WALK_WORD_BUDGET:,}; use a lower --depth")
     svg = render_construction_svg(construction, depth)
     if cfg.svg_path:
         with open(cfg.svg_path, "w", encoding="utf-8") as handle:

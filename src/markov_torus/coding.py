@@ -48,9 +48,9 @@ from .partition import (
     _cached,
     _cover_list,
     _side_image,
+    _step_ints,
     _step_successors,
     _strip_basis,
-    _strip_entries,
     closed_translate_meets,
     cylinder_strips,
     # not called here, but perfbench/tracing.py wraps them under this module
@@ -460,19 +460,17 @@ def _acting_power(part: TorusPartition, n: int) -> Mat2Z:
 
 
 def _forward_step(part: TorusPartition):
-    """``step(cur, pairs, k)``: the forward strip rows of cell cur, its
-    successors' in ascending order, whose closed image holds the frame pairs
-    ``pairs`` (over Q*k, in box(cur)) stepped by the forward factor
-    matrices, each as (successor, the stepped pairs plus the row's shift,
-    0 on the image's boundary or 1 inside).  Built once, with the rows, the
-    factor matrices and ``place`` bound, and cached on the partition."""
+    """``step(cur, pairs, k)``: the step-table entries (:func:`_step_ints`)
+    of cell cur, its successors' in ascending order, whose component (the
+    closed image of a forward row) holds the frame pairs ``pairs`` (over
+    Q*k, in box(cur)) stepped by the forward factor matrices, each as
+    (successor, the stepped pairs plus the entry's shift, 0 on the image's
+    boundary or 1 inside).  Built once, with the rows, the factor matrices
+    and ``place`` bound, and cached on the partition."""
 
     def build():
-        basis, succ = _strip_basis(part), _step_successors(part)
-        entries = _strip_entries(part, True)[0]
-        rows = [[(j, su0, su1, sw0, sw1, img_u + img_w)
-                 for j in succ[cur]
-                 for _, _, su0, su1, sw0, sw1, _, _, img_u, img_w in entries[cur, j]]
+        basis, succ, table = _strip_basis(part), _step_successors(part), _step_ints(part)
+        rows = [[(j, *shift, comp) for j in succ[cur] for _, shift, comp in table[cur, j]]
                 for cur in range(part.n)]
         (a, b, c, d), (e, f, g, h) = basis.factor(True, True), basis.factor(True, False)
         place = basis.place

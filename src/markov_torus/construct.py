@@ -376,15 +376,11 @@ def build_markov_construction(matrix: Mat2Z) -> MarkovConstruction:
             f"counts {graph.matrix}"
         )
 
-    # T and S, the cells' second and first symbols as 0/1 matrices: S·T
-    # counts the cells per word (i, j) and T·S is the composition rule
+    # T and S, the cells' second and first symbols as 0/1 matrices.  S·T
+    # counts the cells per word (i, j); refine makes one cell per step-table
+    # entry of (i, j), which the graph counts, so S·T == P is the graph == P
+    # check above.  T·S is the composition rule, checked here
     cells = tuple(refine(part))
-    words = [[0, 0], [0, 0]]
-    for cell in cells:
-        words[cell.symbols[0]][cell.symbols[1]] += 1
-    if tuple(map(tuple, words)) != conj.model.rows():
-        raise InvariantError(f"refinement cells per word {words} differ from "
-                             f"the model matrix {conj.model}")
     refined = refined_partition(part)
     refined_graph = transition_graph(refined)
     starting = [[l for l, cell in enumerate(cells) if cell.symbols[0] == a]

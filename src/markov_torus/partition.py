@@ -44,7 +44,7 @@ Verifiers:
   ("vertical", constant-u) boundary edges into itself, and the inverse map
   does the same for expanding ("horizontal", constant-w) edges, checked by
   exact 1-D interval coverage on each image line, joined by the class of
-  the line modulo the lattice (:func:`lattice_coords`);
+  the line modulo the lattice, by one integer solve (:func:`_lattice_class`);
 * ``verify_nfold_range`` -- every word admissible for the transition graph,
   with length in a range, has a nonempty cylinder, by exact strip stepping;
 * ``verify_generator_decay`` -- symmetric refinements shrink like |mu|^n, by
@@ -69,7 +69,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .exact import QuadReal, _reduced, _sign, floor_surd
 from .sft import TransitionGraph
-from .torus import EigenFrame, InvariantError, Mat2Z, lattice_coords
+from .torus import EigenFrame, InvariantError, Mat2Z
 
 
 @dataclass(frozen=True)
@@ -1294,33 +1294,58 @@ def _cover_gap(lo: QuadReal, hi: QuadReal,
     return ends[k] if ends[k] < hi else None
 
 
-def _edge_gaps(kind: str, edges: list[tuple[QuadReal, QuadReal, QuadReal]],
-               line: tuple[QuadReal, QuadReal], span: tuple[QuadReal, QuadReal],
-               line_factor: QuadReal, span_factor: QuadReal) -> list[AlignmentWitness]:
-    """Witnesses for the edges (x, lo, hi), two per cell, whose image
-    (line_factor*x, span_factor*[lo, hi]) the edges do not cover modulo the
-    lattice.  ``line`` and ``span`` hold the generators' frame coordinates
-    along and across the edges.  Lines x and y differ by a lattice point
-    exactly when the :func:`lattice_coords` of x and y agree mod 1, so spans
-    are listed per class, moved back by their integer part, and merged once
-    into disjoint intervals that each image bisects."""
-    def split(x: QuadReal) -> tuple[tuple[Fraction, Fraction], QuadReal]:
-        s, t = lattice_coords(x, *line)
-        m, n = math.floor(s), math.floor(t)
-        return (s - m, t - n), span[0] * m + span[1] * n
+def _lattice_class(x: tuple[int, int], gens: tuple[int, int, int, int]
+                   ) -> tuple[tuple[int, int], tuple[int, int]]:
+    """``((r, s), (m, n))`` with x = (m + r/det)*c10 + (n + s/det)*c01 and
+    0 <= r/det, s/det < 1, for a pair x and one frame axis's generator
+    pairs ``gens`` = (*c10, *c01), by Cramer's rule over (1, lam).  Lines
+    differ by a lattice point exactly when their keys (r, s) agree, and
+    then by the difference of their (m, n)."""
+    (x0, x1), (ax, ay, bx, by) = x, gens
+    det = ax * by - bx * ay
+    if det == 0:
+        raise InvariantError("a lattice point lies on an eigenline")
+    m, r = divmod(x0 * by - x1 * bx, det)
+    n, s = divmod(ax * x1 - ay * x0, det)
+    return (r, s), (m, n)
 
-    classes: dict[tuple[Fraction, Fraction], list[tuple[QuadReal, QuadReal]]] = {}
-    for x, lo, hi in edges:
-        key, shift = split(x)
-        classes.setdefault(key, []).append((lo - shift, hi - shift))
-    covers = {key: _merged(pieces) for key, pieces in classes.items()}
+
+def _edge_gaps(part: TorusPartition, along_u: bool) -> list[AlignmentWitness]:
+    """Witnesses for the constant-u edges (``along_u``) or the constant-w
+    edges, two per cell, whose image, forward by (lam, mu) or backward by
+    (1/mu, 1/lam), the edges do not cover modulo the lattice, in the pairs
+    of the partition's :class:`StripBasis`.  Spans are listed per
+    :func:`_lattice_class` of their line, moved back by its integer part,
+    and merged once, under ``basis.order()``, into disjoint intervals that
+    each image bisects."""
+    basis = _strip_basis(part)
+    kind = "contracting-edge" if along_u else "expanding-edge"
+    at, across = (0, 4) if along_u else (4, 0)  # the axes' offsets in strips and lattice
+    gens, (s10x, s10y, s01x, s01y) = basis.lattice[at:at + 4], basis.lattice[across:across + 4]
+    flip = (part.mu_act if along_u else part.lam_act).sign() < 0
+    m00, m01, m10, m11 = basis.factor(along_u, along_u)
+    factor, key = basis.factor(along_u, not along_u), basis.order()
+
+    def moved(x0: int, x1: int, side: tuple[int, int, int, int]):
+        cls, (m, n) = _lattice_class((x0, x1), gens)
+        sx, sy = m * s10x + n * s01x, m * s10y + n * s01y
+        return cls, sx, sy, key((side[0] - sx, side[1] - sy)), key((side[2] - sx, side[3] - sy))
+
+    edges = [(box[k:k + 2], box[across:across + 4]) for box in basis.boxes for k in (at, at + 2)]
+    classes: dict[tuple[int, int], list] = {}
+    for x, side in edges:
+        cls, _, _, lo, hi = moved(*x, side)
+        classes.setdefault(cls, []).append((lo, hi))
+    covers = {cls: _merged(pieces) for cls, pieces in classes.items()}
     witnesses = []
-    for k, (x, lo, hi) in enumerate(edges):
-        key, shift = split(line_factor * x)
-        a, b = sorted((lo * span_factor, hi * span_factor))
-        gap = _cover_gap(a - shift, b - shift, covers.get(key, ([], [])))
+    for k, ((x0, x1), side) in enumerate(edges):
+        cls, sx, sy, lo, hi = moved(m00 * x0 + m01 * x1, m10 * x0 + m11 * x1,
+                                    _side_image(side, factor, 0, 0, flip))
+        gap = _cover_gap(lo, hi, covers.get(cls, ([], [])))
         if gap is not None:
-            witnesses.append(AlignmentWitness(kind, k // 2, x, gap + shift))
+            gx, gy = gap.obj
+            witnesses.append(AlignmentWitness(kind, k // 2, basis.value(x0, x1),
+                                              basis.value(gx + sx, gy + sy)))
     return witnesses
 
 
@@ -1333,13 +1358,7 @@ def verify_boundary_alignment(part: TorusPartition) -> list[AlignmentWitness]:
     inverse map must send constant-w edges into the expanding boundary.
     Returns witnesses for every uncovered image segment.
     """
-    frame, boxes = part.frame, part.boxes
-    v_edges = [(u, b.w_lo, b.w_hi) for b in boxes for u in (b.u_lo, b.u_hi)]
-    h_edges = [(w, b.u_lo, b.u_hi) for b in boxes for w in (b.w_lo, b.w_hi)]
-    u_gen, w_gen = (frame.u10, frame.u01), (frame.w10, frame.w01)
-    return (_edge_gaps("contracting-edge", v_edges, u_gen, w_gen, part.lam_act, part.mu_act)
-            + _edge_gaps("expanding-edge", h_edges, w_gen, u_gen,
-                         part.mu_act.inverse(), part.lam_act.inverse()))
+    return _edge_gaps(part, True) + _edge_gaps(part, False)
 
 
 @dataclass(frozen=True)

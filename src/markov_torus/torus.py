@@ -12,10 +12,9 @@ legitimate because c = 0 would force integer unit eigenvalues.
 
 :class:`EigenFrame` converts between plane coordinates and coordinates along
 (v_lam, v_mu).  Since the eigenline slopes are irrational, either frame
-coordinate of the lattice generators is a basis of Q(sqrt(D)) over Q, and
-:func:`lattice_coords` writes any value of that coordinate in it by solving a
-rational 2x2 system: the value belongs to a lattice point exactly when both
-rational coordinates are integers, and they are that point.
+coordinate of the lattice generators is a basis of Q(sqrt(D)) over Q, so a
+value of that coordinate belongs to at most one lattice point; the partition
+module's strip basis solves for it in integers.
 """
 
 from __future__ import annotations
@@ -210,8 +209,8 @@ class EigenFrame:
     arithmetic.  ``u10/w10`` and ``u01/w01`` are the frame coordinates of the
     lattice generators (1,0) and (0,1); because the eigenline slopes are
     irrational, (m, n) -> u and (m, n) -> w are each injective on the lattice
-    and invertible by rational linear algebra (:func:`lattice_coords`).  The
-    lattice point (m, n) is the plane point (m, n) itself.
+    and invertible by rational linear algebra.  The lattice point (m, n) is
+    the plane point (m, n) itself.
     """
 
     eig: EigenData
@@ -256,22 +255,6 @@ class EigenFrame:
             k10, k01 = q // c10.q, q // c01.q
             out.append((c10.a * k10, c10.b * k10, c01.a * k01, c01.b * k01, q))
         return tuple(out)
-
-
-def lattice_coords(value: QuadReal, c10: QuadReal, c01: QuadReal
-                   ) -> tuple[Fraction, Fraction]:
-    """The rationals (s, t) with s * c10 + t * c01 == value, for one frame
-    coordinate c10, c01 of the lattice generators (1, 0) and (0, 1): value is
-    that coordinate of a lattice point exactly when s and t are integers,
-    and the point is then (s, t).  The 2x2 system over the basis
-    (1, sqrt(D)) is nonsingular since no eigenline holds a lattice point."""
-    # Cramer's rule on the integer parts (a + b*sqrt(D)) / q
-    det = c10.a * c01.b - c01.a * c10.b
-    if det == 0:
-        raise InvariantError("a lattice point lies on an eigenline")
-    den = value.q * det
-    return (Fraction((value.a * c01.b - value.b * c01.a) * c10.q, den),
-            Fraction((c10.a * value.b - c10.b * value.a) * c01.q, den))
 
 
 def _solve(vl: PlanePoint, vm: PlanePoint, det: QuadReal, p: PlanePoint):

@@ -257,6 +257,25 @@ def test_render_depth_cap(capsys, monkeypatch):
     ET.fromstring(out)
 
 
+def test_render_refuses_a_figure_over_the_word_budget(capsys, monkeypatch, tmp_path):
+    """The depth-k figure of 1 1 1 0 has 1ᵀ·P^k·1 cells, 5 at depth 2 and 8 at
+    depth 3: counted before any cell is built, and refused over the budget
+    with exit 1 and no figure."""
+    monkeypatch.setattr("markov_torus.cli.WALK_WORD_BUDGET", 5)
+    code, out, _ = run(capsys, "render", "--matrix", FIB, "--depth", "2")
+    assert code == EXIT_OK
+    assert "5 cells at depth 2" in out
+
+    def no_walk(*args):
+        raise AssertionError("the word tree was walked")
+
+    monkeypatch.setattr(partition, "walk_words", no_walk)
+    svg = tmp_path / "out.svg"
+    code, out, err = run(capsys, "render", "--matrix", FIB, "--depth", "3", "--svg", str(svg))
+    assert code == EXIT_FAIL and out == "" and not svg.exists()
+    assert "8 cells, over the budget of 5" in err and "use a lower --depth" in err
+
+
 def test_bad_enum_cap_env(capsys, monkeypatch):
     monkeypatch.setenv(ENUM_CAP_ENV, "zero")
     code, _, err = run(capsys, "render", "--matrix", FIB)

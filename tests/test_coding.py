@@ -118,6 +118,16 @@ def test_encode_reports_boundary_points_as_ambiguity(ctx):
     assert result.candidates == _closure_cells(ctx, result.point)
 
 
+def test_encode_reads_rows_off_the_step_table():
+    """Encode and the preimage report step through rows read off the step
+    table itself: on a fresh construction neither builds the strip entry
+    lists, which hold a clip and an image for every table entry."""
+    ctx = CodingContext.from_matrix(Mat2Z(10, 1, 1, 0))
+    assert isinstance(ctx.encode((Fraction(1, 3), Fraction(1, 7)), 6), SymbolicWord)
+    assert ctx.preimage_report((Fraction(0), Fraction(0)), 3, max_words=64).count > 1
+    assert "_forward_strips" not in ctx.part.__dict__
+
+
 def test_encode_validates_depth(ctx):
     with pytest.raises(ValueError):
         ctx.encode((Fraction(1, 3), Fraction(1, 7)), -1)

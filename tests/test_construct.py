@@ -243,7 +243,9 @@ def test_transition_counts_match_model(matrix):
 
 def test_build_refuses_cells_whose_words_miss_the_model(monkeypatch):
     """Swapping the symbols of the one (0, 1) cell of 1 1 1 0 keeps N* but
-    breaks S·T == P."""
+    breaks S·T == P.  The real refine makes one cell per counted step-table
+    entry, so the build has no S·T recount: the swapped cells fail the
+    composition rule instead, the geometric graph no longer being T·S."""
     real_refine = construct.refine
 
     def swapped(part):
@@ -252,7 +254,7 @@ def test_build_refuses_cells_whose_words_miss_the_model(monkeypatch):
                 for cell in real_refine(part)]
 
     monkeypatch.setattr(construct, "refine", swapped)
-    with pytest.raises(InvariantError, match="per word"):
+    with pytest.raises(InvariantError, match="composition rule"):
         build_markov_construction(FIB)
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from markov_torus.exact import QuadReal
+from markov_torus.partition import StripBasis, _lattice_class
 from markov_torus.torus import (
     EigenFrame,
     InvariantError,
@@ -18,7 +19,6 @@ from markov_torus.torus import (
     count_periodic_points,
     hyperbolic_check,
     is_hyperbolic,
-    lattice_coords,
 )
 from oracles import brute_torus_periodic, float_eigen
 
@@ -122,30 +122,48 @@ def test_periodic_point_counts_brute(mat):
         assert count_periodic_points(mat, n) == brute_torus_periodic(mat.rows(), n)
 
 
+def _classes(mat, frame, values, *points):
+    """Per point's (u, w): the strip basis of ``mat`` on ``frame`` (its Q
+    taking in ``values``), and the :func:`_lattice_class` of the point's u
+    pair and of its w pair."""
+    eig = frame.eig
+    basis = StripBasis.build(frame, mat, eig.lam, eig.mu, values)
+    return basis, [(_lattice_class(basis.pair(u), basis.lattice[:4]),
+                    _lattice_class(basis.pair(w), basis.lattice[4:])) for u, w in points]
+
+
 def test_frame_round_trip_golden():
     frame = EigenFrame.from_eigen(hyperbolic_check(FIB))
-    for m, n in [(1, 0), (0, 1), (2, -3), (-1, 4)]:
-        u, w = frame.lattice_frame(m, n)
+    lattice = [(1, 0), (0, 1), (2, -3), (-1, 4)]
+    points = [frame.lattice_frame(m, n) for m, n in lattice]
+    for (m, n), (u, w) in zip(lattice, points):
         x, y = frame.to_plane(u, w)
         assert x == m and y == n
-        # either coordinate alone gives back the lattice point
-        assert lattice_coords(u, frame.u10, frame.u01) == (m, n)
-        assert lattice_coords(w, frame.w10, frame.w01) == (m, n)
+    # either coordinate alone gives back the lattice point: zero key, and
+    # the point as the quotients
+    _, classes = _classes(FIB, frame, (), *points)
+    assert classes == [(((0, 0), q), ((0, 0), q)) for q in lattice]
     # a generic point converts and comes back
     u, w = frame.to_frame((Fraction(1, 3), Fraction(2, 7)))
     x, y = frame.to_plane(u, w)
     assert x == Fraction(1, 3) and y == Fraction(2, 7)
-    # its coordinates are those of no lattice point, but still solve exactly
-    for value, c10, c01 in ((u, frame.u10, frame.u01), (w, frame.w10, frame.w01)):
-        s, t = lattice_coords(value, c10, c01)
-        assert (s.denominator, t.denominator) != (1, 1)
-        assert c10 * s + c01 * t == value
+    # its coordinates are those of no lattice point, but still solve exactly:
+    # det*x == (m*det + r)*c10 + (n*det + s)*c01, in integer pairs
+    basis, [(u_class, w_class)] = _classes(FIB, frame, (u, w), (u, w))
+    gens = [basis.lattice[k:k + 2] for k in (0, 2, 4, 6)]
+    for value, ((r, s), (m, n)), (c10, c01) in ((u, u_class, gens[:2]), (w, w_class, gens[2:])):
+        assert (r, s) != (0, 0)
+        det = c10[0] * c01[1] - c01[0] * c10[1]
+        assert 0 <= Fraction(r, det) < 1 and 0 <= Fraction(s, det) < 1
+        x = basis.pair(value)
+        for k in (0, 1):
+            assert det * x[k] == (m * det + r) * c10[k] + (n * det + s) * c01[k]
 
 
-def test_lattice_coords_rejects_a_rational_basis():
+def test_lattice_class_rejects_a_rational_basis():
     # two rational multiples of one element: a lattice point on the line
-    with pytest.raises(InvariantError):
-        lattice_coords(QuadReal(1), QuadReal(1), QuadReal(2))
+    with pytest.raises(InvariantError, match="a lattice point lies on an eigenline"):
+        _lattice_class((1, 0), (1, 0, 2, 0))
 
 
 @settings(max_examples=20, deadline=None)
@@ -158,9 +176,8 @@ def test_frame_determinant_formula(seed):
     # v_lam x v_mu = c (mu - lam) = -+ c sqrt(D), sign following the lam branch
     branch = 1 if m.trace() > 0 else -1
     assert frame.det == QuadReal(0, -branch * m.c, eig.disc)
-    u, w = frame.lattice_frame(3, -2)
-    assert lattice_coords(u, frame.u10, frame.u01) == (3, -2)
-    assert lattice_coords(w, frame.w10, frame.w01) == (3, -2)
+    _, classes = _classes(m, frame, (), frame.lattice_frame(3, -2))
+    assert classes == [(((0, 0), (3, -2)), ((0, 0), (3, -2)))]
 
 
 @settings(max_examples=40, deadline=None)
