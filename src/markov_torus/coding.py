@@ -20,11 +20,11 @@ iterate lies on a component's closure, and ``locate`` names the candidate
 cells.  ``preimage_report`` follows every closed hit of every
 representative, which finds the closed cylinders holding the point.  Neither
 ``locate`` nor :meth:`DecodeResult.contains` scans a lattice: they test the
-translates of the partition's cover list.  ``decode`` takes the centre,
-the squared diameter and the decay check in integer pairs too, over the
-plane forms of :func:`_plane_forms`.  The powers of the acting matrix that
-a window or a word's offset needs are cached on the partition per
-exponent.
+translates of the partition's cover, per cell or bisected by w low.
+``decode`` takes the centre, the squared diameter and the decay check in
+integer pairs too, over the plane forms of :func:`_plane_forms`.  The
+powers of the acting matrix that a window or a word's offset needs are
+cached on the partition per exponent.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from .partition import (
     Strip,
     TorusPartition,
     _cached,
-    _cover_list,
+    _cover,
     _side_image,
     _step_ints,
     _step_successors,
@@ -180,7 +180,7 @@ class DecodeResult:
         basis = _strip_basis(part)
         y = basis.reduce(basis.point(point).act(_acting_power(part, self.word.offset)))[0]
         (u0, u1, w0, w1), k = basis.frame(y), y.k
-        for _, (qu0, qu1, qw0, qw1) in _cover_list(part)[self.word.symbols[0]]:
+        for _, (qu0, qu1, qw0, qw1) in _cover(part)[0][self.word.symbols[0]]:
             place = basis.place((u0 + k * qu0, u1 + k * qu1, w0 + k * qw0, w1 + k * qw1),
                                 k, self.anchored_strip)
             if place > 0 or (closed and place == 0):

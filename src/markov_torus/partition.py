@@ -28,10 +28,11 @@ on a Markov partition no step compares a bound, and only a partition that
 breaks it (a dented cell) reaches the sign tests.  A point is a
 :class:`ModPoint`, its coordinates over one denominator k; the acting
 matrix moves its numerators, and its frame pairs over Q*k are a fixed
-integer map of them.  :func:`locate` moves those pairs by each entry of a
-cover list, cached on the partition, of every (cell, translate) whose
-closed box can meet the unit square, and tests them against the cell's
-strip.
+integer map of them.  :func:`locate` moves those pairs by the entries of
+a cover, cached on the partition, of every (cell, translate) whose closed
+box can meet the unit square, found by one bisection over their w lows
+(:func:`_first_above`, the overlap scan's and the overlap sweep's too), and
+tests them against the cell's strip.
 
 Verifiers:
 
@@ -286,14 +287,15 @@ def _int_overlaps(frame: EigenFrame, basis: StripBasis, targets: Sequence[Strip]
     return table
 
 
-def _first_above(basis: StripBasis, lows: list[tuple[int, int]], x: int, y: int) -> int:
-    """:func:`bisect.bisect_right` of the pair (x, y) in ascending pairs:
+def _first_above(basis: StripBasis, lows: list[tuple[int, int]], x: int, y: int,
+                 k: int = 1) -> int:
+    """:func:`bisect.bisect_right` of the pair (x, y) / k in ascending pairs:
     the first index whose pair exceeds it, one sign test per step."""
     q, a, b, d = basis.q, basis.a, basis.b, basis.d
     lo, hi = 0, len(lows)
     while lo < hi:
         mid = (lo + hi) // 2
-        dx, dy = lows[mid][0] - x, lows[mid][1] - y
+        dx, dy = k * lows[mid][0] - x, k * lows[mid][1] - y
         if _sign(dx * q + dy * a, dy * b, d) > 0:
             hi = mid
         else:
@@ -358,12 +360,17 @@ class BoundaryHit:
     candidates: tuple[CellHit, ...]
 
 
-def _cover_list(part: TorusPartition
-                ) -> list[list[tuple[tuple[int, int], tuple[int, int, int, int]]]]:
-    """Per cell, every translate q, with its frame pairs in the partition's
-    :class:`StripBasis`, such that the cell's closed box moved back by q can
-    meet the closed unit square, in ascending lattice order: where a point
-    of [0, 1)^2 can lie in that cell.  Cached on the partition.
+def _cover(part: TorusPartition):
+    """``(cover, lows, entries, tallest)``, cached on the partition.
+    ``cover`` holds per cell every translate q, as ``(q, frame pairs of q)``
+    in the partition's :class:`StripBasis`, such that the cell's closed box
+    moved back by q can meet the closed unit square, in ascending lattice
+    order: where a point of [0, 1)^2 can lie in that cell.  ``entries`` are
+    the same translates as ``(position, cell, q, pairs)``, ``position``
+    counting through ``cover`` cell by cell, sorted by the w low of the
+    cell's box moved back by q (``lows``, pairs); ``tallest`` is the largest
+    box height.  A point with w coordinate w can lie only in the entries
+    whose low is at most w and at least w - tallest.
 
     One lattice scan per cell over the translates that bring the square's
     frame hull into the box's, kept when the two also meet along the plane
@@ -376,8 +383,8 @@ def _cover_list(part: TorusPartition
         us = sorted((c[:2] for c in corners), key=key)
         ws = sorted((c[2:] for c in corners), key=key)
         square = (*us[0], *us[-1], *ws[0], *ws[-1])
-        cover = []
-        for box, strip in zip(part.boxes, basis.boxes):
+        cover, entries, lows = [], [], []
+        for i, (box, strip) in enumerate(zip(part.boxes, basis.boxes)):
             xs, ys = zip(*box.corners_plane(frame))
             x_lo, x_hi, y_lo, y_hi = min(xs), max(xs), min(ys), max(ys)
             cover.append([
@@ -385,56 +392,31 @@ def _cover_list(part: TorusPartition
                 for (m, n), _, pairs in lattice_in_frame_box(frame, basis, _minus(strip, square))
                 if x_lo <= m + 1 and m <= x_hi and y_lo <= n + 1 and n <= y_hi
             ])
-        return cover
+            for q, pairs in cover[-1]:
+                entries.append((len(entries), i, q, pairs))
+                lows.append((strip[4] - pairs[2], strip[5] - pairs[3]))
+        order = sorted(range(len(entries)), key=lambda e: key(lows[e]))
+        tallest = max(((s[6] - s[4], s[7] - s[5]) for s in basis.boxes), key=key)
+        return cover, [lows[e] for e in order], [entries[e] for e in order], tallest
 
     return _cached(part, "_cover", build)
-
-
-def _cover_index(part: TorusPartition):
-    """``(lows, entries, tallest)``: the entries ``(position, cell, q, frame
-    pairs of q)`` of :func:`_cover_list`, ``position`` counting through the
-    list cell by cell, sorted by the w low of the cell's box moved back by
-    q (``lows``, pairs); ``tallest`` is the largest box height.  A point
-    with w coordinate w can lie only in the entries whose low is at most w
-    and at least w - tallest.  Cached on the partition."""
-
-    def build():
-        basis = _strip_basis(part)
-        boxes, key = basis.boxes, basis.order()
-        entries = [(i, q, pairs) for i, cover in enumerate(_cover_list(part))
-                   for q, pairs in cover]
-        lows = [(boxes[i][4] - pairs[2], boxes[i][5] - pairs[3]) for i, _, pairs in entries]
-        order = sorted(range(len(entries)), key=lambda e: key(lows[e]))
-        tallest = max(((s[6] - s[4], s[7] - s[5]) for s in boxes), key=key)
-        return [lows[e] for e in order], [(e, *entries[e]) for e in order], tallest
-
-    return _cached(part, "_cover_index", build)
 
 
 def locate(part: TorusPartition, point) -> CellHit | BoundaryHit:
     """Exact cell membership for a plane point, rational or field-valued, or
     its :class:`ModPoint`: no lattice scan and no field element.  The point,
-    reduced into [0, 1)^2, is moved by the translates of the cover list
-    whose cell's w side can hold it (:func:`_cover_index`: one bisection,
-    then a walk down the lows) and its frame pairs tested against the
-    cell's strip, in cover-list order; the translates are then shifted back
+    reduced into [0, 1)^2, is moved by the translates of the cover whose
+    cell's w side can hold it (:func:`_cover`'s index: one bisection, then
+    a walk down the lows) and its frame pairs tested against the cell's
+    strip, in the cover's order; the translates are then shifted back
     by the floor, so they apply to the point as given."""
     basis = _strip_basis(part)
     mod = point if isinstance(point, ModPoint) else basis.point(point)
     mod, fx, fy = basis.reduce(mod)
     (u0, u1, w0, w1), k = basis.frame(mod), mod.k
-    lows, entries, (tx, ty) = _cover_index(part)
+    _, lows, entries, (tx, ty) = _cover(part)
     sign, candidates = basis.sign, []
-    top, hi = 0, len(lows)
-    # the first low above w/k: _first_above with the lows scaled by k, kept
-    # apart so that the overlap scans' per-hit bisect pays no scaling
-    while top < hi:
-        mid = (top + hi) // 2
-        if sign(k * lows[mid][0] - w0, k * lows[mid][1] - w1) > 0:
-            hi = mid
-        else:
-            top = mid + 1
-    for e in range(top - 1, -1, -1):
+    for e in range(_first_above(basis, lows, w0, w1, k) - 1, -1, -1):
         lx, ly = lows[e]
         if sign(k * (lx + tx) - w0, k * (ly + ty) - w1) < 0:
             break
@@ -550,8 +532,8 @@ def _step_ints(part: TorusPartition) -> dict[tuple[int, int], list]:
     are among the tabulated ones; read backwards, each entry is a component
     of phi^-1(box nxt) meeting box(cur), so the table serves both step
     directions (:func:`_strip_entries`).  Raises :class:`InvariantError`
-    when two entries of one pair overlap: the stepped cell then overlaps its
-    own lattice translate."""
+    when two entries of one pair overlap, found by a sweep in w order: the
+    stepped cell then overlaps its own lattice translate."""
 
     def build():
         basis = _strip_basis(part)
@@ -559,10 +541,15 @@ def _step_ints(part: TorusPartition) -> dict[tuple[int, int], list]:
         flip_u, flip_w = part.lam_act.sign() < 0, part.mu_act.sign() < 0
         images = [_side_image(box[:4], fu, 0, 0, flip_u) + _side_image(box[4:], fw, 0, 0, flip_w)
                   for box in basis.boxes]
-        table = _int_overlaps(part.frame, basis, basis.boxes, images)
+        table, key = _int_overlaps(part.frame, basis, basis.boxes, images), basis.order()
         for entries in table.values():
-            for (_, _, a), (_, _, b) in itertools.combinations(entries, 2):
-                if _boxes_meet(basis, a, b):
+            if len(entries) == 1:  # every pair of a 0/1 table
+                continue
+            comps = sorted((comp for _, _, comp in entries), key=lambda comp: key(comp[4:6]))
+            lows = [comp[4:6] for comp in comps]
+            for n, a in enumerate(comps):
+                later = comps[n + 1:_first_above(basis, lows, *a[6:])]  # w lows to a's w high
+                if any(_boxes_meet(basis, a, b) for b in later):
                     raise InvariantError("image strips overlap inside one cell")
         return table
 

@@ -276,6 +276,15 @@ def test_render_refuses_a_figure_over_the_word_budget(capsys, monkeypatch, tmp_p
     assert "8 cells, over the budget of 5" in err and "use a lower --depth" in err
 
 
+def test_render_svg_path_gets_the_stdout_figure(capsys, tmp_path):
+    code, figure, _ = run(capsys, "render", "--matrix", FIB, "--depth", "2")
+    assert code == EXIT_OK and "5 cells at depth 2" in figure
+    svg = tmp_path / "out.svg"
+    code, out, _ = run(capsys, "render", "--matrix", FIB, "--depth", "2", "--svg", str(svg))
+    assert code == EXIT_OK and out == f"figure written to {svg}\n"
+    assert svg.read_text(encoding="utf-8") == figure
+
+
 def test_bad_enum_cap_env(capsys, monkeypatch):
     monkeypatch.setenv(ENUM_CAP_ENV, "zero")
     code, _, err = run(capsys, "render", "--matrix", FIB)

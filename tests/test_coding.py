@@ -14,7 +14,7 @@ from markov_torus.coding import (
 from markov_torus.exact import QuadReal
 from markov_torus.partition import InvariantError, partition_diam_sq
 from markov_torus.torus import Mat2Z
-from oracles import _closure_cells, _rect_contains_torus
+from oracles import _closure_cells, _rect_contains_torus, closed_translate_meets
 
 FIB = Mat2Z(1, 1, 1, 0)
 
@@ -285,6 +285,17 @@ def test_origin_coding_pairs_diamond_status_is_recorded(ctx):
     assert values <= {True, False}
 
 
+def test_diamond_runs_the_closure_test_against_the_oracle():
+    # the words agree at both ends and differ strictly between, so the
+    # answer is the closure test's, here that the closures never meet
+    ctx = CodingContext.from_matrix(FIB)
+    for first, second in [((0, 0, 0, 0), (0, 1, 2, 0)), ((2, 0, 0, 1), (2, 1, 2, 1))]:
+        first, second = SymbolicWord(first, -1), SymbolicWord(second, -1)
+        meets = closed_translate_meets(ctx.frame, ctx.decode(first).rect,
+                                       ctx.decode(second).rect)
+        assert meets == [] and ctx.has_diamond(first, second) is False
+
+
 # -- asymmetric windows ---------------------------------------------------------------
 
 
@@ -309,6 +320,17 @@ def test_decode_forward_only_word_is_a_vertical_strip(ctx):
     # constraints in the future cut only the expanding direction
     assert res.rect.w_dim == first.w_dim
     assert res.rect.u_dim < first.u_dim
+
+
+def test_decode_diameter_takes_the_absolute_axis_product():
+    # on 3 2 1 1 the frame's eigenvectors meet at an obtuse angle
+    # (v_lam.v_mu < 0), so the longer diagonal needs |v_lam.v_mu|
+    ctx = CodingContext.from_matrix(Mat2Z(3, 2, 1, 1))
+    words = [SymbolicWord.parse("0,2,4@-1")]
+    words += [ctx.encode(p, 3) for p in rational_points(71, 4)]
+    for word in words:
+        res = ctx.decode(word)
+        assert res.diam_sq == res.rect.diam_sq(ctx.frame)
 
 
 # -- exact torus distance -----------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from markov_torus import partition
 from markov_torus.construct import build_markov_construction
 from markov_torus.exact import QuadReal
 from markov_torus.partition import (
@@ -116,6 +117,41 @@ def test_self_overlapping_cell_fails_the_step_table():
     for visitor in visitors:
         with pytest.raises(InvariantError, match=message):
             visitor.result()
+
+
+@pytest.mark.parametrize("c_w, overlaps", [((3, 4), True), ((10, 12), False)])
+def test_step_table_sweep_meets_entries_apart_in_w_order(monkeypatch, c_w, overlaps):
+    # three crafted components of one pair, in w order a, b, c: b sits apart
+    # along u from both, so only a and c, not neighbours, can overlap; with c
+    # starting where a ends, the open boxes only touch
+    part = build_markov_construction(FIB).base.partition
+    part = part.__class__(part.frame, part.acting, part.lam_act, part.mu_act,
+                          part.boxes, part.labels)  # nothing cached on it yet
+
+    def strip(u, w):
+        return (u[0], 0, u[1], 0, w[0], 0, w[1], 0)
+
+    comps = [strip((1, 3), c_w), strip((5, 6), (1, 2)), strip((0, 2), (0, 10))]
+    table = {(0, 0): [((k, 0), (0, 0, 0, 0), comp) for k, comp in enumerate(comps)]}
+    monkeypatch.setattr(partition, "_int_overlaps", lambda *args: table)
+    if overlaps:
+        with pytest.raises(InvariantError, match="image strips overlap inside one cell"):
+            transition_graph(part)
+    else:
+        assert transition_graph(part).matrix[0][0] == 3
+
+
+def test_generator_decay_catches_an_off_formula_contracting_width():
+    # a refined cell raised by 1/64 of its height keeps its u side, so the
+    # window cells that end in it are clipped only along w
+    for matrix in (FIB, FIB_SQ, Mat2Z(0, 1, 1, 3), Mat2Z(-2, -3, -1, -2), -FIB):
+        part = build_markov_construction(matrix).refined
+        box = part.boxes[0]
+        dented = EigenRect(box.u_lo, box.u_hi, box.w_lo + box.w_dim / 64, box.w_hi)
+        part = part.__class__(part.frame, part.acting, part.lam_act, part.mu_act,
+                              (dented,) + part.boxes[1:], part.labels)
+        with pytest.raises(InvariantError, match="contracting dimension .* off-formula"):
+            verify_generator_decay(part, 2)
 
 
 def test_image_strips_traverse_their_containers(construction):
