@@ -14,11 +14,12 @@ inverses is a fixed integer matrix and a comparison is the sign of one
 pair.  A lattice scan runs column by column over the box's plane x-extent,
 c*(u + w), each column's n-interval having exact integer floors for ends.
 All-pairs overlaps (:func:`_int_overlaps`) take one scan per moving cell and
-decode entries into boxes only where a caller reads one.  The step table of
-a partition is such a table, for the forward images of its cells, cached on
-strips and overlap-checked once: the only source of transitions in both
-directions (graph, refinement, successor lists, cylinder steps), so a
-partition's overlaps are scanned once.
+decode entries into boxes only where a caller reads one.  The step table,
+cached on strips, is the only source of transitions in both directions
+(graph, refinement, successor lists, cylinder steps).  A partition's is such
+a table for the forward images of its cells, overlap-checked once; but the
+refinement's is read off its parent's with no scan, R v phi^-1 R being
+Markov when R is, each entry checked nonempty and each cell's areas summed.
 
 A cylinder piece is a strip of eight integers, stepped by one kernel,
 :func:`_step_strips`, over entry lists read off the step table once per
@@ -259,31 +260,16 @@ def _int_overlaps(frame: EigenFrame, basis: StripBasis, targets: Sequence[Strip]
         mulx, muly, muhx, muhy, mwlx, mwly, mwhx, mwhy = mover
         for hit, _, shift in lattice_in_frame_box(frame, basis, _minus(hull, mover)):
             dux, duy, dwx, dwy = shift
-            ulx, uly, uhx, uhy = mulx + dux, muly + duy, muhx + dux, muhy + duy
-            wlx, wly, whx, why = mwlx + dwx, mwly + dwy, mwhx + dwx, mwhy + dwy
-            # below, a pair (x, y) has the sign of (x*q + y*a) + y*b*sqrt(d)
+            moved = (mulx + dux, muly + duy, muhx + dux, muhy + duy,
+                     mwlx + dwx, mwly + dwy, mwhx + dwx, mwhy + dwy)
+            wlx, wly, whx, why = moved[4:]
             for k in range(_first_above(basis, lows, wlx - tx, wly - ty), len(lows)):
-                blx, bly = lows[k]
-                x, y = blx - whx, bly - why
-                if _sign(x * q + y * a, y * b, d) >= 0:
+                x, y = lows[k][0] - whx, lows[k][1] - why
+                if _sign(x * q + y * a, y * b, d) >= 0:  # basis.sign(x, y), inlined
                     break
-                j = order[k]
-                bulx, buly, buhx, buhy, _, _, bwhx, bwhy = targets[j]
-                x, y = bulx - ulx, buly - uly
-                lo = (bulx, buly) if _sign(x * q + y * a, y * b, d) > 0 else (ulx, uly)
-                x, y = uhx - buhx, uhy - buhy
-                hi = (buhx, buhy) if _sign(x * q + y * a, y * b, d) > 0 else (uhx, uhy)
-                x, y = hi[0] - lo[0], hi[1] - lo[1]
-                if _sign(x * q + y * a, y * b, d) <= 0:
-                    continue
-                x, y = blx - wlx, bly - wly
-                wlo = (blx, bly) if _sign(x * q + y * a, y * b, d) > 0 else (wlx, wly)
-                x, y = whx - bwhx, why - bwhy
-                whi = (bwhx, bwhy) if _sign(x * q + y * a, y * b, d) > 0 else (whx, why)
-                x, y = whi[0] - wlo[0], whi[1] - wlo[1]
-                if _sign(x * q + y * a, y * b, d) <= 0:
-                    continue
-                table.setdefault((i, j), []).append((hit, shift, (*lo, *hi, *wlo, *whi)))
+                comp = _meet(basis, moved, targets[order[k]])
+                if comp is not None:
+                    table.setdefault((i, order[k]), []).append((hit, shift, comp))
     return table
 
 
@@ -311,15 +297,6 @@ def _decoded(basis: StripBasis, table: dict[tuple[int, int], list]
     return {pair: [(q, (value(*shift[:2]), value(*shift[2:])), rect(comp))
                    for q, shift, comp in entries]
             for pair, entries in table.items()}
-
-
-def _boxes_meet(basis: StripBasis, a: Strip, b: Strip) -> bool:
-    """Whether the open boxes of two strips overlap: along both axes, each
-    starts below the other's end."""
-    sign = basis.sign
-    return all(sign(a[k + 2] - b[k], a[k + 3] - b[k + 1]) > 0
-               and sign(b[k + 2] - a[k], b[k + 3] - a[k + 1]) > 0
-               for k in (0, 4))
 
 
 def translate_overlaps(frame: EigenFrame, target: EigenRect, moving: EigenRect
@@ -459,9 +436,9 @@ class RefinementCell:
 
 def transition_graph(part: TorusPartition) -> TransitionGraph:
     """Geometric transition multiplicities: entry (i, j) counts the components
-    of phi(R_i) intersected with R_j on the torus, the entries of the forward
-    step table for (i, j), counted without decoding them.  Cached on the
-    partition."""
+    of phi(R_i) meeting R_j on the torus, the step table's entries for (i, j)
+    (:func:`_step_ints`: scanned, or a refinement's read off its parent's),
+    counted without decoding them.  Cached on the partition."""
     n = part.n
 
     def build():
@@ -480,20 +457,26 @@ def refine(part: TorusPartition) -> list[RefinementCell]:
     with word (i, j) at offset -1, anchored in R_j's box.  Cells are grouped
     by (i, j) in lexicographic order and within a group by contracting
     coordinate, compared as pairs, which is deterministic.  Cached on the
-    partition; each call gets a new list.
+    partition, with the components' strips; each call gets a new list.
     """
+    return list(_refinement(part)[0])
+
+
+def _refinement(part: TorusPartition) -> tuple[tuple[RefinementCell, ...], tuple[Strip, ...]]:
+    """:func:`refine`'s cells and their strips, in its order, cached."""
 
     def build():
-        basis, cells = _strip_basis(part), []
+        basis, cells, strips = _strip_basis(part), [], []
         key = basis.order()
         for pair, entries in sorted(_step_ints(part).items()):
             comps = sorted((comp for _, _, comp in entries),
                            key=lambda comp: (key(comp[4:6]), key(comp[:2])))
             cells += [RefinementCell(symbols=pair, offset=-1, rect=basis.rect(comp))
                       for comp in comps]
-        return tuple(cells)
+            strips += comps
+        return tuple(cells), tuple(strips)
 
-    return list(_cached(part, "_refinement", build))
+    return _cached(part, "_refinement", build)
 
 
 def refinement_cells_depth(part: TorusPartition, depth: int
@@ -512,28 +495,33 @@ def refinement_cells_depth(part: TorusPartition, depth: int
 def refined_partition(part: TorusPartition) -> TorusPartition:
     """The refinement as a partition in its own right, in :func:`refine`
     order.  A cell's label is its word ``i,j@-1`` in the labels of ``part``,
-    plus ``#k`` for the k-th of several components of one word."""
-    cells = refine(part)
+    plus ``#k`` for the k-th of several components of one word.  It records
+    ``part`` as its parent (:func:`_step_ints`) and shares its
+    :class:`StripBasis`, with the components' strips as boxes."""
+    cells, strips = _refinement(part)
     labels = []
     for (i, j), group in itertools.groupby(cells, key=lambda cell: cell.symbols):
         word = f"{part.labels[i]},{part.labels[j]}@-1"
         count = len(list(group))
         labels += [word] if count == 1 else [f"{word}#{k}" for k in range(count)]
-    return TorusPartition.build(part.frame, part.acting,
-                                (cell.rect for cell in cells), labels)
+    refined = TorusPartition.build(part.frame, part.acting,
+                                   (cell.rect for cell in cells), labels)
+    refined.__dict__.update(_parent=part, _strip_basis=replace(_strip_basis(part), boxes=strips))
+    return refined
 
 
 def _step_ints(part: TorusPartition) -> dict[tuple[int, int], list]:
-    """The forward step table on strips, one :func:`_int_overlaps` of the
-    cells' forward images, mapped by the forward factor matrices, against
-    the cells, cached on the partition: per pair (cur, nxt), entries
-    ``(q, shift pairs, component strip)`` in lattice order.  For any piece
-    inside box(cur), the lattice translates of its image that meet box(nxt)
-    are among the tabulated ones; read backwards, each entry is a component
-    of phi^-1(box nxt) meeting box(cur), so the table serves both step
-    directions (:func:`_strip_entries`).  Raises :class:`InvariantError`
-    when two entries of one pair overlap, found by a sweep in w order: the
-    stepped cell then overlaps its own lattice translate."""
+    """The forward step table on strips, cached on the partition: per pair
+    (cur, nxt), entries ``(q, shift pairs, component strip)``.  For any
+    piece inside box(cur), the lattice translates of its image that meet
+    box(nxt) are among the tabulated ones; read backwards, each entry is a
+    component of phi^-1(box nxt) meeting box(cur), so the table serves both
+    step directions (:func:`_strip_entries`).  A refined partition's table
+    is read off its parent's (:func:`_derived_step_ints`); any other's is
+    one :func:`_int_overlaps` of the cells' forward images, mapped by the
+    forward factor matrices, against the cells, in lattice order, and raises
+    :class:`InvariantError` when two entries of one pair overlap, found by a
+    sweep in w order: the stepped cell then overlaps its own translate."""
 
     def build():
         basis = _strip_basis(part)
@@ -541,6 +529,8 @@ def _step_ints(part: TorusPartition) -> dict[tuple[int, int], list]:
         flip_u, flip_w = part.lam_act.sign() < 0, part.mu_act.sign() < 0
         images = [_side_image(box[:4], fu, 0, 0, flip_u) + _side_image(box[4:], fw, 0, 0, flip_w)
                   for box in basis.boxes]
+        if "_parent" in part.__dict__:
+            return _derived_step_ints(part.__dict__["_parent"], basis, images)
         table, key = _int_overlaps(part.frame, basis, basis.boxes, images), basis.order()
         for entries in table.values():
             if len(entries) == 1:  # every pair of a 0/1 table
@@ -549,11 +539,66 @@ def _step_ints(part: TorusPartition) -> dict[tuple[int, int], list]:
             lows = [comp[4:6] for comp in comps]
             for n, a in enumerate(comps):
                 later = comps[n + 1:_first_above(basis, lows, *a[6:])]  # w lows to a's w high
-                if any(_boxes_meet(basis, a, b) for b in later):
+                if any(_meet(basis, a, b) for b in later):
                     raise InvariantError("image strips overlap inside one cell")
         return table
 
     return _cached(part, "_step_ints", build)
+
+
+def _derived_step_ints(parent: TorusPartition, basis: StripBasis, images: list[Strip]
+                       ) -> dict[tuple[int, int], list]:
+    """The step table of the refinement of ``parent``, given its basis and
+    its boxes' forward images, with no lattice scan: refined cell k in box j
+    steps where box j does.  Each parent entry (j, b, v, shift, comp) is a
+    refined cell m, and (k, m) gets one entry (v, shift, (phi(k) + shift)
+    meet box(m)).  Raises :class:`InvariantError` unless every component is
+    nonempty and, per k, their areas (pairs, :meth:`StripBasis.mul`) sum to
+    area(k) = area(phi k): with the parent's boxes tiling the torus, no
+    entry is missing."""
+    cells, boxes = _refinement(parent)[0], basis.boxes
+    cell_of = {(cell.symbols, box): m for m, (cell, box) in enumerate(zip(cells, boxes))}
+    rows = [[] for _ in range(parent.n)]
+    for (j, b), entries in _step_ints(parent).items():
+        rows[j] += [(cell_of[(j, b), comp], q, shift) for q, shift, comp in entries]
+    mul, table = basis.mul, {}
+    for k, (cell, box, image) in enumerate(zip(cells, boxes, images)):
+        ulx, uly, uhx, uhy, wlx, wly, whx, why = image
+        left = mul((box[2] - box[0], box[3] - box[1]), (box[6] - box[4], box[7] - box[5]))
+        for m, q, shift in rows[cell.symbols[1]]:
+            sux, suy, swx, swy = shift
+            comp = _meet(basis, (ulx + sux, uly + suy, uhx + sux, uhy + suy,
+                                 wlx + swx, wly + swy, whx + swx, why + swy), boxes[m])
+            if comp is None:
+                raise InvariantError(f"refined cell {k} steps to an empty component of cell {m}")
+            area = mul((comp[2] - comp[0], comp[3] - comp[1]),
+                       (comp[6] - comp[4], comp[7] - comp[5]))
+            left = (left[0] - area[0], left[1] - area[1])
+            table[k, m] = [(q, shift, comp)]
+        if left != (0, 0):
+            raise InvariantError(f"refined cell {k}'s step components miss part of its area")
+    return table
+
+
+def _meet(basis: StripBasis, s: Strip, t: Strip) -> Strip | None:
+    """The open intersection of the boxes of two strips, None when empty:
+    along each axis the larger low and the smaller high, if below it."""
+    q, a, b, d = basis.q, basis.a, basis.b, basis.d
+    meet = ()
+    for k in (0, 4):
+        (lx, ly, hx, hy), (tlx, tly, thx, thy) = s[k:k + 4], t[k:k + 4]
+        # below, a pair (x, y) has the sign of (x*q + y*a) + y*b*sqrt(d)
+        x, y = tlx - lx, tly - ly
+        if _sign(x * q + y * a, y * b, d) > 0:
+            lx, ly = tlx, tly
+        x, y = hx - thx, hy - thy
+        if _sign(x * q + y * a, y * b, d) > 0:
+            hx, hy = thx, thy
+        x, y = hx - lx, hy - ly
+        if _sign(x * q + y * a, y * b, d) <= 0:
+            return None
+        meet += (lx, ly, hx, hy)
+    return meet
 
 
 Strip = tuple[int, int, int, int, int, int, int, int]
