@@ -35,6 +35,7 @@ from typing import Callable, Iterator, Sequence
 
 from .coding import BoundaryAmbiguity, CodingContext, SymbolicWord
 from .construct import (
+    ConjugationResult,
     MarkovConstruction,
     build_markov_construction,
     conjugate_nonnegative,
@@ -197,21 +198,23 @@ def _emit(payload: dict, lines: Sequence[str], as_json: bool) -> None:
 # -- commands ------------------------------------------------------------------
 
 
-def _check_cells(cfg: RunConfig) -> None:
-    """Refuse a matrix whose refined partition would have more than
-    ``cfg.cell_cap`` cells, before any overlap table is built."""
-    model = conjugate_nonnegative(cfg.matrix).model
+def _check_cells(cfg: RunConfig) -> ConjugationResult:
+    """The matrix's reduction, for the build to reuse; refuses a matrix
+    whose refined partition would have more than ``cfg.cell_cap`` cells,
+    before any overlap table is built."""
+    conj = conjugate_nonnegative(cfg.matrix)
+    model = conj.model
     cells = model.a + model.b + model.c + model.d
     if cells > cfg.cell_cap:
         raise CliError(
             f"the refined partition would have N* = {cells} cells, more than "
             f"the cell cap {cfg.cell_cap}; set {CELL_CAP_ENV} to raise it"
         )
+    return conj
 
 
 def _construction(cfg: RunConfig) -> MarkovConstruction:
-    _check_cells(cfg)
-    return build_markov_construction(cfg.matrix)
+    return build_markov_construction(cfg.matrix, _check_cells(cfg))
 
 
 def cmd_analyze(cfg: RunConfig) -> int:
@@ -432,8 +435,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 def cmd_encode(cfg: RunConfig) -> int:
     if cfg.point is None:
         raise CliError('encode needs --point "p/q r/s"')
-    _check_cells(cfg)
-    ctx = CodingContext.from_matrix(cfg.matrix)
+    ctx = CodingContext.from_matrix(cfg.matrix, _check_cells(cfg))
     depth = cfg.depth if cfg.depth is not None else 8
     result = ctx.encode(cfg.point, depth)
     preimages = ctx.preimage_report(cfg.point, depth, max_words=cfg.max_words)
@@ -479,8 +481,7 @@ def cmd_decode(cfg: RunConfig) -> int:
         word = SymbolicWord.parse(cfg.word)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    _check_cells(cfg)
-    ctx = CodingContext.from_matrix(cfg.matrix)
+    ctx = CodingContext.from_matrix(cfg.matrix, _check_cells(cfg))
     # steps from time 0 to the nearest time of the word's window
     reach = max(0, word.offset, -(word.offset + len(word) - 1))
     if reach > cfg.enum_cap:

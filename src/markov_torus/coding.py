@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from .construct import MarkovConstruction, build_markov_construction
+from .construct import ConjugationResult, MarkovConstruction, build_markov_construction
 from .exact import QuadReal
 from .partition import (
     BoundaryHit,
@@ -207,8 +207,11 @@ class CodingContext:
     construction: MarkovConstruction
 
     @classmethod
-    def from_matrix(cls, matrix: Mat2Z) -> "CodingContext":
-        return cls(build_markov_construction(matrix))
+    def from_matrix(cls, matrix: Mat2Z, conj: ConjugationResult | None = None
+                    ) -> "CodingContext":
+        """The context of ``matrix``'s construction; ``conj``, its reduction
+        when already made, is reused."""
+        return cls(build_markov_construction(matrix, conj))
 
     @property
     def part(self) -> TorusPartition:

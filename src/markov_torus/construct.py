@@ -33,7 +33,7 @@ which never inspects cell intersections, yet must reproduce the matrix.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
 from .exact import QuadReal, cf_expand
@@ -49,7 +49,7 @@ from .partition import (
     verify_areas,
 )
 from .sft import TransitionGraph
-from .torus import EigenFrame, Mat2Z, hyperbolic_check
+from .torus import EigenData, EigenFrame, Mat2Z, hyperbolic_check
 
 _E = Mat2Z.swap()
 
@@ -61,16 +61,20 @@ _E = Mat2Z.swap()
 class ConjugationResult:
     """Unimodular reduction ``conjugator @ original @ conjugator^-1 ==
     epsilon * model`` with ``model`` nonnegative and oriented (expanding
-    slope strictly between 0 and 1)."""
+    slope strictly between 0 and 1).  ``eig`` is the model's eigen-data,
+    computed once with the reduction and read by :meth:`verify` and
+    :func:`build_base_partition`."""
 
     original: Mat2Z
     conjugator: Mat2Z
     model: Mat2Z
     epsilon: int
     swapped: bool  # an axis swap was composed in to orient the slope
+    eig: EigenData | None = field(default=None, compare=False, repr=False)
 
     def verify(self) -> None:
-        """Re-check every defining property, exactly."""
+        """Re-check every defining property, exactly; the slope on ``eig``
+        when it is the model's, else on a new :func:`hyperbolic_check`."""
         if abs(self.conjugator.det()) != 1:
             raise InvariantError("conjugator is not unimodular")
         lhs = self.conjugator @ self.original @ self.conjugator.inverse()
@@ -79,7 +83,9 @@ class ConjugationResult:
             raise InvariantError("conjugation identity fails")
         if not self.model.is_nonnegative():
             raise InvariantError("model matrix has a negative entry")
-        eig = hyperbolic_check(self.model)
+        eig = self.eig
+        if eig is None or eig.matrix != self.model:
+            eig = hyperbolic_check(self.model)
         if eig.slope_lam.sign() <= 0 or (eig.slope_lam - 1).sign() >= 0:
             raise InvariantError("model expanding slope is not in (0, 1)")
         # forced for an oriented nonnegative hyperbolic matrix
@@ -117,19 +123,22 @@ def conjugate_nonnegative(matrix: Mat2Z) -> ConjugationResult:
             epsilon, model = -1, -conj
         else:
             continue
-        return _orient(matrix, cand, model, epsilon)
+        return _orient(matrix, cand, model, epsilon, eig if model == matrix else None)
     raise InvariantError(f"no nonnegative conjugate found for {matrix}")
 
 
-def _orient(matrix: Mat2Z, conjugator: Mat2Z, model: Mat2Z, epsilon: int
-            ) -> ConjugationResult:
-    eig = hyperbolic_check(model)
+def _orient(matrix: Mat2Z, conjugator: Mat2Z, model: Mat2Z, epsilon: int,
+            eig: EigenData | None) -> ConjugationResult:
+    """The reduction to ``model``, oriented; ``eig`` is the model's
+    eigen-data when already known."""
+    eig = eig or hyperbolic_check(model)
     swapped = False
     if (eig.slope_lam - 1).sign() > 0:
         conjugator = _E @ conjugator
         model = _E @ model @ _E
         swapped = True
-    result = ConjugationResult(matrix, conjugator, model, epsilon, swapped)
+        eig = hyperbolic_check(model)
+    result = ConjugationResult(matrix, conjugator, model, epsilon, swapped, eig)
     result.verify()
     return result
 
@@ -223,20 +232,25 @@ def _corner_points(frame: EigenFrame, t: QuadReal) -> tuple[CornerPoint, ...]:
     return tuple(points)
 
 
-def build_base_partition(model: Mat2Z, epsilon: int) -> BaseConstruction:
+def build_base_partition(model: Mat2Z, epsilon: int,
+                         eig: EigenData | None = None) -> BaseConstruction:
     """The two-cell partition for the map defined by ``epsilon * model``.
 
     ``model`` must be nonnegative, hyperbolic and oriented (expanding slope
-    in (0, 1)).  Cell I is the open parallelogram with frame box
-    (0, u10) x (w01, 0), cell II is (u10, u11) x (w01, w11); when the acting
-    contracting eigenvalue is negative both are slid by ``rho`` along the
-    contracting direction, ``rho`` being pinned by requiring the image of
-    the contracting boundary segment to end exactly at the slid origin."""
+    in (0, 1)); ``eig``, its eigen-data, is computed unless given.  Cell I
+    is the open parallelogram with frame box (0, u10) x (w01, 0), cell II
+    is (u10, u11) x (w01, w11); when the acting contracting eigenvalue is
+    negative both are slid by ``rho`` along the contracting direction,
+    ``rho`` being pinned by requiring the image of the contracting boundary
+    segment to end exactly at the slid origin."""
     if epsilon not in (1, -1):
         raise ValueError("epsilon must be +1 or -1")
     if not model.is_nonnegative():
         raise ValueError(f"model matrix {model} has a negative entry")
-    eig = hyperbolic_check(model)
+    if eig is None:
+        eig = hyperbolic_check(model)
+    elif eig.matrix != model:
+        raise ValueError(f"eigen-data of {eig.matrix}, not of the model {model}")
     if eig.slope_lam.sign() <= 0 or (eig.slope_lam - 1).sign() >= 0:
         raise ValueError("model expanding slope must lie strictly in (0, 1)")
     frame = EigenFrame.from_eigen(eig)
@@ -354,13 +368,19 @@ class MarkovConstruction:
         return self.base.partition.acting
 
 
-def build_markov_construction(matrix: Mat2Z) -> MarkovConstruction:
-    """Run the full pipeline for ``matrix`` and cross-check every stage.
+def build_markov_construction(matrix: Mat2Z, conj: ConjugationResult | None = None
+                              ) -> MarkovConstruction:
+    """Run the full pipeline for ``matrix`` and cross-check every stage;
+    ``conj``, the matrix's :func:`conjugate_nonnegative`, is computed unless
+    given.
 
     Raises ``NotAutomorphismError``/``NotHyperbolicError`` on bad input and
     ``InvariantError`` if any internal consistency check fails."""
-    conj = conjugate_nonnegative(matrix)
-    base = build_base_partition(conj.model, conj.epsilon)
+    if conj is None:
+        conj = conjugate_nonnegative(matrix)
+    elif conj.original != matrix:
+        raise ValueError(f"the reduction of {conj.original}, not of {matrix}")
+    base = build_base_partition(conj.model, conj.epsilon, conj.eig)
     part = base.partition
 
     graph = transition_graph(part)

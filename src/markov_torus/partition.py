@@ -21,11 +21,13 @@ a table for the forward images of its cells, overlap-checked once; but the
 refinement's is read off its parent's with no scan, R v phi^-1 R being
 Markov when R is, each entry checked nonempty and each cell's areas summed.
 
-A cylinder piece is a strip of eight integers, stepped by one kernel,
-:func:`_step_strips`, over entry lists read off the step table once per
-direction.  Pieces and entry boxes lie in the cell being stepped, so on an
-axis where either spans the cell's whole side the clip is the other's side:
-on a Markov partition no step compares a bound, and only a partition that
+A cylinder piece is a strip of eight integers, stepped over entry lists
+read off the step table once per direction: one step by
+:func:`_step_strips`, and a walk's node to every successor by
+:func:`advance_node`, the same clip over the forward lists grouped per
+cell.  Pieces and entry boxes lie in the cell being stepped, so on an axis
+where either spans the cell's whole side the clip is the other's side: on
+a Markov partition no step compares a bound, and only a partition that
 breaks it (a dented cell) reaches the sign tests.  A point is a
 :class:`ModPoint`, its coordinates over one denominator k; the acting
 matrix moves its numerators, and its frame pairs over Q*k are a fixed
@@ -53,10 +55,10 @@ Verifiers:
   exact dimension bookkeeping cross-checked against enumerated cells.
 
 Everything that enumerates words goes through one iterative walker,
-:func:`walk_words`, which steps strips with :func:`advance_strips` and hands
-each word, with its strips, to several :class:`WordVisitor` objects at once:
-``refinement_cells_depth``, ``verify_nfold_range`` and the window check of
-``verify_generator_decay``.
+:func:`walk_words`, which steps each word's strips to all of its children at
+once with :func:`advance_node` and hands each word, with its strips, to
+several :class:`WordVisitor` objects at once: ``refinement_cells_depth``,
+``verify_nfold_range`` and the window check of ``verify_generator_decay``.
 """
 
 from __future__ import annotations
@@ -936,6 +938,49 @@ def pullback_strips(part: TorusPartition, strips: Sequence[Strip], cur: int,
     return _step_strips(steps, strips, cur, prv)
 
 
+def advance_node(part: TorusPartition, strips: Sequence[Strip], cur: int
+                 ) -> list[list[Strip]]:
+    """Every forward step of a word-tree node at once: per successor nxt of
+    cur, in :func:`_step_successors` order, ``advance_strips(part, strips,
+    cur, nxt)``.  One pass over the strips: each strip's scaled sides are
+    computed once, then the rows of every successor applied, read off the
+    forward entry lists grouped per cell (:func:`_strip_entries`), with
+    :func:`_step_strips`' clip.  That kernel stays for single steps, such
+    as a cylinder's pullbacks, which a list of targets would slow."""
+    steps = part.__dict__.get("_forward_strips") or _strip_entries(part, True)
+    _, sides, fu, fw, flip_u, flip_w, basis, nodes = steps
+    count, rows = nodes[cur]
+    outs: list[list[Strip]] = [[] for _ in range(count)]
+    box_u, box_w = sides[cur]
+    for strip in strips:
+        u_side, w_side = strip[:4], strip[4:]
+        whole_u, whole_w = u_side == box_u, w_side == box_w
+        if not whole_u:
+            ku = _side_image(u_side, fu, 0, 0, flip_u)
+        if not whole_w:
+            kw = _side_image(w_side, fw, 0, 0, flip_w)
+        for (k, clip_u, clip_w, sux, suy, swx, swy, clip_whole_u, clip_whole_w,
+             img_u, img_w) in rows:
+            if whole_u:
+                u = img_u
+            elif clip_whole_u:
+                u = (ku[0] + sux, ku[1] + suy, ku[2] + sux, ku[3] + suy)
+            else:
+                u = _clip_side(basis, u_side, clip_u, fu, sux, suy, flip_u)
+                if u is None:
+                    continue
+            if whole_w:
+                w = img_w
+            elif clip_whole_w:
+                w = (kw[0] + swx, kw[1] + swy, kw[2] + swx, kw[3] + swy)
+            else:
+                w = _clip_side(basis, w_side, clip_w, fw, swx, swy, flip_w)
+                if w is None:
+                    continue
+            outs[k].append(u + w)
+    return outs
+
+
 def _side_image(side: tuple[int, int, int, int], factor: tuple[int, int, int, int],
                 sx: int, sy: int, flip: bool) -> tuple[int, int, int, int]:
     """The image of the side (lo, hi), two pairs, under x -> x*k + s, k's
@@ -949,9 +994,9 @@ def _side_image(side: tuple[int, int, int, int], factor: tuple[int, int, int, in
 
 
 def _strip_entries(part: TorusPartition, forward: bool):
-    """``(entries, sides, fu, fw, flip_u, flip_w, basis)`` for one direction
-    of strip steps, read off the step table's strips (:func:`_step_ints`) on
-    the first step and cached on the partition.
+    """``(entries, sides, fu, fw, flip_u, flip_w, basis, nodes)`` for one
+    direction of strip steps, read off the step table's strips
+    (:func:`_step_ints`) on the first step and cached on the partition.
 
     ``entries[(cur, to)]`` holds one row per table entry, in order: a
     clip box inside box(cur) as its u side and w side (two pairs each), a
@@ -965,7 +1010,12 @@ def _strip_entries(part: TorusPartition, forward: bool):
     image is phi^-1(comp - shift), with factors (1/lam, 1/mu) and shift
     -phi^-1(shift).  Raises :class:`InvariantError` when a clip leaves
     box(cur) or has an empty side: the kernel's shortcuts assume neither
-    happens."""
+    happens.
+
+    ``nodes[cur]``, forward only (None backward), is ``(count, rows)`` for
+    :func:`advance_node`: the rows of every (cur, to) in one list, ``to``
+    running over the count successors of :func:`_step_successors`, each
+    row led by the index of its ``to`` there."""
 
     def build():
         basis = _strip_basis(part)
@@ -997,8 +1047,13 @@ def _strip_entries(part: TorusPartition, forward: bool):
                                          f"box({cur}) or has an empty side")
                 rows.append((clip_u, clip_w, *shift, clip_u == box_u,
                              clip_w == box_w, img_u, img_w))
+        nodes = None
+        if forward:
+            nodes = [(len(succ), [(k, *row) for k, to in enumerate(succ)
+                                  for row in entries[cur, to]])
+                     for cur, succ in enumerate(_step_successors(part))]
         return (entries, sides, basis.factor(forward, True),
-                basis.factor(forward, False), flip_u, flip_w, basis)
+                basis.factor(forward, False), flip_u, flip_w, basis, nodes)
 
     return _cached(part, "_forward_strips" if forward else "_backward_strips", build)
 
@@ -1016,7 +1071,7 @@ def _step_strips(steps, strips: Sequence[Strip], cur: int, to: int) -> list[Stri
     through :func:`_clip_side`; on a Markov partition none does (forward,
     every strip spans box(cur)'s u side and every clip its w side, and
     backward the reverse).  A step builds no field element."""
-    entries, sides, fu, fw, flip_u, flip_w, basis = steps
+    entries, sides, fu, fw, flip_u, flip_w, basis, _ = steps
     rows = entries.get((cur, to))
     if not rows:
         return []
@@ -1166,9 +1221,12 @@ def walk_words(part: TorusPartition, visitors: Sequence[WordVisitor]) -> None:
     s_0 ... s_k whose steps follow :func:`_step_successors`, as deep as the
     deepest visitor still running.  Each word reaches every visitor that
     wants its length with its strips: the components of phi^k of its
-    cylinder, anchored in box(s_k), one :func:`advance_strips` step from its
-    parent's.  Words of each length arrive in lexicographic order; an empty
-    cylinder's descendants are visited with no strips and cost no step.
+    cylinder, anchored in box(s_k).  A word's children get theirs from one
+    :func:`advance_node` step of its strips; children at the deepest wanted
+    length are visited there, in order, and never stacked.  Words of each
+    length arrive in lexicographic order; an empty cylinder's descendants
+    are visited with no strips and cost no step.  The visitors wanting each
+    length are listed once, and again only when one fails.
 
     An exception raised by a visitor is kept on its ``error`` and stops that
     visitor alone; one raised by the walk itself is kept on every visitor
@@ -1177,37 +1235,56 @@ def walk_words(part: TorusPartition, visitors: Sequence[WordVisitor]) -> None:
     live = list(visitors)
     try:
         succ = _step_successors(part)
-        step = advance_strips
-        boxes = _strip_basis(part).boxes
+        wanting = _wanting(live)
         word: list[int] = []
-        stack = [(0, sym, None) for sym in reversed(range(part.n))]
-        limit = max((v.max_len for v in live), default=0)
-        while live and stack:
-            depth, sym, parent = stack.pop()
-            if depth >= limit:
+        boxes = _strip_basis(part).boxes
+        stack = [(0, sym, [boxes[sym]]) for sym in reversed(range(part.n))]
+        while stack and wanting:
+            depth, sym, pieces = stack.pop()
+            if depth >= len(wanting):
                 continue
             del word[depth:]
-            if parent is None:
-                pieces = [boxes[sym]]
-            else:
-                pieces = step(part, parent, word[-1], sym) if parent else []
             word.append(sym)
-            failed = False
-            for v in live:
-                if depth < v.max_len:
-                    try:
-                        v.visit(word, pieces)
-                    except Exception as exc:
-                        v.error = exc
-                        failed = True
-            if failed:
+            if _visit(wanting[depth], word, pieces):
                 live = [v for v in live if v.error is None]
-                limit = max((v.max_len for v in live), default=0)
-            if depth + 1 < limit:
-                stack.extend((depth + 1, nxt, pieces) for nxt in reversed(succ[sym]))
+                wanting = _wanting(live)
+            if depth + 1 >= len(wanting):
+                continue
+            nexts = succ[sym]
+            kids = advance_node(part, pieces, sym) if pieces else [[] for _ in nexts]
+            if depth + 2 < len(wanting):
+                stack.extend(zip(itertools.repeat(depth + 1), reversed(nexts), reversed(kids)))
+                continue
+            word.append(sym)  # the leaves' slot
+            for nxt, pieces in zip(nexts, kids):  # leaves, visited in place
+                word[-1] = nxt
+                if _visit(wanting[depth + 1], word, pieces):
+                    live = [v for v in live if v.error is None]
+                    wanting = _wanting(live)
+                    if depth + 1 >= len(wanting):
+                        break
     except Exception as exc:
         for v in live:
             v.error = exc
+
+
+def _wanting(visitors: Sequence[WordVisitor]) -> list[list[WordVisitor]]:
+    """Per word depth (length - 1), the visitors that want words of it."""
+    limit = max((v.max_len for v in visitors), default=0)
+    return [[v for v in visitors if depth < v.max_len] for depth in range(limit)]
+
+
+def _visit(visitors: list[WordVisitor], word: list[int], pieces: list[Strip]) -> bool:
+    """Hand one word to the visitors; whether one of them failed, its
+    exception kept on its ``error``."""
+    failed = False
+    for v in visitors:
+        try:
+            v.visit(word, pieces)
+        except Exception as exc:
+            v.error = exc
+            failed = True
+    return failed
 
 
 class _DepthCells(WordVisitor):

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import pytest
 
+from markov_torus import cli as cli_module
+from markov_torus import construct as construct_module
 from markov_torus import partition
 from markov_torus.cli import (
     CELL_CAP_ENV,
@@ -333,6 +335,34 @@ def test_cell_cap_keeps_rejections_of_bad_matrices(capsys, monkeypatch):
     monkeypatch.setenv(CELL_CAP_ENV, "1")
     code, _, err = run(capsys, "construct", "--matrix", "1 1 0 1")
     assert code == EXIT_REJECT and CELL_CAP_ENV not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("construct",), ("verify", "--depth", "1"), ("periodic", "--depth", "1"),
+    ("render", "--depth", "0"), ("encode", "--point", "1/3 1/7", "--depth", "1"),
+    ("decode", "--word", "0,1@0"),
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("matrix, distinct", [(FIB, 1), ("-1 -1 -1 0", 2), ("1 2 1 1", 2)])
+def test_one_reduction_per_command(capsys, monkeypatch, argv, matrix, distinct):
+    """A building command reduces its matrix once, for the cell cap and the
+    build alike, and takes each matrix's eigen-data once: the input's, and
+    the model's where it differs (-1 -1 -1 0 reduces to -(1 1 1 0); 1 2 1 1
+    is nonnegative but its slope is oriented by an axis swap)."""
+    reductions, eigens = [], []
+    reduce, check = construct_module.conjugate_nonnegative, construct_module.hyperbolic_check
+
+    def counted(matrix):
+        reductions.append(matrix)
+        return reduce(matrix)
+
+    monkeypatch.setattr(cli_module, "conjugate_nonnegative", counted)
+    monkeypatch.setattr(construct_module, "conjugate_nonnegative", counted)
+    monkeypatch.setattr(construct_module, "hyperbolic_check",
+                        lambda matrix: eigens.append(matrix) or check(matrix))
+    code, _, _ = run(capsys, argv[0], "--matrix", matrix, *argv[1:])
+    assert code == EXIT_OK
+    assert len(reductions) == 1
+    assert len(eigens) == len(set(eigens)) == distinct
 
 
 # -- encode / decode -----------------------------------------------------------

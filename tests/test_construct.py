@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -79,6 +80,27 @@ def test_slope_orientation_composes_an_axis_swap():
     assert res.model == Mat2Z(1, 1, 2, 1)
     res2 = conjugate_nonnegative(Mat2Z(1, 1, 1, 2))
     assert res2.model == Mat2Z(2, 1, 1, 1)
+
+
+def test_reduction_carries_the_models_eigen_data():
+    """The reduction keeps the oriented model's eigen-data, also after an
+    axis swap; verify re-derives it when it belongs to another matrix, and
+    the build refuses eigen-data or a reduction of another matrix."""
+    for matrix in (Mat2Z(1, 1, 1, 0), Mat2Z(1, 2, 1, 1), Mat2Z(-2, -3, -1, -2)):
+        res = conjugate_nonnegative(matrix)
+        assert res.eig == hyperbolic_check(res.model)
+    res = conjugate_nonnegative(Mat2Z(1, 2, 1, 1))
+    unoriented = hyperbolic_check(Mat2Z(1, 2, 1, 1))  # expanding slope above 1
+    replace(res, eig=unoriented).verify()
+    replace(res, eig=None).verify()
+    with pytest.raises(ValueError, match="eigen-data of"):
+        build_base_partition(res.model, res.epsilon, unoriented)
+    with pytest.raises(ValueError, match="reduction of"):
+        build_markov_construction(Mat2Z(2, 1, 1, 1), res)
+    built = build_markov_construction(Mat2Z(1, 2, 1, 1), res)
+    assert built.conjugation is res
+    assert construction_report(built) == construction_report(
+        build_markov_construction(Mat2Z(1, 2, 1, 1)))
 
 
 @pytest.mark.parametrize(

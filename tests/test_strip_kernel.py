@@ -2,10 +2,13 @@
 against the scale-translate-intersect steps it replaced (kept verbatim in
 ``oracles``): the same boxes, in the same order, down to the integers of
 every bound once decoded, for every cell pair of the base, refined and
-negative-control partitions of one ladder matrix per sign case; whole boxes,
-pieces that touch a clip box along an edge, drawn sub-boxes, and drawn
-pieces spanning a whole side of their cell.  The entry lists built from the
-integer step table match the builder over the decoded one, refuse a clip
+negative-control partitions of one ladder matrix per sign case; whole
+boxes, pieces that touch a clip box along an edge, drawn sub-boxes, and
+drawn pieces spanning a whole side of their cell.  Wherever it is compared,
+the walk's node step, ``advance_node``, gives strip for strip what one
+``advance_strips`` per successor gives.  The entry lists built from the
+integer step table match the builder over the decoded one, with the
+forward rows grouped per cell for the node step, refuse a clip
 outside its cell, and on a Markov partition let no step compare anything.
 The integer strip basis round-trips every box and refuses bounds outside its
 module, and a walk on it builds no field element.  Then metamorphic steps:
@@ -36,6 +39,7 @@ from markov_torus.partition import (
     TorusPartition,
     _strip_basis,
     _strip_entries,
+    advance_node,
     advance_strips,
     cylinder_components,
     pullback_strips,
@@ -115,6 +119,10 @@ def pullback(part: TorusPartition, boxes, cur: int, to: int):
 
 
 def assert_steps_match(part: TorusPartition, pieces, cur: int, tag):
+    strips = [strip_of(part, box) for box in pieces]
+    assert advance_node(part, strips, cur) == [
+        advance_strips(part, strips, cur, to)
+        for to in partition_module._step_successors(part)[cur]], (tag, cur)
     for to in range(part.n):
         assert exact(advance(part, pieces, cur, to)) == \
             exact(oracles.advance_strips(part, pieces, cur, to)), (tag, cur, to)
@@ -211,9 +219,13 @@ def test_entry_lists_match_the_decoded_builder():
         old = {forward: oracles.strip_entries(part, forward) for forward in (True, False)}
         boxes = _strip_basis(part).boxes
         for forward in (True, False):
-            entries, sides, *rest = new[forward]
+            entries, sides, *rest, nodes = new[forward]
             old_entries, *old_rest = old[forward]
             assert rest == old_rest, (name, tag, forward)
+            succ = partition_module._step_successors(part)
+            assert nodes == ([(len(to), [(k, *row) for k, nxt in enumerate(to)
+                                         for row in entries[cur, nxt]])
+                              for cur, to in enumerate(succ)] if forward else None)
             assert sides == [(box[:4], box[4:]) for box in boxes]
             assert list(entries) == list(old_entries), (name, tag, forward)
             for (cur, to), rows in entries.items():

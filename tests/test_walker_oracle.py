@@ -2,8 +2,11 @@
 replaced (kept verbatim in ``oracles``): same refinement cells in the same
 order, equal n-fold reports, equal decay rows and the same first window
 error, on constructions from all four sign cases and on their broken
-negative-control partitions; and the walker's forward cylinder steps
-against the backward ones of ``cylinder_components``."""
+negative-control partitions; visitors of several depths beside a failing
+one, each fed exactly its words in preorder with the strips of single
+steps, and one node step per word with children and strips; and the
+walker's forward cylinder steps against the backward ones of
+``cylinder_components``."""
 
 from collections import Counter
 
@@ -19,6 +22,7 @@ from markov_torus.partition import (
     NfoldCount,
     WindowCheck,
     WordVisitor,
+    count_words,
     cylinder_components,
     refinement_cells_depth,
     transition_graph,
@@ -161,10 +165,94 @@ def test_failing_visitor_stops_only_itself(construction):
     assert counter.result() == oracles.verify_nfold_range(part, 1, 3)
 
 
+class _Words(WordVisitor):
+    """Every word it is fed, with its strips, in the order fed."""
+
+    def __init__(self, max_len):
+        self.max_len = max_len
+        self.seen = []
+
+    def visit(self, word, pieces):
+        self.seen.append((tuple(word), list(pieces)))
+
+
+class _BoomAt(WordVisitor):
+    """Fails at its first word of length ``at``; counts the words it got."""
+
+    def __init__(self, max_len, at):
+        self.max_len, self.at = max_len, at
+        self.visits = 0
+
+    def visit(self, word, pieces):
+        self.visits += 1
+        if len(word) == self.at:
+            raise InvariantError("boom")
+
+
+def _preorder(part, max_len):
+    """The words of at most ``max_len`` symbols, in preorder, each with its
+    strips stepped one ``advance_strips`` call per word from its parent's:
+    the walk before nodes were stepped at once."""
+    succ = partition._step_successors(part)
+    out = []
+
+    def go(word, pieces):
+        out.append((tuple(word), pieces))
+        if len(word) < max_len:
+            for nxt in succ[word[-1]]:
+                go(word + [nxt],
+                   partition.advance_strips(part, pieces, word[-1], nxt) if pieces else [])
+
+    for sym, box in enumerate(partition._strip_basis(part).boxes):
+        go([sym], [box])
+    return out
+
+
+@pytest.mark.parametrize("fail_len", [1, 5])
+def test_leaves_visited_in_place_reach_every_visitor(construction, fail_len):
+    """Visitors wanting 2, 3 and 4 symbols share a walk with one that wants
+    5 and fails at its first word of length ``fail_len``: the first word
+    (the deepest visitor goes before any step) or the first leaf visited in
+    place.  Each survivor sees exactly its count_words words, in preorder,
+    with the strips of single steps; the failed one gets no word after
+    the one it failed at."""
+    for tag, part in partitions(construction):
+        words = [_Words(n) for n in (2, 3, 4)]
+        boom = _BoomAt(5, fail_len)
+        walk_words(part, [words[0], boom, *words[1:]])
+        with pytest.raises(InvariantError, match="boom"):
+            boom.result()
+        lengths = [len(word) for word, _ in _preorder(part, 5)]
+        assert boom.visits == lengths.index(fail_len) + 1, tag
+        for visitor in words:
+            assert len(visitor.seen) == count_words(part, visitor.max_len), tag
+            assert visitor.seen == _preorder(part, visitor.max_len), (tag, visitor.max_len)
+
+
+def test_walk_steps_each_inner_node_once(construction, monkeypatch):
+    """One node step per word that has children to visit and strips to
+    step: none for the leaves at the deepest wanted length, none for an
+    empty cylinder (the broken MINUS_MINUS refinement has some of length
+    5)."""
+    for tag, part in partitions(construction):
+        steps = []
+        step = partition.advance_node
+
+        def counted(part, strips, cur):
+            steps.append(cur)
+            return step(part, strips, cur)
+
+        monkeypatch.setattr(partition, "advance_node", counted)
+        walk_words(part, [NfoldCount(1, 6)])
+        monkeypatch.undo()
+        inner = [word for word, pieces in _preorder(part, 6) if len(word) < 6 and pieces]
+        assert steps == [word[-1] for word in inner], tag
+
+
 def test_walk_error_reaches_every_visitor(construction, monkeypatch):
     part = construction.base.partition
     steps = []
-    step = partition.advance_strips
+    step = partition.advance_node
 
     def failing(*args):  # the second step of the walk fails
         steps.append(args)
@@ -172,7 +260,7 @@ def test_walk_error_reaches_every_visitor(construction, monkeypatch):
             raise InvariantError("step failed")
         return step(*args)
 
-    monkeypatch.setattr(partition, "advance_strips", failing)
+    monkeypatch.setattr(partition, "advance_node", failing)
     visitors = [CellAreaSum(part, 2), WindowCheck(part, 1)]
     walk_words(part, visitors)
     assert len(steps) == 2
