@@ -33,12 +33,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
+from . import construct
 from .coding import BoundaryAmbiguity, CodingContext, SymbolicWord
 from .construct import (
     ConjugationResult,
     MarkovConstruction,
     build_markov_construction,
-    conjugate_nonnegative,
     count_intersections,
 )
 from .multmap import ExpansionAmbiguity, MultiplicationSystem
@@ -201,8 +201,9 @@ def _emit(payload: dict, lines: Sequence[str], as_json: bool) -> None:
 def _check_cells(cfg: RunConfig) -> ConjugationResult:
     """The matrix's reduction, for the build to reuse; refuses a matrix
     whose refined partition would have more than ``cfg.cell_cap`` cells,
-    before any overlap table is built."""
-    conj = conjugate_nonnegative(cfg.matrix)
+    before any overlap table is built.  Called through the module, where
+    perfbench/tracing.py wraps it."""
+    conj = construct.conjugate_nonnegative(cfg.matrix)
     model = conj.model
     cells = model.a + model.b + model.c + model.d
     if cells > cfg.cell_cap:

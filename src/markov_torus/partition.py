@@ -22,20 +22,21 @@ refinement's is read off its parent's with no scan, R v phi^-1 R being
 Markov when R is, each entry checked nonempty and each cell's areas summed.
 
 A cylinder piece is a strip of eight integers, stepped over entry lists
-read off the step table once per direction: one step by
-:func:`_step_strips`, and a walk's node to every successor by
-:func:`advance_node`, the same clip over the forward lists grouped per
-cell.  Pieces and entry boxes lie in the cell being stepped, so on an axis
-where either spans the cell's whole side the clip is the other's side: on
-a Markov partition no step compares a bound, and only a partition that
-breaks it (a dented cell) reaches the sign tests.  A point is a
-:class:`ModPoint`, its coordinates over one denominator k; the acting
-matrix moves its numerators, and its frame pairs over Q*k are a fixed
-integer map of them.  :func:`locate` moves those pairs by the entries of
-a cover, cached on the partition, of every (cell, translate) whose closed
-box can meet the unit square, found by one bisection over their w lows
-(:func:`_first_above`, the overlap scan's and the overlap sweep's too), and
-tests them against the cell's strip.
+read off the step table once per direction by one kernel,
+:func:`_apply_rows`: a single step (:func:`advance_strips`,
+:func:`pullback_strips`) applies the rows of one cell pair, and a walk's
+node step (:func:`advance_node`) the forward rows of every successor at
+once, grouped per cell.  Pieces and entry boxes lie in the cell being
+stepped, so on an axis where either spans the cell's whole side the clip
+is the other's side: on a Markov partition no step compares a bound, and
+only a partition that breaks it (a dented cell) reaches the sign tests.
+A point is a :class:`ModPoint`, its coordinates over one denominator k;
+the acting matrix moves its numerators, and its frame pairs over Q*k are
+a fixed integer map of them.  :func:`locate` moves those pairs by the
+entries of a cover, cached on the partition, of every (cell, translate)
+whose closed box can meet the unit square, found by one bisection over
+their w lows (:func:`_first_above`, the overlap scan's and the overlap
+sweep's too), and tests them against the cell's strip.
 
 Verifiers:
 
@@ -922,62 +923,37 @@ def advance_strips(part: TorusPartition, strips: Sequence[Strip], cur: int,
                    nxt: int) -> list[Strip]:
     """One forward step of cylinder tracking: components of phi(strip)
     meeting box(nxt), anchored there.  Strips must lie inside box(cur).  One
-    :func:`_step_strips` pass over the forward entry lists."""
+    :func:`_apply_rows` pass with the forward entry list of (cur, nxt)."""
     steps = part.__dict__.get("_forward_strips") or _strip_entries(part, True)
-    return _step_strips(steps, strips, cur, nxt)
+    out: list[Strip] = []
+    _apply_rows(steps, strips, cur, steps[0].get((cur, nxt), ()), [out])
+    return out
 
 
 def pullback_strips(part: TorusPartition, strips: Sequence[Strip], cur: int,
                     prv: int) -> list[Strip]:
     """One backward step: components of phi^-1(strip) meeting box(prv),
     anchored there.  Strips must lie inside box(cur).  One
-    :func:`_step_strips` pass over the backward entry lists, which read the
-    forward step table's entries for (prv, cur) backwards; the strips come
-    out in the table's lattice order."""
+    :func:`_apply_rows` pass with the backward entry list of (cur, prv),
+    which reads the forward step table's entries for (prv, cur) backwards;
+    the strips come out in the table's lattice order."""
     steps = part.__dict__.get("_backward_strips") or _strip_entries(part, False)
-    return _step_strips(steps, strips, cur, prv)
+    out: list[Strip] = []
+    _apply_rows(steps, strips, cur, steps[0].get((cur, prv), ()), [out])
+    return out
 
 
 def advance_node(part: TorusPartition, strips: Sequence[Strip], cur: int
                  ) -> list[list[Strip]]:
     """Every forward step of a word-tree node at once: per successor nxt of
     cur, in :func:`_step_successors` order, ``advance_strips(part, strips,
-    cur, nxt)``.  One pass over the strips: each strip's scaled sides are
-    computed once, then the rows of every successor applied, read off the
-    forward entry lists grouped per cell (:func:`_strip_entries`), with
-    :func:`_step_strips`' clip.  That kernel stays for single steps, such
-    as a cylinder's pullbacks, which a list of targets would slow."""
+    cur, nxt)``.  One :func:`_apply_rows` pass over the strips with the
+    rows of every successor, read off the forward entry lists grouped per
+    cell (:func:`_strip_entries`), so each strip's sides are scaled once."""
     steps = part.__dict__.get("_forward_strips") or _strip_entries(part, True)
-    _, sides, fu, fw, flip_u, flip_w, basis, nodes = steps
-    count, rows = nodes[cur]
+    count, rows = steps[7][cur]
     outs: list[list[Strip]] = [[] for _ in range(count)]
-    box_u, box_w = sides[cur]
-    for strip in strips:
-        u_side, w_side = strip[:4], strip[4:]
-        whole_u, whole_w = u_side == box_u, w_side == box_w
-        if not whole_u:
-            ku = _side_image(u_side, fu, 0, 0, flip_u)
-        if not whole_w:
-            kw = _side_image(w_side, fw, 0, 0, flip_w)
-        for (k, clip_u, clip_w, sux, suy, swx, swy, clip_whole_u, clip_whole_w,
-             img_u, img_w) in rows:
-            if whole_u:
-                u = img_u
-            elif clip_whole_u:
-                u = (ku[0] + sux, ku[1] + suy, ku[2] + sux, ku[3] + suy)
-            else:
-                u = _clip_side(basis, u_side, clip_u, fu, sux, suy, flip_u)
-                if u is None:
-                    continue
-            if whole_w:
-                w = img_w
-            elif clip_whole_w:
-                w = (kw[0] + swx, kw[1] + swy, kw[2] + swx, kw[3] + swy)
-            else:
-                w = _clip_side(basis, w_side, clip_w, fw, swx, swy, flip_w)
-                if w is None:
-                    continue
-            outs[k].append(u + w)
+    _apply_rows(steps, strips, cur, rows, outs)
     return outs
 
 
@@ -998,8 +974,8 @@ def _strip_entries(part: TorusPartition, forward: bool):
     direction of strip steps, read off the step table's strips
     (:func:`_step_ints`) on the first step and cached on the partition.
 
-    ``entries[(cur, to)]`` holds one row per table entry, in order: a
-    clip box inside box(cur) as its u side and w side (two pairs each), a
+    ``entries[(cur, to)]`` holds one row per table entry, in order: 0 (the
+    index of its output list in :func:`_apply_rows`), a clip box inside box(cur) as its u side and w side (two pairs each), a
     shift (su, sw) as two pairs, whether the clip's sides are box(cur)'s
     whole sides, and the clip's image as its u side and w side.  A hit x
     maps to x*k + s per coordinate, k's integer matrix being ``fu`` or
@@ -1015,7 +991,7 @@ def _strip_entries(part: TorusPartition, forward: bool):
     ``nodes[cur]``, forward only (None backward), is ``(count, rows)`` for
     :func:`advance_node`: the rows of every (cur, to) in one list, ``to``
     running over the count successors of :func:`_step_successors`, each
-    row led by the index of its ``to`` there."""
+    row led by the index of its ``to`` there instead of 0."""
 
     def build():
         basis = _strip_basis(part)
@@ -1045,11 +1021,11 @@ def _strip_entries(part: TorusPartition, forward: bool):
                 if not (basis.inside(clip_u, box_u) and basis.inside(clip_w, box_w)):
                     raise InvariantError(f"a clip of the step {(i, j)} leaves "
                                          f"box({cur}) or has an empty side")
-                rows.append((clip_u, clip_w, *shift, clip_u == box_u,
+                rows.append((0, clip_u, clip_w, *shift, clip_u == box_u,
                              clip_w == box_w, img_u, img_w))
         nodes = None
         if forward:
-            nodes = [(len(succ), [(k, *row) for k, to in enumerate(succ)
+            nodes = [(len(succ), [(k, *row[1:]) for k, to in enumerate(succ)
                                   for row in entries[cur, to]])
                      for cur, succ in enumerate(_step_successors(part))]
         return (entries, sides, basis.factor(forward, True),
@@ -1058,9 +1034,10 @@ def _strip_entries(part: TorusPartition, forward: bool):
     return _cached(part, "_forward_strips" if forward else "_backward_strips", build)
 
 
-def _step_strips(steps, strips: Sequence[Strip], cur: int, to: int) -> list[Strip]:
-    """The strip-step kernel: each strip, against each entry of (cur, to),
-    is clipped to the entry's box and only a nonempty hit is mapped.
+def _apply_rows(steps, strips: Sequence[Strip], cur: int, rows, outs) -> None:
+    """The strip-step kernel: each strip, against each row, is clipped to
+    the row's box and only a nonempty hit is mapped, onto ``outs[k]``, k
+    leading the row.
 
     Strips must lie inside box(cur), as a box or a strip that a step to cur
     returned does; so does every clip, with both sides nonempty
@@ -1071,12 +1048,8 @@ def _step_strips(steps, strips: Sequence[Strip], cur: int, to: int) -> list[Stri
     through :func:`_clip_side`; on a Markov partition none does (forward,
     every strip spans box(cur)'s u side and every clip its w side, and
     backward the reverse).  A step builds no field element."""
-    entries, sides, fu, fw, flip_u, flip_w, basis, _ = steps
-    rows = entries.get((cur, to))
-    if not rows:
-        return []
+    _, sides, fu, fw, flip_u, flip_w, basis, _ = steps
     box_u, box_w = sides[cur]
-    out = []
     for strip in strips:
         u_side, w_side = strip[:4], strip[4:]
         whole_u, whole_w = u_side == box_u, w_side == box_w
@@ -1085,7 +1058,7 @@ def _step_strips(steps, strips: Sequence[Strip], cur: int, to: int) -> list[Stri
             ku = _side_image(u_side, fu, 0, 0, flip_u)
         if not whole_w:
             kw = _side_image(w_side, fw, 0, 0, flip_w)
-        for (clip_u, clip_w, sux, suy, swx, swy, clip_whole_u, clip_whole_w,
+        for (k, clip_u, clip_w, sux, suy, swx, swy, clip_whole_u, clip_whole_w,
              img_u, img_w) in rows:
             if whole_u:
                 u = img_u
@@ -1103,8 +1076,7 @@ def _step_strips(steps, strips: Sequence[Strip], cur: int, to: int) -> list[Stri
                 w = _clip_side(basis, w_side, clip_w, fw, swx, swy, flip_w)
                 if w is None:
                     continue
-            out.append(u + w)
-    return out
+            outs[k].append(u + w)
 
 
 def _clip_side(basis: StripBasis, side, clip, factor, sx: int, sy: int, flip: bool):

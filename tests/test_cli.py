@@ -355,7 +355,6 @@ def test_one_reduction_per_command(capsys, monkeypatch, argv, matrix, distinct):
         reductions.append(matrix)
         return reduce(matrix)
 
-    monkeypatch.setattr(cli_module, "conjugate_nonnegative", counted)
     monkeypatch.setattr(construct_module, "conjugate_nonnegative", counted)
     monkeypatch.setattr(construct_module, "hyperbolic_check",
                         lambda matrix: eigens.append(matrix) or check(matrix))

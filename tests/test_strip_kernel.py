@@ -223,16 +223,17 @@ def test_entry_lists_match_the_decoded_builder():
             old_entries, *old_rest = old[forward]
             assert rest == old_rest, (name, tag, forward)
             succ = partition_module._step_successors(part)
-            assert nodes == ([(len(to), [(k, *row) for k, nxt in enumerate(to)
+            assert nodes == ([(len(to), [(k, *row[1:]) for k, nxt in enumerate(to)
                                          for row in entries[cur, nxt]])
                               for cur, to in enumerate(succ)] if forward else None)
             assert sides == [(box[:4], box[4:]) for box in boxes]
             assert list(entries) == list(old_entries), (name, tag, forward)
             for (cur, to), rows in entries.items():
-                assert [(*clip_u, *clip_w, *shift) for clip_u, clip_w, *shift, _, _, _, _
-                        in rows] == old_entries[cur, to], (name, tag, forward)
+                assert [(k, *clip_u, *clip_w, *shift) for k, clip_u, clip_w, *shift, _, _, _, _
+                        in rows] == [(0, *old) for old in old_entries[cur, to]], \
+                    (name, tag, forward)
                 back = old[not forward][0][to, cur]
-                for (clip_u, clip_w, *_, whole_u, whole_w, img_u, img_w), other \
+                for (_, clip_u, clip_w, *_, whole_u, whole_w, img_u, img_w), other \
                         in zip(rows, back, strict=True):
                     assert (whole_u, whole_w) == (clip_u == boxes[cur][:4],
                                                   clip_w == boxes[cur][4:])
