@@ -25,12 +25,12 @@ is known once the matrix is conjugated, and the build grows like N*^2.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, partial
 from typing import Callable, Iterator, Sequence
 
 from . import construct
@@ -63,9 +63,9 @@ from .render import (
     SCHEMA_VERSION,
     analyze_report,
     construction_report,
-    matrix_json,
     quad_json,
     render_construction_svg,
+    report_header,
 )
 from .torus import (
     Mat2Z,
@@ -222,12 +222,8 @@ def cmd_analyze(cfg: RunConfig) -> int:
     try:
         eig = hyperbolic_check(cfg.matrix)
     except (NotAutomorphismError, NotHyperbolicError) as exc:
-        payload = {
-            "schema": SCHEMA_VERSION,
-            "matrix": matrix_json(cfg.matrix),
-            "hyperbolic": False,
-            "reason": str(exc),
-        }
+        payload = {**report_header(cfg.matrix), "hyperbolic": False,
+                   "reason": str(exc)}
         _emit(payload, [f"rejected: {exc}"], cfg.json_out)
         return EXIT_REJECT
     rep = analyze_report(cfg.matrix, eig)
@@ -278,15 +274,23 @@ def _construction_lines(rep: dict) -> list[str]:
     return lines
 
 
+def _write_figure(svg: str, path: str) -> str:
+    """Writes ``svg`` to ``path``; returns the line that reports it."""
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(svg)
+    except OSError as exc:
+        raise CliError(f"cannot write the figure to {path}: "
+                       f"{exc.strerror or exc}") from exc
+    return f"figure written to {path}"
+
+
 def cmd_construct(cfg: RunConfig) -> int:
     construction = _construction(cfg)
     rep = construction_report(construction)
     lines = _construction_lines(rep)
     if cfg.svg_path:
-        svg = render_construction_svg(construction)
-        with open(cfg.svg_path, "w", encoding="utf-8") as handle:
-            handle.write(svg)
-        lines.append(f"figure written to {cfg.svg_path}")
+        lines.append(_write_figure(render_construction_svg(construction), cfg.svg_path))
     _emit(rep, lines, cfg.json_out)
     return EXIT_OK
 
@@ -301,6 +305,76 @@ def _break_partition(part: TorusPartition) -> TorusPartition:
                           boxes, part.labels)
 
 
+# -- verify's checks ------------------------------------------------------------
+# Each returns (ok, detail).  They call the verifiers through this module's
+# globals, where perfbench/tracing.py wraps them by name.
+
+
+def check_counts(construction: MarkovConstruction) -> tuple[bool, str]:
+    model, cells = construction.model, construction.refined.n
+    got = [list(r) for r in count_intersections(construction.base).matrix]
+    expected = [[model.a, model.b], [model.c, model.d]]
+    total = model.a + model.b + model.c + model.d
+    return got == expected and cells == total, (
+        f"intersection counts {got} vs model entries {expected}; N* {cells} vs {total}")
+
+
+def check_areas(part: TorusPartition) -> tuple[bool, str]:
+    total = verify_areas(part)
+    return (total - 1).sign() == 0, f"total area {total.exact_str()}"
+
+
+def check_area_sum(area_sum: CellAreaSum) -> tuple[bool, str]:
+    cells, total = area_sum.result()  # fed by a walk
+    return (total - 1).sign() == 0, f"{cells} cells, total area {total.exact_str()}"
+
+
+def check_disjoint(part: TorusPartition) -> tuple[bool, str]:
+    bad = verify_translate_disjoint(part)
+    return not bad, f"{len(bad)} overlap witness(es)" + (
+        f", first {bad[0]}" if bad else "")
+
+
+def check_boundaries(part: TorusPartition) -> tuple[bool, str]:
+    witnesses = verify_boundary_alignment(part)
+    if witnesses:
+        w = witnesses[0]
+        return False, (f"{len(witnesses)} witness(es), first {w.kind} "
+                       f"of cell {w.cell} uncovered")
+    return True, "image boundaries covered exactly"
+
+
+def check_nfold(nfold: NfoldCount) -> tuple[bool, str]:
+    reports = nfold.result()  # fed by a walk
+    bad = {n: r.failures for n, r in reports.items() if r.failures}
+    words = sum(r.words_checked for r in reports.values())
+    if bad:
+        return False, f"{words} words; first empty cylinder {bad[min(bad)][0]}"
+    return True, (f"lengths {nfold.min_len}..{nfold.max_len}, "
+                  f"{words} admissible words nonempty")
+
+
+def check_decay(part: TorusPartition, depth: int,
+                windows: WindowCheck) -> tuple[bool, str]:
+    rows = verify_generator_decay(part, depth, windows)  # windows: fed by a walk
+    bad = [row for row in rows if not row.ok]
+    if bad:
+        return False, (f"depth {bad[0].depth}: measured^2 "
+                       f"{bad[0].measured_sq.decimal()} > bound^2 "
+                       f"{bad[0].bound_sq.decimal()}")
+    return True, (f"depths 0..{depth}, final measured diameter "
+                  f"{rows[-1].measured:.6g} within bound")
+
+
+def _run_check(name: str, check: Callable[[], tuple[bool, str]]) -> dict:
+    """One report line; a verifier that raises fails its own line only."""
+    try:
+        ok, detail = check()
+    except (InvariantError, ValueError) as exc:
+        ok, detail = False, f"verifier aborted: {exc}"
+    return {"name": name, "ok": ok, "detail": detail}
+
+
 def _run_checks(construction: MarkovConstruction, depth: int, cap: int,
                 inject_break: bool) -> list[dict]:
     base_part = construction.base.partition
@@ -308,16 +382,14 @@ def _run_checks(construction: MarkovConstruction, depth: int, cap: int,
     if inject_break:
         base_part = _break_partition(base_part)
         refined = _break_partition(refined)
-    model = construction.model
-    checks: list[dict] = []
     # one walk of each word tree feeds every check that enumerates words
     reach = min(depth, cap)
     top = max(3, reach)
     area_sums = {k: CellAreaSum(base_part, k) for k in range(2, reach + 1)}
-    nfolds = {"nfold_base": NfoldCount(3, top), "nfold_refined": NfoldCount(3, top)}
+    nfold_base, nfold_refined = NfoldCount(3, top), NfoldCount(3, top)
     windows = WindowCheck(refined, min(depth, 2))
-    walks = (("base", base_part, [*area_sums.values(), nfolds["nfold_base"]]),
-             ("refined", refined, [nfolds["nfold_refined"], windows]))
+    walks = (("base", base_part, [*area_sums.values(), nfold_base]),
+             ("refined", refined, [nfold_refined, windows]))
     for tree, part, visitors in walks:
         max_len = max(v.max_len for v in visitors)
         words = count_words(part, max_len)
@@ -325,91 +397,23 @@ def _run_checks(construction: MarkovConstruction, depth: int, cap: int,
             raise CliError(
                 f"--depth {depth} needs the {tree} word tree to length {max_len}: "
                 f"{words:,} words, over the budget of {WALK_WORD_BUDGET:,}; "
-                f"use a lower --depth"
-            )
+                f"use a lower --depth")
     for _, part, visitors in walks:
         walk_words(part, visitors)
-
-    def record(name: str, run: Callable[[], tuple[bool, str]]) -> None:
-        try:
-            ok, detail = run()
-        except (InvariantError, ValueError) as exc:
-            ok, detail = False, f"verifier aborted: {exc}"
-        checks.append({"name": name, "ok": ok, "detail": detail})
-
-    def counts() -> tuple[bool, str]:
-        graph = count_intersections(construction.base)
-        expected = [[model.a, model.b], [model.c, model.d]]
-        total = model.a + model.b + model.c + model.d
-        got = [list(r) for r in graph.matrix]
-        ok = got == expected and refined.n == total
-        return ok, (f"intersection counts {got} vs model entries "
-                    f"{expected}; N* {refined.n} vs {total}")
-
-    record("counts", counts)
-
-    def areas_of(part: TorusPartition, tag: str) -> None:
-        def run() -> tuple[bool, str]:
-            total = verify_areas(part)
-            return (total - 1).sign() == 0, f"total area {total.exact_str()}"
-        record(tag, run)
-
-    areas_of(base_part, "areas_base")
-    areas_of(refined, "areas_refined")
-    for k, area_sum in area_sums.items():
-        def run_depth(area_sum: CellAreaSum = area_sum) -> tuple[bool, str]:
-            cells, total = area_sum.result()
-            return (total - 1).sign() == 0, (
-                f"{cells} cells, total area {total.exact_str()}")
-        record(f"areas_depth_{k}", run_depth)
-
-    def disjoint() -> tuple[bool, str]:
-        bad = verify_translate_disjoint(base_part)
-        return not bad, f"{len(bad)} overlap witness(es)" + (
-            f", first {bad[0]}" if bad else "")
-
-    record("interiors_disjoint", disjoint)
-
-    def boundaries_of(part: TorusPartition, tag: str) -> None:
-        def run() -> tuple[bool, str]:
-            witnesses = verify_boundary_alignment(part)
-            if witnesses:
-                w = witnesses[0]
-                return False, (f"{len(witnesses)} witness(es), first {w.kind} "
-                               f"of cell {w.cell} uncovered")
-            return True, "image boundaries covered exactly"
-        record(tag, run)
-
-    boundaries_of(base_part, "boundaries_base")
-    boundaries_of(refined, "boundaries_refined")
-
-    def nfold_of(tag: str) -> None:
-        def run() -> tuple[bool, str]:
-            reports = nfolds[tag].result()
-            bad = {n: r.failures for n, r in reports.items() if r.failures}
-            words = sum(r.words_checked for r in reports.values())
-            if bad:
-                n = min(bad)
-                return False, f"{words} words; first empty cylinder {bad[n][0]}"
-            return True, f"lengths 3..{top}, {words} admissible words nonempty"
-        record(tag, run)
-
-    nfold_of("nfold_base")
-    nfold_of("nfold_refined")
-
-    def decay() -> tuple[bool, str]:
-        rows = verify_generator_decay(refined, depth, windows=windows)
-        bad = [row for row in rows if not row.ok]
-        if bad:
-            return False, (f"depth {bad[0].depth}: measured^2 "
-                           f"{bad[0].measured_sq.decimal()} > bound^2 "
-                           f"{bad[0].bound_sq.decimal()}")
-        last = rows[-1]
-        return True, (f"depths 0..{depth}, final measured diameter "
-                      f"{last.measured:.6g} within bound")
-
-    record("generator_decay", decay)
-    return checks
+    checks = [
+        ("counts", partial(check_counts, construction)),
+        ("areas_base", partial(check_areas, base_part)),
+        ("areas_refined", partial(check_areas, refined)),
+        *((f"areas_depth_{k}", partial(check_area_sum, area_sum))
+          for k, area_sum in area_sums.items()),
+        ("interiors_disjoint", partial(check_disjoint, base_part)),
+        ("boundaries_base", partial(check_boundaries, base_part)),
+        ("boundaries_refined", partial(check_boundaries, refined)),
+        ("nfold_base", partial(check_nfold, nfold_base)),
+        ("nfold_refined", partial(check_nfold, nfold_refined)),
+        ("generator_decay", partial(check_decay, refined, depth, windows)),
+    ]
+    return [_run_check(name, check) for name, check in checks]
 
 
 def cmd_verify(cfg: RunConfig) -> int:
@@ -417,17 +421,10 @@ def cmd_verify(cfg: RunConfig) -> int:
     depth = cfg.depth if cfg.depth is not None else 4
     checks = _run_checks(construction, depth, cfg.enum_cap, cfg.inject_break)
     all_ok = all(c["ok"] for c in checks)
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "matrix": matrix_json(cfg.matrix),
-        "depth": depth,
-        "checks": checks,
-        "all_ok": all_ok,
-    }
-    lines = [
-        f"{c['name']:<18} {'PASS' if c['ok'] else 'FAIL'}  {c['detail']}"
-        for c in checks
-    ]
+    payload = {**report_header(cfg.matrix), "depth": depth, "checks": checks,
+               "all_ok": all_ok}
+    lines = [f"{c['name']:<18} {'PASS' if c['ok'] else 'FAIL'}  {c['detail']}"
+             for c in checks]
     lines.append(f"verdict: {'all checks passed' if all_ok else 'FAILURES above'}")
     _emit(payload, lines, cfg.json_out)
     return EXIT_OK if all_ok else EXIT_FAIL
@@ -441,8 +438,7 @@ def cmd_encode(cfg: RunConfig) -> int:
     result = ctx.encode(cfg.point, depth)
     preimages = ctx.preimage_report(cfg.point, depth, max_words=cfg.max_words)
     payload = {
-        "schema": SCHEMA_VERSION,
-        "matrix": matrix_json(cfg.matrix),
+        **report_header(cfg.matrix),
         "point": [str(c) for c in cfg.point],
         "depth": depth,
         "preimages": {
@@ -453,17 +449,15 @@ def cmd_encode(cfg: RunConfig) -> int:
     }
     labels = ctx.construction.refined.labels
     if isinstance(result, BoundaryAmbiguity):
-        payload["ambiguous"] = True
-        payload["time"] = result.time
-        payload["candidates"] = list(result.candidates)
+        payload.update(ambiguous=True, time=result.time,
+                       candidates=list(result.candidates))
         lines = [
             f"no canonical itinerary: iterate {result.time} lies on a cell "
             f"boundary between {[labels[i] for i in result.candidates]}",
         ]
     else:
-        payload["ambiguous"] = False
-        payload["word"] = str(result)
-        payload["labels"] = [labels[s] for s in result.symbols]
+        payload.update(ambiguous=False, word=str(result),
+                       labels=[labels[s] for s in result.symbols])
         lines = [f"word {result}",
                  "cells " + " ".join(labels[s] for s in result.symbols)]
     lines.append(
@@ -498,8 +492,7 @@ def cmd_decode(cfg: RunConfig) -> int:
     # Python's int-to-str digit limit (ValueError)
     try:
         payload = {
-            "schema": SCHEMA_VERSION,
-            "matrix": matrix_json(cfg.matrix),
+            **report_header(cfg.matrix),
             "word": str(word),
             "center": {"x": quad_json(res.center[0]),
                        "y": quad_json(res.center[1])},
@@ -515,9 +508,7 @@ def cmd_decode(cfg: RunConfig) -> int:
             f"diameter {res.diam:.6e} <= bound {res.diameter_bound:.6e}",
         ]
     except (OverflowError, ValueError) as exc:
-        raise CliError(
-            f"the cylinder of {word} is too large to print: {exc}"
-        ) from exc
+        raise CliError(f"the cylinder of {word} is too large to print: {exc}") from exc
     if cfg.point is not None:
         inside = res.contains(ctx.to_model(cfg.point))
         payload["contains_point"] = inside
@@ -562,7 +553,7 @@ def cmd_periodic(cfg: RunConfig) -> int:
                 f"use a lower --depth") from exc
         if cfg.json_out:  # the top row holds the largest counts; JSON prints no line
             break
-    payload = {"schema": SCHEMA_VERSION, "matrix": matrix_json(cfg.matrix), "rows": rows}
+    payload = {**report_header(cfg.matrix), "rows": rows}
     lines = ["  n  torus |det(A^n-I)|  2-node SFT  refined SFT"] + lines[::-1]
     _emit(payload, lines, cfg.json_out)
     return EXIT_OK
@@ -582,10 +573,8 @@ def cmd_multmap(cfg: RunConfig) -> int:
         payload["point"] = str(x)
         result = system.encode(x, depth)
         if isinstance(result, ExpansionAmbiguity):
-            payload["ambiguous"] = True
-            payload["time"] = result.time
-            payload["hits"] = str(result.point)
-            payload["expansions"] = [list(w) for w in result.expansions]
+            payload.update(ambiguous=True, time=result.time, hits=str(result.point),
+                           expansions=[list(w) for w in result.expansions])
             lines = [
                 f"{x} is a base-{cfg.base} rational: iterate {result.time} "
                 f"hits the endpoint {result.point}; both expansions:",
@@ -593,9 +582,8 @@ def cmd_multmap(cfg: RunConfig) -> int:
             for w in result.expansions:
                 lines.append("  " + ",".join(str(d) for d in w))
         else:
-            payload["ambiguous"] = False
-            payload["digits"] = list(result)
-            payload["partial_sum"] = _fraction_json(system.digit_value(result))
+            payload.update(ambiguous=False, digits=list(result),
+                           partial_sum=_fraction_json(system.digit_value(result)))
             lines = [
                 "digits " + ",".join(str(d) for d in result),
                 f"partial sum {payload['partial_sum']['exact']} "
@@ -604,10 +592,8 @@ def cmd_multmap(cfg: RunConfig) -> int:
     else:
         digits = parse_digits(cfg.word, cfg.base)
         lo, hi = system.decode(digits)
-        payload["digits"] = list(digits)
-        payload["value"] = _fraction_json(lo)
-        payload["width"] = str(hi - lo)
-        payload["interval"] = [str(lo), str(hi)]
+        payload.update(digits=list(digits), value=_fraction_json(lo),
+                       width=str(hi - lo), interval=[str(lo), str(hi)])
         lines = [
             f"partial sum {lo} ~ {float(lo):.12f}",
             f"cylinder interval [{lo}, {hi}], width {hi - lo}",
@@ -625,30 +611,22 @@ def cmd_render(cfg: RunConfig) -> int:
                        f"{WALK_WORD_BUDGET:,}; use a lower --depth")
     svg = render_construction_svg(construction, depth)
     if cfg.svg_path:
-        with open(cfg.svg_path, "w", encoding="utf-8") as handle:
-            handle.write(svg)
-        print(f"figure written to {cfg.svg_path}")
+        print(_write_figure(svg, cfg.svg_path))
     else:
         sys.stdout.write(svg)
     return EXIT_OK
 
 
 _HANDLERS: dict[str, Callable[[RunConfig], int]] = {
-    "analyze": cmd_analyze,
-    "construct": cmd_construct,
-    "verify": cmd_verify,
-    "encode": cmd_encode,
-    "decode": cmd_decode,
-    "periodic": cmd_periodic,
-    "multmap": cmd_multmap,
-    "render": cmd_render,
-}
+    handler.__name__.removeprefix("cmd_"): handler
+    for handler in (cmd_analyze, cmd_construct, cmd_verify, cmd_encode, cmd_decode,
+                    cmd_periodic, cmd_multmap, cmd_render)}
 
 
 # -- argument plumbing ---------------------------------------------------------
 
 
-@functools.cache
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="markov-torus",
@@ -678,11 +656,11 @@ def build_parser() -> argparse.ArgumentParser:
             cmd.add_argument("--svg", dest="svg_path", metavar="PATH",
                              help="write the universal-cover figure here")
         if base:
-            cmd.add_argument("--base", type=int, default=2,
-                             help="multiplication-map base n (default 2)")
+            cmd.add_argument("--base", type=int, default=RunConfig.base,
+                             help="multiplication-map base n (default %(default)s)")
         if max_words:
-            cmd.add_argument("--max-words", type=int, default=8,
-                             help="cap on listed codings (default 8)")
+            cmd.add_argument("--max-words", type=int, default=RunConfig.max_words,
+                             help="cap on listed codings (default %(default)s)")
         if inject:
             cmd.add_argument("--inject-break", action="store_true",
                              help="negative control: dent one cell so the "
@@ -709,25 +687,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    matrix = parse_matrix(args.matrix) if getattr(args, "matrix", None) else None
-    point = None
-    if getattr(args, "point", None):
-        count = 1 if args.command == "multmap" else 2
-        point = parse_rationals(args.point, count)
-    return RunConfig(
-        command=args.command,
-        matrix=matrix,
-        depth=getattr(args, "depth", None),
-        json_out=getattr(args, "json_out", False),
-        svg_path=getattr(args, "svg_path", None),
-        point=point,
-        word=getattr(args, "word", None),
-        max_words=getattr(args, "max_words", 8),
-        base=getattr(args, "base", 2),
-        inject_break=getattr(args, "inject_break", False),
-        enum_cap=_env_cap(ENUM_CAP_ENV, DEFAULT_ENUM_CAP),
-        cell_cap=_env_cap(CELL_CAP_ENV, DEFAULT_CELL_CAP),
-    )
+    """The parsed options, each dest a field name, as a :class:`RunConfig`;
+    every given ``--matrix`` and ``--point`` is parsed, empty or not."""
+    given = dict(vars(args))
+    if given.get("matrix") is not None:
+        given["matrix"] = parse_matrix(given["matrix"])
+    if given.get("point") is not None:
+        given["point"] = parse_rationals(given["point"],
+                                         1 if args.command == "multmap" else 2)
+    return RunConfig(**given, enum_cap=_env_cap(ENUM_CAP_ENV, DEFAULT_ENUM_CAP),
+                     cell_cap=_env_cap(CELL_CAP_ENV, DEFAULT_CELL_CAP))
 
 
 def main(argv: Sequence[str] | None = None) -> int:

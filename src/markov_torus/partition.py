@@ -1565,19 +1565,17 @@ class WindowCheck(WordVisitor):
 
 
 def verify_generator_decay(part: TorusPartition, depth: int,
-                           enumerate_up_to: int = 2,
                            windows: WindowCheck | None = None) -> list[DecayRow]:
     """Diameters of symmetric refinements W_n = join of phi^-k R, |k| <= n.
 
-    For n <= enumerate_up_to the cells are enumerated exactly and their
+    For n <= ``windows.up_to`` the cells are enumerated exactly and their
     dimensions checked against the endpoint formula (expanding dimension
     |mu|^n * u(last symbol), contracting |mu|^n * w(first symbol)); beyond
     that the formula gives the exact maximum over endpoint pairs reachable
     in 2n steps.  The diameter grows with the expanding dimension, so one
     diameter per first symbol, at its widest reachable last symbol, is
-    enough.  The enumerated n are checked in one walk of the words of length
-    2*enumerate_up_to + 1, or by ``windows``, a :class:`WindowCheck` that a
-    shared walk of ``part`` has already fed.
+    enough.  ``windows`` is a :class:`WindowCheck` of ``part`` that a walk
+    has already fed; without it, one walk checks n <= min(depth, 2).
 
     bound_sq is the squared claimed bound d(R)^2 * |mu|^(2n).  A window cell
     mixes the expanding dimension of its last symbol with the contracting
@@ -1588,13 +1586,9 @@ def verify_generator_decay(part: TorusPartition, depth: int,
     ok is a finding about the partition, not an arithmetic error.
     """
     succ = _step_successors(part)
-    up_to = max(0, min(depth, enumerate_up_to))
     if windows is None:
-        windows = WindowCheck(part, up_to)
+        windows = WindowCheck(part, max(0, min(depth, 2)))
         walk_words(part, [windows])
-    elif windows.up_to != up_to:
-        raise ValueError(f"the window check covers n <= {windows.up_to}, "
-                         f"not n <= {up_to}")
     windows.result()
     frame, boxes = part.frame, part.boxes
     mu_abs = abs(part.mu_act)
@@ -1626,5 +1620,5 @@ def verify_generator_decay(part: TorusPartition, depth: int,
             raise InvariantError("no endpoint pair is reachable")
         mu_sq = mu_n * mu_n
         rows.append(DecayRow(n, d_sq * mu_sq, mu_sq * max(cands),
-                             0 < n <= enumerate_up_to))
+                             0 < n <= windows.up_to))
     return rows

@@ -45,6 +45,11 @@ def matrix_json(mat: Mat2Z) -> list[list[int]]:
     return [[mat.a, mat.b], [mat.c, mat.d]]
 
 
+def report_header(matrix: Mat2Z) -> dict:
+    """The keys a report on ``matrix`` starts with, in this order."""
+    return {"schema": SCHEMA_VERSION, "matrix": matrix_json(matrix)}
+
+
 def graph_json(graph: TransitionGraph, labels: Sequence[str]) -> dict:
     """Graph as {size, entries (row-major), labels}."""
     labels = list(labels)
@@ -76,8 +81,7 @@ def analyze_report(matrix: Mat2Z, eig: EigenData) -> dict:
     """
     cf = cf_expand(eig.slope_lam)
     return {
-        "schema": SCHEMA_VERSION,
-        "matrix": matrix_json(matrix),
+        **report_header(matrix),
         "hyperbolic": True,
         "determinant": matrix.det(),
         "trace": matrix.trace(),
@@ -111,8 +115,7 @@ def construction_report(construction: MarkovConstruction) -> dict:
         ]
         cells.append({"label": label, "corners": corners})
     return {
-        "schema": SCHEMA_VERSION,
-        "matrix": matrix_json(construction.original),
+        **report_header(construction.original),
         "C": matrix_json(construction.conjugation.conjugator),
         "P": matrix_json(construction.model),
         "epsilon": construction.conjugation.epsilon,

@@ -141,6 +141,35 @@ def test_verify_json_shape(capsys):
     assert all(check["ok"] for check in payload["checks"])
 
 
+@pytest.mark.parametrize("verifier, error, name", [
+    ("verify_translate_disjoint", partition.InvariantError, "interiors_disjoint"),
+    ("verify_boundary_alignment", ValueError, "boundaries_base"),
+])
+def test_an_aborted_check_fails_only_its_own_line(capsys, monkeypatch, verifier,
+                                                  error, name):
+    """A verifier that raises on the base partition turns that check's line
+    into "verifier aborted", and every other line reads as in a clean run."""
+    argv = ("verify", "--matrix", FIB, "--depth", "3", "--json")
+    _, clean, _ = run_json(capsys, *argv)
+    original = getattr(cli_module, verifier)
+
+    def abort_on_base(part):
+        if part.n == 2:
+            raise error("planted failure")
+        return original(part)
+
+    monkeypatch.setattr(cli_module, verifier, abort_on_base)
+    code, payload, _ = run_json(capsys, *argv)
+    assert code == EXIT_FAIL and payload["all_ok"] is False
+    assert [c["name"] for c in payload["checks"]] == [c["name"] for c in clean["checks"]]
+    for got, want in zip(payload["checks"], clean["checks"]):
+        if got["name"] == name:
+            assert got == {"name": name, "ok": False,
+                           "detail": "verifier aborted: planted failure"}
+        else:
+            assert got == want
+
+
 # -- golden files: JSON output is byte-stable ----------------------------------
 
 
@@ -276,6 +305,15 @@ def test_render_refuses_a_figure_over_the_word_budget(capsys, monkeypatch, tmp_p
     code, out, err = run(capsys, "render", "--matrix", FIB, "--depth", "3", "--svg", str(svg))
     assert code == EXIT_FAIL and out == "" and not svg.exists()
     assert "8 cells, over the budget of 5" in err and "use a lower --depth" in err
+
+
+@pytest.mark.parametrize("command", ["construct", "render"])
+def test_unwritable_svg_path_fails_cleanly(capsys, tmp_path, command):
+    target = tmp_path / "missing" / "x.svg"
+    code, out, err = run(capsys, command, "--matrix", FIB, "--svg", str(target))
+    assert code == EXIT_FAIL and out == ""
+    assert err.startswith(f"error: cannot write the figure to {target}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_render_svg_path_gets_the_stdout_figure(capsys, tmp_path):
@@ -465,6 +503,29 @@ def test_decode_window_cap_counts_steps_from_time_zero(capsys, monkeypatch):
     monkeypatch.setenv(ENUM_CAP_ENV, "9")
     code, _, _ = run(capsys, "decode", "--matrix", FIB, "--word", "0@9")
     assert code == EXIT_OK
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze",), ("construct",), ("verify",), ("encode", "--point", "1/3 1/7"),
+    ("decode", "--word", "0"), ("periodic",), ("render",),
+], ids=lambda argv: argv[0])
+def test_empty_matrix_is_a_parse_error(capsys, argv):
+    code, out, err = run(capsys, argv[0], "--matrix", "", *argv[1:])
+    assert code == EXIT_FAIL and out == ""
+    assert "--matrix needs four integers" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, count", [
+    (("decode", "--matrix", FIB, "--word", "0"), 2),
+    (("encode", "--matrix", FIB), 2),
+    (("multmap",), 1),
+], ids=lambda value: value[0] if isinstance(value, tuple) else None)
+def test_empty_point_is_a_parse_error(capsys, argv, count):
+    """An empty --point is parsed like any other, not dropped: decode would
+    otherwise skip its membership test and exit 0."""
+    code, out, err = run(capsys, *argv, "--point", "")
+    assert code == EXIT_FAIL and out == ""
+    assert f"--point needs {count} rational number(s)" in err
 
 
 def test_decode_word_parse_error(capsys):

@@ -81,10 +81,17 @@ def test_nfold_reports_match_recursive_walk(construction):
         assert new == outcome(lambda: oracles.verify_nfold_range(part, 3, top)), tag
 
 
+def walked_windows(part, up_to):
+    windows = WindowCheck(part, up_to)
+    walk_words(part, [windows])
+    return windows
+
+
 def test_decay_rows_and_window_errors_match(construction):
     for tag, part in partitions(construction):
         for depth, up_to in ((4, 2), (1, 2), (3, 1), (2, 0)):
-            new = outcome(lambda: verify_generator_decay(part, depth, up_to))
+            new = outcome(lambda: verify_generator_decay(
+                part, depth, walked_windows(part, min(depth, up_to))))
             old = outcome(lambda: oracles.verify_generator_decay(part, depth, up_to))
             assert new == old, (tag, depth, up_to)
 
@@ -114,7 +121,7 @@ def test_decay_rows_match_per_row_diameters(text):
         walk_words(part, walks)
         for depth in range(9):
             windows = walks[min(depth, top)]
-            rows = verify_generator_decay(part, depth, top, windows)
+            rows = verify_generator_decay(part, depth, windows)
             assert _decay_ints(rows) == _decay_ints(
                 oracles.verify_generator_decay_per_row(part, depth, top, windows)
             ), (text, tag, depth)
