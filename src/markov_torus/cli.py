@@ -81,9 +81,9 @@ EXIT_REJECT = 2
 DEFAULT_ENUM_CAP = 8
 ENUM_CAP_ENV = "MARKOV_TORUS_MAX_DEPTH"
 
-# refined cells (N*) a build may have: at N* 202, 402 and 602 a build takes
-# 0.85, 4.4 and 8.9 s of CPU on a 2-core host (Python 3.11), peaking at 330
-# MB for N* 602, and grows like N*^2, so the default keeps one near 15 s
+# refined cells (N*) a build may have: its step table holds about N*^2 entries,
+# and `construct` at N* 402 and 800 takes 1.0-1.3 and 3.2-3.9 s of wall time on
+# a 2-core host (Python 3.11), peaking at 81 and 245 MB, so 800 keeps one near 4 s
 DEFAULT_CELL_CAP = 800
 CELL_CAP_ENV = "MARKOV_TORUS_MAX_CELLS"
 
@@ -183,8 +183,14 @@ def parse_digits(text: str, base: int) -> tuple[int, ...]:
     return digits
 
 
-def _fraction_json(x: Fraction) -> dict:
-    return {"exact": str(x), "decimal": f"{float(x):.12f}"}
+def _exact(x, what: str, fix: str) -> str:
+    """``str(x)``, refused as a :class:`CliError` that says ``what`` (it
+    has) and ``fix`` where x has more digits than this interpreter prints."""
+    try:
+        return str(x)
+    except ValueError as exc:
+        raise CliError(f"{what} more digits than the {sys.get_int_max_str_digits()} "
+                       f"this interpreter prints; {fix}") from exc
 
 
 def _emit(payload: dict, lines: Sequence[str], as_json: bool) -> None:
@@ -541,16 +547,10 @@ def cmd_periodic(cfg: RunConfig) -> int:
              "sft_refined": shift}
             for n, trace, shift in zip(range(1, top + 1), _power_traces(cfg.matrix, top),
                                        _power_traces(construction.model, top))]
-    lines = []
+    lines, what = [], f"--depth {top}: the periodic counts have"
     for row in reversed(rows):  # the largest counts first, to fail fast
-        try:
-            shift = str(row["sft_2node"])  # both shift columns: one conversion
-            lines.append(f"{row['n']:>3}  {row['torus']:>19}  {shift:>10}  {shift:>11}")
-        except ValueError as exc:
-            raise CliError(
-                f"--depth {top}: the periodic counts have more digits than the "
-                f"{sys.get_int_max_str_digits()} this interpreter prints; "
-                f"use a lower --depth") from exc
+        torus, shift = (_exact(row[c], what, "use a lower --depth") for c in ("torus", "sft_2node"))
+        lines.append(f"{row['n']:>3}  {torus:>19}  {shift:>10}  {shift:>11}")
         if cfg.json_out:  # the top row holds the largest counts; JSON prints no line
             break
     payload = {**report_header(cfg.matrix), "rows": rows}
@@ -569,6 +569,8 @@ def cmd_multmap(cfg: RunConfig) -> int:
     depth = cfg.depth if cfg.depth is not None else 24
     payload: dict = {"schema": SCHEMA_VERSION, "base": cfg.base}
     if cfg.point is not None:
+        if depth < 1:
+            raise CliError("--depth must be >= 1 for multmap")
         x = cfg.point[0] % 1
         payload["point"] = str(x)
         result = system.encode(x, depth)
@@ -582,21 +584,24 @@ def cmd_multmap(cfg: RunConfig) -> int:
             for w in result.expansions:
                 lines.append("  " + ",".join(str(d) for d in w))
         else:
+            total = system.digit_value(result)
+            exact = _exact(total, f"--depth {depth}: the partial sum has", "use a lower --depth")
             payload.update(ambiguous=False, digits=list(result),
-                           partial_sum=_fraction_json(system.digit_value(result)))
+                           partial_sum={"exact": exact, "decimal": f"{float(total):.12f}"})
             lines = [
                 "digits " + ",".join(str(d) for d in result),
-                f"partial sum {payload['partial_sum']['exact']} "
-                f"~ {payload['partial_sum']['decimal']}",
+                f"partial sum {exact} ~ {payload['partial_sum']['decimal']}",
             ]
     else:
         digits = parse_digits(cfg.word, cfg.base)
         lo, hi = system.decode(digits)
-        payload.update(digits=list(digits), value=_fraction_json(lo),
-                       width=str(hi - lo), interval=[str(lo), str(hi)])
+        what = f"--word of {len(digits)} digits: its cylinder has"
+        ends = [_exact(x, what, "use a shorter --word") for x in (lo, hi, hi - lo)]
+        value = {"exact": ends[0], "decimal": f"{float(lo):.12f}"}
+        payload.update(digits=list(digits), value=value, width=ends[2], interval=ends[:2])
         lines = [
-            f"partial sum {lo} ~ {float(lo):.12f}",
-            f"cylinder interval [{lo}, {hi}], width {hi - lo}",
+            f"partial sum {ends[0]} ~ {value['decimal']}",
+            f"cylinder interval [{ends[0]}, {ends[1]}], width {ends[2]}",
         ]
     _emit(payload, lines, cfg.json_out)
     return EXIT_OK

@@ -48,8 +48,6 @@ from .partition import (
     _cached,
     _cover,
     _side_image,
-    _step_ints,
-    _step_successors,
     _strip_basis,
     closed_translate_meets,
     cylinder_strips,
@@ -59,6 +57,7 @@ from .partition import (
     lattice_in_frame_box,  # noqa: F401
     locate,
     partition_diam_sq,
+    step_rows,
 )
 from .torus import EigenFrame, Mat2Z
 
@@ -463,18 +462,16 @@ def _acting_power(part: TorusPartition, n: int) -> Mat2Z:
 
 
 def _forward_step(part: TorusPartition):
-    """``step(cur, pairs, k)``: the step-table entries (:func:`_step_ints`)
-    of cell cur, its successors' in ascending order, whose component (the
-    closed image of a forward row) holds the frame pairs ``pairs`` (over
-    Q*k, in box(cur)) stepped by the forward factor matrices, each as
-    (successor, the stepped pairs plus the entry's shift, 0 on the image's
-    boundary or 1 inside).  Built once, with the rows, the factor matrices
-    and ``place`` bound, and cached on the partition."""
+    """``step(cur, pairs, k)``: the entries of row cur of :func:`step_rows`,
+    in its order, whose component (the closed image of a forward row) holds
+    the frame pairs ``pairs`` (over Q*k, in box(cur)) stepped by the forward
+    factor matrices, each as (the entry's ``to``, the stepped pairs plus the
+    entry's shift, 0 on the image's boundary or 1 inside).  Built once, with
+    the rows, the factor matrices and ``place`` bound, and cached on the
+    partition."""
 
     def build():
-        basis, succ, table = _strip_basis(part), _step_successors(part), _step_ints(part)
-        rows = [[(j, *shift, comp) for j in succ[cur] for _, shift, comp in table[cur, j]]
-                for cur in range(part.n)]
+        basis, rows = _strip_basis(part), step_rows(part)
         (a, b, c, d), (e, f, g, h) = basis.factor(True, True), basis.factor(True, False)
         place = basis.place
 
@@ -482,7 +479,7 @@ def _forward_step(part: TorusPartition):
             u0, u1, w0, w1 = pairs
             u0, u1, w0, w1 = a * u0 + b * u1, c * u0 + d * u1, e * w0 + f * w1, g * w0 + h * w1
             hits = []
-            for j, su0, su1, sw0, sw1, img in rows[cur]:
+            for j, _, (su0, su1, sw0, sw1), img in rows[cur]:
                 at = (u0 + k * su0, u1 + k * su1, w0 + k * sw0, w1 + k * sw1)
                 side = place(at, k, img)
                 if side >= 0:

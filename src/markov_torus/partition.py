@@ -15,21 +15,22 @@ pair.  A lattice scan runs column by column over the box's plane x-extent,
 c*(u + w), each column's n-interval having exact integer floors for ends.
 All-pairs overlaps (:func:`_int_overlaps`) take one scan per moving cell and
 decode entries into boxes only where a caller reads one.  The step table,
-cached on strips, is the only source of transitions in both directions
-(graph, refinement, successor lists, cylinder steps).  A partition's is such
-a table for the forward images of its cells, overlap-checked once; but the
-refinement's is read off its parent's with no scan, R v phi^-1 R being
-Markov when R is, each entry checked nonempty and each cell's areas summed.
+:func:`step_rows`, one row of strip entries per cell, is the only source of
+transitions in both directions, its rows read in place (graph, refinement,
+successors, cylinder and coding steps).  A partition's rows scan its cells'
+forward images, overlap-checked once; the refinement's are read off its
+parent's with no scan, R v phi^-1 R being Markov when R is, each entry
+checked nonempty and each cell's areas summed.
 
 A cylinder piece is a strip of eight integers, stepped over entry lists
-read off the step table once per direction by one kernel,
-:func:`_apply_rows`: a single step (:func:`advance_strips`,
-:func:`pullback_strips`) applies the rows of one cell pair, and a walk's
-node step (:func:`advance_node`) the forward rows of every successor at
-once, grouped per cell.  Pieces and entry boxes lie in the cell being
-stepped, so on an axis where either spans the cell's whole side the clip
-is the other's side: on a Markov partition no step compares a bound, and
-only a partition that breaks it (a dented cell) reaches the sign tests.
+read off the rows once per direction by one kernel, :func:`_apply_rows`:
+a walk's node step (:func:`advance_node`) applies a cell's forward rows
+for every successor at once, and a backward step (:func:`pullback_strips`)
+the backward rows of one cell pair.  Pieces and entry boxes lie in the
+cell being stepped, so on an axis where either spans the cell's whole side
+the clip is the other's side: on a Markov partition no step compares a
+bound, and only a partition that breaks it (a dented cell) reaches the
+sign tests.
 A point is a :class:`ModPoint`, its coordinates over one denominator k;
 the acting matrix moves its numerators, and its frame pairs over Q*k are
 a fixed integer map of them.  :func:`locate` moves those pairs by the
@@ -70,6 +71,7 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
 from .exact import QuadReal, _reduced, _sign, floor_surd
@@ -439,15 +441,16 @@ class RefinementCell:
 
 def transition_graph(part: TorusPartition) -> TransitionGraph:
     """Geometric transition multiplicities: entry (i, j) counts the components
-    of phi(R_i) meeting R_j on the torus, the step table's entries for (i, j)
-    (:func:`_step_ints`: scanned, or a refinement's read off its parent's),
-    counted without decoding them.  Cached on the partition."""
-    n = part.n
+    of phi(R_i) meeting R_j on the torus, the entries of row i of
+    :func:`step_rows` that step to j, counted without decoding them.
+    Cached on the partition."""
 
     def build():
-        table = _step_ints(part)
-        return TransitionGraph([[len(table.get((i, j), ())) for j in range(n)]
-                                for i in range(n)])
+        matrix = [[0] * part.n for _ in range(part.n)]
+        for counts, row in zip(matrix, step_rows(part)):
+            for entry in row:
+                counts[entry[0]] += 1
+        return TransitionGraph(matrix)
 
     return _cached(part, "_transition_graph", build)
 
@@ -456,7 +459,7 @@ def refine(part: TorusPartition) -> list[RefinementCell]:
     """Cells of the common refinement of the partition and its image.
 
     Each returned cell is a component of phi(R_i) meet R_j, an entry of the
-    forward step table (:func:`_step_ints`, each component decoded once),
+    forward step table (:func:`step_rows`, each component decoded once),
     with word (i, j) at offset -1, anchored in R_j's box.  Cells are grouped
     by (i, j) in lexicographic order and within a group by contracting
     coordinate, compared as pairs, which is deterministic.  Cached on the
@@ -471,12 +474,13 @@ def _refinement(part: TorusPartition) -> tuple[tuple[RefinementCell, ...], tuple
     def build():
         basis, cells, strips = _strip_basis(part), [], []
         key = basis.order()
-        for pair, entries in sorted(_step_ints(part).items()):
-            comps = sorted((comp for _, _, comp in entries),
-                           key=lambda comp: (key(comp[4:6]), key(comp[:2])))
-            cells += [RefinementCell(symbols=pair, offset=-1, rect=basis.rect(comp))
-                      for comp in comps]
-            strips += comps
+        for i, row in enumerate(step_rows(part)):
+            for j, entries in itertools.groupby(row, key=_to):
+                comps = sorted((entry[3] for entry in entries),
+                               key=lambda comp: (key(comp[4:6]), key(comp[:2])))
+                cells += [RefinementCell(symbols=(i, j), offset=-1, rect=basis.rect(comp))
+                          for comp in comps]
+                strips += comps
         return tuple(cells), tuple(strips)
 
     return _cached(part, "_refinement", build)
@@ -499,7 +503,7 @@ def refined_partition(part: TorusPartition) -> TorusPartition:
     """The refinement as a partition in its own right, in :func:`refine`
     order.  A cell's label is its word ``i,j@-1`` in the labels of ``part``,
     plus ``#k`` for the k-th of several components of one word.  It records
-    ``part`` as its parent (:func:`_step_ints`) and shares its
+    ``part`` as its parent (:func:`step_rows`) and shares its
     :class:`StripBasis`, with the components' strips as boxes."""
     cells, strips = _refinement(part)
     labels = []
@@ -513,18 +517,19 @@ def refined_partition(part: TorusPartition) -> TorusPartition:
     return refined
 
 
-def _step_ints(part: TorusPartition) -> dict[tuple[int, int], list]:
-    """The forward step table on strips, cached on the partition: per pair
-    (cur, nxt), entries ``(q, shift pairs, component strip)``.  For any
-    piece inside box(cur), the lattice translates of its image that meet
-    box(nxt) are among the tabulated ones; read backwards, each entry is a
-    component of phi^-1(box nxt) meeting box(cur), so the table serves both
-    step directions (:func:`_strip_entries`).  A refined partition's table
-    is read off its parent's (:func:`_derived_step_ints`); any other's is
-    one :func:`_int_overlaps` of the cells' forward images, mapped by the
-    forward factor matrices, against the cells, in lattice order, and raises
-    :class:`InvariantError` when two entries of one pair overlap, found by a
-    sweep in w order: the stepped cell then overlaps its own translate."""
+def step_rows(part: TorusPartition) -> list[list[tuple]]:
+    """The forward step table on strips, cached (callers must not change
+    it): per cell cur, a row of entries ``(to, q, shift pairs, component
+    strip)``, ascending in ``to`` and within one ``to`` in lattice order.
+    For any piece inside box(cur), the lattice translates of its image that
+    meet box(to) are among the tabulated ones; read backwards, each entry is
+    a component of phi^-1(box to) meeting box(cur), so the rows serve both
+    step directions (:func:`_strip_entries`).  A refined partition's rows
+    are read off its parent's (:func:`_derived_rows`); any other's are one
+    :func:`_int_overlaps` of the cells' forward images against the cells,
+    and raise :class:`InvariantError` when two entries of one (cur, to)
+    overlap, found by a sweep in w order: the stepped cell then overlaps
+    its own translate."""
 
     def build():
         basis = _strip_basis(part)
@@ -533,9 +538,11 @@ def _step_ints(part: TorusPartition) -> dict[tuple[int, int], list]:
         images = [_side_image(box[:4], fu, 0, 0, flip_u) + _side_image(box[4:], fw, 0, 0, flip_w)
                   for box in basis.boxes]
         if "_parent" in part.__dict__:
-            return _derived_step_ints(part.__dict__["_parent"], basis, images)
+            return _derived_rows(part.__dict__["_parent"], basis, images)
         table, key = _int_overlaps(part.frame, basis, basis.boxes, images), basis.order()
-        for entries in table.values():
+        rows: list[list[tuple]] = [[] for _ in range(part.n)]
+        for (i, j), entries in sorted(table.items()):
+            rows[i] += [(j, q, shift, comp) for q, shift, comp in entries]
             if len(entries) == 1:  # every pair of a 0/1 table
                 continue
             comps = sorted((comp for _, _, comp in entries), key=lambda comp: key(comp[4:6]))
@@ -544,31 +551,31 @@ def _step_ints(part: TorusPartition) -> dict[tuple[int, int], list]:
                 later = comps[n + 1:_first_above(basis, lows, *a[6:])]  # w lows to a's w high
                 if any(_meet(basis, a, b) for b in later):
                     raise InvariantError("image strips overlap inside one cell")
-        return table
+        return rows
 
-    return _cached(part, "_step_ints", build)
+    return _cached(part, "_step_rows", build)
 
 
-def _derived_step_ints(parent: TorusPartition, basis: StripBasis, images: list[Strip]
-                       ) -> dict[tuple[int, int], list]:
-    """The step table of the refinement of ``parent``, given its basis and
-    its boxes' forward images, with no lattice scan: refined cell k in box j
-    steps where box j does.  Each parent entry (j, b, v, shift, comp) is a
-    refined cell m, and (k, m) gets one entry (v, shift, (phi(k) + shift)
-    meet box(m)).  Raises :class:`InvariantError` unless every component is
-    nonempty and, per k, their areas (pairs, :meth:`StripBasis.mul`) sum to
-    area(k) = area(phi k): with the parent's boxes tiling the torus, no
-    entry is missing."""
+def _derived_rows(parent: TorusPartition, basis: StripBasis, images: list[Strip]
+                  ) -> list[list[tuple]]:
+    """The step rows of the refinement of ``parent``, given its basis and its
+    boxes' forward images, with no lattice scan: refined cell k in box j
+    steps where box j does.  Each entry (b, v, shift, comp) of the parent's
+    row j, sorted by m once per j, is a refined cell m, and k's row gets one
+    entry (m, v, shift, (phi(k) + shift) meet box(m)).  Raises
+    :class:`InvariantError` unless every component is nonempty and, per k,
+    their areas (pairs, :meth:`StripBasis.mul`) sum to area(k) = area(phi k):
+    with the parent's boxes tiling the torus, no entry is missing."""
     cells, boxes = _refinement(parent)[0], basis.boxes
     cell_of = {(cell.symbols, box): m for m, (cell, box) in enumerate(zip(cells, boxes))}
-    rows = [[] for _ in range(parent.n)]
-    for (j, b), entries in _step_ints(parent).items():
-        rows[j] += [(cell_of[(j, b), comp], q, shift) for q, shift, comp in entries]
-    mul, table = basis.mul, {}
+    steps = [sorted((cell_of[(j, b), comp], q, shift) for b, q, shift, comp in row)
+             for j, row in enumerate(step_rows(parent))]
+    mul, rows = basis.mul, []
     for k, (cell, box, image) in enumerate(zip(cells, boxes, images)):
         ulx, uly, uhx, uhy, wlx, wly, whx, why = image
         left = mul((box[2] - box[0], box[3] - box[1]), (box[6] - box[4], box[7] - box[5]))
-        for m, q, shift in rows[cell.symbols[1]]:
+        rows.append([])
+        for m, q, shift in steps[cell.symbols[1]]:
             sux, suy, swx, swy = shift
             comp = _meet(basis, (ulx + sux, uly + suy, uhx + sux, uhy + suy,
                                  wlx + swx, wly + swy, whx + swx, why + swy), boxes[m])
@@ -577,10 +584,10 @@ def _derived_step_ints(parent: TorusPartition, basis: StripBasis, images: list[S
             area = mul((comp[2] - comp[0], comp[3] - comp[1]),
                        (comp[6] - comp[4], comp[7] - comp[5]))
             left = (left[0] - area[0], left[1] - area[1])
-            table[k, m] = [(q, shift, comp)]
+            rows[-1].append((m, q, shift, comp))
         if left != (0, 0):
             raise InvariantError(f"refined cell {k}'s step components miss part of its area")
-    return table
+    return rows
 
 
 def _meet(basis: StripBasis, s: Strip, t: Strip) -> Strip | None:
@@ -605,6 +612,7 @@ def _meet(basis: StripBasis, s: Strip, t: Strip) -> Strip | None:
 
 
 Strip = tuple[int, int, int, int, int, int, int, int]
+_to = itemgetter(0)  # the cell a step-table entry steps to
 
 
 class ModPoint(NamedTuple):
@@ -922,38 +930,36 @@ def strip_rect(part: TorusPartition, strip: Strip) -> EigenRect:
 def advance_strips(part: TorusPartition, strips: Sequence[Strip], cur: int,
                    nxt: int) -> list[Strip]:
     """One forward step of cylinder tracking: components of phi(strip)
-    meeting box(nxt), anchored there.  Strips must lie inside box(cur).  One
-    :func:`_apply_rows` pass with the forward entry list of (cur, nxt)."""
-    steps = part.__dict__.get("_forward_strips") or _strip_entries(part, True)
-    out: list[Strip] = []
-    _apply_rows(steps, strips, cur, steps[0].get((cur, nxt), ()), [out])
-    return out
+    meeting box(nxt), anchored there.  Strips must lie inside box(cur).  The
+    list of nxt that :func:`advance_node` gives, empty when nxt is no
+    successor of cur."""
+    succ = _step_successors(part)[cur]
+    return advance_node(part, strips, cur)[succ.index(nxt)] if nxt in succ else []
 
 
 def pullback_strips(part: TorusPartition, strips: Sequence[Strip], cur: int,
                     prv: int) -> list[Strip]:
     """One backward step: components of phi^-1(strip) meeting box(prv),
     anchored there.  Strips must lie inside box(cur).  One
-    :func:`_apply_rows` pass with the backward entry list of (cur, prv),
-    which reads the forward step table's entries for (prv, cur) backwards;
-    the strips come out in the table's lattice order."""
+    :func:`_apply_rows` pass with the backward rows of the entries of row
+    prv of :func:`step_rows` that step to cur; the strips come out in the
+    table's lattice order."""
     steps = part.__dict__.get("_backward_strips") or _strip_entries(part, False)
     out: list[Strip] = []
-    _apply_rows(steps, strips, cur, steps[0].get((cur, prv), ()), [out])
+    _apply_rows(steps, strips, cur, steps[0][prv].get(cur, ()), [out])
     return out
 
 
 def advance_node(part: TorusPartition, strips: Sequence[Strip], cur: int
                  ) -> list[list[Strip]]:
     """Every forward step of a word-tree node at once: per successor nxt of
-    cur, in :func:`_step_successors` order, ``advance_strips(part, strips,
-    cur, nxt)``.  One :func:`_apply_rows` pass over the strips with the
-    rows of every successor, read off the forward entry lists grouped per
-    cell (:func:`_strip_entries`), so each strip's sides are scaled once."""
+    cur, in :func:`_step_successors` order, the components of phi(strip)
+    meeting box(nxt).  One :func:`_apply_rows` pass over the strips with the
+    forward rows of cell cur (:func:`_strip_entries`), so each strip's
+    sides are scaled once."""
     steps = part.__dict__.get("_forward_strips") or _strip_entries(part, True)
-    count, rows = steps[7][cur]
-    outs: list[list[Strip]] = [[] for _ in range(count)]
-    _apply_rows(steps, strips, cur, rows, outs)
+    outs: list[list[Strip]] = [[] for _ in steps[7][cur]]
+    _apply_rows(steps, strips, cur, steps[0][cur], outs)
     return outs
 
 
@@ -970,40 +976,38 @@ def _side_image(side: tuple[int, int, int, int], factor: tuple[int, int, int, in
 
 
 def _strip_entries(part: TorusPartition, forward: bool):
-    """``(entries, sides, fu, fw, flip_u, flip_w, basis, nodes)`` for one
-    direction of strip steps, read off the step table's strips
-    (:func:`_step_ints`) on the first step and cached on the partition.
+    """``(rows, sides, fu, fw, flip_u, flip_w, basis, succ)`` for one
+    direction of strip steps, read off :func:`step_rows` on the first step
+    and cached on the partition.
 
-    ``entries[(cur, to)]`` holds one row per table entry, in order: 0 (the
-    index of its output list in :func:`_apply_rows`), a clip box inside box(cur) as its u side and w side (two pairs each), a
-    shift (su, sw) as two pairs, whether the clip's sides are box(cur)'s
-    whole sides, and the clip's image as its u side and w side.  A hit x
-    maps to x*k + s per coordinate, k's integer matrix being ``fu`` or
-    ``fw`` and ``flip_*`` marking a negative k; ``sides[c]`` holds box(c)'s
-    u side and w side.  Forward,
-    the clip is phi^-1(comp - shift), whose image is comp, with factors
-    (lam, mu) and the table's shift; backward, the clip is comp, whose
-    image is phi^-1(comp - shift), with factors (1/lam, 1/mu) and shift
-    -phi^-1(shift).  Raises :class:`InvariantError` when a clip leaves
-    box(cur) or has an empty side: the kernel's shortcuts assume neither
-    happens.
-
-    ``nodes[cur]``, forward only (None backward), is ``(count, rows)`` for
-    :func:`advance_node`: the rows of every (cur, to) in one list, ``to``
-    running over the count successors of :func:`_step_successors`, each
-    row led by the index of its ``to`` there instead of 0."""
+    ``rows[i]`` holds one row per entry of step row i, in order (backward,
+    keyed by the entry's ``to``, in one list per ``to``): its output index
+    in :func:`_apply_rows`, a clip box inside box(cur) as its u side
+    and w side (two pairs each), a shift (su, sw) as two pairs, whether the
+    clip's sides are box(cur)'s whole sides, and the clip's image as its u
+    side and w side.  A hit x maps to x*k + s per coordinate, k's integer
+    matrix being ``fu`` or ``fw`` and ``flip_*`` marking a negative k;
+    ``sides[c]`` holds box(c)'s u side and w side.  Forward, cur is i, the
+    clip is phi^-1(comp - shift), whose image is comp, with factors
+    (lam, mu) and the table's shift, and the index is that of the entry's
+    ``to`` in ``succ[i]``, i's successors.  Backward, cur is the entry's
+    ``to``, the clip is comp, whose image is phi^-1(comp - shift), with
+    factors (1/lam, 1/mu) and shift -phi^-1(shift), and the index is 0.
+    Raises :class:`InvariantError` when a clip leaves box(cur) or has an
+    empty side: the kernel's shortcuts assume neither happens."""
 
     def build():
-        basis = _strip_basis(part)
+        basis, table, succ = _strip_basis(part), step_rows(part), _step_successors(part)
         back_u, back_w = basis.factor(False, True), basis.factor(False, False)
         flip_u, flip_w = part.lam_act.sign() < 0, part.mu_act.sign() < 0
         sides = [(box[:4], box[4:]) for box in basis.boxes]
-        entries = {}
-        for (i, j), overlaps in _step_ints(part).items():
-            cur = i if forward else j
-            box_u, box_w = sides[cur]
-            rows = entries[(i, j) if forward else (j, i)] = []
-            for _, (sux, suy, swx, swy), comp in overlaps:
+        rows = []
+        for i, entries in enumerate(table):
+            lead = {to: k if forward else 0 for k, to in enumerate(succ[i])}
+            rows.append([] if forward else {})
+            for to, _, (sux, suy, swx, swy), comp in entries:
+                cur = i if forward else to
+                box_u, box_w = sides[cur]
                 comp_u, comp_w = comp[:4], comp[4:]
                 # -phi^-1(shift), so that phi^-1(x - shift) = x/k + back
                 m00, m01, m10, m11 = back_u
@@ -1019,17 +1023,13 @@ def _strip_entries(part: TorusPartition, forward: bool):
                     clip_u, clip_w, img_u, img_w = comp_u, comp_w, pre_u, pre_w
                     shift = (bux, buy, bwx, bwy)
                 if not (basis.inside(clip_u, box_u) and basis.inside(clip_w, box_w)):
-                    raise InvariantError(f"a clip of the step {(i, j)} leaves "
+                    raise InvariantError(f"a clip of the step {(i, to)} leaves "
                                          f"box({cur}) or has an empty side")
-                rows.append((0, clip_u, clip_w, *shift, clip_u == box_u,
-                             clip_w == box_w, img_u, img_w))
-        nodes = None
-        if forward:
-            nodes = [(len(succ), [(k, *row[1:]) for k, to in enumerate(succ)
-                                  for row in entries[cur, to]])
-                     for cur, succ in enumerate(_step_successors(part))]
-        return (entries, sides, basis.factor(forward, True),
-                basis.factor(forward, False), flip_u, flip_w, basis, nodes)
+                out = rows[-1] if forward else rows[-1].setdefault(to, [])
+                out.append((lead[to], clip_u, clip_w, *shift, clip_u == box_u, clip_w == box_w,
+                            img_u, img_w))
+        return (rows, sides, basis.factor(forward, True), basis.factor(forward, False),
+                flip_u, flip_w, basis, succ)
 
     return _cached(part, "_forward_strips" if forward else "_backward_strips", build)
 
@@ -1154,14 +1154,11 @@ class WordVisitor:
 
 def _step_successors(part: TorusPartition) -> list[list[int]]:
     """Per cell, the cells its image meets, ascending: the support of
-    :func:`transition_graph`, read off the integer step table.  Cached on
-    the partition; callers must not change the lists."""
+    :func:`transition_graph`, each row of :func:`step_rows`'s distinct
+    ``to``.  Cached on the partition; callers must not change the lists."""
 
     def build():
-        succ: list[list[int]] = [[] for _ in range(part.n)]
-        for i, j in sorted(_step_ints(part)):
-            succ[i].append(j)
-        return succ
+        return [sorted(set(map(_to, row))) for row in step_rows(part)]
 
     return _cached(part, "_successors", build)
 

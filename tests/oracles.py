@@ -36,12 +36,12 @@ from markov_torus.partition import (
     WindowCheck,
     _cached,
     _decoded,
-    _step_ints,
     _step_successors,
     _strip_basis,
     cylinder_components,
     parallelogram_diam_sq,
     partition_diam_sq,
+    step_rows,
     strip_of,
     transition_graph,
     walk_words,
@@ -735,11 +735,19 @@ class FractionQuadReal:
 
 
 def _step_table(part: TorusPartition) -> dict:
-    """The forward step table with every entry decoded, ``(q, (du, dw),
-    comp)``: :func:`partition._step_ints` through the partition's strip
-    basis, cached on the partition (the oracle steps read it per step)."""
-    return _cached(part, "_forward_table",
-                   lambda: _decoded(_strip_basis(part), _step_ints(part)))
+    """The forward step table per cell pair (cur, to), every entry decoded,
+    ``(q, (du, dw), comp)``: the rows of :func:`partition.step_rows` grouped
+    by pair and decoded through the partition's strip basis, cached on the
+    partition (the oracle steps read it per step)."""
+
+    def build():
+        table: dict = {}
+        for cur, row in enumerate(step_rows(part)):
+            for to, *entry in row:
+                table.setdefault((cur, to), []).append(entry)
+        return _decoded(_strip_basis(part), table)
+
+    return _cached(part, "_forward_table", build)
 
 
 # The forward and backward cylinder steps before they became one clip-then-map

@@ -622,6 +622,30 @@ def test_multmap_argument_validation(capsys):
     assert code == EXIT_FAIL and "exactly one" in err
 
 
+def test_multmap_refuses_a_depth_below_one(capsys):
+    code, out, err = run(capsys, "multmap", "--point", "1/3", "--depth", "0")
+    assert (code, out) == (EXIT_FAIL, "")
+    assert err == "error: --depth must be >= 1 for multmap\n"
+
+
+_LONG_WORD = ",".join(["1"] * 15000)
+
+
+@pytest.mark.parametrize("argv, fix", [
+    (("--point", "1/3", "--depth", "15000"), "use a lower --depth"),
+    (("--word", _LONG_WORD), "use a shorter --word"),
+], ids=["point", "word"])
+@pytest.mark.parametrize("json_out", [False, True], ids=["text", "json"])
+def test_multmap_refuses_values_over_the_digit_limit(capsys, argv, fix, json_out):
+    """A partial sum or cylinder too long for ``str`` is one error line that
+    names the interpreter's limit, in text and in JSON, not a traceback."""
+    code, out, err = run(capsys, "multmap", *argv, *(["--json"] if json_out else []))
+    assert (code, out) == (EXIT_FAIL, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"than the {sys.get_int_max_str_digits()} this interpreter prints" in err
+    assert err.rstrip().endswith(fix)
+
+
 # -- parsing and config invariants ---------------------------------------------
 
 

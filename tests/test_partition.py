@@ -264,23 +264,23 @@ def test_lattice_scan_matches_bounding_box_oracle(mat, anchors, flat, corner):
 
 
 def _scanned(part):
-    """The step table by lattice scan: that of a copy with no parent."""
+    """The step rows by lattice scan: those of a copy with no parent."""
     copy = dataclasses.replace(part)
     assert "_parent" not in copy.__dict__
-    return partition._step_ints(copy)
+    return partition.step_rows(copy)
 
 
 @pytest.mark.parametrize("matrix", LADDER + [Mat2Z(40, 1, 1, 0), Mat2Z(8, 1, 17, 2)], ids=str)
 def test_refined_step_table_is_the_scans(matrix):
     refined = build_markov_construction(matrix).refined
     assert refined.__dict__["_parent"] is not None
-    assert partition._step_ints(refined) == _scanned(refined)
+    assert partition.step_rows(refined) == _scanned(refined)
 
 
 @pytest.mark.parametrize("matrix", [FIB, -FIB_SQ, Mat2Z(-2, -3, -1, -2)], ids=str)
 def test_refinement_of_a_refinement_steps_as_scanned(matrix):
     twice = refined_partition(build_markov_construction(matrix).refined)
-    assert partition._step_ints(twice) == _scanned(twice)
+    assert partition.step_rows(twice) == _scanned(twice)
 
 
 @pytest.mark.parametrize("matrix", LADDER, ids=str)
@@ -297,7 +297,7 @@ def test_refined_partition_shares_its_parents_basis(matrix):
 
 def test_refined_step_table_makes_no_lattice_scan(monkeypatch):
     base = build_markov_construction(Mat2Z(5, 2, 2, 1)).base.partition
-    partition._step_ints(base)
+    partition.step_rows(base)
     refined = refined_partition(base)  # new, so its table is not built yet
     scanned = _scanned(refined)
 
@@ -305,42 +305,44 @@ def test_refined_step_table_makes_no_lattice_scan(monkeypatch):
         raise AssertionError("a lattice scan")
 
     monkeypatch.setattr(StripBasis, "scan", scan)
-    assert partition._step_ints(refined) == scanned
+    assert partition.step_rows(refined) == scanned
     with pytest.raises(AssertionError, match="a lattice scan"):
         _scanned(refined)
 
 
 def _with_parent_table(matrix, edit):
     """A fresh refined partition of ``matrix`` whose parent's cached step
-    table has been edited by ``edit(table, basis)`` after the refinement."""
+    rows have been edited by ``edit(rows, basis)`` after the refinement."""
     base = build_markov_construction(matrix).base.partition
     refined = refined_partition(base)
-    table = {pair: list(entries) for pair, entries in partition._step_ints(base).items()}
-    edit(table, partition._strip_basis(base))
-    base.__dict__["_step_ints"] = table
+    rows = [list(row) for row in partition.step_rows(base)]
+    edit(rows, partition._strip_basis(base))
+    base.__dict__["_step_rows"] = rows
     return refined
 
 
 @pytest.mark.parametrize("matrix", [FIB, FIB_SQ, Mat2Z(5, 2, 2, 1)], ids=str)
 def test_a_missing_parent_entry_fails_the_area_sum(matrix):
     """Every derived component is real, so only the areas see the gap."""
-    def drop(table, basis):
-        table[0, 0].pop()
+    def drop(rows, basis):
+        last = max(k for k, entry in enumerate(rows[0]) if entry[0] == 0)
+        del rows[0][last]
 
     refined = _with_parent_table(matrix, drop)
     with pytest.raises(InvariantError, match="miss part of its area"):
-        partition._step_ints(refined)
+        partition.step_rows(refined)
 
 
 @pytest.mark.parametrize("matrix", [FIB, FIB_SQ, Mat2Z(5, 2, 2, 1)], ids=str)
 def test_a_shifted_parent_entry_fails_the_nonempty_test(matrix):
     """An entry moved by the lattice generator (1, 0): the refined cells'
     images moved by it miss the entry's component."""
-    def shift(table, basis):
-        (m, n), (su0, su1, sw0, sw1), comp = table[0, 0][0]
+    def shift(rows, basis):
+        to, (m, n), (su0, su1, sw0, sw1), comp = rows[0][0]
+        assert to == 0
         u10x, u10y, _, _, w10x, w10y, _, _ = basis.lattice
-        table[0, 0][0] = ((m + 1, n), (su0 + u10x, su1 + u10y, sw0 + w10x, sw1 + w10y), comp)
+        rows[0][0] = (to, (m + 1, n), (su0 + u10x, su1 + u10y, sw0 + w10x, sw1 + w10y), comp)
 
     refined = _with_parent_table(matrix, shift)
     with pytest.raises(InvariantError, match="steps to an empty component"):
-        partition._step_ints(refined)
+        partition.step_rows(refined)

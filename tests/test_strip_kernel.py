@@ -7,9 +7,9 @@ boxes, pieces that touch a clip box along an edge, drawn sub-boxes, and
 drawn pieces spanning a whole side of their cell.  Wherever it is compared,
 the walk's node step, ``advance_node``, gives strip for strip what one
 ``advance_strips`` per successor gives.  The entry lists built from the
-integer step table match the builder over the decoded one, with the
-forward rows grouped per cell for the node step, refuse a clip
-outside its cell, and on a Markov partition let no step compare anything.
+integer step rows match the builder over the decoded table, one list per
+row, refuse a clip outside its cell, and on a Markov partition let no step
+compare anything.
 The integer strip basis round-trips every box and refuses bounds outside its
 module, and a walk on it builds no field element.  Then metamorphic steps:
 the same boxes acting by A^2 step like two A steps, and acting by A^-1 they
@@ -44,6 +44,7 @@ from markov_torus.partition import (
     cylinder_components,
     pullback_strips,
     refinement_cells_depth,
+    step_rows,
     strip_of,
     strip_rect,
     transition_graph,
@@ -207,37 +208,72 @@ def test_pieces_with_whole_sides_step_like_the_old_steps(whole_u, whole_w, case,
 
 
 def test_entry_lists_match_the_decoded_builder():
-    """The entry lists built from the integer step table hold, tuple for
+    """The entry lists built from the integer step rows hold, tuple for
     tuple, the clips and shifts that the builder over the decoded table
-    held; each clip's flags say whether its sides are box(cur)'s, and its
-    image is the other direction's clip of the same table entry."""
+    held, one list per step row (backward, one per row and ``to``) and one
+    row per entry; each row leads with its output index (forward, its
+    ``to`` among the successors), each
+    clip's flags say whether its sides are box(cur)'s, and its image is the
+    other direction's clip of the same table entry."""
     parts = [(case.name, tag, form(matrix, tag))
              for case, matrix in MATRICES.items() for tag in FORMS]
     parts += [("40 1 1 0", tag, form(Mat2Z(40, 1, 1, 0), tag)) for tag in FORMS]
     for name, tag, part in parts:
         new = {forward: _strip_entries(part, forward) for forward in (True, False)}
         old = {forward: oracles.strip_entries(part, forward) for forward in (True, False)}
-        boxes = _strip_basis(part).boxes
+        boxes, table = _strip_basis(part).boxes, step_rows(part)
+        succ = partition_module._step_successors(part)
         for forward in (True, False):
-            entries, sides, *rest, nodes = new[forward]
+            lists, sides, *rest, keys = new[forward]
             old_entries, *old_rest = old[forward]
             assert rest == old_rest, (name, tag, forward)
-            succ = partition_module._step_successors(part)
-            assert nodes == ([(len(to), [(k, *row[1:]) for k, nxt in enumerate(to)
-                                         for row in entries[cur, nxt]])
-                              for cur, to in enumerate(succ)] if forward else None)
+            assert keys == succ
             assert sides == [(box[:4], box[4:]) for box in boxes]
-            assert list(entries) == list(old_entries), (name, tag, forward)
-            for (cur, to), rows in entries.items():
-                assert [(k, *clip_u, *clip_w, *shift) for k, clip_u, clip_w, *shift, _, _, _, _
-                        in rows] == [(0, *old) for old in old_entries[cur, to]], \
-                    (name, tag, forward)
+            grouped: dict = {}
+            for i, (entries, rows) in enumerate(zip(table, lists, strict=True)):
+                if not forward:  # one list per ``to``, ascending
+                    assert list(rows) == succ[i], (name, tag)
+                    rows = [row for to in rows for row in rows[to]]
+                for (to, *_), row in zip(entries, rows, strict=True):
+                    assert row[0] == (succ[i].index(to) if forward else 0)
+                    grouped.setdefault((i, to) if forward else (to, i), []).append(row)
+            assert sorted(grouped) == sorted(old_entries), (name, tag, forward)
+            for (cur, to), rows in grouped.items():
+                assert [(*clip_u, *clip_w, *shift) for _, clip_u, clip_w, *shift, _, _, _, _
+                        in rows] == old_entries[cur, to], (name, tag, forward)
                 back = old[not forward][0][to, cur]
                 for (_, clip_u, clip_w, *_, whole_u, whole_w, img_u, img_w), other \
                         in zip(rows, back, strict=True):
                     assert (whole_u, whole_w) == (clip_u == boxes[cur][:4],
                                                   clip_w == boxes[cur][4:])
                     assert img_u + img_w == other[:8]
+
+
+ROW_MATRICES = [*MATRICES.values(), Mat2Z(0, 1, 1, 3), Mat2Z(3, 2, 1, 1), Mat2Z(5, 2, 2, 1),
+                Mat2Z(10, 1, 1, 0), Mat2Z(15, 1, 1, 0), Mat2Z(40, 1, 1, 0)]
+
+
+@pytest.mark.parametrize("matrix", ROW_MATRICES, ids=lambda m: f"{m.a} {m.b} {m.c} {m.d}")
+def test_step_rows_keep_the_order_their_readers_rely_on(matrix):
+    """The graph, the successors, the refinement and the steps read the
+    rows in place: each row ascends in ``to`` and, within one ``to``, in
+    the lattice order of a scan, and a refinement's rows, read off its
+    parent's, are those of the scan of a parentless copy, in order.  The
+    graph counts each row's ``to``, the successors are its distinct
+    ``to``, and refine's cells come one per entry, row by row."""
+    for tag in FORMS:
+        part = form(matrix, tag)
+        rows = step_rows(part)
+        assert rows == step_rows(replace(part)), tag
+        for row in rows:
+            keys = [(to, q) for to, q, _, _ in row]
+            assert keys == sorted(set(keys)), tag
+        assert transition_graph(part).matrix == tuple(
+            tuple(sum(entry[0] == j for entry in row) for j in range(part.n)) for row in rows)
+        assert partition_module._step_successors(part) == [
+            sorted({to for to, *_ in row}) for row in rows], tag
+        assert [cell.symbols for cell in partition_module.refine(part)] == [
+            (i, to) for i, row in enumerate(rows) for to, *_ in row], tag
 
 
 def admissible_words(part: TorusPartition, length: int):
