@@ -81,9 +81,10 @@ EXIT_REJECT = 2
 DEFAULT_ENUM_CAP = 8
 ENUM_CAP_ENV = "MARKOV_TORUS_MAX_DEPTH"
 
-# refined cells (N*) a build may have: its step table holds about N*^2 entries,
-# and `construct` at N* 402 and 800 takes 1.0-1.3 and 3.2-3.9 s of wall time on
-# a 2-core host (Python 3.11), peaking at 81 and 245 MB, so 800 keeps one near 4 s
+# refined cells (N*) a build may have: `construct` at N* 402 and 800 takes
+# 0.23-0.39 and 0.37-0.41 s of wall time on a 2-core host (Python 3.11), peaking
+# at 29 and 39 MB, but the first walk or decode still assembles the refined step
+# rows, about N*^2 entries (`decode` on N* 800 takes about 5 s), so 800 stays
 DEFAULT_CELL_CAP = 800
 CELL_CAP_ENV = "MARKOV_TORUS_MAX_CELLS"
 

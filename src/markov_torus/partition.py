@@ -16,11 +16,9 @@ c*(u + w), each column's n-interval having exact integer floors for ends.
 All-pairs overlaps (:func:`_int_overlaps`) take one scan per moving cell and
 decode entries into boxes only where a caller reads one.  The step table,
 :func:`step_rows`, one row of strip entries per cell, is the only source of
-transitions in both directions, its rows read in place (graph, refinement,
-successors, cylinder and coding steps).  A partition's rows scan its cells'
-forward images, overlap-checked once; the refinement's are read off its
-parent's with no scan, R v phi^-1 R being Markov when R is, each entry
-checked nonempty and each cell's areas summed.
+transitions in both directions.  A partition's rows scan its cells' forward
+images, overlap-checked once; a refinement's are its parent's rows in
+factored form, R v phi^-1 R being Markov when R is, checked in O(N*).
 
 A cylinder piece is a strip of eight integers, stepped over entry lists
 read off the rows once per direction by one kernel, :func:`_apply_rows`:
@@ -39,22 +37,11 @@ whose closed box can meet the unit square, found by one bisection over
 their w lows (:func:`_first_above`, the overlap scan's and the overlap
 sweep's too), and tests them against the cell's strip.
 
-Verifiers:
-
-* ``verify_translate_disjoint`` -- distinct plane representatives of cells
-  never overlap modulo the lattice, so the cells embed in the torus and are
-  pairwise disjoint there;
-* ``verify_areas`` -- total cell area is exactly 1, so with disjointness the
-  closures cover the torus;
-* ``verify_boundary_alignment`` -- the map carries the union of contracting
-  ("vertical", constant-u) boundary edges into itself, and the inverse map
-  does the same for expanding ("horizontal", constant-w) edges, checked by
-  exact 1-D interval coverage on each image line, joined by the class of
-  the line modulo the lattice, by one integer solve (:func:`_lattice_class`);
-* ``verify_nfold_range`` -- every word admissible for the transition graph,
-  with length in a range, has a nonempty cylinder, by exact strip stepping;
-* ``verify_generator_decay`` -- symmetric refinements shrink like |mu|^n, by
-  exact dimension bookkeeping cross-checked against enumerated cells.
+Verifiers, each described where it is defined: ``verify_translate_disjoint``
+and ``verify_areas`` (the cells embed disjointly and their closures cover
+the torus), ``verify_boundary_alignment`` (the Markov boundary condition),
+``verify_nfold_range`` (admissible words have nonempty cylinders) and
+``verify_generator_decay`` (symmetric refinements shrink like |mu|^n).
 
 Everything that enumerates words goes through one iterative walker,
 :func:`walk_words`, which steps each word's strips to all of its children at
@@ -442,29 +429,26 @@ class RefinementCell:
 def transition_graph(part: TorusPartition) -> TransitionGraph:
     """Geometric transition multiplicities: entry (i, j) counts the components
     of phi(R_i) meeting R_j on the torus, the entries of row i of
-    :func:`step_rows` that step to j, counted without decoding them.
-    Cached on the partition."""
+    :func:`step_rows` that step to j, read off :func:`_factored`; cached."""
 
     def build():
-        matrix = [[0] * part.n for _ in range(part.n)]
-        for counts, row in zip(matrix, step_rows(part)):
+        rows, row_of = _factored(part)
+        matrix = [[0] * part.n for _ in rows]
+        for counts, row in zip(matrix, rows):
             for entry in row:
                 counts[entry[0]] += 1
-        return TransitionGraph(matrix)
+        return TransitionGraph([matrix[r] for r in row_of])
 
     return _cached(part, "_transition_graph", build)
 
 
 def refine(part: TorusPartition) -> list[RefinementCell]:
-    """Cells of the common refinement of the partition and its image.
-
-    Each returned cell is a component of phi(R_i) meet R_j, an entry of the
-    forward step table (:func:`step_rows`, each component decoded once),
-    with word (i, j) at offset -1, anchored in R_j's box.  Cells are grouped
-    by (i, j) in lexicographic order and within a group by contracting
-    coordinate, compared as pairs, which is deterministic.  Cached on the
-    partition, with the components' strips; each call gets a new list.
-    """
+    """Cells of the common refinement of the partition and its image: per
+    entry of the forward step table (:func:`step_rows`), its component of
+    phi(R_i) meet R_j, decoded once, with word (i, j) at offset -1, anchored
+    in R_j's box.  Grouped by (i, j) lexicographically and within a group by
+    contracting coordinate, compared as pairs, which is deterministic.
+    Cached on the partition, with the strips; each call gets a new list."""
     return list(_refinement(part)[0])
 
 
@@ -503,8 +487,8 @@ def refined_partition(part: TorusPartition) -> TorusPartition:
     """The refinement as a partition in its own right, in :func:`refine`
     order.  A cell's label is its word ``i,j@-1`` in the labels of ``part``,
     plus ``#k`` for the k-th of several components of one word.  It records
-    ``part`` as its parent (:func:`step_rows`) and shares its
-    :class:`StripBasis`, with the components' strips as boxes."""
+    ``part`` as its parent, whose rows factor its own (:func:`step_rows`),
+    and shares its :class:`StripBasis`, with the components' strips as boxes."""
     cells, strips = _refinement(part)
     labels = []
     for (i, j), group in itertools.groupby(cells, key=lambda cell: cell.symbols):
@@ -524,12 +508,22 @@ def step_rows(part: TorusPartition) -> list[list[tuple]]:
     For any piece inside box(cur), the lattice translates of its image that
     meet box(to) are among the tabulated ones; read backwards, each entry is
     a component of phi^-1(box to) meeting box(cur), so the rows serve both
-    step directions (:func:`_strip_entries`).  A refined partition's rows
-    are read off its parent's (:func:`_derived_rows`); any other's are one
-    :func:`_int_overlaps` of the cells' forward images against the cells,
-    and raise :class:`InvariantError` when two entries of one (cur, to)
-    overlap, found by a sweep in w order: the stepped cell then overlaps
-    its own translate."""
+    step directions (:func:`_strip_entries`).  A partition with no parent
+    scans: one :func:`_int_overlaps` of the cells' forward images against
+    the cells, raising :class:`InvariantError` when two entries of one
+    (cur, to) overlap, found by a sweep in w order: the stepped cell then
+    overlaps its own translate.
+
+    A refined cell k in box j steps where box j does: per entry (b, v,
+    shift) of parent row j, whose component is refined cell m, it gets (m,
+    v, shift, box(m)'s u side x (phi(k)'s w side + shift)), with no scan
+    (:func:`_factored`).  That is the meet of phi(k) + shift and box(m),
+    nonempty, when the parent component, the meet of phi(box j) + shift
+    and box(b), has box(b)'s u side and phi(box j)'s w side plus the shift
+    (crossing) and k has box(j)'s u side and a w side in box(j)'s
+    (nesting).  If row j's areas sum to area(box j), crossing makes its
+    u(box b) sum to |lam|*u(box j), and k's areas to area(k), |lam*mu|
+    being 1: with the parent's boxes tiling the torus, none is missing."""
 
     def build():
         basis = _strip_basis(part)
@@ -538,7 +532,9 @@ def step_rows(part: TorusPartition) -> list[list[tuple]]:
         images = [_side_image(box[:4], fu, 0, 0, flip_u) + _side_image(box[4:], fw, 0, 0, flip_w)
                   for box in basis.boxes]
         if "_parent" in part.__dict__:
-            return _derived_rows(part.__dict__["_parent"], basis, images)
+            (steps, seconds), boxes = _factored(part), basis.boxes
+            return [[(m, q, s, boxes[m][:4] + (w[4] + s[2], w[5] + s[3], w[6] + s[2], w[7] + s[3]))
+                     for m, q, s in steps[j]] for j, w in zip(seconds, images)]
         table, key = _int_overlaps(part.frame, basis, basis.boxes, images), basis.order()
         rows: list[list[tuple]] = [[] for _ in range(part.n)]
         for (i, j), entries in sorted(table.items()):
@@ -556,38 +552,40 @@ def step_rows(part: TorusPartition) -> list[list[tuple]]:
     return _cached(part, "_step_rows", build)
 
 
-def _derived_rows(parent: TorusPartition, basis: StripBasis, images: list[Strip]
-                  ) -> list[list[tuple]]:
-    """The step rows of the refinement of ``parent``, given its basis and its
-    boxes' forward images, with no lattice scan: refined cell k in box j
-    steps where box j does.  Each entry (b, v, shift, comp) of the parent's
-    row j, sorted by m once per j, is a refined cell m, and k's row gets one
-    entry (m, v, shift, (phi(k) + shift) meet box(m)).  Raises
-    :class:`InvariantError` unless every component is nonempty and, per k,
-    their areas (pairs, :meth:`StripBasis.mul`) sum to area(k) = area(phi k):
-    with the parent's boxes tiling the torus, no entry is missing."""
-    cells, boxes = _refinement(parent)[0], basis.boxes
-    cell_of = {(cell.symbols, box): m for m, (cell, box) in enumerate(zip(cells, boxes))}
-    steps = [sorted((cell_of[(j, b), comp], q, shift) for b, q, shift, comp in row)
-             for j, row in enumerate(step_rows(parent))]
-    mul, rows = basis.mul, []
-    for k, (cell, box, image) in enumerate(zip(cells, boxes, images)):
-        ulx, uly, uhx, uhy, wlx, wly, whx, why = image
-        left = mul((box[2] - box[0], box[3] - box[1]), (box[6] - box[4], box[7] - box[5]))
-        rows.append([])
-        for m, q, shift in steps[cell.symbols[1]]:
-            sux, suy, swx, swy = shift
-            comp = _meet(basis, (ulx + sux, uly + suy, uhx + sux, uhy + suy,
-                                 wlx + swx, wly + swy, whx + swx, why + swy), boxes[m])
-            if comp is None:
-                raise InvariantError(f"refined cell {k} steps to an empty component of cell {m}")
-            area = mul((comp[2] - comp[0], comp[3] - comp[1]),
-                       (comp[6] - comp[4], comp[7] - comp[5]))
-            left = (left[0] - area[0], left[1] - area[1])
-            rows[-1].append((m, q, shift, comp))
-        if left != (0, 0):
-            raise InvariantError(f"refined cell {k}'s step components miss part of its area")
-    return rows
+def _factored(part: TorusPartition) -> tuple[list[list[tuple]], Sequence[int]]:
+    """``(rows, row_of)``: the distinct step rows, entries led by their
+    ``to``, and per cell its row's index.  With no parent, the rows are
+    :func:`step_rows`.  A refined partition's are its parent's, entries
+    ``(m, v, shift)`` ascending in the refined cell m, and a cell's is its
+    second symbol's: cached, and checked as :func:`step_rows` states."""
+    if "_parent" not in part.__dict__:
+        return step_rows(part), range(part.n)
+
+    def build():
+        parent, basis = part.__dict__["_parent"], _strip_basis(part)
+        cells, boxes, parents = _refinement(parent)[0], basis.boxes, _strip_basis(parent).boxes
+        fw, flip_w, mul = basis.factor(True, False), part.mu_act.sign() < 0, basis.mul
+        seconds = [cell.symbols[1] for cell in cells]
+        for k, (j, box) in enumerate(zip(seconds, boxes)):
+            if box[:4] != parents[j][:4] or not basis.inside(box[4:], parents[j][4:]):
+                raise InvariantError(f"refined cell {k} is not nested in box({j})")
+        cell_of = {(cell.symbols, box): m for m, (cell, box) in enumerate(zip(cells, boxes))}
+        steps = []
+        for j, (box, row) in enumerate(zip(parents, step_rows(parent))):
+            wlx, wly, whx, why = _side_image(box[4:], fw, 0, 0, flip_w)
+            left = mul((box[2] - box[0], box[3] - box[1]), (box[6] - box[4], box[7] - box[5]))
+            for b, q, (_, _, swx, swy), comp in row:
+                if comp != parents[b][:4] + (wlx + swx, wly + swy, whx + swx, why + swy):
+                    raise InvariantError(f"parent step {(j, b)} at {q} does not cross box({b})")
+                area = mul((comp[2] - comp[0], comp[3] - comp[1]),
+                           (comp[6] - comp[4], comp[7] - comp[5]))
+                left = (left[0] - area[0], left[1] - area[1])
+            if left != (0, 0):
+                raise InvariantError(f"the steps of parent cell {j} miss part of its area")
+            steps.append(sorted((cell_of[(j, b), comp], q, shift) for b, q, shift, comp in row))
+        return steps, seconds
+
+    return _cached(part, "_factored", build)
 
 
 def _meet(basis: StripBasis, s: Strip, t: Strip) -> Strip | None:
@@ -1154,11 +1152,13 @@ class WordVisitor:
 
 def _step_successors(part: TorusPartition) -> list[list[int]]:
     """Per cell, the cells its image meets, ascending: the support of
-    :func:`transition_graph`, each row of :func:`step_rows`'s distinct
-    ``to``.  Cached on the partition; callers must not change the lists."""
+    :func:`transition_graph`, read off :func:`_factored`.  Cached; callers
+    must not change the lists, which cells of one row share."""
 
     def build():
-        return [sorted(set(map(_to, row))) for row in step_rows(part)]
+        rows, row_of = _factored(part)
+        succ = [sorted(set(map(_to, row))) for row in rows]
+        return [succ[r] for r in row_of]
 
     return _cached(part, "_successors", build)
 

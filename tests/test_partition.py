@@ -310,6 +310,46 @@ def test_refined_step_table_makes_no_lattice_scan(monkeypatch):
         _scanned(refined)
 
 
+@pytest.mark.parametrize("matrix", LADDER, ids=str)
+def test_the_build_reads_the_refined_graph_without_step_rows(matrix):
+    refined = build_markov_construction(matrix).refined
+    assert "_factored" in refined.__dict__
+    assert "_step_rows" not in refined.__dict__
+
+
+@pytest.mark.parametrize("matrix", [FIB, -FIB_SQ, Mat2Z(5, 2, 2, 1)], ids=str)
+def test_refined_step_rows_intersect_no_boxes(monkeypatch, matrix):
+    """The rows are assembled, not met: no ``_meet`` runs for them."""
+    base = build_markov_construction(matrix).base.partition
+    refined = refined_partition(base)
+    scanned = _scanned(refined)
+
+    def meet(basis, s, t):
+        raise AssertionError("an intersection")
+
+    monkeypatch.setattr(partition, "_meet", meet)
+    assert partition.step_rows(refined) == scanned
+
+
+@pytest.mark.parametrize("matrix", [FIB, FIB_SQ, Mat2Z(5, 2, 2, 1)], ids=str)
+def test_a_refined_cell_outside_its_box_fails_the_nesting_check(matrix):
+    """One refined cell's w side moved up by its base box's height, so it
+    lies above the box: of the three checks, only nesting reads the refined
+    cells' own bounds."""
+    base = build_markov_construction(matrix).base.partition
+    refined = refined_partition(base)
+    basis, k = partition._strip_basis(refined), refined.n - 1
+    j = refine(base)[k].symbols[1]
+    top = partition._strip_basis(base).boxes[j]
+    hx, hy = top[6] - top[4], top[7] - top[5]
+    box = basis.boxes[k]
+    moved = box[:4] + (box[4] + hx, box[5] + hy, box[6] + hx, box[7] + hy)
+    refined.__dict__["_strip_basis"] = dataclasses.replace(
+        basis, boxes=basis.boxes[:k] + (moved,))
+    with pytest.raises(InvariantError, match=f"refined cell {k} is not nested in box\\({j}\\)"):
+        transition_graph(refined)
+
+
 def _with_parent_table(matrix, edit):
     """A fresh refined partition of ``matrix`` whose parent's cached step
     rows have been edited by ``edit(rows, basis)`` after the refinement."""
@@ -329,14 +369,14 @@ def test_a_missing_parent_entry_fails_the_area_sum(matrix):
         del rows[0][last]
 
     refined = _with_parent_table(matrix, drop)
-    with pytest.raises(InvariantError, match="miss part of its area"):
+    with pytest.raises(InvariantError, match="steps of parent cell 0 miss part of its area"):
         partition.step_rows(refined)
 
 
 @pytest.mark.parametrize("matrix", [FIB, FIB_SQ, Mat2Z(5, 2, 2, 1)], ids=str)
 def test_a_shifted_parent_entry_fails_the_nonempty_test(matrix):
-    """An entry moved by the lattice generator (1, 0): the refined cells'
-    images moved by it miss the entry's component."""
+    """An entry moved by the lattice generator (1, 0): its component no
+    longer has phi(box 0)'s w side plus the shift."""
     def shift(rows, basis):
         to, (m, n), (su0, su1, sw0, sw1), comp = rows[0][0]
         assert to == 0
@@ -344,5 +384,5 @@ def test_a_shifted_parent_entry_fails_the_nonempty_test(matrix):
         rows[0][0] = (to, (m + 1, n), (su0 + u10x, su1 + u10y, sw0 + w10x, sw1 + w10y), comp)
 
     refined = _with_parent_table(matrix, shift)
-    with pytest.raises(InvariantError, match="steps to an empty component"):
+    with pytest.raises(InvariantError, match=r"parent step \(0, 0\) at \(.*\) does not cross box\(0\)"):
         partition.step_rows(refined)
