@@ -19,7 +19,8 @@ size grows with the distance.
 Commands that build the construction refuse a matrix whose refined
 partition would have more than ``MARKOV_TORUS_MAX_CELLS`` cells (default
 800), before building anything: N*, the sum of the model matrix's entries,
-is known once the matrix is conjugated, and the build grows like N*^2.
+is known once the matrix is conjugated.  The build itself grows about like
+N*, but printing the N* x N* graph and the first walk or decode like N*^2.
 """
 
 from __future__ import annotations
@@ -81,10 +82,10 @@ EXIT_REJECT = 2
 DEFAULT_ENUM_CAP = 8
 ENUM_CAP_ENV = "MARKOV_TORUS_MAX_DEPTH"
 
-# refined cells (N*) a build may have: `construct` at N* 402 and 800 takes
-# 0.23-0.39 and 0.37-0.41 s of wall time on a 2-core host (Python 3.11), peaking
-# at 29 and 39 MB, but the first walk or decode still assembles the refined step
-# rows, about N*^2 entries (`decode` on N* 800 takes about 5 s), so 800 stays
+# refined cells (N*) a build may have: on a 2-core host (Python 3.11) the build
+# takes 0.12 s at N* 3,200 and `construct` 0.4 and 0.6 s at N* 402 and 800, but
+# the first walk or decode still assembles about N*^2 refined row entries
+# (`decode` on N* 800 takes 5-8 s and 813 MB), so 800 stays
 DEFAULT_CELL_CAP = 800
 CELL_CAP_ENV = "MARKOV_TORUS_MAX_CELLS"
 

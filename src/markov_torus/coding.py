@@ -48,6 +48,7 @@ from .partition import (
     _cached,
     _cover,
     _side_image,
+    _step_successors,
     _strip_basis,
     closed_translate_meets,
     cylinder_strips,
@@ -293,9 +294,9 @@ class CodingContext:
                 cur, pairs = hit.index, basis.frame(y.moved(*hit.translate))
             symbols.append(cur)
         word = SymbolicWord(tuple(symbols), -depth)
-        matrix = self.construction.refined_graph.matrix
+        succ = _step_successors(part)
         for a, b in zip(symbols, symbols[1:]):
-            if matrix[a][b] == 0:
+            if b not in succ[a]:
                 raise InvariantError(f"itinerary {word} uses a non-edge {a}->{b}")
         return word
 

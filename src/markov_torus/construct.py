@@ -22,8 +22,8 @@ fact:
 3. ``build_markov_construction`` -- the refinement of the partition by its
    image, whose cells are in bijection with the edges of the transition
    graph; the geometric transition multiplicities are asserted to equal the
-   model matrix itself, via two independent counting methods, and the
-   refined graph to be T·S with S·T the model (see the build).
+   model matrix, by two independent counts, and the refined graph to be
+   T·S (S·T the model) on its rows per base cell, never as an N*×N* matrix.
 
 Independent count: ``count_intersections`` counts integer translates of the
 coordinate axes crossed by each image strip (shifted by the slide vector),
@@ -42,7 +42,7 @@ from .partition import (
     InvariantError,
     RefinementCell,
     TorusPartition,
-    _step_successors,
+    _factored,
     refine,
     refined_partition,
     transition_graph,
@@ -357,7 +357,11 @@ class MarkovConstruction:
     cells: tuple[RefinementCell, ...]
     refined: TorusPartition
     graph: TransitionGraph          # two-cell multiplicities == model matrix
-    refined_graph: TransitionGraph  # geometric 0/1 graph on cells, == T·S
+
+    @property
+    def refined_graph(self) -> TransitionGraph:
+        """The geometric 0/1 graph on cells, == T·S, built when read."""
+        return transition_graph(self.refined)
 
     @property
     def model(self) -> Mat2Z:
@@ -399,18 +403,16 @@ def build_markov_construction(matrix: Mat2Z, conj: ConjugationResult | None = No
     # T and S, the cells' second and first symbols as 0/1 matrices.  S·T
     # counts the cells per word (i, j); refine makes one cell per step-table
     # entry of (i, j), which the graph counts, so S·T == P is the graph == P
-    # check above.  T·S is the composition rule, checked here
+    # check above.  T·S is the composition rule: each distinct row (one per
+    # second symbol) steps once to each cell starting with that symbol
     cells = tuple(refine(part))
     refined = refined_partition(part)
-    refined_graph = transition_graph(refined)
     starting = [[l for l, cell in enumerate(cells) if cell.symbols[0] == a]
                 for a in (0, 1)]
-    succ = _step_successors(refined)
-    if not refined_graph.is_zero_one() or any(
-            succ[k] != starting[cell.symbols[1]] for k, cell in enumerate(cells)):
+    rows, row_of = _factored(refined)
+    if any([entry[0] for entry in rows[r]] != starting[b]
+           for r, b in {(r, cell.symbols[1]) for r, cell in zip(row_of, cells)}):
         raise InvariantError(
             "geometric refined transitions differ from the composition rule"
         )
-    return MarkovConstruction(matrix, conj, base, cells, refined, graph,
-                              refined_graph)
-
+    return MarkovConstruction(matrix, conj, base, cells, refined, graph)

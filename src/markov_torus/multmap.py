@@ -129,15 +129,15 @@ class MultiplicationSystem:
     # -- the factor map on finite words ---------------------------------------
 
     def digit_value(self, word: Sequence[int]) -> Fraction:
-        """Exact value of the digit word extended by zeros:
-        sum of word[k] / base^(k+1)."""
+        """Exact value of the digit word extended by zeros: sum of
+        word[k] / base^(k+1), one fraction with its numerator built by halves."""
         self._check_word(word)
-        total = Fraction(0)
-        scale = Fraction(1, self.base)
-        for digit in word:
-            total += digit * scale
-            scale /= self.base
-        return total
+
+        def num(d):  # the digits d as one base-n integer
+            h = len(d) // 2
+            return num(d[:h]) * self.base ** (len(d) - h) + num(d[h:]) if h else d[0]
+
+        return Fraction(num(word), self.base ** len(word))
 
     def encode(self, x: Fraction, depth: int
                ) -> tuple[int, ...] | ExpansionAmbiguity:

@@ -127,7 +127,7 @@ def construction_report(construction: MarkovConstruction) -> dict:
         "graph_Nstar": graph_json(construction.refined_graph, refined.labels),
         "verifier_results": {
             "build_cross_checks": True,
-            # every build re-derives the refined graph geometrically
+            # every build checks the refined rows' geometry, then T·S on them
             "refined_geometry_checked": True,
         },
     }

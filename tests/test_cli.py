@@ -515,6 +515,24 @@ def test_empty_matrix_is_a_parse_error(capsys, argv):
     assert "--matrix needs four integers" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, code", [
+    (("verify", "--matrix", FIB), EXIT_OK),
+    (("encode", "--matrix", FIB, "--point", "1/3 1/7"), EXIT_OK),
+    (("render", "--matrix", FIB), EXIT_OK),
+    (("periodic", "--matrix", FIB), EXIT_FAIL),
+    (("multmap", "--point", "1/3"), EXIT_FAIL),
+], ids=lambda value: value[0] if isinstance(value, tuple) else None)
+def test_depth_zero_per_command(capsys, argv, code):
+    """As the README states: ``verify``, ``encode`` and ``render`` run at
+    depth 0; ``periodic`` and ``multmap`` refuse it with one error line."""
+    got, out, err = run(capsys, *argv, "--depth", "0")
+    assert got == code
+    if code == EXIT_OK:
+        assert out and err == ""
+    else:
+        assert out == "" and err.startswith("error: --depth must be >= 1") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv, count", [
     (("decode", "--matrix", FIB, "--word", "0"), 2),
     (("encode", "--matrix", FIB), 2),
@@ -633,8 +651,9 @@ _LONG_WORD = ",".join(["1"] * 15000)
 
 @pytest.mark.parametrize("argv, fix", [
     (("--point", "1/3", "--depth", "15000"), "use a lower --depth"),
+    (("--point", "1/3", "--depth", "60000"), "use a lower --depth"),
     (("--word", _LONG_WORD), "use a shorter --word"),
-], ids=["point", "word"])
+], ids=["point", "point-60000", "word"])
 @pytest.mark.parametrize("json_out", [False, True], ids=["text", "json"])
 def test_multmap_refuses_values_over_the_digit_limit(capsys, argv, fix, json_out):
     """A partial sum or cylinder too long for ``str`` is one error line that

@@ -109,6 +109,21 @@ def test_encode_matches_membership_and_is_admissible(ctx):
             assert graph[a][b] == 1
 
 
+def test_encode_checks_its_edges_on_the_successor_lists():
+    """The itinerary's edges are checked against the successor lists, with
+    no N* x N* graph built; an edge missing there is a non-edge."""
+    fresh = CodingContext.from_matrix(FIB)
+    point = rational_points(23, 1)[0]
+    word = fresh.encode(point, 3)
+    part = fresh.part
+    assert "_transition_graph" not in part.__dict__
+    a, b = word.symbols[:2]
+    part.__dict__["_successors"] = [[m for m in row if (k, m) != (a, b)]
+                                    for k, row in enumerate(part.__dict__["_successors"])]
+    with pytest.raises(InvariantError, match=f"uses a non-edge {a}->{b}"):
+        fresh.encode(point, 3)
+
+
 def test_encode_reports_boundary_points_as_ambiguity(ctx):
     result = ctx.encode((Fraction(0), Fraction(0)), 2)
     assert isinstance(result, BoundaryAmbiguity)

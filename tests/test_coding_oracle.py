@@ -21,7 +21,7 @@ from markov_torus import coding, exact, partition, torus
 from markov_torus.cli import _break_partition, main
 from markov_torus.coding import BoundaryAmbiguity, CodingContext, DecodeResult, SymbolicWord
 from markov_torus.construct import SignCase
-from markov_torus.partition import InvariantError, TorusPartition, locate, transition_graph
+from markov_torus.partition import InvariantError, TorusPartition, locate
 from markov_torus.torus import Mat2Z
 
 # one ladder matrix per sign case, and a wide refinement (N* = 42)
@@ -200,8 +200,7 @@ def test_contains_matches_lattice_scan(name):
 
 
 def _with_refined(ctx: CodingContext, part: TorusPartition) -> CodingContext:
-    return CodingContext(dataclasses.replace(
-        ctx.construction, refined=part, refined_graph=transition_graph(part)))
+    return CodingContext(dataclasses.replace(ctx.construction, refined=part))
 
 
 def _points(count: int):

@@ -27,7 +27,6 @@ from markov_torus.partition import (
 )
 from markov_torus.render import construction_report
 from markov_torus.sft import (
-    TransitionGraph,
     char_poly,
     count_blocks,
     count_periodic,
@@ -298,20 +297,21 @@ def test_build_refuses_a_geometric_graph_off_the_composition_rule(monkeypatch):
 
 
 def test_build_refuses_a_refined_graph_with_parallel_edges(monkeypatch):
-    """Two edges from one refined cell to another keep the support of T·S
-    but not the 0/1 graph."""
-    real_transition_graph = construct.transition_graph
+    """One entry of a factored row listed twice: two edges from each cell
+    of that row to one cell keep the support of T·S but not the 0/1 graph.
+    Each of the two distinct rows is checked."""
+    real_factored = construct._factored
 
-    def doubled(part):
-        graph = real_transition_graph(part)
-        if part.n == 2:
-            return graph
-        return TransitionGraph([[2 * x for x in graph.matrix[0]],
-                                *graph.matrix[1:]])
+    def doubled(part, row):
+        rows, row_of = real_factored(part)
+        rows = list(rows)
+        rows[row] = rows[row][:1] + rows[row]
+        return rows, row_of
 
-    monkeypatch.setattr(construct, "transition_graph", doubled)
-    with pytest.raises(InvariantError, match="composition rule"):
-        build_markov_construction(FIB)
+    for row in (0, 1):
+        monkeypatch.setattr(construct, "_factored", lambda part, row=row: doubled(part, row))
+        with pytest.raises(InvariantError, match="composition rule"):
+            build_markov_construction(FIB)
 
 
 @pytest.mark.parametrize("matrix", SUITE, ids=str)

@@ -76,6 +76,17 @@ def test_shift_compatibility_depth_24(system):
         assert system.apply(system.digit_value(word)) == system.digit_value(word[1:])
 
 
+@pytest.mark.parametrize("length", [1, 2, 32, 33, 64, 65, 100, 1000])
+def test_digit_value_equals_the_per_digit_sum(system, length):
+    """The numerator built by halves is the sum of word[k] / base^(k+1)."""
+    rng = random.Random(length)
+    for _ in range(5):
+        word = tuple(rng.randrange(system.base) for _ in range(length))
+        total = sum((Fraction(d, system.base ** (k + 1)) for k, d in enumerate(word)),
+                    Fraction(0))
+        assert system.digit_value(word) == total
+
+
 # -- property (ii): cylinders nest and shrink geometrically --------------------------
 
 

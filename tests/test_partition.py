@@ -33,7 +33,7 @@ from markov_torus.partition import (
     walk_words,
 )
 from markov_torus.torus import EigenFrame, Mat2Z, hyperbolic_check
-from oracles import brute_lattice_in_frame_box, intersect
+from oracles import brute_lattice_in_frame_box, composition_graph, intersect
 
 FIB = Mat2Z(1, 1, 1, 0)          # negative contracting eigenvalue
 FIB_SQ = Mat2Z(2, 1, 1, 1)       # both eigenvalues positive
@@ -312,9 +312,14 @@ def test_refined_step_table_makes_no_lattice_scan(monkeypatch):
 
 @pytest.mark.parametrize("matrix", LADDER, ids=str)
 def test_the_build_reads_the_refined_graph_without_step_rows(matrix):
-    refined = build_markov_construction(matrix).refined
+    """The build checks T·S on the factored rows: neither the rows, nor the
+    N* x N* graph, nor the successor lists are built until read."""
+    mc = build_markov_construction(matrix)
+    refined = mc.refined
     assert "_factored" in refined.__dict__
-    assert "_step_rows" not in refined.__dict__
+    for unbuilt in ("_step_rows", "_transition_graph", "_successors"):
+        assert unbuilt not in refined.__dict__
+    assert mc.refined_graph.matrix == composition_graph(mc.cells).matrix
 
 
 @pytest.mark.parametrize("matrix", [FIB, -FIB_SQ, Mat2Z(5, 2, 2, 1)], ids=str)
