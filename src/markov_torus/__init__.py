@@ -7,6 +7,7 @@ exact arithmetic over the relevant real quadratic field -- together with
 independent verifiers for every defining property.
 """
 
+from .basis import EigenRect
 from .coding import (
     BoundaryAmbiguity,
     CodingContext,
@@ -29,24 +30,14 @@ from .construct import (
 from .exact import ContinuedFraction, QuadReal, cf_expand
 from .multmap import ExpansionAmbiguity, MultiplicationSystem
 from .partition import (
-    EigenRect,
-    InvariantError,
     RefinementCell,
     TorusPartition,
-    WordVisitor,
     cylinder_components,
     partition_diam_sq,
     refine,
     refined_partition,
-    refinement_cells_depth,
     strip_rect,
     transition_graph,
-    verify_areas,
-    verify_boundary_alignment,
-    verify_generator_decay,
-    verify_nfold_range,
-    verify_translate_disjoint,
-    walk_words,
 )
 from .render import (
     analyze_report,
@@ -67,11 +58,22 @@ from .sft import (
 from .torus import (
     EigenData,
     EigenFrame,
+    InvariantError,
     Mat2Z,
     NotAutomorphismError,
     NotHyperbolicError,
     count_periodic_points,
     hyperbolic_check,
+)
+from .walk import (
+    WordVisitor,
+    refinement_cells_depth,
+    verify_areas,
+    verify_boundary_alignment,
+    verify_generator_decay,
+    verify_nfold_range,
+    verify_translate_disjoint,
+    walk_words,
 )
 
 __version__ = "0.1.0"

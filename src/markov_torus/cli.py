@@ -35,6 +35,7 @@ from functools import cache, partial
 from typing import Callable, Iterator, Sequence
 
 from . import construct
+from .basis import EigenRect
 from .coding import BoundaryAmbiguity, CodingContext, SymbolicWord
 from .construct import (
     ConjugationResult,
@@ -43,12 +44,25 @@ from .construct import (
     count_intersections,
 )
 from .multmap import ExpansionAmbiguity, MultiplicationSystem
-from .partition import (
-    CellAreaSum,
-    EigenRect,
+from .partition import TorusPartition
+from .render import (
+    SCHEMA_VERSION,
+    analyze_report,
+    construction_report,
+    quad_json,
+    render_construction_svg,
+    report_header,
+)
+from .torus import (
     InvariantError,
+    Mat2Z,
+    NotAutomorphismError,
+    NotHyperbolicError,
+    hyperbolic_check,
+)
+from .walk import (
+    CellAreaSum,
     NfoldCount,
-    TorusPartition,
     WindowCheck,
     count_words,
     verify_areas,
@@ -59,21 +73,7 @@ from .partition import (
 )
 # Replaced in ``verify`` by the shared walks, but kept importable from this
 # module: perfbench/tracing.py wraps them here by name.
-from .partition import refinement_cells_depth, verify_nfold_range  # noqa: F401
-from .render import (
-    SCHEMA_VERSION,
-    analyze_report,
-    construction_report,
-    quad_json,
-    render_construction_svg,
-    report_header,
-)
-from .torus import (
-    Mat2Z,
-    NotAutomorphismError,
-    NotHyperbolicError,
-    hyperbolic_check,
-)
+from .walk import refinement_cells_depth, verify_nfold_range  # noqa: F401
 
 EXIT_OK = 0
 EXIT_FAIL = 1

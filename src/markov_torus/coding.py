@@ -14,8 +14,8 @@ integers, and field elements are built only for what a caller reads.
 window and then step the point, the Markov property at work: if x lies in
 R_i + q, its image lies in one tabulated component of row i, so the next
 symbols are the rows whose image box holds the stepped frame pairs
-(lam*u, mu*w) plus the row's shift (:func:`_forward_step`, cached per
-partition).  ``encode`` takes the one open hit; none means the
+(lam*u, mu*w) plus the row's shift (:func:`partition.forward_step`, cached
+per partition).  ``encode`` takes the one open hit; none means the
 iterate lies on a component's closure, and ``locate`` names the candidate
 cells.  ``preimage_report`` follows every closed hit of every
 representative, which finds the closed cylinders holding the point.  Neither
@@ -35,32 +35,28 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
+from .basis import EigenRect, ModPoint, Strip, side_image
 from .construct import ConjugationResult, MarkovConstruction, build_markov_construction
 from .exact import QuadReal
 from .partition import (
     BoundaryHit,
     CellHit,
-    EigenRect,
-    InvariantError,
-    ModPoint,
-    Strip,
     TorusPartition,
-    _cached,
-    _cover,
-    _side_image,
-    _step_successors,
-    _strip_basis,
+    cached,
     closed_translate_meets,
+    cover,
     cylinder_strips,
+    forward_step,
     # not called here, but perfbench/tracing.py wraps them under this module
     advance_strips,  # noqa: F401
     cylinder_components,  # noqa: F401
     lattice_in_frame_box,  # noqa: F401
     locate,
     partition_diam_sq,
-    step_rows,
+    step_successors,
+    strip_basis,
 )
-from .torus import EigenFrame, Mat2Z
+from .torus import EigenFrame, InvariantError, Mat2Z
 
 __all__ = [
     "BoundaryAmbiguity",
@@ -177,10 +173,10 @@ class DecodeResult:
         is in ``anchored`` + A^offset q, inside the first symbol's cell: so
         at one of that cell's cover translates."""
         part = self.partition
-        basis = _strip_basis(part)
+        basis = strip_basis(part)
         y = basis.reduce(basis.point(point).act(_acting_power(part, self.word.offset)))[0]
         (u0, u1, w0, w1), k = basis.frame(y), y.k
-        for _, (qu0, qu1, qw0, qw1) in _cover(part)[0][self.word.symbols[0]]:
+        for _, (qu0, qu1, qw0, qw1) in cover(part)[0][self.word.symbols[0]]:
             place = basis.place((u0 + k * qu0, u1 + k * qu1, w0 + k * qw0, w1 + k * qw1),
                                 k, self.anchored_strip)
             if place > 0 or (closed and place == 0):
@@ -233,16 +229,16 @@ class CodingContext:
 
     def _carried(self, point, mat: Mat2Z) -> ModPoint:
         """A plane point times ``mat``, reduced mod 1, in the strip basis."""
-        basis = _strip_basis(self.part)
+        basis = strip_basis(self.part)
         return basis.reduce(basis.point(point).act(mat))[0]
 
     def to_model(self, point) -> tuple:
         """Carry a point of the input matrix's torus to the model torus."""
-        return _strip_basis(self.part).values(self._carried(point, self._from_input))
+        return strip_basis(self.part).values(self._carried(point, self._from_input))
 
     def from_model(self, point) -> tuple:
         """Carry a model-torus point back to the input matrix's torus."""
-        return _strip_basis(self.part).values(
+        return strip_basis(self.part).values(
             self._carried(point, self.construction.conjugation.conjugator))
 
     # -- orbits ---------------------------------------------------------------
@@ -251,7 +247,7 @@ class CodingContext:
         """Exact iterates of the model map for times lo..hi inclusive."""
         if lo > hi:
             raise ValueError("empty time window")
-        values, acting = _strip_basis(self.part).values, self.part.acting
+        values, acting = strip_basis(self.part).values, self.part.acting
         return {t: values(self._carried(point_model, acting ** t)) for t in range(lo, hi + 1)}
 
     # -- encoding ------------------------------------------------------------
@@ -263,19 +259,19 @@ class CodingContext:
         there).
 
         Only iterate -depth is located.  Each later iterate takes the one
-        row of :func:`_forward_step` whose open image holds the stepped
+        row of :func:`forward_step` whose open image holds the stepped
         point; two raise :class:`InvariantError` (cells overlap), none hands
         the iterate to :func:`locate`."""
         if depth < 0:
             raise ValueError("depth must be >= 0")
         part = self.part
-        basis = _strip_basis(part)
+        basis = strip_basis(part)
         start = self._carried(point, self._from_input @ _acting_power(part, -depth))
         hit = locate(part, start)
         if isinstance(hit, BoundaryHit):
             return BoundaryAmbiguity(-depth, basis.values(start), _cells(hit.candidates))
         cur, k = hit.index, start.k
-        pairs, symbols, step = basis.frame(start.moved(*hit.translate)), [cur], _forward_step(part)
+        pairs, symbols, step = basis.frame(start.moved(*hit.translate)), [cur], forward_step(part)
         for time in range(1 - depth, depth + 1):
             nxt = None
             for j, at, side in step(cur, pairs, k):
@@ -294,7 +290,7 @@ class CodingContext:
                 cur, pairs = hit.index, basis.frame(y.moved(*hit.translate))
             symbols.append(cur)
         word = SymbolicWord(tuple(symbols), -depth)
-        succ = _step_successors(part)
+        succ = step_successors(part)
         for a, b in zip(symbols, symbols[1:]):
             if b not in succ[a]:
                 raise InvariantError(f"itinerary {word} uses a non-edge {a}->{b}")
@@ -322,11 +318,11 @@ class CodingContext:
             raise ValueError(f"word {word} names an empty cylinder")
         if len(strips) > 1:
             raise InvariantError(f"cylinder of {word} is not connected on the refinement")
-        basis = _strip_basis(part)
+        basis = strip_basis(part)
         strip, shift = strips[0], -word.offset  # first constrained time to zero
         lam, mu = basis.unit(True, shift), basis.unit(False, shift)
-        rect = (_side_image(strip[:4], basis.times(lam), 0, 0, basis.sign(*lam) < 0)
-                + _side_image(strip[4:], basis.times(mu), 0, 0, basis.sign(*mu) < 0))
+        rect = (side_image(strip[:4], basis.times(lam), 0, 0, basis.sign(*lam) < 0)
+                + side_image(strip[4:], basis.times(mu), 0, 0, basis.sign(*mu) < 0))
         ulx, uly, uhx, uhy, wlx, wly, whx, why = rect
         den, (vl, vm), (ll, mm, lm), diam = _plane_forms(part)
         mul, big_q = basis.mul, basis.modulus
@@ -373,7 +369,7 @@ class CodingContext:
 
         Only iterate -depth is located; its representatives in its
         candidate cells' closed boxes start the words.  A word's
-        representatives are stepped (:func:`_forward_step`), and each row
+        representatives are stepped (:func:`forward_step`), and each row
         whose closed image holds one extends the word, with the stepped
         pairs as its representatives.  On a Markov partition every
         admissible cylinder is a nonempty open box, so its closure is the
@@ -384,13 +380,13 @@ class CodingContext:
         if depth < 0:
             raise ValueError("depth must be >= 0")
         part = self.part
-        basis = _strip_basis(part)
+        basis = strip_basis(part)
         start = self._carried(point, self._from_input @ _acting_power(part, -depth))
         hit = locate(part, start)
         starts: dict[int, list] = {}
         for h in (hit,) if isinstance(hit, CellHit) else hit.candidates:
             starts.setdefault(h.index, []).append(basis.frame(start.moved(*h.translate)))
-        step, place, boxes, k = _forward_step(part), basis.place, basis.boxes, start.k
+        step, place, boxes, k = forward_step(part), basis.place, basis.boxes, start.k
         found: list[SymbolicWord] = []
         stack = [((i,), starts[i]) for i in sorted(starts, reverse=True)]
         while stack:
@@ -455,41 +451,11 @@ def _acting_power(part: TorusPartition, n: int) -> Mat2Z:
     """``part.acting ** n``, cached on the partition per exponent: callers
     ask for few (a window's depth, a word's offset, the iterates of a
     window)."""
-    powers = _cached(part, "_powers", dict)
+    powers = cached(part, "_powers", dict)
     power = powers.get(n)
     if power is None:
         power = powers[n] = part.acting ** n
     return power
-
-
-def _forward_step(part: TorusPartition):
-    """``step(cur, pairs, k)``: the entries of row cur of :func:`step_rows`,
-    in its order, whose component (the closed image of a forward row) holds
-    the frame pairs ``pairs`` (over Q*k, in box(cur)) stepped by the forward
-    factor matrices, each as (the entry's ``to``, the stepped pairs plus the
-    entry's shift, 0 on the image's boundary or 1 inside).  Built once, with
-    the rows, the factor matrices and ``place`` bound, and cached on the
-    partition."""
-
-    def build():
-        basis, rows = _strip_basis(part), step_rows(part)
-        (a, b, c, d), (e, f, g, h) = basis.factor(True, True), basis.factor(True, False)
-        place = basis.place
-
-        def step(cur: int, pairs: tuple[int, int, int, int], k: int) -> list[tuple]:
-            u0, u1, w0, w1 = pairs
-            u0, u1, w0, w1 = a * u0 + b * u1, c * u0 + d * u1, e * w0 + f * w1, g * w0 + h * w1
-            hits = []
-            for j, _, (su0, su1, sw0, sw1), img in rows[cur]:
-                at = (u0 + k * su0, u1 + k * su1, w0 + k * sw0, w1 + k * sw1)
-                side = place(at, k, img)
-                if side >= 0:
-                    hits.append((j, at, side))
-            return hits
-
-        return step
-
-    return _cached(part, "_forward_step", build)
 
 
 def _plane_forms(part: TorusPartition):
@@ -501,7 +467,7 @@ def _plane_forms(part: TorusPartition):
     over den^2.  Cached on the partition."""
 
     def build():
-        basis, eig = _strip_basis(part), part.frame.eig
+        basis, eig = strip_basis(part), part.frame.eig
         over = [basis.over(x) for x in (*eig.v_lam, *eig.v_mu, partition_diam_sq(part))]
         den = math.lcm(*(n for _, _, n in over))
         vl0, vl1, vm0, vm1, (dx, dy) = [(x * (den // n), y * (den // n)) for x, y, n in over]
@@ -516,7 +482,7 @@ def _plane_forms(part: TorusPartition):
             lm = (-lm[0], -lm[1])
         return den, (vl, vm), (dot(vl, vl), dot(vm, vm), lm), (dx * den, dy * den)
 
-    return _cached(part, "_plane_forms", build)
+    return cached(part, "_plane_forms", build)
 
 
 def torus_dist_sq(a, b) -> QuadReal:

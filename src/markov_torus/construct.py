@@ -36,20 +36,19 @@ import enum
 from dataclasses import dataclass, field
 from typing import Iterator
 
+from .basis import EigenRect
 from .exact import QuadReal, cf_expand
 from .partition import (
-    EigenRect,
-    InvariantError,
     RefinementCell,
     TorusPartition,
-    _factored,
+    factored,
     refine,
     refined_partition,
     transition_graph,
-    verify_areas,
 )
 from .sft import TransitionGraph
-from .torus import EigenData, EigenFrame, Mat2Z, hyperbolic_check
+from .torus import EigenData, EigenFrame, InvariantError, Mat2Z, hyperbolic_check
+from .walk import verify_areas
 
 _E = Mat2Z.swap()
 
@@ -409,7 +408,7 @@ def build_markov_construction(matrix: Mat2Z, conj: ConjugationResult | None = No
     refined = refined_partition(part)
     starting = [[l for l, cell in enumerate(cells) if cell.symbols[0] == a]
                 for a in (0, 1)]
-    rows, row_of = _factored(refined)
+    rows, row_of = factored(refined)
     if any([entry[0] for entry in rows[r]] != starting[b]
            for r, b in {(r, cell.symbols[1]) for r, cell in zip(row_of, cells)}):
         raise InvariantError(

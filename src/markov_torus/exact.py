@@ -53,7 +53,7 @@ def floor_surd(a: int, b: int, q: int, d: int) -> int:
     return a // q
 
 
-def _sign(a: int, b: int, d: int) -> int:
+def sign_surd(a: int, b: int, d: int) -> int:
     """Sign of a + b*sqrt(d), for d a non-square whenever b != 0."""
     if a >= 0 and b >= 0:
         return 1 if a or b else 0
@@ -161,9 +161,9 @@ class QuadReal:
         d = _joint(self.d, other.d)
         q1, q2 = self.q, other.q
         if q1 == q2:
-            return _reduced(self.a + other.a, self.b + other.b, q1, d)
-        return _reduced(self.a * q2 + other.a * q1, self.b * q2 + other.b * q1,
-                        q1 * q2, d)
+            return reduced_surd(self.a + other.a, self.b + other.b, q1, d)
+        return reduced_surd(self.a * q2 + other.a * q1, self.b * q2 + other.b * q1,
+                            q1 * q2, d)
 
     __radd__ = __add__
 
@@ -180,9 +180,9 @@ class QuadReal:
         d = _joint(self.d, other.d)
         q1, q2 = self.q, other.q
         if q1 == q2:
-            return _reduced(self.a - other.a, self.b - other.b, q1, d)
-        return _reduced(self.a * q2 - other.a * q1, self.b * q2 - other.b * q1,
-                        q1 * q2, d)
+            return reduced_surd(self.a - other.a, self.b - other.b, q1, d)
+        return reduced_surd(self.a * q2 - other.a * q1, self.b * q2 - other.b * q1,
+                            q1 * q2, d)
 
     def __rsub__(self, other) -> "QuadReal":
         o = _coerce(other)
@@ -204,8 +204,8 @@ class QuadReal:
                 return NotImplemented
         d = _joint(self.d, other.d)
         a1, b1, a2, b2 = self.a, self.b, other.a, other.b
-        return _reduced(a1 * a2 + b1 * b2 * d, a1 * b2 + b1 * a2,
-                        self.q * other.q, d)
+        return reduced_surd(a1 * a2 + b1 * b2 * d, a1 * b2 + b1 * a2,
+                            self.q * other.q, d)
 
     __rmul__ = __mul__
 
@@ -218,7 +218,7 @@ class QuadReal:
         norm = a * a - b * b * self.d
         if norm < 0:
             norm, q = -norm, -q
-        return _reduced(q * a, -q * b, norm, self.d)
+        return reduced_surd(q * a, -q * b, norm, self.d)
 
     def __truediv__(self, other) -> "QuadReal":
         o = _coerce(other)
@@ -254,7 +254,7 @@ class QuadReal:
 
     def sign(self) -> int:
         """-1, 0 or +1, decided exactly."""
-        return _sign(self.a, self.b, self.d)
+        return sign_surd(self.a, self.b, self.d)
 
     def _value_key(self):
         b, q = self.b, self.q
@@ -284,15 +284,15 @@ class QuadReal:
         positive, so no difference element is built."""
         if type(other) is not QuadReal:
             if type(other) is int:
-                return _sign(self.a - other * self.q, self.b, self.d)
+                return sign_surd(self.a - other * self.q, self.b, self.d)
             other = _coerce(other)
             if other is None:
                 return NotImplemented
         d = _joint(self.d, other.d)
         q1, q2 = self.q, other.q
         if q1 == q2:
-            return _sign(self.a - other.a, self.b - other.b, d)
-        return _sign(self.a * q2 - other.a * q1, self.b * q2 - other.b * q1, d)
+            return sign_surd(self.a - other.a, self.b - other.b, d)
+        return sign_surd(self.a * q2 - other.a * q1, self.b * q2 - other.b * q1, d)
 
     def __lt__(self, other) -> bool:
         c = self._cmp(other)
@@ -311,7 +311,7 @@ class QuadReal:
         return c if c is NotImplemented else c >= 0
 
     def __abs__(self) -> "QuadReal":
-        return -self if _sign(self.a, self.b, self.d) < 0 else self
+        return -self if sign_surd(self.a, self.b, self.d) < 0 else self
 
     def __bool__(self) -> bool:
         return self.a != 0 or self.b != 0
@@ -392,7 +392,7 @@ def _make(a: int, b: int, q: int, d: int) -> QuadReal:
     return x
 
 
-def _reduced(a: int, b: int, q: int, d: int) -> QuadReal:
+def reduced_surd(a: int, b: int, q: int, d: int) -> QuadReal:
     """(a + b*sqrt(d)) / q for q > 0, brought to canonical form."""
     g = math.gcd(a, b, q)
     if g != 1:

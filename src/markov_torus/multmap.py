@@ -5,7 +5,7 @@ intervals R_k = (k/n, (k+1)/n).  The factor map sends a digit sequence to
 sum s_k / n^(k+1); this module provides the exact finite-depth versions of
 that map, its cylinder decoding, and the deliberately *wrong* per-iterate
 decoding whose failure motivates taking closures only after intersecting.
-All arithmetic is over Fractions.
+All arithmetic is exact, over Fractions or, in ``encode``, one numerator.
 """
 
 from __future__ import annotations
@@ -146,15 +146,14 @@ class MultiplicationSystem:
         hits an endpoint (exactly the base-n rationals)."""
         if depth < 1:
             raise ValueError("depth must be >= 1")
-        y = x % 1
+        p, q = (x % 1).as_integer_ratio()  # iterate k is p/q, stepped on p alone
         digits = []
         for k in range(depth):
-            scaled = y * self.base
-            digit = scaled.numerator // scaled.denominator
-            if scaled == digit:
-                return ExpansionAmbiguity(k, y, self.expansions(x, depth))
+            digit, p = divmod(p * self.base, q)
+            if p == 0:  # iterate k times base is the integer digit
+                point = Fraction(digit, self.base)
+                return ExpansionAmbiguity(k, point, self.expansions(x, depth))
             digits.append(digit)
-            y = scaled - digit
         return tuple(digits)
 
     def expansions(self, x: Fraction, depth: int) -> tuple[tuple[int, ...], ...]:

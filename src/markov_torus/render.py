@@ -22,11 +22,12 @@ from typing import Sequence
 
 from xml.sax.saxutils import escape
 
+from .basis import EigenRect
 from .construct import CornerPoint, MarkovConstruction, SignCase
 from .exact import QuadReal, cf_expand
-from .partition import EigenRect, refinement_cells_depth
 from .sft import TransitionGraph
 from .torus import EigenData, EigenFrame, Mat2Z
+from .walk import refinement_cells_depth
 
 SCHEMA_VERSION = 1
 

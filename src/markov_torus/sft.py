@@ -17,11 +17,16 @@ Matrix = tuple[tuple[int, ...], ...]
 
 
 def _as_matrix(rows) -> Matrix:
-    mat = tuple(tuple(int(x) for x in row) for row in rows)
+    # each distinct row object is converted and checked once: a refined
+    # graph's N* rows are references to two lists
+    rows = list(rows)  # held while read, so that each id names one row
+    by_id = {id(row): row for row in rows}
+    converted = {key: tuple(int(x) for x in row) for key, row in by_id.items()}
+    mat = tuple(converted[id(row)] for row in rows)
     n = len(mat)
     if n == 0 or any(len(row) != n for row in mat):
         raise ValueError("transition matrix must be square and non-empty")
-    if any(x < 0 for row in mat for x in row):
+    if any(x < 0 for row in converted.values() for x in row):
         raise ValueError("transition multiplicities must be non-negative")
     return mat
 

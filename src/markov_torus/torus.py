@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .exact import QuadReal, _reduced
+from .exact import QuadReal, reduced_surd
 
 RationalPoint = tuple[Fraction, Fraction]
 PlanePoint = tuple[QuadReal, QuadReal]
@@ -241,8 +241,8 @@ class EigenFrame:
     def lattice_frame(self, m: int, n: int) -> tuple[QuadReal, QuadReal]:
         (ua, ub, ua1, ub1, uq), (wa, wb, wa1, wb1, wq) = self._generator_ints
         d = self.eig.disc
-        return (_reduced(ua * m + ua1 * n, ub * m + ub1 * n, uq, d),
-                _reduced(wa * m + wa1 * n, wb * m + wb1 * n, wq, d))
+        return (reduced_surd(ua * m + ua1 * n, ub * m + ub1 * n, uq, d),
+                reduced_surd(wa * m + wa1 * n, wb * m + wb1 * n, wq, d))
 
     @cached_property
     def _generator_ints(self) -> tuple[tuple[int, ...], tuple[int, ...]]:

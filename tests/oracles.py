@@ -16,38 +16,37 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from markov_torus.basis import EigenRect, parallelogram_diam_sq
 from markov_torus.coding import (
     BoundaryAmbiguity,
     DecodeResult,
     PreimageReport,
     SymbolicWord,
 )
-from markov_torus.exact import QuadReal, _reduced, _sign, floor_surd
+from markov_torus.exact import QuadReal, floor_surd, reduced_surd, sign_surd
 from markov_torus.partition import (
-    AlignmentWitness,
     BoundaryHit,
     CellHit,
-    DecayRow,
-    EigenRect,
-    InvariantError,
-    NfoldReport,
     RefinementCell,
     TorusPartition,
-    WindowCheck,
-    _cached,
     _decoded,
-    _step_successors,
-    _strip_basis,
+    cached,
     cylinder_components,
-    parallelogram_diam_sq,
     partition_diam_sq,
     step_rows,
-    strip_of,
+    step_successors,
+    strip_basis,
     transition_graph,
-    walk_words,
 )
 from markov_torus.sft import TransitionGraph
-from markov_torus.torus import EigenFrame
+from markov_torus.torus import EigenFrame, InvariantError
+from markov_torus.walk import (
+    AlignmentWitness,
+    DecayRow,
+    NfoldReport,
+    WindowCheck,
+    walk_words,
+)
 
 
 def brute_count_blocks(matrix, n: int) -> int:
@@ -215,7 +214,7 @@ def _frame_forms(frame: EigenFrame):
             n_forms.append((inv, -c10 * inv, c01.sign() < 0))
         return gens_q, x_form, n_forms
 
-    return _cached(frame, "_grid_forms", build)
+    return cached(frame, "_grid_forms", build)
 
 
 class _Grid:
@@ -225,7 +224,7 @@ class _Grid:
     of the lattice generators' frame coordinates.  Each such value, and each
     sum of them (a lattice point's frame coordinates m*U10 + n*U01
     included), is the integer pair (A, B) of (A + B*sqrt(D)) / Q: x < y is
-    one ``_sign`` of the difference, and a value is decoded where read.
+    one ``sign_surd`` of the difference, and a value is decoded where read.
     """
 
     def __init__(self, frame: EigenFrame, values: Iterable[QuadReal]):
@@ -261,7 +260,7 @@ class _Grid:
 
     def value(self, a: int, b: int) -> QuadReal:
         """The element (a + b*sqrt(D)) / Q, in canonical form."""
-        return _reduced(a, b, self.q, self.d)
+        return reduced_surd(a, b, self.q, self.d)
 
     def box(self, box: EigenRect) -> Box:
         pair = self.pair
@@ -277,7 +276,7 @@ class _Grid:
         (bound - c10*m) / c01 in m, c being the u- or w-coordinate of the
         lattice generators, so each column's n-interval ends are exact
         integer floors.  Every hit is re-checked against the box."""
-        d, sign = self.d, _sign
+        d, sign = self.d, sign_surd
         la, lb, ma, mb, xq, l_pos, m_pos = self.x_form
         u_ends, w_ends = ((ula, ulb), (uha, uhb)), ((wla, wlb), (wha, whb))
         (uxa, uxb), (uya, uyb) = u_ends if l_pos else u_ends[::-1]
@@ -745,9 +744,9 @@ def _step_table(part: TorusPartition) -> dict:
         for cur, row in enumerate(step_rows(part)):
             for to, *entry in row:
                 table.setdefault((cur, to), []).append(entry)
-        return _decoded(_strip_basis(part), table)
+        return _decoded(strip_basis(part), table)
 
-    return _cached(part, "_forward_table", build)
+    return cached(part, "_forward_table", build)
 
 
 # The forward and backward cylinder steps before they became one clip-then-map
@@ -809,7 +808,7 @@ def strip_entries(part: TorusPartition, forward: bool):
     factors are (lam, mu) and the shift is the table's; backward, the clip
     is comp, the factors are (1/lam, 1/mu) and the shift is
     -phi^-1(shift)."""
-    basis = _strip_basis(part)
+    basis = strip_basis(part)
     pair = basis.pair
     lam, mu = part.lam_act, part.mu_act
     if not forward:
@@ -1012,7 +1011,7 @@ def verify_generator_decay_per_row(part: TorusPartition, depth: int,
     cell, so there ok holds at every depth; a False ok is a finding about the
     partition, not an arithmetic error.
     """
-    succ = _step_successors(part)
+    succ = step_successors(part)
     up_to = max(0, min(depth, enumerate_up_to))
     if windows is None:
         windows = WindowCheck(part, up_to)
@@ -1228,7 +1227,7 @@ def cover_list(part: TorusPartition
             ])
         return cover
 
-    return _cached(part, "_quad_cover", build)
+    return cached(part, "_quad_cover", build)
 
 
 def quad_locate(part: TorusPartition, point) -> CellHit | BoundaryHit:
@@ -1266,9 +1265,9 @@ def forward_rows(self) -> list[list[tuple[int, tuple, EigenRect]]]:
         table = _step_table(self.part)
         return [[(j, shift, comp.translate(-shift[0], -shift[1]))
                  for j in row for _, shift, comp in table[i, j]]
-                for i, row in enumerate(_step_successors(self.part))]
+                for i, row in enumerate(step_successors(self.part))]
 
-    return _cached(self.part, "_quad_forward_rows", build)
+    return cached(self.part, "_quad_forward_rows", build)
 
 
 def quad_encode(self, point, depth: int) -> SymbolicWord | BoundaryAmbiguity:
@@ -1374,7 +1373,7 @@ def quad_decode(self, word: SymbolicWord) -> DecodeResult:
         center=(_mod1(cx), _mod1(cy)),
         diam_sq=diam_sq,
         diameter_bound_sq=bound_sq,
-        anchored_strip=strip_of(self.part, anchored),
+        anchored_strip=strip_basis(self.part).strip(anchored),
     )
 
 

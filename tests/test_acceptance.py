@@ -25,12 +25,7 @@ from markov_torus.partition import (
     TorusPartition,
     partition_diam_sq,
     refine,
-    refinement_cells_depth,
     transition_graph,
-    verify_areas,
-    verify_boundary_alignment,
-    verify_generator_decay,
-    verify_nfold_range,
 )
 from markov_torus.sft import (
     TransitionGraph,
@@ -41,6 +36,13 @@ from markov_torus.sft import (
     perron_data,
 )
 from markov_torus.torus import Mat2Z, hyperbolic_check
+from markov_torus.walk import (
+    refinement_cells_depth,
+    verify_areas,
+    verify_boundary_alignment,
+    verify_generator_decay,
+    verify_nfold_range,
+)
 
 SUITE = [
     Mat2Z(1, 1, 1, 0),

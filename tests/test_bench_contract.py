@@ -4,6 +4,7 @@ it, so a refactor that drops one fails here and not only under
 
 import importlib
 import importlib.util
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -71,3 +72,46 @@ def test_a_build_scans_through_the_traced_names(monkeypatch):
     build_markov_construction(Mat2Z(1, 1, 1, 0))
     assert counts["scans"] > 0
     assert counts["points"] >= counts["hits"] > 0
+
+
+def test_a_decode_pulls_back_through_the_traced_name(monkeypatch):
+    """``partition.walk.*`` on coding-roundtrip counts the calls of
+    ``partition.pullback_strips``: a decode on 1 1 1 0 must pull its
+    cylinder back through that name, one call per symbol after the first."""
+    from markov_torus import partition
+    from markov_torus.coding import CodingContext, SymbolicWord
+    from markov_torus.torus import Mat2Z
+
+    ctx = CodingContext.from_matrix(Mat2Z(1, 1, 1, 0))
+    word = ctx.encode((Fraction(1, 3), Fraction(1, 7)), 2)
+    assert isinstance(word, SymbolicWord)
+    pullback, steps = partition.pullback_strips, []
+
+    def counted(*args):
+        steps.append(args)
+        return pullback(*args)
+
+    monkeypatch.setattr(partition, "pullback_strips", counted)
+    ctx.decode(word)
+    assert len(steps) == len(word.symbols) - 1 > 0
+
+
+def test_the_disjointness_check_scans_through_the_traced_name(monkeypatch):
+    """``partition.lattice.scans`` on verify-battery counts the scans of
+    ``verify_translate_disjoint``, one per cell: they must run through
+    ``partition.lattice_in_frame_box``, wherever the check is defined."""
+    from markov_torus import partition
+    from markov_torus.construct import build_markov_construction
+    from markov_torus.torus import Mat2Z
+    from markov_torus.walk import verify_translate_disjoint
+
+    part = build_markov_construction(Mat2Z(1, 1, 1, 0)).refined
+    scan, scans = partition.lattice_in_frame_box, []
+
+    def counted(*args):
+        scans.append(args)
+        return scan(*args)
+
+    monkeypatch.setattr(partition, "lattice_in_frame_box", counted)
+    assert verify_translate_disjoint(part) == []
+    assert len(scans) == part.n

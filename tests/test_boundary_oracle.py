@@ -13,17 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from markov_torus.basis import EigenRect
 from markov_torus.cli import _break_partition
 from markov_torus.construct import build_markov_construction
 from markov_torus.exact import QuadReal
-from markov_torus.partition import (
-    EigenRect,
-    TorusPartition,
-    _cover_gap,
-    _merged,
-    verify_boundary_alignment,
-)
+from markov_torus.partition import TorusPartition
 from markov_torus.torus import Mat2Z
+from markov_torus.walk import _cover_gap, _merged, verify_boundary_alignment
 
 LADDER = ("1 1 1 0", "-1 -1 -1 0", "2 1 1 1", "0 1 1 3", "-2 -3 -1 -2",
           "3 2 1 1", "5 2 2 1", "10 1 1 0", "15 1 1 0")

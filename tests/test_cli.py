@@ -13,7 +13,7 @@ import pytest
 
 from markov_torus import cli as cli_module
 from markov_torus import construct as construct_module
-from markov_torus import partition
+from markov_torus import partition, walk
 from markov_torus.cli import (
     CELL_CAP_ENV,
     DEFAULT_ENUM_CAP,
@@ -31,9 +31,9 @@ from markov_torus.cli import (
 )
 from markov_torus.coding import CodingContext
 from markov_torus.construct import build_markov_construction
-from markov_torus.partition import WordVisitor, count_words, walk_words
 from markov_torus.sft import count_periodic
 from markov_torus.torus import Mat2Z, count_periodic_points, is_hyperbolic
+from markov_torus.walk import WordVisitor, count_words, walk_words
 
 GOLDEN = Path(__file__).parent / "golden"
 FIB = "1 1 1 0"
@@ -300,7 +300,7 @@ def test_render_refuses_a_figure_over_the_word_budget(capsys, monkeypatch, tmp_p
     def no_walk(*args):
         raise AssertionError("the word tree was walked")
 
-    monkeypatch.setattr(partition, "walk_words", no_walk)
+    monkeypatch.setattr(walk, "walk_words", no_walk)
     svg = tmp_path / "out.svg"
     code, out, err = run(capsys, "render", "--matrix", FIB, "--depth", "3", "--svg", str(svg))
     assert code == EXIT_FAIL and out == "" and not svg.exists()
@@ -349,7 +349,8 @@ def test_cell_cap_refuses_before_building(capsys, monkeypatch, argv):
     def no_table(*args):
         raise AssertionError("an overlap table was built")
 
-    monkeypatch.setattr(partition, "_int_overlaps", no_table)
+    for module in (partition, walk):
+        monkeypatch.setattr(module, "int_overlaps", no_table)
     monkeypatch.setenv(CELL_CAP_ENV, "16")
     code, out, err = run(capsys, argv[0], "--matrix", SEVENTEEN, *argv[1:])
     assert code == EXIT_FAIL and out == ""

@@ -12,8 +12,8 @@ from markov_torus.coding import (
     torus_dist_sq,
 )
 from markov_torus.exact import QuadReal
-from markov_torus.partition import InvariantError, partition_diam_sq
-from markov_torus.torus import Mat2Z
+from markov_torus.partition import partition_diam_sq
+from markov_torus.torus import InvariantError, Mat2Z
 from oracles import _closure_cells, _rect_contains_torus, closed_translate_meets
 
 FIB = Mat2Z(1, 1, 1, 0)

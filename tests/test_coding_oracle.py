@@ -17,12 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from markov_torus import coding, exact, partition, torus
+from markov_torus import basis, coding, exact, partition, torus
 from markov_torus.cli import _break_partition, main
 from markov_torus.coding import BoundaryAmbiguity, CodingContext, DecodeResult, SymbolicWord
 from markov_torus.construct import SignCase
-from markov_torus.partition import InvariantError, TorusPartition, locate
-from markov_torus.torus import Mat2Z
+from markov_torus.partition import TorusPartition, locate
+from markov_torus.torus import InvariantError, Mat2Z
 
 # one ladder matrix per sign case, and a wide refinement (N* = 42)
 MATRICES = {
@@ -336,13 +336,13 @@ def test_boundary_points_keep_their_types(name):
 
 def test_interior_encode_builds_no_field_element_per_iterate(monkeypatch):
     """Once the tables exist, an interior encode at depth 20 makes no more
-    ``exact._reduced`` calls, which every field element but the simplest
+    ``exact.reduced_surd`` calls, which every field element but the simplest
     goes through, than one at depth 5."""
     ctx = context("40 1 1 0")
     point = (Fraction(5, 17), Fraction(2, 13))
     ctx.encode(point, 20)  # builds the cover list and the entry lists
     calls = []
-    reduced = exact._reduced
+    reduced = exact.reduced_surd
 
     def counted(*args):
         calls.append(args)
@@ -350,8 +350,8 @@ def test_interior_encode_builds_no_field_element_per_iterate(monkeypatch):
 
     counts = []
     for depth in (5, 20):
-        for module in (exact, partition, torus):
-            monkeypatch.setattr(module, "_reduced", counted)
+        for module in (exact, basis, torus):
+            monkeypatch.setattr(module, "reduced_surd", counted)
         calls.clear()
         assert isinstance(ctx.encode(point, depth), SymbolicWord)
         counts.append(len(calls))
@@ -479,7 +479,7 @@ def test_closed_translates_match_the_field_scan(name):
     that tests each hit's closed boxes: every pair of cylinders of the
     admissible words of length 2, at offsets 0 and -1."""
     ctx = context(name)
-    succ = partition._step_successors(ctx.part)
+    succ = partition.step_successors(ctx.part)
     rects = [ctx.decode(SymbolicWord((i, j), offset)).rect
              for i in range(ctx.part.n) for j in succ[i] for offset in (0, -1)]
     for a in rects:

@@ -300,7 +300,7 @@ def test_build_refuses_a_refined_graph_with_parallel_edges(monkeypatch):
     """One entry of a factored row listed twice: two edges from each cell
     of that row to one cell keep the support of T·S but not the 0/1 graph.
     Each of the two distinct rows is checked."""
-    real_factored = construct._factored
+    real_factored = construct.factored
 
     def doubled(part, row):
         rows, row_of = real_factored(part)
@@ -309,7 +309,7 @@ def test_build_refuses_a_refined_graph_with_parallel_edges(monkeypatch):
         return rows, row_of
 
     for row in (0, 1):
-        monkeypatch.setattr(construct, "_factored", lambda part, row=row: doubled(part, row))
+        monkeypatch.setattr(construct, "factored", lambda part, row=row: doubled(part, row))
         with pytest.raises(InvariantError, match="composition rule"):
             build_markov_construction(FIB)
 

@@ -179,6 +179,37 @@ def test_encode_matches_expansions_for_generic_points(system):
         assert system.expansions(x, 24) == (system.encode(x, 24),)
 
 
+def _encode_per_digit(system, x, depth):
+    """Encode as it was written before it stepped one integer numerator:
+    one Fraction per digit."""
+    y, digits = x % 1, []
+    for k in range(depth):
+        scaled = y * system.base
+        digit = scaled.numerator // scaled.denominator
+        if scaled == digit:
+            return ExpansionAmbiguity(k, y, system.expansions(x, depth))
+        digits.append(digit)
+        y = scaled - digit
+    return tuple(digits)
+
+
+@pytest.mark.parametrize("base", range(2, 11))
+def test_encode_on_integers_equals_the_per_digit_fraction_loop(base):
+    """Digits, and an ambiguity's time, point and expansions, on seeded
+    points, base-n rationals of every level up to 6, and points outside
+    [0, 1)."""
+    system = MultiplicationSystem(base)
+    rng = random.Random(base)
+    adic = [Fraction(rng.randrange(base ** m), base ** m) for m in range(7) for _ in range(3)]
+    outside = [Fraction(-7, 3), Fraction(5, 2), Fraction(3), Fraction(-1, base ** 2)]
+    for x in random_rationals(base, 20) + adic + outside:
+        for depth in (1, 3, 12):
+            got, want = system.encode(x, depth), _encode_per_digit(system, x, depth)
+            assert got == want, (x, depth)
+            if isinstance(got, ExpansionAmbiguity):
+                assert type(got.point) is Fraction
+
+
 # -- the ill-definedness regression ---------------------------------------------------
 
 

@@ -13,7 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from markov_torus import basis as basis_module
 from markov_torus import partition
+from markov_torus.basis import EigenRect
 from markov_torus.cli import _break_partition
 from markov_torus.coding import CodingContext, SymbolicWord
 from markov_torus.construct import (
@@ -23,20 +25,18 @@ from markov_torus.construct import (
     conjugate_nonnegative,
 )
 from markov_torus.partition import (
-    EigenRect,
-    InvariantError,
     TorusPartition,
-    _step_successors,
     overlap_table,
     pullback_strips,
     refine,
-    strip_of,
+    step_successors,
+    strip_basis,
     strip_rect,
     transition_graph,
     translate_overlaps,
-    verify_translate_disjoint,
 )
-from markov_torus.torus import Mat2Z
+from markov_torus.torus import InvariantError, Mat2Z
+from markov_torus.walk import verify_translate_disjoint
 from oracles import _step_table
 
 # one ladder matrix per sign case
@@ -102,7 +102,7 @@ def test_step_tables_match_pair_scans(construction):
                 want = [comp for _, _, comp in
                         oracles.pair_translate_overlaps(part.frame, target, img)]
                 got = [strip_rect(part, strip) for strip in
-                       pullback_strips(part, [strip_of(part, box)], cur, prv)]
+                       pullback_strips(part, [strip_basis(part).strip(box)], cur, prv)]
                 if tag.startswith("refined"):
                     assert _ints(got) == _ints(want), (tag, cur, prv)
                 else:
@@ -227,7 +227,7 @@ def test_refined_forward_table_is_built_by_the_constructor(case, monkeypatch):
     _step_table(built.refined)
     assert scans == []
     ctx = CodingContext(built)
-    succ = _step_successors(built.refined)
+    succ = step_successors(built.refined)
     for i, row in enumerate(succ):
         for j in row:
             for k in succ[j]:
@@ -276,13 +276,13 @@ def test_boxes_acting_by_the_square_match_pair_scans(text):
         translates = {(i, q) for (i, _), entries in expected.items()
                       for q, _, _ in entries}
         assert len(translates) > len(movers), tag
-        basis = partition._strip_basis(square)
-        ints = partition._int_overlaps(square.frame, basis, basis.boxes,
+        basis = partition.strip_basis(square)
+        ints = partition.int_overlaps(square.frame, basis, basis.boxes,
                                        list(map(basis.strip, movers)))
         assert partition._decoded(basis, ints) == expected, tag
         graph = oracles.pair_transition_graph(square).matrix
         assert transition_graph(square).matrix == graph, tag
-        assert _step_successors(square) == \
+        assert step_successors(square) == \
             [[j for j, count in enumerate(row) if count] for row in graph], tag
         assert _step_table(square) == expected, tag
 
@@ -303,7 +303,7 @@ def test_a_lone_denominator_enters_the_grid(bound):
         assert overlap_table(part.frame, targets, movers) == \
             pair_table(part.frame, targets, movers)
     dented = replace(part, boxes=tuple(targets))
-    assert partition._strip_basis(dented).modulus % 7919 == 0
+    assert partition.strip_basis(dented).modulus % 7919 == 0
     assert verify_translate_disjoint(dented) == \
         oracles.pair_verify_translate_disjoint(dented)
     assert outcome(lambda: transition_graph(dented).matrix) == \
@@ -315,9 +315,9 @@ def test_scan_recheck_refuses_a_hit_outside_the_box(monkeypatch):
     the scan's re-check refuses them, in a single scan and in an overlap
     table."""
     part = base_partition(SignCase.PLUS_MINUS)
-    basis = partition._strip_basis(part)
-    floor = partition.floor_surd
-    monkeypatch.setattr(partition, "floor_surd", lambda *args: floor(*args) + 1)
+    basis = partition.strip_basis(part)
+    floor = basis_module.floor_surd
+    monkeypatch.setattr(basis_module, "floor_surd", lambda *args: floor(*args) + 1)
     with pytest.raises(InvariantError, match="lies outside the box"):
         partition.lattice_in_frame_box(part.frame, basis, basis.boxes[0])
     with pytest.raises(InvariantError, match="lies outside the box"):

@@ -9,22 +9,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from markov_torus import partition
+from markov_torus.basis import EigenRect, StripBasis
 from markov_torus.construct import build_markov_construction
 from markov_torus.exact import QuadReal
 from markov_torus.partition import (
     BoundaryHit,
-    CellAreaSum,
     CellHit,
-    EigenRect,
-    InvariantError,
-    NfoldCount,
-    StripBasis,
     lattice_in_frame_box,
     locate,
     partition_diam_sq,
     refine,
     refined_partition,
     transition_graph,
+)
+from markov_torus.torus import EigenFrame, InvariantError, Mat2Z, hyperbolic_check
+from markov_torus.walk import (
+    CellAreaSum,
+    NfoldCount,
     verify_areas,
     verify_boundary_alignment,
     verify_generator_decay,
@@ -32,7 +33,6 @@ from markov_torus.partition import (
     verify_translate_disjoint,
     walk_words,
 )
-from markov_torus.torus import EigenFrame, Mat2Z, hyperbolic_check
 from oracles import brute_lattice_in_frame_box, composition_graph, intersect
 
 FIB = Mat2Z(1, 1, 1, 0)          # negative contracting eigenvalue
@@ -134,7 +134,7 @@ def test_step_table_sweep_meets_entries_apart_in_w_order(monkeypatch, c_w, overl
 
     comps = [strip((1, 3), c_w), strip((5, 6), (1, 2)), strip((0, 2), (0, 10))]
     table = {(0, 0): [((k, 0), (0, 0, 0, 0), comp) for k, comp in enumerate(comps)]}
-    monkeypatch.setattr(partition, "_int_overlaps", lambda *args: table)
+    monkeypatch.setattr(partition, "int_overlaps", lambda *args: table)
     if overlaps:
         with pytest.raises(InvariantError, match="image strips overlap inside one cell"):
             transition_graph(part)
@@ -288,8 +288,8 @@ def test_refined_partition_shares_its_parents_basis(matrix):
     """The shared basis is the one its own boxes would build."""
     mc = build_markov_construction(matrix)
     refined, base = mc.refined, mc.base.partition
-    shared = partition._strip_basis(refined)
-    assert shared == dataclasses.replace(partition._strip_basis(base), boxes=shared.boxes)
+    shared = partition.strip_basis(refined)
+    assert shared == dataclasses.replace(partition.strip_basis(base), boxes=shared.boxes)
     built = StripBasis.build(refined.frame, refined.acting, refined.lam_act,
                              refined.mu_act, partition._bounds(refined.boxes))
     assert dataclasses.replace(built, boxes=tuple(map(built.strip, refined.boxes))) == shared
@@ -324,7 +324,7 @@ def test_the_build_reads_the_refined_graph_without_step_rows(matrix):
 
 @pytest.mark.parametrize("matrix", [FIB, -FIB_SQ, Mat2Z(5, 2, 2, 1)], ids=str)
 def test_refined_step_rows_intersect_no_boxes(monkeypatch, matrix):
-    """The rows are assembled, not met: no ``_meet`` runs for them."""
+    """The rows are assembled, not met: no ``meet`` runs for them."""
     base = build_markov_construction(matrix).base.partition
     refined = refined_partition(base)
     scanned = _scanned(refined)
@@ -332,7 +332,7 @@ def test_refined_step_rows_intersect_no_boxes(monkeypatch, matrix):
     def meet(basis, s, t):
         raise AssertionError("an intersection")
 
-    monkeypatch.setattr(partition, "_meet", meet)
+    monkeypatch.setattr(partition, "meet", meet)
     assert partition.step_rows(refined) == scanned
 
 
@@ -343,9 +343,9 @@ def test_a_refined_cell_outside_its_box_fails_the_nesting_check(matrix):
     cells' own bounds."""
     base = build_markov_construction(matrix).base.partition
     refined = refined_partition(base)
-    basis, k = partition._strip_basis(refined), refined.n - 1
+    basis, k = partition.strip_basis(refined), refined.n - 1
     j = refine(base)[k].symbols[1]
-    top = partition._strip_basis(base).boxes[j]
+    top = partition.strip_basis(base).boxes[j]
     hx, hy = top[6] - top[4], top[7] - top[5]
     box = basis.boxes[k]
     moved = box[:4] + (box[4] + hx, box[5] + hy, box[6] + hx, box[7] + hy)
@@ -361,7 +361,7 @@ def _with_parent_table(matrix, edit):
     base = build_markov_construction(matrix).base.partition
     refined = refined_partition(base)
     rows = [list(row) for row in partition.step_rows(base)]
-    edit(rows, partition._strip_basis(base))
+    edit(rows, partition.strip_basis(base))
     base.__dict__["_step_rows"] = rows
     return refined
 

@@ -36,6 +36,36 @@ st_graph = st.integers(min_value=2, max_value=4).flatmap(
 ).map(TransitionGraph)
 
 
+def test_shared_rows_read_as_their_copies():
+    """A refined graph's rows are references to two lists, each converted
+    once: the graph equals the one built from copies, from any iterable of
+    rows, rows made on the fly included."""
+    a, b = [1, 0, 1], [0, 1, 1]
+    shared = TransitionGraph([a, b, a])
+    assert shared == TransitionGraph([list(a), list(b), list(a)])
+    assert shared.matrix == ((1, 0, 1), (0, 1, 1), (1, 0, 1))
+    assert TransitionGraph(iter([a, b, a])) == shared
+    assert TransitionGraph([k, k + 1] for k in range(2)).matrix == ((0, 1), (1, 2))
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([], "transition matrix must be square and non-empty"),
+    ([[1, 1], [1]], "transition matrix must be square and non-empty"),
+    ([[1, 1, 0], [1, 0, 1]], "transition matrix must be square and non-empty"),
+    ([[1, -1], [1, 0]], "transition multiplicities must be non-negative"),
+], ids=["empty", "ragged", "wide", "negative"])
+def test_refuses_empty_non_square_and_negative_input(rows, message):
+    with pytest.raises(ValueError, match=message):
+        TransitionGraph(rows)
+
+
+def test_a_negative_entry_in_a_shared_row_is_refused():
+    shared = [1, -1]
+    for rows in ([shared, shared], [[0, 1], shared], [shared, [0, 1]]):
+        with pytest.raises(ValueError, match="multiplicities must be non-negative"):
+            TransitionGraph(rows)
+
+
 def test_fibonacci_block_counts():
     assert [count_blocks(FIB, n) for n in range(1, 6)] == [2, 3, 5, 8, 13]
 

@@ -25,32 +25,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from markov_torus import basis as basis_module
 from markov_torus import exact as exact_module
 from markov_torus import partition as partition_module
+from markov_torus.basis import EigenRect, StripBasis
 from markov_torus.cli import _break_partition
 from markov_torus.construct import SignCase, build_markov_construction
 from markov_torus.exact import QuadReal
 from markov_torus.partition import (
-    CellAreaSum,
-    EigenRect,
-    InvariantError,
-    NfoldCount,
-    StripBasis,
     TorusPartition,
-    _strip_basis,
     _strip_entries,
     advance_node,
     advance_strips,
     cylinder_components,
     pullback_strips,
-    refinement_cells_depth,
     step_rows,
-    strip_of,
+    strip_basis,
     strip_rect,
     transition_graph,
-    walk_words,
 )
-from markov_torus.torus import Mat2Z
+from markov_torus.torus import InvariantError, Mat2Z
+from markov_torus.walk import CellAreaSum, NfoldCount, refinement_cells_depth, walk_words
 from oracles import _step_table
 
 # one ladder matrix per sign case
@@ -109,21 +104,21 @@ def touching(box: EigenRect, clip: EigenRect):
 
 def advance(part: TorusPartition, boxes, cur: int, to: int):
     """``advance_strips`` on boxes: encoded, stepped and decoded."""
-    strips = advance_strips(part, [strip_of(part, box) for box in boxes], cur, to)
+    strips = advance_strips(part, [strip_basis(part).strip(box) for box in boxes], cur, to)
     return [strip_rect(part, strip) for strip in strips]
 
 
 def pullback(part: TorusPartition, boxes, cur: int, to: int):
     """``pullback_strips`` on boxes: encoded, stepped and decoded."""
-    strips = pullback_strips(part, [strip_of(part, box) for box in boxes], cur, to)
+    strips = pullback_strips(part, [strip_basis(part).strip(box) for box in boxes], cur, to)
     return [strip_rect(part, strip) for strip in strips]
 
 
 def assert_steps_match(part: TorusPartition, pieces, cur: int, tag):
-    strips = [strip_of(part, box) for box in pieces]
+    strips = [strip_basis(part).strip(box) for box in pieces]
     assert advance_node(part, strips, cur) == [
         advance_strips(part, strips, cur, to)
-        for to in partition_module._step_successors(part)[cur]], (tag, cur)
+        for to in partition_module.step_successors(part)[cur]], (tag, cur)
     for to in range(part.n):
         assert exact(advance(part, pieces, cur, to)) == \
             exact(oracles.advance_strips(part, pieces, cur, to)), (tag, cur, to)
@@ -221,8 +216,8 @@ def test_entry_lists_match_the_decoded_builder():
     for name, tag, part in parts:
         new = {forward: _strip_entries(part, forward) for forward in (True, False)}
         old = {forward: oracles.strip_entries(part, forward) for forward in (True, False)}
-        boxes, table = _strip_basis(part).boxes, step_rows(part)
-        succ = partition_module._step_successors(part)
+        boxes, table = strip_basis(part).boxes, step_rows(part)
+        succ = partition_module.step_successors(part)
         for forward in (True, False):
             lists, sides, *rest, keys = new[forward]
             old_entries, *old_rest = old[forward]
@@ -270,7 +265,7 @@ def test_step_rows_keep_the_order_their_readers_rely_on(matrix):
             assert keys == sorted(set(keys)), tag
         assert transition_graph(part).matrix == tuple(
             tuple(sum(entry[0] == j for entry in row) for j in range(part.n)) for row in rows)
-        assert partition_module._step_successors(part) == [
+        assert partition_module.step_successors(part) == [
             sorted({to for to, *_ in row}) for row in rows], tag
         assert [cell.symbols for cell in partition_module.refine(part)] == [
             (i, to) for i, row in enumerate(rows) for to, *_ in row], tag
@@ -294,7 +289,7 @@ def test_markov_steps_compare_nothing(matrix, monkeypatch):
     length 4 make no sign test.  The dented forms do make some, in both
     directions, so the count sees the general clip."""
     calls = []
-    sign = partition_module._sign
+    sign = basis_module.sign_surd
 
     def counting(*args):
         calls.append(args)
@@ -305,7 +300,7 @@ def test_markov_steps_compare_nothing(matrix, monkeypatch):
         words = admissible_words(part, 4)
         _strip_entries(part, True)
         _strip_entries(part, False)
-        monkeypatch.setattr(partition_module, "_sign", counting)
+        monkeypatch.setattr(basis_module, "sign_surd", counting)
         walk_words(part, [NfoldCount(1, 5)])
         forward, calls[:] = len(calls), []
         for word in words:
@@ -335,7 +330,7 @@ def test_change_of_basis_refuses_values_outside_the_module():
     they lie in its module: every bound goes to its pair and back, and
     1/(7Q) and an element of another field are refused."""
     part = form(MATRICES[SignCase.PLUS_MINUS], "refined")
-    basis = _strip_basis(part)
+    basis = strip_basis(part)
     for box in part.boxes:
         for x in (box.u_lo, box.u_hi, box.w_lo, box.w_hi):
             assert basis.value(*basis.pair(x)) == x
@@ -358,7 +353,7 @@ def test_strip_basis_round_trips_every_box_and_clip(case):
         boxes = list(part.boxes) + [
             clip for cur in range(part.n) for to in range(part.n)
             for forward in (True, False) for clip in clips(part, cur, to, forward)]
-        assert exact(strip_rect(part, strip_of(part, box)) for box in boxes) == \
+        assert exact(strip_rect(part, strip_basis(part).strip(box)) for box in boxes) == \
             exact(boxes), tag
 
 
@@ -368,10 +363,10 @@ def test_strip_basis_denominators():
     and its dented base partition needs 32 times the real one's Q."""
     matrix = MATRICES[SignCase.MINUS_MINUS]
     real, broken = form(matrix, "base"), form(matrix, "base-broken")
-    assert _strip_basis(real).d == 12
-    assert (_strip_basis(real).modulus, _strip_basis(broken).modulus) == (36, 1152)
+    assert strip_basis(real).d == 12
+    assert (strip_basis(real).modulus, strip_basis(broken).modulus) == (36, 1152)
     for part in (real, broken):
-        basis = _strip_basis(part)
+        basis = strip_basis(part)
         lam = QuadReal(Fraction(basis.a, basis.q), Fraction(basis.b, basis.q), basis.d)
         assert lam == part.lam_act
         assert part.mu_act == basis.t - lam and lam * part.mu_act == basis.delta
@@ -380,15 +375,15 @@ def test_strip_basis_denominators():
 def test_strip_of_refuses_bounds_outside_the_module():
     part = form(MATRICES[SignCase.PLUS_MINUS], "refined")
     box = part.boxes[0]
-    modulus = _strip_basis(part).modulus
+    modulus = strip_basis(part).modulus
     finer = box.u_lo + Fraction(1, 7 * modulus)  # 1/(7Q) is not (X + Y*lam)/Q
     assert finer < box.u_hi
     with pytest.raises(InvariantError, match="outside the strip module"):
-        strip_of(part, EigenRect(finer, box.u_hi, box.w_lo, box.w_hi))
+        strip_basis(part).strip(EigenRect(finer, box.u_hi, box.w_lo, box.w_hi))
     # a box of -2 -3 -1 -2 has bounds in Q(sqrt(12)), not in Q(sqrt(5))
     other = form(MATRICES[SignCase.MINUS_MINUS], "base").boxes[0]
     with pytest.raises(InvariantError, match="outside the strip module"):
-        strip_of(part, other)
+        strip_basis(part).strip(other)
 
 
 def test_strip_basis_checks_the_acting_eigenvalues():
@@ -396,7 +391,7 @@ def test_strip_basis_checks_the_acting_eigenvalues():
     wrong = TorusPartition(part.frame, part.acting, part.lam_act, -part.mu_act,
                            part.boxes, part.labels)
     with pytest.raises(InvariantError, match="do not solve"):
-        strip_of(wrong, part.boxes[0])
+        strip_basis(wrong).strip(part.boxes[0])
 
 
 def test_base_walk_builds_no_field_element(monkeypatch):

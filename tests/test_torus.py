@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from markov_torus.basis import StripBasis
 from markov_torus.exact import QuadReal
-from markov_torus.partition import StripBasis, _lattice_class
 from markov_torus.torus import (
     EigenFrame,
     InvariantError,
@@ -20,6 +20,7 @@ from markov_torus.torus import (
     hyperbolic_check,
     is_hyperbolic,
 )
+from markov_torus.walk import _lattice_class
 from oracles import brute_torus_periodic, float_eigen
 
 FIB = Mat2Z(1, 1, 1, 0)

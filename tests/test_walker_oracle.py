@@ -13,24 +13,22 @@ from collections import Counter
 import pytest
 
 import oracles
-from markov_torus import partition
+from markov_torus import partition, walk
 from markov_torus.cli import _break_partition
 from markov_torus.construct import SignCase, build_markov_construction
-from markov_torus.partition import (
+from markov_torus.partition import cylinder_components, transition_graph
+from markov_torus.torus import InvariantError, Mat2Z
+from markov_torus.walk import (
     CellAreaSum,
-    InvariantError,
     NfoldCount,
     WindowCheck,
     WordVisitor,
     count_words,
-    cylinder_components,
     refinement_cells_depth,
-    transition_graph,
     verify_generator_decay,
     verify_nfold_range,
     walk_words,
 )
-from markov_torus.torus import Mat2Z
 
 # one ladder matrix per sign case
 MATRICES = {
@@ -200,7 +198,7 @@ def _preorder(part, max_len):
     """The words of at most ``max_len`` symbols, in preorder, each with its
     strips stepped one ``advance_strips`` call per word from its parent's:
     the walk before nodes were stepped at once."""
-    succ = partition._step_successors(part)
+    succ = partition.step_successors(part)
     out = []
 
     def go(word, pieces):
@@ -210,7 +208,7 @@ def _preorder(part, max_len):
                 go(word + [nxt],
                    partition.advance_strips(part, pieces, word[-1], nxt) if pieces else [])
 
-    for sym, box in enumerate(partition._strip_basis(part).boxes):
+    for sym, box in enumerate(partition.strip_basis(part).boxes):
         go([sym], [box])
     return out
 
@@ -243,13 +241,13 @@ def test_walk_steps_each_inner_node_once(construction, monkeypatch):
     5)."""
     for tag, part in partitions(construction):
         steps = []
-        step = partition.advance_node
+        step = walk.advance_node
 
         def counted(part, strips, cur):
             steps.append(cur)
             return step(part, strips, cur)
 
-        monkeypatch.setattr(partition, "advance_node", counted)
+        monkeypatch.setattr(walk, "advance_node", counted)
         walk_words(part, [NfoldCount(1, 6)])
         monkeypatch.undo()
         inner = [word for word, pieces in _preorder(part, 6) if len(word) < 6 and pieces]
@@ -259,7 +257,7 @@ def test_walk_steps_each_inner_node_once(construction, monkeypatch):
 def test_walk_error_reaches_every_visitor(construction, monkeypatch):
     part = construction.base.partition
     steps = []
-    step = partition.advance_node
+    step = walk.advance_node
 
     def failing(*args):  # the second step of the walk fails
         steps.append(args)
@@ -267,7 +265,7 @@ def test_walk_error_reaches_every_visitor(construction, monkeypatch):
             raise InvariantError("step failed")
         return step(*args)
 
-    monkeypatch.setattr(partition, "advance_node", failing)
+    monkeypatch.setattr(walk, "advance_node", failing)
     visitors = [CellAreaSum(part, 2), WindowCheck(part, 1)]
     walk_words(part, visitors)
     assert len(steps) == 2
@@ -299,7 +297,7 @@ def test_forward_and_backward_tracking_agree(construction):
 def _words(part, length):
     """The words of one length that the walker visits, with or without
     pieces."""
-    succ = partition._step_successors(part)
+    succ = partition.step_successors(part)
     words = [(i,) for i in range(part.n)]
     for _ in range(length - 1):
         words = [word + (j,) for word in words for j in succ[word[-1]]]
