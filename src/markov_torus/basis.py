@@ -48,9 +48,6 @@ class EigenRect:
     def w_dim(self) -> QuadReal:
         return self.w_hi - self.w_lo
 
-    def translate(self, du: QuadReal, dw: QuadReal) -> "EigenRect":
-        return EigenRect(self.u_lo + du, self.u_hi + du, self.w_lo + dw, self.w_hi + dw)
-
     def scaled(self, ku: QuadReal, kw: QuadReal) -> "EigenRect":
         """Image under the diagonal map (u, w) -> (ku*u, kw*w); negative
         factors flip the interval order."""

@@ -18,7 +18,9 @@ fact:
    open parallelograms whose closures tile the torus.  When the contracting
    eigenvalue of the acting matrix is negative the cells are slid along the
    contracting line by an exact amount ``rho`` chosen so the contracting
-   boundary still maps into itself.
+   boundary still maps into itself.  The labelled vertices (o, a, b, ...)
+   are derived when first read, for reports and figures: no check reads
+   them, since the Markov property is one of the boxes.
 3. ``build_markov_construction`` -- the refinement of the partition by its
    image, whose cells are in bijection with the edges of the transition
    graph; the geometric transition multiplicities are asserted to equal the
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator
 
 from .basis import EigenRect
@@ -180,12 +183,17 @@ class CornerPoint:
 
 @dataclass(frozen=True)
 class BaseConstruction:
-    """The two-cell partition together with its defining data."""
+    """The two-cell partition together with its defining data.  The
+    labelled vertices, ``corners``, are derived from the frame and ``rho``
+    when first read, for reports and figures, and then kept."""
 
     partition: TorusPartition
     sign_case: SignCase
     rho: QuadReal  # contracting slide; zero unless sign_case.translated
-    corners: tuple[CornerPoint, ...]
+
+    @cached_property
+    def corners(self) -> tuple[CornerPoint, ...]:
+        return _corner_points(self.partition.frame, self.rho)
 
     def corner(self, name: str) -> CornerPoint:
         for point in self.corners:
@@ -289,7 +297,7 @@ def build_base_partition(model: Mat2Z, epsilon: int,
     total = verify_areas(part)
     if total != 1:
         raise InvariantError(f"cell areas sum to {total}, not 1")
-    return BaseConstruction(part, sign_case, rho, _corner_points(frame, rho))
+    return BaseConstruction(part, sign_case, rho)
 
 
 # -- independent transition count ---------------------------------------------------

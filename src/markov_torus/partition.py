@@ -384,15 +384,21 @@ def refined_partition(part: TorusPartition) -> TorusPartition:
     order.  A cell's label is its word ``i,j@-1`` in the labels of ``part``,
     plus ``#k`` for the k-th of several components of one word.  It records
     ``part`` as its parent, whose rows factor its own (:func:`step_rows`),
-    and shares its :class:`StripBasis`, with the components' strips as boxes."""
+    and shares its :class:`StripBasis`, with the components' strips as boxes.
+
+    The frame, acting matrix and eigenvalues are the parent's objects, taken
+    over by ``replace``: :meth:`TorusPartition.build` checked the eigenlines
+    and eigenvalues on them when it built ``part``, and a refinement changes
+    only the boxes, so deriving them again would check nothing new."""
     cells, strips = _refinement(part)
     labels = []
     for (i, j), group in itertools.groupby(cells, key=lambda cell: cell.symbols):
         word = f"{part.labels[i]},{part.labels[j]}@-1"
         count = len(list(group))
         labels += [word] if count == 1 else [f"{word}#{k}" for k in range(count)]
-    refined = TorusPartition.build(part.frame, part.acting,
-                                   (cell.rect for cell in cells), labels)
+    refined = replace(part, boxes=tuple(cell.rect for cell in cells), labels=tuple(labels))
+    if len(refined.labels) != refined.n:
+        raise InvariantError("need one label per refined cell")
     refined.__dict__.update(_parent=part, _strip_basis=replace(strip_basis(part), boxes=strips))
     return refined
 

@@ -235,8 +235,19 @@ class EigenFrame:
         return _solve(self.eig.v_lam, self.eig.v_mu, self.det, p)
 
     def to_plane(self, u: QuadReal, w: QuadReal) -> PlanePoint:
-        vl, vm = self.eig.v_lam, self.eig.v_mu
-        return (u * vl[0] + w * vm[0], u * vl[1] + w * vm[1])
+        """The plane point u*v_lam + w*v_mu, one reduction per coordinate:
+        each is a single numerator over u.q*w.q*q, cross-multiplied from
+        :attr:`_plane_ints`.  ``u`` and ``w`` are rational or in the frame's
+        field."""
+        d = self.eig.disc
+        if (u.b and u.d != d) or (w.b and w.d != d):
+            raise ValueError(f"frame coordinates outside Q(sqrt({d}))")
+        ua, ub, uq, wa, wb, wq = u.a, u.b, u.q, w.a, w.b, w.q
+        return tuple(
+            reduced_surd((ua * a1 + ub * b1 * d) * wq + (wa * a2 + wb * b2 * d) * uq,
+                         (ua * b1 + ub * a1) * wq + (wa * b2 + wb * a2) * uq,
+                         uq * wq * q, d)
+            for a1, b1, a2, b2, q in self._plane_ints)
 
     def lattice_frame(self, m: int, n: int) -> tuple[QuadReal, QuadReal]:
         (ua, ub, ua1, ub1, uq), (wa, wb, wa1, wb1, wq) = self._generator_ints
@@ -246,15 +257,27 @@ class EigenFrame:
 
     @cached_property
     def _generator_ints(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Per frame coordinate c, (a10, b10, a01, b01, q) with
-        c10 = (a10 + b10*sqrt(D)) / q and c01 = (a01 + b01*sqrt(D)) / q, so
-        that c10*m + c01*n is reduced once."""
-        out = []
-        for c10, c01 in ((self.u10, self.u01), (self.w10, self.w01)):
-            q = math.lcm(c10.q, c01.q)
-            k10, k01 = q // c10.q, q // c01.q
-            out.append((c10.a * k10, c10.b * k10, c01.a * k01, c01.b * k01, q))
-        return tuple(out)
+        """Per frame coordinate c, c10 and c01 over one denominator
+        (:func:`_over_one_q`), so that c10*m + c01*n is reduced once."""
+        return _over_one_q(((self.u10, self.u01), (self.w10, self.w01)))
+
+    @cached_property
+    def _plane_ints(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Per plane coordinate k, v_lam[k] and v_mu[k] over one denominator
+        (:func:`_over_one_q`), so that u*v_lam[k] + w*v_mu[k] is reduced
+        once."""
+        return _over_one_q(zip(self.eig.v_lam, self.eig.v_mu))
+
+
+def _over_one_q(pairs) -> tuple[tuple[int, ...], ...]:
+    """Per pair (x1, x2) of field elements, (a1, b1, a2, b2, q) with
+    x1 = (a1 + b1*sqrt(D)) / q and x2 = (a2 + b2*sqrt(D)) / q."""
+    out = []
+    for x1, x2 in pairs:
+        q = math.lcm(x1.q, x2.q)
+        k1, k2 = q // x1.q, q // x2.q
+        out.append((x1.a * k1, x1.b * k1, x2.a * k2, x2.b * k2, q))
+    return tuple(out)
 
 
 def _solve(vl: PlanePoint, vm: PlanePoint, det: QuadReal, p: PlanePoint):

@@ -336,7 +336,7 @@ def closed_translate_meets(frame, a, b):
         a.w_lo - b.w_hi,
         a.w_hi - b.w_lo,
     ):
-        if meets_closed(a, b.translate(du, dw)):
+        if meets_closed(a, translate(b, du, dw)):
             out.append(q)
     return out
 
@@ -417,7 +417,7 @@ def pair_translate_overlaps(frame, target, moving):
         target.w_lo - moving.w_hi,
         target.w_hi - moving.w_lo,
     ):
-        inter = intersect(target, moving.translate(*shift))
+        inter = intersect(target, translate(moving, *shift))
         if inter is not None:
             out.append((q, shift, inter))
     return out
@@ -763,7 +763,7 @@ def advance_strips(part: TorusPartition, pieces: Sequence[EigenRect], cur: int,
     for piece in pieces:
         img = part.phi_box(piece)
         for _, (du, dw), comp in entries:
-            hit = intersect(comp, img.translate(du, dw))
+            hit = intersect(comp, translate(img, du, dw))
             if hit is not None:
                 out.append(hit)
     return out
@@ -818,7 +818,7 @@ def strip_entries(part: TorusPartition, forward: bool):
         rows = entries[(i, j) if forward else (j, i)] = []
         for _, (du, dw), comp in overlaps:
             if forward:
-                clip, su, sw = phi_inv_box(part, comp.translate(-du, -dw)), du, dw
+                clip, su, sw = phi_inv_box(part, translate(comp, -du, -dw)), du, dw
             else:
                 clip, su, sw = comp, -du * lam, -dw * mu
             rows.append((*basis.strip(clip), *pair(su), *pair(sw)))
@@ -1218,7 +1218,7 @@ def cover_list(part: TorusPartition
             xs, ys = zip(*box.corners_plane(frame))
             x_lo, x_hi, y_lo, y_hi = min(xs), max(xs), min(ys), max(ys)
             cover.append([
-                ((m, n), box.translate(-qu, -qw))
+                ((m, n), translate(box, -qu, -qw))
                 for (m, n), (qu, qw) in grid_lattice_in_frame_box(
                     frame, box.u_lo - su_hi, box.u_hi - su_lo,
                     box.w_lo - sw_hi, box.w_hi - sw_lo,
@@ -1263,7 +1263,7 @@ def forward_rows(self) -> list[list[tuple[int, tuple, EigenRect]]]:
 
     def build():
         table = _step_table(self.part)
-        return [[(j, shift, comp.translate(-shift[0], -shift[1]))
+        return [[(j, shift, translate(comp, -shift[0], -shift[1]))
                  for j in row for _, shift, comp in table[i, j]]
                 for i, row in enumerate(step_successors(self.part))]
 
@@ -1401,6 +1401,12 @@ def intersect(a: EigenRect, b: EigenRect) -> EigenRect | None:
     if u_lo < u_hi and w_lo < w_hi:
         return EigenRect(u_lo, u_hi, w_lo, w_hi)
     return None
+
+
+def translate(rect: EigenRect, du: QuadReal, dw: QuadReal) -> EigenRect:
+    """The box moved by (du, dw) in frame coordinates: the box's method
+    before the package stopped moving boxes (it moves integer strips)."""
+    return EigenRect(rect.u_lo + du, rect.u_hi + du, rect.w_lo + dw, rect.w_hi + dw)
 
 
 def contains_frame(rect: EigenRect, u: QuadReal, w: QuadReal, closed: bool = False) -> bool:

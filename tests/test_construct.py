@@ -353,6 +353,22 @@ def test_refined_partition_is_the_constructed_refinement(matrix):
     assert rebuilt.boxes == mc.refined.boxes
     assert rebuilt.labels == mc.refined.labels
     assert len(set(rebuilt.labels)) == rebuilt.n
+    # the parent's eigen-data, checked once by its build, is taken over
+    assert all(getattr(rebuilt, name) is getattr(mc.base.partition, name)
+               for name in ("frame", "acting", "lam_act", "mu_act"))
+
+
+@pytest.mark.parametrize("matrix", LADDER + [Mat2Z(40, 1, 1, 0)], ids=str)
+def test_corners_are_derived_when_first_read(matrix):
+    """No check reads the labelled vertices, so the build leaves them out;
+    the first read derives them from the frame and the slide, and keeps
+    them."""
+    base = build_markov_construction(matrix).base
+    assert "corners" not in base.__dict__
+    corners = base.corners
+    assert [c.name for c in corners] == list(construct._CORNER_NAMES)
+    assert corners == construct._corner_points(base.partition.frame, base.rho)
+    assert base.corners is corners
 
 
 def random_unimodular(rng: random.Random) -> Mat2Z:

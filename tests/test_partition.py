@@ -33,7 +33,7 @@ from markov_torus.walk import (
     verify_translate_disjoint,
     walk_words,
 )
-from oracles import brute_lattice_in_frame_box, composition_graph, intersect
+from oracles import brute_lattice_in_frame_box, composition_graph, intersect, translate
 
 FIB = Mat2Z(1, 1, 1, 0)          # negative contracting eigenvalue
 FIB_SQ = Mat2Z(2, 1, 1, 1)       # both eigenvalues positive
@@ -83,7 +83,7 @@ def test_verifiers_detect_breakage(construction):
     part = construction.base.partition
     # slide one cell a little along the contracting direction: areas are
     # unchanged, so disjointness or boundary-edge coverage must now fail
-    nudged = part.boxes[0].translate(QuadReal(0), part.boxes[0].w_dim / 64)
+    nudged = translate(part.boxes[0], QuadReal(0), part.boxes[0].w_dim / 64)
     broken = part.__class__(
         part.frame, part.acting, part.lam_act, part.mu_act,
         (nudged,) + part.boxes[1:], part.labels,

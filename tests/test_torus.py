@@ -191,3 +191,34 @@ def test_lattice_frame_is_the_generators_combination(seed, m, n):
     got = frame.lattice_frame(m, n)
     want = (frame.u10 * m + frame.u01 * n, frame.w10 * m + frame.w01 * n)
     assert [(x.a, x.b, x.q, x.d) for x in got] == [(x.a, x.b, x.q, x.d) for x in want]
+
+
+def _seeded_elements(rng: random.Random, d: int) -> list[QuadReal]:
+    """Zero, purely rational elements (d = 0) and elements of Q(sqrt(d)),
+    with signed parts over unequal denominators."""
+    def part():
+        return Fraction(rng.randint(-60, 60), rng.randint(1, 40))
+    out = [QuadReal(0), QuadReal(Fraction(-7, 3)), QuadReal(part())]
+    while len(out) < 12:
+        irr = part()
+        if irr:
+            out.append(QuadReal(part(), irr, d))
+    return out
+
+
+@pytest.mark.parametrize("mat", [FIB, Mat2Z(3, 2, 1, 1), Mat2Z(-2, -3, -1, -2),
+                                 Mat2Z(40, 1, 1, 0)], ids=str)
+def test_to_plane_is_the_eigenvector_combination(mat):
+    """One reduction per coordinate gives u*v_lam + w*v_mu, integers and all:
+    on 3 2 1 1 v_lam.v_mu < 0, and on -2 -3 -1 -2 d = 12 is not squarefree."""
+    eig = hyperbolic_check(mat)
+    frame = EigenFrame.from_eigen(eig)
+    vl, vm = eig.v_lam, eig.v_mu
+    elements = _seeded_elements(random.Random(mat.a * 1000 + mat.b), eig.disc)
+    for u in elements:
+        for w in elements:
+            got = frame.to_plane(u, w)
+            want = (u * vl[0] + w * vm[0], u * vl[1] + w * vm[1])
+            assert [(x.a, x.b, x.q, x.d) for x in got] == [(x.a, x.b, x.q, x.d) for x in want]
+    with pytest.raises(ValueError, match="frame coordinates outside"):
+        frame.to_plane(QuadReal(1, 1, 7 if eig.disc != 7 else 11), QuadReal(0))
