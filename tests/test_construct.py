@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from markov_torus import construct
+from markov_torus.cli import DEFAULT_ENUM_CAP, _run_checks
 from markov_torus.construct import (
     BaseConstruction,
     ConjugationResult,
@@ -145,6 +146,20 @@ def test_every_small_hyperbolic_matrix_reduces():
         matrix = Mat2Z(*entries)
         if is_hyperbolic(matrix):
             conjugate_nonnegative(matrix).verify()
+            count += 1
+    assert count == 1336
+
+
+def test_every_small_hyperbolic_matrix_builds_and_verifies():
+    """Exhaustive over entries in [-9, 9], all four sign cases: every
+    construction builds, and every line of ``verify --depth 1`` passes: the
+    areas, the boundaries, the words to length 3 and the decay rows."""
+    count = 0
+    for entries in itertools.product(range(-9, 10), repeat=4):
+        matrix = Mat2Z(*entries)
+        if is_hyperbolic(matrix):
+            lines = _run_checks(build_markov_construction(matrix), 1, DEFAULT_ENUM_CAP, False)
+            assert [line for line in lines if not line["ok"]] == [], matrix
             count += 1
     assert count == 1336
 
