@@ -11,7 +11,9 @@ runs column by column over the box's plane x-extent, c*(u + w), each
 column's n-interval having exact integer floors for ends.  A point is a
 :class:`ModPoint`, its coordinates over one denominator k; the acting
 matrix moves its numerators, and its frame pairs over Q*k are a fixed
-integer map of them.  Nothing here knows about partitions.
+integer map of them.  Boxes are measured only here, in pairs too: area and
+squared diameter (:meth:`StripBasis.area`, :meth:`StripBasis.diam_sq`).
+Nothing here knows about partitions.
 """
 
 from __future__ import annotations
@@ -70,23 +72,6 @@ class EigenRect:
     def corners_plane(self, frame: EigenFrame):
         return tuple(frame.to_plane(u, w) for u, w in self.corners_frame())
 
-    def area(self, frame: EigenFrame) -> QuadReal:
-        return self.u_dim * self.w_dim * abs(frame.det)
-
-    def diam_sq(self, frame: EigenFrame) -> QuadReal:
-        """Exact squared diameter of the plane parallelogram image."""
-        return parallelogram_diam_sq(frame, self.u_dim, self.w_dim)
-
-
-def parallelogram_diam_sq(frame: EigenFrame, u_dim: QuadReal, w_dim: QuadReal) -> QuadReal:
-    """Squared diameter of a box with the given frame dimensions: the longer
-    of the two diagonals a +- b, a = u_dim*v_lam and b = w_dim*v_mu, whose
-    square is |a|^2 + |b|^2 + 2*|a.b|, decided exactly."""
-    vl, vm = frame.eig.v_lam, frame.eig.v_mu
-    ax, ay = vl[0] * u_dim, vl[1] * u_dim
-    bx, by = vm[0] * w_dim, vm[1] * w_dim
-    return ax * ax + ay * ay + bx * bx + by * by + 2 * abs(ax * bx + ay * by)
-
 
 def _rect(u_lo: QuadReal, u_hi: QuadReal, w_lo: QuadReal, w_hi: QuadReal
           ) -> EigenRect:
@@ -98,6 +83,11 @@ def _rect(u_lo: QuadReal, u_hi: QuadReal, w_lo: QuadReal, w_hi: QuadReal
 
 
 Strip = tuple[int, int, int, int, int, int, int, int]
+
+
+def widths(strip: Strip) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The u and w widths of a strip's box, two pairs."""
+    return (strip[2] - strip[0], strip[3] - strip[1]), (strip[6] - strip[4], strip[7] - strip[5])
 
 
 class ModPoint(NamedTuple):
@@ -144,6 +134,11 @@ class StripBasis:
     u = x*u10 + y*u01 and w = x*w10 + y*w01, with the generators' pairs
     ``lattice`` = (u10, u01, w10, w01).  ``columns`` holds what
     :meth:`scan` bounds its columns by.
+
+    ``plane`` holds per plane coordinate k the pairs (v_lam[k], v_mu[k])
+    over one denominator ``den``; ``norms``, |v_lam|^2, |v_mu|^2,
+    |v_lam.v_mu| and |det(v_lam, v_mu)| over den^2.  Boxes are measured
+    only by :meth:`area` and :meth:`diam_sq`, pairs over (Q*den)^2.
     """
 
     t: int
@@ -157,6 +152,9 @@ class StripBasis:
     frame_map: tuple[int, ...]
     lattice: tuple[int, ...]
     columns: tuple
+    den: int
+    plane: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
+    norms: tuple[tuple[int, int], ...]
 
     @classmethod
     def build(cls, frame: EigenFrame, acting: Mat2Z, lam: QuadReal, mu: QuadReal,
@@ -174,7 +172,7 @@ class StripBasis:
         modulus = 1
         for x in itertools.chain(values, gens):
             modulus = math.lcm(modulus, abs(lam.b) * x.q)
-        basis = cls(t, delta, lam.a, lam.b, lam.q, lam.d, modulus, (), (), (), ())
+        basis = cls(t, delta, lam.a, lam.b, lam.q, lam.d, modulus, (), (), (), (), 1, (), ())
         u10, u01, w10, w01 = map(basis.pair, gens)
         frame_map = ()
         for c10, c01 in ((u10, u01), (w10, w01)):
@@ -195,8 +193,21 @@ class StripBasis:
                 -sg * r * b, sg * p * b
             columns.append((kxa, kya, kxb, kyb, -(c10x * kxa + c10y * kya),
                             -(c10x * kxb + c10y * kyb), abs(norm) * q, basis.sign(p, r) < 0))
+        over = [basis.over(x) for x in (*frame.eig.v_lam, *frame.eig.v_mu)]
+        den = math.lcm(*(n for _, _, n in over))
+        vl0, vl1, vm0, vm1 = [(x * (den // n), y * (den // n)) for x, y, n in over]
+
+        def dot(e0, e1, f0, f1):
+            (x0, y0), (x1, y1) = basis.mul(e0, f0), basis.mul(e1, f1)
+            return x0 + x1, y0 + y1
+
+        # v_lam.v_mu, and det = v_lam[0]*v_mu[1] - v_lam[1]*v_mu[0], taken absolute
+        signed = dot(vl0, vl1, vm0, vm1), dot(vl0, vl1, vm1, (-vm0[0], -vm0[1]))
+        norms = (dot(vl0, vl1, vl0, vl1), dot(vm0, vm1, vm0, vm1),
+                 *(p if basis.sign(*p) >= 0 else (-p[0], -p[1]) for p in signed))
         return replace(basis, frame_map=frame_map, lattice=(*u10, *u01, *w10, *w01),
-                       columns=tuple(columns))
+                       columns=tuple(columns), den=den, plane=((vl0, vm0), (vl1, vm1)),
+                       norms=norms)
 
     def pair(self, x: QuadReal) -> tuple[int, int]:
         """The pair (X, Y) of x: :meth:`over`'s numerators brought to Q;
@@ -262,6 +273,26 @@ class StripBasis:
         the product of their denominators: :meth:`times` of e applied to f."""
         (e0, e1), (f0, f1) = e, f
         return e0 * f0 - self.delta * e1 * f1, e1 * f0 + (e0 + self.t * e1) * f1
+
+    def area(self, strip: Strip) -> tuple[int, int]:
+        """The plane area of a strip's box, its widths' product times
+        |det(v_lam, v_mu)|, as a pair over (Q*den)^2."""
+        return self.mul(self.mul(*widths(strip)), self.norms[3])
+
+    def diam_sq(self, du: tuple[int, int], dw: tuple[int, int]) -> tuple[int, int]:
+        """The squared diameter of a box of widths du, dw > 0, pairs over Q,
+        as a pair over (Q*den)^2: the longer of the two diagonals a +- b,
+        a = du*v_lam and b = dw*v_mu, whose square is |a|^2 + |b|^2 +
+        2*|a.b|, and |a.b| = du*dw*|v_lam.v_mu| as du, dw > 0."""
+        ll, mm, lm, _ = self.norms
+        mul = self.mul
+        (ax, ay), (bx, by), (cx, cy) = mul(mul(du, du), ll), mul(mul(dw, dw), mm), \
+            mul(mul(du, dw), lm)
+        return ax + bx + 2 * cx, ay + by + 2 * cy
+
+    def measure(self, pair: tuple[int, int]) -> QuadReal:
+        """The element of a pair over (Q*den)^2, an :meth:`area` or :meth:`diam_sq`."""
+        return self.value(*pair, (self.modulus * self.den) ** 2)
 
     def floor(self, big_x: int, big_y: int, den: int) -> int:
         """floor((X + Y*lam) / den), as floor(((X*q + Y*a) + Y*b*sqrt(d))

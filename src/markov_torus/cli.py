@@ -83,9 +83,9 @@ DEFAULT_ENUM_CAP = 8
 ENUM_CAP_ENV = "MARKOV_TORUS_MAX_DEPTH"
 
 # refined cells (N*) a build may have: on a 2-core host (Python 3.11) the build
-# takes 0.12 s at N* 3,200 and `construct` 0.4 and 0.6 s at N* 402 and 800, but
-# the first walk or decode still assembles about N*^2 refined row entries
-# (`decode` on N* 800 takes 5-8 s and 813 MB), so 800 stays
+# takes 0.12 s at N* 3,200 and `construct` 0.22 and 0.29 s at N* 402 and 800,
+# but the first walk or decode still assembles about N*^2 refined row entries
+# (`decode` on N* 800 takes 4.8-5.4 s and 813 MB), so 800 stays
 DEFAULT_CELL_CAP = 800
 CELL_CAP_ENV = "MARKOV_TORUS_MAX_CELLS"
 
@@ -390,7 +390,8 @@ def _run_checks(construction: MarkovConstruction, depth: int, cap: int,
     if inject_break:
         base_part = _break_partition(base_part)
         refined = _break_partition(refined)
-    # one walk of each word tree feeds every check that enumerates words
+    # one walk of each word tree feeds every check that enumerates words;
+    # the n-fold checks walk both trees to length 3 at every depth
     reach = min(depth, cap)
     top = max(3, reach)
     area_sums = {k: CellAreaSum(base_part, k) for k in range(2, reach + 1)}
@@ -402,10 +403,12 @@ def _run_checks(construction: MarkovConstruction, depth: int, cap: int,
         max_len = max(v.max_len for v in visitors)
         words = count_words(part, max_len)
         if words > WALK_WORD_BUDGET:
+            lower = all(count_words(p, 3) <= WALK_WORD_BUDGET for _, p, _ in walks)
             raise CliError(
                 f"--depth {depth} needs the {tree} word tree to length {max_len}: "
                 f"{words:,} words, over the budget of {WALK_WORD_BUDGET:,}; "
-                f"use a lower --depth")
+                + ("use a lower --depth" if lower else
+                   "no --depth fits, as every depth walks both trees to length 3"))
     for _, part, visitors in walks:
         walk_words(part, visitors)
     checks = [

@@ -17,12 +17,14 @@ symbols are the rows whose image box holds the stepped frame pairs
 (lam*u, mu*w) plus the row's shift (:func:`partition.forward_step`, cached
 per partition).  ``encode`` takes the one open hit; none means the
 iterate lies on a component's closure, and ``locate`` names the candidate
-cells.  ``preimage_report`` follows every closed hit of every
-representative, which finds the closed cylinders holding the point.  Neither
+cells (an iterate it finds inside a cell is a gap in the table, raised).
+``preimage_report`` follows every closed hit of every representative,
+which finds the closed cylinders holding the point.  Neither
 ``locate`` nor :meth:`DecodeResult.contains` scans a lattice: they test the
 translates of the partition's cover, per cell or bisected by w low.
 ``decode`` takes the centre, the squared diameter and the decay check in
-integer pairs too, over the plane forms of :func:`_plane_forms`.  The
+integer pairs too, over the strip basis's plane forms: the diameters are
+:meth:`StripBasis.diam_sq`, the cylinder's and the partition's.  The
 powers of the acting matrix that a window or a word's offset needs are
 cached on the partition per exponent.
 """
@@ -35,7 +37,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from .basis import EigenRect, ModPoint, Strip, side_image
+from .basis import EigenRect, ModPoint, Strip, side_image, widths
 from .construct import ConjugationResult, MarkovConstruction, build_markov_construction
 from .exact import QuadReal
 from .partition import (
@@ -52,6 +54,7 @@ from .partition import (
     cylinder_components,  # noqa: F401
     lattice_in_frame_box,  # noqa: F401
     locate,
+    partition_diam_pair,
     partition_diam_sq,
     step_successors,
     strip_basis,
@@ -261,7 +264,8 @@ class CodingContext:
         Only iterate -depth is located.  Each later iterate takes the one
         row of :func:`forward_step` whose open image holds the stepped
         point; two raise :class:`InvariantError` (cells overlap), none hands
-        the iterate to :func:`locate`."""
+        the iterate to :func:`locate`, and a cell it finds is a table gap,
+        raised the same way."""
         if depth < 0:
             raise ValueError("depth must be >= 0")
         part = self.part
@@ -279,15 +283,16 @@ class CodingContext:
                     if nxt is not None:
                         raise InvariantError(f"iterate {time} lies in two cells, {nxt} and {j}")
                     nxt, stepped = j, at
-            if nxt is not None:
-                cur, pairs = nxt, stepped
-            else:
-                # on a component's closure: name the candidates exactly
+            if nxt is None:
+                # on a component's closure: name the candidates exactly; an
+                # open hit there is a cell that the table's rows miss
                 y = basis.reduce(start.act(_acting_power(part, time + depth)))[0]
                 hit = locate(part, y)
-                if isinstance(hit, BoundaryHit):
-                    return BoundaryAmbiguity(time, basis.values(y), _cells(hit.candidates))
-                cur, pairs = hit.index, basis.frame(y.moved(*hit.translate))
+                if isinstance(hit, CellHit):
+                    raise InvariantError(f"iterate {time} lies in cell {hit.index}, which "
+                                         f"no step of cell {cur} reaches")
+                return BoundaryAmbiguity(time, basis.values(y), _cells(hit.candidates))
+            cur, pairs = nxt, stepped
             symbols.append(cur)
         word = SymbolicWord(tuple(symbols), -depth)
         succ = step_successors(part)
@@ -303,10 +308,10 @@ class CodingContext:
 
         All in the partition's strip basis: the cylinder's strip is scaled
         to time zero by integer factor-matrix powers; its centre, reduced
-        mod 1 by an integer floor, and its squared diameter are integer
-        pairs over the plane forms of :func:`_plane_forms`; and the decay
-        bound d(partition)^2 * mu^(2h) is checked against the diameter by
-        one sign test.  Field elements are built only for the result's
+        mod 1 by an integer floor, is an integer pair over the basis's plane
+        forms, and its squared diameter is :meth:`StripBasis.diam_sq`; and
+        the decay bound d(partition)^2 * mu^(2h) is checked against the
+        diameter by one sign test.  Field elements are built only for the result's
         fields.  Raises ``ValueError`` if the word leaves the symbol range
         or its cylinder is empty (the word is not admissible)."""
         part = self.part
@@ -324,29 +329,22 @@ class CodingContext:
         rect = (side_image(strip[:4], basis.times(lam), 0, 0, basis.sign(*lam) < 0)
                 + side_image(strip[4:], basis.times(mu), 0, 0, basis.sign(*mu) < 0))
         ulx, uly, uhx, uhy, wlx, wly, whx, why = rect
-        den, (vl, vm), (ll, mm, lm), diam = _plane_forms(part)
-        mul, big_q = basis.mul, basis.modulus
         # the centre: the frame midpoint, over 2*Q, mapped to the plane by
         # v_lam and v_mu, over 2*Q*den, and reduced mod 1
         cu, cw = (ulx + uhx, uly + uhy), (wlx + whx, wly + why)
-        center_den, center = 2 * big_q * den, []
-        for vl_c, vm_c in zip(vl, vm):
-            (x0, y0), (x1, y1) = mul(cu, vl_c), mul(cw, vm_c)
+        center_den, center = 2 * basis.modulus * basis.den, []
+        for vl, vm in basis.plane:
+            (x0, y0), (x1, y1) = basis.mul(cu, vl), basis.mul(cw, vm)
             cx, cy = x0 + x1, y0 + y1
             cx -= basis.floor(cx, cy, center_den) * center_den
             center.append(basis.value(cx, cy, center_den))
-        # the squared diameter |a|^2 + |b|^2 + 2|a.b| of a = du*v_lam and
-        # b = dw*v_mu, over (Q*den)^2: du, dw > 0, so |a.b| = du*dw*|v_lam.v_mu|
-        du, dw = (uhx - ulx, uhy - uly), (whx - wlx, why - wly)
-        (ax, ay), (bx, by), (cx, cy) = mul(mul(du, du), ll), mul(mul(dw, dw), mm), \
-            mul(mul(du, dw), lm)
-        dx, dy = ax + bx + 2 * cx, ay + by + 2 * cy
+        dx, dy = basis.diam_sq(*widths(rect))
         # a-priori decay bound from the shallower side of the window; for any
         # admissible word the mixed endpoint dimensions are dominated by the
         # dimensions of an actual cell, so the bound holds exactly
         half_depth = min(word.offset + len(word) - 1, -word.offset)
-        ex, ey = mul(basis.unit(False, 2 * half_depth), diam)  # over den^2
-        if basis.sign(ex * big_q * big_q - dx, ey * big_q * big_q - dy) < 0:
+        ex, ey = basis.mul(basis.unit(False, 2 * half_depth), partition_diam_pair(part))
+        if basis.sign(ex - dx, ey - dy) < 0:
             raise InvariantError(f"cylinder of {word} exceeds its decay bound")
         return DecodeResult(
             word=word,
@@ -354,8 +352,8 @@ class CodingContext:
             anchored=basis.rect(strip),
             rect=basis.rect(rect),
             center=tuple(center),
-            diam_sq=basis.value(dx, dy, (big_q * den) ** 2),
-            diameter_bound_sq=basis.value(ex, ey, den * den),
+            diam_sq=basis.measure((dx, dy)),
+            diameter_bound_sq=basis.measure((ex, ey)),
             anchored_strip=strip,
         )
 
@@ -456,33 +454,6 @@ def _acting_power(part: TorusPartition, n: int) -> Mat2Z:
     if power is None:
         power = powers[n] = part.acting ** n
     return power
-
-
-def _plane_forms(part: TorusPartition):
-    """``(den, (v_lam, v_mu), (ll, mm, lm), diam)``: what decode needs of
-    the plane in the partition's :class:`StripBasis`, over one denominator
-    ``den``.  v_lam and v_mu are their plane coordinates as pairs over den;
-    ll = |v_lam|^2, mm = |v_mu|^2 and lm = |v_lam.v_mu|, and ``diam`` the
-    partition's squared diameter (:func:`partition_diam_sq`), are pairs
-    over den^2.  Cached on the partition."""
-
-    def build():
-        basis, eig = strip_basis(part), part.frame.eig
-        over = [basis.over(x) for x in (*eig.v_lam, *eig.v_mu, partition_diam_sq(part))]
-        den = math.lcm(*(n for _, _, n in over))
-        vl0, vl1, vm0, vm1, (dx, dy) = [(x * (den // n), y * (den // n)) for x, y, n in over]
-        vl, vm = (vl0, vl1), (vm0, vm1)
-
-        def dot(e, f):
-            (x0, y0), (x1, y1) = basis.mul(e[0], f[0]), basis.mul(e[1], f[1])
-            return x0 + x1, y0 + y1
-
-        lm = dot(vl, vm)
-        if basis.sign(*lm) < 0:
-            lm = (-lm[0], -lm[1])
-        return den, (vl, vm), (dot(vl, vl), dot(vm, vm), lm), (dx * den, dy * den)
-
-    return cached(part, "_plane_forms", build)
 
 
 def torus_dist_sq(a, b) -> QuadReal:

@@ -470,8 +470,6 @@ def cf_expand(x: QuadReal) -> ContinuedFraction:
         terms.append(a)
         cur = (cur - a).inverse()
     start = seen[cur]
-    pre, per = terms[:start], terms[start:]
-    while pre and pre[-1] == per[-1]:
-        pre.pop()
-        per = [per[-1]] + per[:-1]
-    return ContinuedFraction(tuple(pre), tuple(per))
+    # canonical: equal last quotients of preperiod and period would make the
+    # state before the period a repeat of the period's last, ending the loop
+    return ContinuedFraction(tuple(terms[:start]), tuple(terms[start:]))

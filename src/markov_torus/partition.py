@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 from operator import itemgetter
 from typing import Iterable, Sequence
 
-from .basis import EigenRect, ModPoint, Strip, StripBasis, first_above, meet, side_image
+from .basis import EigenRect, ModPoint, Strip, StripBasis, first_above, meet, side_image, widths
 from .exact import QuadReal, sign_surd
 from .sft import TransitionGraph
 from .torus import EigenFrame, InvariantError, Mat2Z
@@ -466,7 +466,7 @@ def factored(part: TorusPartition) -> tuple[list[list[tuple]], Sequence[int]]:
     def build():
         parent, basis = part.__dict__["_parent"], strip_basis(part)
         cells, boxes, parents = _refinement(parent)[0], basis.boxes, strip_basis(parent).boxes
-        fw, flip_w, mul = basis.factor(True, False), part.mu_act.sign() < 0, basis.mul
+        fw, flip_w, area = basis.factor(True, False), part.mu_act.sign() < 0, basis.area
         seconds = [cell.symbols[1] for cell in cells]
         for k, (j, box) in enumerate(zip(seconds, boxes)):
             if box[:4] != parents[j][:4] or not basis.inside(box[4:], parents[j][4:]):
@@ -475,13 +475,12 @@ def factored(part: TorusPartition) -> tuple[list[list[tuple]], Sequence[int]]:
         steps = []
         for j, (box, row) in enumerate(zip(parents, step_rows(parent))):
             wlx, wly, whx, why = side_image(box[4:], fw, 0, 0, flip_w)
-            left = mul((box[2] - box[0], box[3] - box[1]), (box[6] - box[4], box[7] - box[5]))
+            left = area(box)
             for b, q, (_, _, swx, swy), comp in row:
                 if comp != parents[b][:4] + (wlx + swx, wly + swy, whx + swx, why + swy):
                     raise InvariantError(f"parent step {(j, b)} at {q} does not cross box({b})")
-                area = mul((comp[2] - comp[0], comp[3] - comp[1]),
-                           (comp[6] - comp[4], comp[7] - comp[5]))
-                left = (left[0] - area[0], left[1] - area[1])
+                piece = area(comp)
+                left = (left[0] - piece[0], left[1] - piece[1])
             if left != (0, 0):
                 raise InvariantError(f"the steps of parent cell {j} miss part of its area")
             steps.append(sorted((cell_of[(j, b), comp], q, shift) for b, q, shift, comp in row))
@@ -713,9 +712,19 @@ def cylinder_strips(part: TorusPartition, word: Sequence[int]) -> list[Strip]:
 
 
 def partition_diam_sq(part: TorusPartition) -> QuadReal:
-    """Exact squared diameter of the partition (largest cell diameter),
-    cached on the partition."""
-    return cached(part, "_diam_sq",
-                  lambda: max(box.diam_sq(part.frame) for box in part.boxes))
+    """Exact squared diameter of the partition (largest cell diameter):
+    :func:`partition_diam_pair`, decoded."""
+    return strip_basis(part).measure(partition_diam_pair(part))
+
+
+def partition_diam_pair(part: TorusPartition) -> tuple[int, int]:
+    """The largest :meth:`StripBasis.diam_sq` of the partition's boxes, a
+    pair over (Q*den)^2, cached on the partition."""
+
+    def build():
+        basis = strip_basis(part)
+        return max((basis.diam_sq(*widths(box)) for box in basis.boxes), key=basis.order())
+
+    return cached(part, "_diam_pair", build)
 
 

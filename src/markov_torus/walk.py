@@ -19,14 +19,14 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .basis import Strip, parallelogram_diam_sq, side_image
+from .basis import Strip, side_image, widths
 from .exact import QuadReal
 from .partition import (
     RefinementCell,
     TorusPartition,
     advance_node,
     int_overlaps,
-    partition_diam_sq,
+    partition_diam_pair,
     step_successors,
     strip_basis,
 )
@@ -189,33 +189,26 @@ class _DepthCells(WordVisitor):
 class CellAreaSum(WordVisitor):
     """Number and exact total area of the cells of the depth-fold refinement
     (those of :func:`refinement_cells_depth`), summed as the walk reaches
-    them; ``result()`` is ``(cells, area)``.  The strips' width products are
-    summed in Z[lam] over the modulus squared and decoded once."""
+    them; ``result()`` is ``(cells, area)``.  The strips' areas
+    (:meth:`StripBasis.area`) are summed as pairs and decoded once."""
 
     def __init__(self, part: TorusPartition, depth: int):
         if depth < 1:
             raise ValueError("depth must be >= 1")
-        self.frame = part.frame
         self.basis = strip_basis(part)
         self.max_len = depth + 1
         self.cells = 0
         self.sum = (0, 0)
 
     def visit(self, word, strips):
-        if len(word) == self.max_len and strips:
-            t, delta = self.basis.t, self.basis.delta
-            big_a, big_b = self.sum
-            for ulx, uly, uhx, uhy, wlx, wly, whx, why in strips:
-                ux, uy, wx, wy = uhx - ulx, uhy - uly, whx - wlx, why - wly
-                # lam^2 = t*lam - delta
-                big_a += ux * wx - delta * uy * wy
-                big_b += ux * wy + uy * wx + t * uy * wy
+        if len(word) == self.max_len:
+            for strip in strips:
+                a, b = self.basis.area(strip)
+                self.sum = (self.sum[0] + a, self.sum[1] + b)
             self.cells += len(strips)
-            self.sum = (big_a, big_b)
 
     def _value(self) -> tuple[int, QuadReal]:
-        dims = self.basis.value(*self.sum) / self.basis.modulus
-        return self.cells, dims * abs(self.frame.det)
+        return self.cells, self.basis.measure(self.sum)
 
 
 # -- verifiers -----------------------------------------------------------------------
@@ -237,11 +230,11 @@ def verify_translate_disjoint(part: TorusPartition) -> list[tuple[int, int, tupl
 
 
 def verify_areas(part: TorusPartition) -> QuadReal:
-    """Exact total area of the cells; equals 1 for a genuine partition."""
-    total = QuadReal(0)
-    for box in part.boxes:
-        total = total + box.area(part.frame)
-    return total
+    """Exact total area of the cells, equal to 1 for a genuine partition:
+    their :meth:`StripBasis.area` pairs, summed and decoded once."""
+    basis = strip_basis(part)
+    areas = [basis.area(strip) for strip in basis.boxes]
+    return basis.measure((sum(a for a, _ in areas), sum(b for _, b in areas)))
 
 
 @dataclass(frozen=True)
@@ -430,15 +423,14 @@ class WindowCheck(WordVisitor):
         # per word length 2n+1 its w width times mu^(2n), one integer matrix
         # step per factor mu
         basis = strip_basis(part)
-        self.u_dims = [(uhx - ulx, uhy - uly) for ulx, uly, uhx, uhy, *_ in basis.boxes]
+        self.u_dims, w_dims = zip(*map(widths, basis.boxes))
         m00, m01, m10, m11 = basis.factor(True, False)
-        widths = [(whx - wlx, why - wly) for *_, wlx, wly, whx, why in basis.boxes]
         # word length -> per first symbol
         self.w_dims: dict[int, list[tuple[int, int]]] = {}
         for n in range(1, up_to + 1):
             for _ in range(2):
-                widths = [(m00 * x + m01 * y, m10 * x + m11 * y) for x, y in widths]
-            self.w_dims[2 * n + 1] = widths
+                w_dims = [(m00 * x + m01 * y, m10 * x + m11 * y) for x, y in w_dims]
+            self.w_dims[2 * n + 1] = w_dims
         self.failure: tuple[int, str] | None = None  # (word length, message)
 
     def visit(self, word, strips):
@@ -488,35 +480,30 @@ def verify_generator_decay(part: TorusPartition, depth: int,
         windows = WindowCheck(part, max(0, min(depth, 2)))
         walk_words(part, [windows])
     windows.result()
-    frame, boxes = part.frame, part.boxes
-    mu_abs = abs(part.mu_act)
-    d_sq = partition_diam_sq(part)
+    basis = strip_basis(part)
+    key, dims = basis.order(), [widths(box) for box in basis.boxes]
+    d_sq = partition_diam_pair(part)
     two_steps = [{k for j in row for k in succ[j]} for row in succ]
     reach = [{i} for i in range(part.n)]  # endpoints reachable in 2n steps
     # at a fixed w_dim the diameter grows with u_dim, so per first symbol
     # only the widest reachable last symbol can give the maximum
-    widest = sorted(range(part.n), key=lambda j: boxes[j].u_dim, reverse=True)
-    # diam_sq(u*m, w*m) = m^2 * diam_sq(u, w): one diameter per endpoint pair
-    pair_sq: dict[tuple[int, int], QuadReal] = {}
-    mu_n = QuadReal(1)
+    widest = sorted(range(part.n), key=lambda j: key(dims[j][0]), reverse=True)
+    # diam_sq(u*m, w*m) = m^2 * diam_sq(u, w): a pair's diameter at n = 0,
+    # scaled by mu^(2n)
     rows = []
     for n in range(0, depth + 1):
         if n:
             reach = [set().union(*(two_steps[k] for k in row)) for row in reach]
-            mu_n = mu_n * mu_abs
         cands = []
         for i, ends in enumerate(reach):
             j = next((j for j in widest if j in ends), None)
             if j is None:
                 continue
-            cand = pair_sq.get((i, j))
-            if cand is None:
-                cand = pair_sq[i, j] = parallelogram_diam_sq(
-                    frame, boxes[j].u_dim, boxes[i].w_dim)
-            cands.append(cand)
+            cands.append(basis.diam_sq(dims[j][0], dims[i][1]))
         if not cands:
             raise InvariantError("no endpoint pair is reachable")
-        mu_sq = mu_n * mu_n
-        rows.append(DecayRow(n, d_sq * mu_sq, mu_sq * max(cands),
+        mu_sq = basis.unit(False, 2 * n)  # mu^(2n) = |mu|^(2n), a pair over 1
+        bound, measured = (basis.mul(x, mu_sq) for x in (d_sq, max(cands, key=key)))
+        rows.append(DecayRow(n, basis.measure(bound), basis.measure(measured),
                              0 < n <= windows.up_to))
     return rows

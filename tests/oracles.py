@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from markov_torus.basis import EigenRect, parallelogram_diam_sq
+from markov_torus.basis import EigenRect
 from markov_torus.coding import (
     BoundaryAmbiguity,
     DecodeResult,
@@ -902,6 +902,38 @@ def verify_nfold_range(part: TorusPartition, min_len: int, max_len: int,
     }
 
 
+# -- box measures in field elements ----------------------------------------------
+
+# The package measures a box only in integer pairs of its strip basis
+# (StripBasis.area and StripBasis.diam_sq); these are the field-element
+# formulas it used before, kept verbatim as the reference.
+
+
+def parallelogram_diam_sq(frame: EigenFrame, u_dim: QuadReal, w_dim: QuadReal) -> QuadReal:
+    """Squared diameter of a box with the given frame dimensions: the longer
+    of the two diagonals a +- b, a = u_dim*v_lam and b = w_dim*v_mu, whose
+    square is |a|^2 + |b|^2 + 2*|a.b|, decided exactly."""
+    vl, vm = frame.eig.v_lam, frame.eig.v_mu
+    ax, ay = vl[0] * u_dim, vl[1] * u_dim
+    bx, by = vm[0] * w_dim, vm[1] * w_dim
+    return ax * ax + ay * ay + bx * bx + by * by + 2 * abs(ax * bx + ay * by)
+
+
+def rect_area(rect: EigenRect, frame: EigenFrame) -> QuadReal:
+    """Plane area of a frame box: its dimensions times |det(v_lam, v_mu)|."""
+    return rect.u_dim * rect.w_dim * abs(frame.det)
+
+
+def rect_diam_sq(rect: EigenRect, frame: EigenFrame) -> QuadReal:
+    """Exact squared diameter of the plane parallelogram image of a box."""
+    return parallelogram_diam_sq(frame, rect.u_dim, rect.w_dim)
+
+
+def field_diam_sq(part: TorusPartition) -> QuadReal:
+    """Squared diameter of a partition: the largest cell's."""
+    return max(rect_diam_sq(box, part.frame) for box in part.boxes)
+
+
 def verify_generator_decay(part: TorusPartition, depth: int,
                            enumerate_up_to: int = 2) -> list[DecayRow]:
     """Diameters of symmetric refinements W_n = join of phi^-k R, |k| <= n.
@@ -925,7 +957,7 @@ def verify_generator_decay(part: TorusPartition, depth: int,
     frame = part.frame
     mu_abs = abs(part.mu_act)
     lam_abs = abs(part.lam_act)
-    d_sq = partition_diam_sq(part)
+    d_sq = field_diam_sq(part)
     succ = [
         [j for j in range(part.n) if graph.matrix[i][j] > 0] for i in range(part.n)
     ]
@@ -1022,7 +1054,7 @@ def verify_generator_decay_per_row(part: TorusPartition, depth: int,
     windows.result()
     frame = part.frame
     mu_abs = abs(part.mu_act)
-    d_sq = partition_diam_sq(part)
+    d_sq = field_diam_sq(part)
     two_steps = [{k for j in row for k in succ[j]} for row in succ]
     reach = [{i} for i in range(part.n)]  # endpoints reachable in 2n steps
     mu_n = QuadReal(1)
@@ -1353,7 +1385,7 @@ def quad_decode(self, word: SymbolicWord) -> DecodeResult:
     cu = (rect.u_lo + rect.u_hi) / 2
     cw = (rect.w_lo + rect.w_hi) / 2
     cx, cy = self.frame.to_plane(cu, cw)
-    diam_sq = rect.diam_sq(self.frame)
+    diam_sq = rect_diam_sq(rect, self.frame)
     # a-priori decay bound from the shallower side of the window; for any
     # admissible word the mixed endpoint dimensions are dominated by the
     # dimensions of an actual cell, so the bound holds exactly

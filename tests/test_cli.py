@@ -745,6 +745,18 @@ def test_verify_refuses_a_walk_over_the_word_budget(capsys):
     assert "lower --depth" in err
 
 
+@pytest.mark.parametrize("matrix, depth", [("200 1 1 0", "1"), ("100 1 1 0", "0")])
+def test_verify_refusal_offers_no_depth_when_none_fits(capsys, matrix, depth):
+    """Every depth walks both word trees to length 3, which here already
+    exceeds the budget: one error line, and no lower depth offered."""
+    code, out, err = run(capsys, "verify", "--matrix", matrix, "--depth", depth)
+    assert code == EXIT_FAIL
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "no --depth fits" in err
+    assert "lower --depth" not in err
+
+
 class _Words(WordVisitor):
     def __init__(self, max_len):
         self.max_len = max_len

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from markov_torus import coding
 from markov_torus.coding import (
     BoundaryAmbiguity,
     CodingContext,
@@ -14,7 +15,7 @@ from markov_torus.coding import (
 from markov_torus.exact import QuadReal
 from markov_torus.partition import partition_diam_sq
 from markov_torus.torus import InvariantError, Mat2Z
-from oracles import _closure_cells, _rect_contains_torus, closed_translate_meets
+from oracles import _closure_cells, _rect_contains_torus, closed_translate_meets, rect_diam_sq
 
 FIB = Mat2Z(1, 1, 1, 0)
 
@@ -337,6 +338,21 @@ def test_decode_forward_only_word_is_a_vertical_strip(ctx):
     assert res.rect.u_dim < first.u_dim
 
 
+def test_encode_raises_on_a_step_table_gap(monkeypatch):
+    """With the hit dropped from every forward step, iterate -1 reaches
+    locate inside a cell: a gap in the table, which encode raises, naming
+    the iterate, the cell and the cell it stepped from."""
+    ctx = CodingContext.from_matrix(Mat2Z(2, 1, 1, 1))
+    point = (Fraction(1, 3), Fraction(1, 7))
+    symbols = ctx.encode(point, 2).symbols
+    step = coding.forward_step(ctx.part)
+    monkeypatch.setattr(coding, "forward_step", lambda part: lambda cur, pairs, k: [
+        hit for hit in step(cur, pairs, k) if hit[2] == 0])
+    message = f"iterate -1 lies in cell {symbols[1]}, which no step of cell {symbols[0]} reaches"
+    with pytest.raises(InvariantError, match=message):
+        ctx.encode(point, 2)
+
+
 def test_decode_diameter_takes_the_absolute_axis_product():
     # on 3 2 1 1 the frame's eigenvectors meet at an obtuse angle
     # (v_lam.v_mu < 0), so the longer diagonal needs |v_lam.v_mu|
@@ -345,7 +361,7 @@ def test_decode_diameter_takes_the_absolute_axis_product():
     words += [ctx.encode(p, 3) for p in rational_points(71, 4)]
     for word in words:
         res = ctx.decode(word)
-        assert res.diam_sq == res.rect.diam_sq(ctx.frame)
+        assert res.diam_sq == rect_diam_sq(res.rect, ctx.frame)
 
 
 # -- exact torus distance -----------------------------------------------------------

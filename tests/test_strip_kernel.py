@@ -424,7 +424,7 @@ def test_cell_area_sums_match_decoded_cells(case):
             cells = refinement_cells_depth(part, depth)
             total = QuadReal(0)
             for cell in cells:
-                total = total + cell.rect.area(part.frame)
+                total = total + oracles.rect_area(cell.rect, part.frame)
             cells_got, area = sums.result()
             assert (cells_got, ints(area)) == (len(cells), ints(total)), (tag, depth)
 
