@@ -64,7 +64,7 @@ def _battery() -> list[list[str]]:
                      ["encode", *m, "--point", POINT, "--depth", "2"],
                      ["encode", *m, "--point", "0 0", "--depth", "2"],
                      ["decode", *m, "--word", word, "--point", POINT],
-                     ["periodic", *m]):
+                     ["periodic", *m, "--depth", "12"]):
             runs += [argv, argv + ["--json"]]
     runs += [["render", "--matrix", matrix] for matrix in ("1 1 1 0", "-2 3 1 -2")]
     runs += [["multmap", *form, *json_out] for form in MULTMAP for json_out in ([], ["--json"])]

@@ -403,11 +403,11 @@ def _run_checks(construction: MarkovConstruction, depth: int, cap: int,
         max_len = max(v.max_len for v in visitors)
         words = count_words(part, max_len)
         if words > WALK_WORD_BUDGET:
-            lower = all(count_words(p, 3) <= WALK_WORD_BUDGET for _, p, _ in walks)
+            lower_fits = all(count_words(p, 3) <= WALK_WORD_BUDGET for _, p, _ in walks)
             raise CliError(
                 f"--depth {depth} needs the {tree} word tree to length {max_len}: "
                 f"{words:,} words, over the budget of {WALK_WORD_BUDGET:,}; "
-                + ("use a lower --depth" if lower else
+                + ("use a lower --depth" if lower_fits else
                    "no --depth fits, as every depth walks both trees to length 3"))
     for _, part, visitors in walks:
         walk_words(part, visitors)

@@ -402,12 +402,13 @@ def test_decay_bound_failure_matches_the_field_decode(name):
     integer decode raises the field decode's error, message included, for
     each one-symbol word and for an encoded word at three offsets."""
     ctx = CodingContext.from_matrix(MATRICES[name])  # a fresh partition
-    part, strips = ctx.part, partition.strip_basis(ctx.part)
-    smallest = min((strips.diam_sq(*basis.widths(s)) for s in strips.boxes), key=strips.order())
-    assert strips.measure(smallest) == min(oracles.rect_diam_sq(box, ctx.frame)
-                                           for box in part.boxes)
+    part = ctx.part
+    pairs = partition.strip_basis(part)
+    smallest = min((pairs.diam_sq(*basis.widths(s)) for s in pairs.boxes), key=pairs.order())
+    assert pairs.measure(smallest) == min(oracles.rect_diam_sq(box, ctx.frame)
+                                          for box in part.boxes)
     # below the smallest cell's: times mu^2
-    object.__setattr__(part, "_diam_pair", strips.mul(smallest, strips.unit(False, 2)))
+    object.__setattr__(part, "_diam_pair", pairs.mul(smallest, pairs.unit(False, 2)))
     word = ctx.encode((Fraction(5, 17), Fraction(2, 13)), 1)
     words = [SymbolicWord((i,), 0) for i in range(part.n)]
     words += [SymbolicWord(word.symbols, offset) for offset in (word.offset, 0, 2)]
