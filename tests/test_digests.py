@@ -17,9 +17,11 @@ def _recorder():
     return module
 
 
+recorder = _recorder()
+recorded = json.loads(recorder.DIGESTS.read_text(encoding="utf-8"))
+
+
 def test_battery_outputs_match_the_recorded_digests():
-    recorder = _recorder()
-    recorded = json.loads(recorder.DIGESTS.read_text(encoding="utf-8"))
     assert sorted(recorded) == sorted(map(recorder.key, recorder.BATTERY))
     moved = [key for key, got in ((recorder.key(argv), recorder.run(argv))
                                   for argv in recorder.BATTERY)
@@ -28,7 +30,5 @@ def test_battery_outputs_match_the_recorded_digests():
 
 
 def test_every_inject_break_run_fails():
-    recorder = _recorder()
-    recorded = json.loads(recorder.DIGESTS.read_text(encoding="utf-8"))
     broken = [key for key in recorded if "--inject-break" in key]
     assert broken and all(recorded[key]["exit"] == 1 for key in broken)
