@@ -11,9 +11,8 @@ runs column by column over the box's plane x-extent, c*(u + w), each
 column's n-interval having exact integer floors for ends.  A point is a
 :class:`ModPoint`, its coordinates over one denominator k; the acting
 matrix moves its numerators, and its frame pairs over Q*k are a fixed
-integer map of them.  Boxes are measured only here, in pairs too: area and
-squared diameter (:meth:`StripBasis.area`, :meth:`StripBasis.diam_sq`).
-Nothing here knows about partitions.
+integer map of them.  Areas and squared diameters are measured only here,
+in pairs too.  Nothing here knows about partitions.
 """
 
 from __future__ import annotations
@@ -133,12 +132,9 @@ class StripBasis:
     :class:`ModPoint`'s numerators over k to its frame pairs over Q*k:
     u = x*u10 + y*u01 and w = x*w10 + y*w01, with the generators' pairs
     ``lattice`` = (u10, u01, w10, w01).  ``columns`` holds what
-    :meth:`scan` bounds its columns by.
-
-    ``plane`` holds per plane coordinate k the pairs (v_lam[k], v_mu[k])
-    over one denominator ``den``; ``norms``, |v_lam|^2, |v_mu|^2,
-    |v_lam.v_mu| and |det(v_lam, v_mu)| over den^2.  Boxes are measured
-    only by :meth:`area` and :meth:`diam_sq`, pairs over (Q*den)^2.
+    :meth:`scan` bounds its columns by.  Boxes are measured only by
+    :meth:`area` and :meth:`diam_sq`, pairs that :meth:`area_value` and
+    :meth:`diam_sq_value` decode with the plane of ``eigenframe``.
     """
 
     t: int
@@ -152,9 +148,7 @@ class StripBasis:
     frame_map: tuple[int, ...]
     lattice: tuple[int, ...]
     columns: tuple
-    den: int
-    plane: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
-    norms: tuple[tuple[int, int], ...]
+    eigenframe: EigenFrame
 
     @classmethod
     def build(cls, frame: EigenFrame, acting: Mat2Z, lam: QuadReal, mu: QuadReal,
@@ -172,7 +166,7 @@ class StripBasis:
         modulus = 1
         for x in itertools.chain(values, gens):
             modulus = math.lcm(modulus, abs(lam.b) * x.q)
-        basis = cls(t, delta, lam.a, lam.b, lam.q, lam.d, modulus, (), (), (), (), 1, (), ())
+        basis = cls(t, delta, lam.a, lam.b, lam.q, lam.d, modulus, (), (), (), (), frame)
         u10, u01, w10, w01 = map(basis.pair, gens)
         frame_map = ()
         for c10, c01 in ((u10, u01), (w10, w01)):
@@ -193,21 +187,27 @@ class StripBasis:
                 -sg * r * b, sg * p * b
             columns.append((kxa, kya, kxb, kyb, -(c10x * kxa + c10y * kya),
                             -(c10x * kxb + c10y * kyb), abs(norm) * q, basis.sign(p, r) < 0))
-        over = [basis.over(x) for x in (*frame.eig.v_lam, *frame.eig.v_mu)]
-        den = math.lcm(*(n for _, _, n in over))
-        vl0, vl1, vm0, vm1 = [(x * (den // n), y * (den // n)) for x, y, n in over]
+        return replace(basis, frame_map=frame_map, lattice=(*u10, *u01, *w10, *w01),
+                       columns=tuple(columns))
 
-        def dot(e0, e1, f0, f1):
-            (x0, y0), (x1, y1) = basis.mul(e0, f0), basis.mul(e1, f1)
+    @functools.cached_property
+    def plane(self) -> tuple[int, tuple, tuple]:
+        """``(den, axes, norms)``: ``axes`` holds per plane coordinate k
+        the pairs (v_lam[k], v_mu[k]) over one denominator den, ``norms``
+        |v_lam|^2, |v_mu|^2 and |v_lam.v_mu| over den^2.  Built when
+        first read: no build reads it."""
+        over = [self.over(x) for x in (*self.eigenframe.eig.v_lam, *self.eigenframe.eig.v_mu)]
+        den = math.lcm(*(n for _, _, n in over))
+        vl, vm = ([(x * (den // n), y * (den // n)) for x, y, n in over[k:k + 2]] for k in (0, 2))
+
+        def dot(e, f):
+            (x0, y0), (x1, y1) = self.mul(e[0], f[0]), self.mul(e[1], f[1])
             return x0 + x1, y0 + y1
 
-        # v_lam.v_mu, and det = v_lam[0]*v_mu[1] - v_lam[1]*v_mu[0], taken absolute
-        signed = dot(vl0, vl1, vm0, vm1), dot(vl0, vl1, vm1, (-vm0[0], -vm0[1]))
-        norms = (dot(vl0, vl1, vl0, vl1), dot(vm0, vm1, vm0, vm1),
-                 *(p if basis.sign(*p) >= 0 else (-p[0], -p[1]) for p in signed))
-        return replace(basis, frame_map=frame_map, lattice=(*u10, *u01, *w10, *w01),
-                       columns=tuple(columns), den=den, plane=((vl0, vm0), (vl1, vm1)),
-                       norms=norms)
+        lm = dot(vl, vm)
+        if self.sign(*lm) < 0:
+            lm = (-lm[0], -lm[1])
+        return den, tuple(zip(vl, vm)), (dot(vl, vl), dot(vm, vm), lm)
 
     def pair(self, x: QuadReal) -> tuple[int, int]:
         """The pair (X, Y) of x: :meth:`over`'s numerators brought to Q;
@@ -274,25 +274,36 @@ class StripBasis:
         (e0, e1), (f0, f1) = e, f
         return e0 * f0 - self.delta * e1 * f1, e1 * f0 + (e0 + self.t * e1) * f1
 
-    def area(self, strip: Strip) -> tuple[int, int]:
-        """The plane area of a strip's box, its widths' product times
-        |det(v_lam, v_mu)|, as a pair over (Q*den)^2."""
-        return self.mul(self.mul(*widths(strip)), self.norms[3])
+    def area(self, strips: Iterable[Strip]) -> tuple[int, int]:
+        """The total frame area of the boxes of some strips, as a pair over
+        Q^2: their widths' products, summed in Z[lam] as lam^2 = t*lam -
+        delta.  The plane area is |det(v_lam, v_mu)| times it."""
+        t, delta = self.t, self.delta
+        big_a = big_b = 0
+        for ulx, uly, uhx, uhy, wlx, wly, whx, why in strips:
+            ux, uy, wx, wy = uhx - ulx, uhy - uly, whx - wlx, why - wly
+            big_a += ux * wx - delta * uy * wy
+            big_b += ux * wy + uy * wx + t * uy * wy
+        return big_a, big_b
+
+    def area_value(self, pair: tuple[int, int]) -> QuadReal:
+        """The plane area of an :meth:`area` pair."""
+        return self.value(*pair, self.modulus ** 2) * abs(self.eigenframe.det)
 
     def diam_sq(self, du: tuple[int, int], dw: tuple[int, int]) -> tuple[int, int]:
         """The squared diameter of a box of widths du, dw > 0, pairs over Q,
         as a pair over (Q*den)^2: the longer of the two diagonals a +- b,
         a = du*v_lam and b = dw*v_mu, whose square is |a|^2 + |b|^2 +
         2*|a.b|, and |a.b| = du*dw*|v_lam.v_mu| as du, dw > 0."""
-        ll, mm, lm, _ = self.norms
+        ll, mm, lm = self.plane[2]
         mul = self.mul
         (ax, ay), (bx, by), (cx, cy) = mul(mul(du, du), ll), mul(mul(dw, dw), mm), \
             mul(mul(du, dw), lm)
         return ax + bx + 2 * cx, ay + by + 2 * cy
 
-    def measure(self, pair: tuple[int, int]) -> QuadReal:
-        """The element of a pair over (Q*den)^2, an :meth:`area` or :meth:`diam_sq`."""
-        return self.value(*pair, (self.modulus * self.den) ** 2)
+    def diam_sq_value(self, pair: tuple[int, int]) -> QuadReal:
+        """The squared diameter of a :meth:`diam_sq` pair."""
+        return self.value(*pair, (self.modulus * self.plane[0]) ** 2)
 
     def floor(self, big_x: int, big_y: int, den: int) -> int:
         """floor((X + Y*lam) / den), as floor(((X*q + Y*a) + Y*b*sqrt(d))

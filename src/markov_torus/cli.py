@@ -390,8 +390,7 @@ def _run_checks(construction: MarkovConstruction, depth: int, cap: int,
     if inject_break:
         base_part = _break_partition(base_part)
         refined = _break_partition(refined)
-    # one walk of each word tree feeds every check that enumerates words;
-    # the n-fold checks walk both trees to length 3 at every depth
+    # one walk of each word tree feeds every check that enumerates words
     reach = min(depth, cap)
     top = max(3, reach)
     area_sums = {k: CellAreaSum(base_part, k) for k in range(2, reach + 1)}

@@ -19,12 +19,11 @@ per partition).  ``encode`` takes the one open hit; none means the
 iterate lies on a component's closure, and ``locate`` names the candidate
 cells (an iterate it finds inside a cell is a gap in the table, raised).
 ``preimage_report`` follows every closed hit of every representative,
-which finds the closed cylinders holding the point.  Neither
-``locate`` nor :meth:`DecodeResult.contains` scans a lattice: they test the
+which finds the closed cylinders holding the point.  Neither ``locate``
+nor :meth:`DecodeResult.contains` scans a lattice: they test the
 translates of the partition's cover, per cell or bisected by w low.
 ``decode`` takes the centre, the squared diameter and the decay check in
-integer pairs too, over the strip basis's plane forms: the diameters are
-:meth:`StripBasis.diam_sq`, the cylinder's and the partition's.  The
+integer pairs too, its diameters being :meth:`StripBasis.diam_sq`.  The
 powers of the acting matrix that a window or a word's offset needs are
 cached on the partition per exponent.
 """
@@ -284,8 +283,7 @@ class CodingContext:
                         raise InvariantError(f"iterate {time} lies in two cells, {nxt} and {j}")
                     nxt, stepped = j, at
             if nxt is None:
-                # on a component's closure: name the candidates exactly; an
-                # open hit there is a cell that the table's rows miss
+                # on a component's closure: name the candidates (an open hit is a table gap)
                 y = basis.reduce(start.act(_acting_power(part, time + depth)))[0]
                 hit = locate(part, y)
                 if isinstance(hit, CellHit):
@@ -308,10 +306,10 @@ class CodingContext:
 
         All in the partition's strip basis: the cylinder's strip is scaled
         to time zero by integer factor-matrix powers; its centre, reduced
-        mod 1 by an integer floor, is an integer pair over the basis's plane
-        forms, and its squared diameter is :meth:`StripBasis.diam_sq`; and
-        the decay bound d(partition)^2 * mu^(2h) is checked against the
-        diameter by one sign test.  Field elements are built only for the result's
+        mod 1 by an integer floor, is an integer pair over the basis's
+        plane forms, its squared diameter is :meth:`StripBasis.diam_sq`,
+        and the decay bound d(partition)^2 * mu^(2h) is checked against it
+        by one sign test.  Field elements are built only for the result's
         fields.  Raises ``ValueError`` if the word leaves the symbol range
         or its cylinder is empty (the word is not admissible)."""
         part = self.part
@@ -328,12 +326,11 @@ class CodingContext:
         lam, mu = basis.unit(True, shift), basis.unit(False, shift)
         rect = (side_image(strip[:4], basis.times(lam), 0, 0, basis.sign(*lam) < 0)
                 + side_image(strip[4:], basis.times(mu), 0, 0, basis.sign(*mu) < 0))
-        ulx, uly, uhx, uhy, wlx, wly, whx, why = rect
         # the centre: the frame midpoint, over 2*Q, mapped to the plane by
         # v_lam and v_mu, over 2*Q*den, and reduced mod 1
-        cu, cw = (ulx + uhx, uly + uhy), (wlx + whx, wly + why)
-        center_den, center = 2 * basis.modulus * basis.den, []
-        for vl, vm in basis.plane:
+        cu, cw = (rect[0] + rect[2], rect[1] + rect[3]), (rect[4] + rect[6], rect[5] + rect[7])
+        center_den, center = 2 * basis.modulus * basis.plane[0], []
+        for vl, vm in basis.plane[1]:
             (x0, y0), (x1, y1) = basis.mul(cu, vl), basis.mul(cw, vm)
             cx, cy = x0 + x1, y0 + y1
             cx -= basis.floor(cx, cy, center_den) * center_den
@@ -352,8 +349,8 @@ class CodingContext:
             anchored=basis.rect(strip),
             rect=basis.rect(rect),
             center=tuple(center),
-            diam_sq=basis.measure((dx, dy)),
-            diameter_bound_sq=basis.measure((ex, ey)),
+            diam_sq=basis.diam_sq_value((dx, dy)),
+            diameter_bound_sq=basis.diam_sq_value((ex, ey)),
             anchored_strip=strip,
         )
 

@@ -454,8 +454,9 @@ def cf_expand(x: QuadReal) -> ContinuedFraction:
 
     The iteration x_{k+1} = 1/(x_k - floor(x_k)) is run on field elements;
     Lagrange's theorem guarantees the sequence of states repeats, and the
-    first repeated state starts the minimal period.  Rational input has a
-    finite expansion, hence no period, and is rejected.
+    first repeated state starts the minimal period after the shortest
+    preperiod (equal last quotients would make an earlier state repeat).
+    Rational input has a finite expansion, hence no period, and is rejected.
     """
     if x.b == 0:
         raise ValueError("rational input has no periodic continued fraction")
@@ -470,6 +471,4 @@ def cf_expand(x: QuadReal) -> ContinuedFraction:
         terms.append(a)
         cur = (cur - a).inverse()
     start = seen[cur]
-    # canonical: equal last quotients of preperiod and period would make the
-    # state before the period a repeat of the period's last, ending the loop
     return ContinuedFraction(tuple(terms[:start]), tuple(terms[start:]))

@@ -475,13 +475,10 @@ def factored(part: TorusPartition) -> tuple[list[list[tuple]], Sequence[int]]:
         steps = []
         for j, (box, row) in enumerate(zip(parents, step_rows(parent))):
             wlx, wly, whx, why = side_image(box[4:], fw, 0, 0, flip_w)
-            left = area(box)
             for b, q, (_, _, swx, swy), comp in row:
                 if comp != parents[b][:4] + (wlx + swx, wly + swy, whx + swx, why + swy):
                     raise InvariantError(f"parent step {(j, b)} at {q} does not cross box({b})")
-                piece = area(comp)
-                left = (left[0] - piece[0], left[1] - piece[1])
-            if left != (0, 0):
+            if area([box]) != area(entry[3] for entry in row):
                 raise InvariantError(f"the steps of parent cell {j} miss part of its area")
             steps.append(sorted((cell_of[(j, b), comp], q, shift) for b, q, shift, comp in row))
         return steps, seconds
@@ -714,7 +711,7 @@ def cylinder_strips(part: TorusPartition, word: Sequence[int]) -> list[Strip]:
 def partition_diam_sq(part: TorusPartition) -> QuadReal:
     """Exact squared diameter of the partition (largest cell diameter):
     :func:`partition_diam_pair`, decoded."""
-    return strip_basis(part).measure(partition_diam_pair(part))
+    return strip_basis(part).diam_sq_value(partition_diam_pair(part))
 
 
 def partition_diam_pair(part: TorusPartition) -> tuple[int, int]:

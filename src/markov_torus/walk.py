@@ -189,8 +189,8 @@ class _DepthCells(WordVisitor):
 class CellAreaSum(WordVisitor):
     """Number and exact total area of the cells of the depth-fold refinement
     (those of :func:`refinement_cells_depth`), summed as the walk reaches
-    them; ``result()`` is ``(cells, area)``.  The strips' areas
-    (:meth:`StripBasis.area`) are summed as pairs and decoded once."""
+    them; ``result()`` is ``(cells, area)``.  Each word's strips are
+    measured by :meth:`StripBasis.area`, summed as pairs and decoded once."""
 
     def __init__(self, part: TorusPartition, depth: int):
         if depth < 1:
@@ -201,14 +201,13 @@ class CellAreaSum(WordVisitor):
         self.sum = (0, 0)
 
     def visit(self, word, strips):
-        if len(word) == self.max_len:
-            for strip in strips:
-                a, b = self.basis.area(strip)
-                self.sum = (self.sum[0] + a, self.sum[1] + b)
+        if len(word) == self.max_len and strips:
+            a, b = self.basis.area(strips)
+            self.sum = (self.sum[0] + a, self.sum[1] + b)
             self.cells += len(strips)
 
     def _value(self) -> tuple[int, QuadReal]:
-        return self.cells, self.basis.measure(self.sum)
+        return self.cells, self.basis.area_value(self.sum)
 
 
 # -- verifiers -----------------------------------------------------------------------
@@ -231,10 +230,9 @@ def verify_translate_disjoint(part: TorusPartition) -> list[tuple[int, int, tupl
 
 def verify_areas(part: TorusPartition) -> QuadReal:
     """Exact total area of the cells, equal to 1 for a genuine partition:
-    their :meth:`StripBasis.area` pairs, summed and decoded once."""
+    their boxes' :meth:`StripBasis.area`, decoded."""
     basis = strip_basis(part)
-    areas = [basis.area(strip) for strip in basis.boxes]
-    return basis.measure((sum(a for a, _ in areas), sum(b for _, b in areas)))
+    return basis.area_value(basis.area(basis.boxes))
 
 
 @dataclass(frozen=True)
@@ -488,8 +486,7 @@ def verify_generator_decay(part: TorusPartition, depth: int,
     # at a fixed w_dim the diameter grows with u_dim, so per first symbol
     # only the widest reachable last symbol can give the maximum
     widest = sorted(range(part.n), key=lambda j: key(dims[j][0]), reverse=True)
-    # diam_sq(u*m, w*m) = m^2 * diam_sq(u, w): a pair's diameter at n = 0,
-    # scaled by mu^(2n)
+    # diam_sq(u*m, w*m) = m^2 * diam_sq(u, w): a pair's n = 0 diameter times mu^(2n)
     rows = []
     for n in range(0, depth + 1):
         if n:
@@ -504,6 +501,6 @@ def verify_generator_decay(part: TorusPartition, depth: int,
             raise InvariantError("no endpoint pair is reachable")
         mu_sq = basis.unit(False, 2 * n)  # mu^(2n) = |mu|^(2n), a pair over 1
         bound, measured = (basis.mul(x, mu_sq) for x in (d_sq, max(cands, key=key)))
-        rows.append(DecayRow(n, basis.measure(bound), basis.measure(measured),
+        rows.append(DecayRow(n, basis.diam_sq_value(bound), basis.diam_sq_value(measured),
                              0 < n <= windows.up_to))
     return rows

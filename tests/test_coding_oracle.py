@@ -405,8 +405,8 @@ def test_decay_bound_failure_matches_the_field_decode(name):
     part = ctx.part
     pairs = partition.strip_basis(part)
     smallest = min((pairs.diam_sq(*basis.widths(s)) for s in pairs.boxes), key=pairs.order())
-    assert pairs.measure(smallest) == min(oracles.rect_diam_sq(box, ctx.frame)
-                                          for box in part.boxes)
+    assert pairs.diam_sq_value(smallest) == min(oracles.rect_diam_sq(box, ctx.frame)
+                                                for box in part.boxes)
     # below the smallest cell's: times mu^2
     object.__setattr__(part, "_diam_pair", pairs.mul(smallest, pairs.unit(False, 2)))
     word = ctx.encode((Fraction(5, 17), Fraction(2, 13)), 1)
