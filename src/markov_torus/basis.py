@@ -132,9 +132,13 @@ class StripBasis:
     :class:`ModPoint`'s numerators over k to its frame pairs over Q*k:
     u = x*u10 + y*u01 and w = x*w10 + y*w01, with the generators' pairs
     ``lattice`` = (u10, u01, w10, w01).  ``columns`` holds what
-    :meth:`scan` bounds its columns by.  Boxes are measured only by
-    :meth:`area` and :meth:`diam_sq`, pairs that :meth:`area_value` and
-    :meth:`diam_sq_value` decode with the plane of ``eigenframe``.
+    :meth:`scan` bounds its columns by.
+
+    Boxes are measured only by :meth:`area` and :meth:`diam_sq`, which
+    :meth:`area_value` and :meth:`diam_sq_value` decode, over the plane
+    forms: ``plane`` holds per plane coordinate k the pairs (v_lam[k],
+    v_mu[k]) over one denominator ``den``, and ``norms`` |v_lam|^2,
+    |v_mu|^2, |v_lam.v_mu| and |det(v_lam, v_mu)| over den^2.
     """
 
     t: int
@@ -148,7 +152,9 @@ class StripBasis:
     frame_map: tuple[int, ...]
     lattice: tuple[int, ...]
     columns: tuple
-    eigenframe: EigenFrame
+    den: int
+    plane: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
+    norms: tuple[tuple[int, int], ...]
 
     @classmethod
     def build(cls, frame: EigenFrame, acting: Mat2Z, lam: QuadReal, mu: QuadReal,
@@ -166,7 +172,7 @@ class StripBasis:
         modulus = 1
         for x in itertools.chain(values, gens):
             modulus = math.lcm(modulus, abs(lam.b) * x.q)
-        basis = cls(t, delta, lam.a, lam.b, lam.q, lam.d, modulus, (), (), (), (), frame)
+        basis = cls(t, delta, lam.a, lam.b, lam.q, lam.d, modulus, (), (), (), (), 1, (), ())
         u10, u01, w10, w01 = map(basis.pair, gens)
         frame_map = ()
         for c10, c01 in ((u10, u01), (w10, w01)):
@@ -187,27 +193,21 @@ class StripBasis:
                 -sg * r * b, sg * p * b
             columns.append((kxa, kya, kxb, kyb, -(c10x * kxa + c10y * kya),
                             -(c10x * kxb + c10y * kyb), abs(norm) * q, basis.sign(p, r) < 0))
-        return replace(basis, frame_map=frame_map, lattice=(*u10, *u01, *w10, *w01),
-                       columns=tuple(columns))
-
-    @functools.cached_property
-    def plane(self) -> tuple[int, tuple, tuple]:
-        """``(den, axes, norms)``: ``axes`` holds per plane coordinate k
-        the pairs (v_lam[k], v_mu[k]) over one denominator den, ``norms``
-        |v_lam|^2, |v_mu|^2 and |v_lam.v_mu| over den^2.  Built when
-        first read: no build reads it."""
-        over = [self.over(x) for x in (*self.eigenframe.eig.v_lam, *self.eigenframe.eig.v_mu)]
+        # the plane forms: v_lam = (c, ly) and v_mu = (c, my) over den, so
+        # the squares and the dot product add c^2 to those of ly and my
+        over = [basis.over(v[1]) for v in (frame.eig.v_lam, frame.eig.v_mu)]
         den = math.lcm(*(n for _, _, n in over))
-        vl, vm = ([(x * (den // n), y * (den // n)) for x, y, n in over[k:k + 2]] for k in (0, 2))
-
-        def dot(e, f):
-            (x0, y0), (x1, y1) = self.mul(e[0], f[0]), self.mul(e[1], f[1])
-            return x0 + x1, y0 + y1
-
-        lm = dot(vl, vm)
-        if self.sign(*lm) < 0:
-            lm = (-lm[0], -lm[1])
-        return den, tuple(zip(vl, vm)), (dot(vl, vl), dot(vm, vm), lm)
+        (lx, ly), (mx, my) = [(x * (den // n), y * (den // n)) for x, y, n in over]
+        cc, mul = c * c * den * den, basis.mul
+        (llx, lly), (mmx, mmy), (lmx, lmy) = mul((lx, ly), (lx, ly)), mul((mx, my), (mx, my)), \
+            mul((lx, ly), (mx, my))
+        # v_lam.v_mu, and det = c*my - ly*c, taken absolute
+        signed = (lmx + cc, lmy), (c * den * (mx - lx), c * den * (my - ly))
+        norms = ((llx + cc, lly), (mmx + cc, mmy),
+                 *(p if basis.sign(*p) >= 0 else (-p[0], -p[1]) for p in signed))
+        return replace(basis, frame_map=frame_map, lattice=(*u10, *u01, *w10, *w01),
+                       columns=tuple(columns), den=den,
+                       plane=(((c * den, 0), (c * den, 0)), ((lx, ly), (mx, my))), norms=norms)
 
     def pair(self, x: QuadReal) -> tuple[int, int]:
         """The pair (X, Y) of x: :meth:`over`'s numerators brought to Q;
@@ -287,15 +287,15 @@ class StripBasis:
         return big_a, big_b
 
     def area_value(self, pair: tuple[int, int]) -> QuadReal:
-        """The plane area of an :meth:`area` pair."""
-        return self.value(*pair, self.modulus ** 2) * abs(self.eigenframe.det)
+        """The plane area of an :meth:`area` pair, times |det(v_lam, v_mu)|."""
+        return self.value(*self.mul(pair, self.norms[3]), (self.modulus * self.den) ** 2)
 
     def diam_sq(self, du: tuple[int, int], dw: tuple[int, int]) -> tuple[int, int]:
         """The squared diameter of a box of widths du, dw > 0, pairs over Q,
         as a pair over (Q*den)^2: the longer of the two diagonals a +- b,
         a = du*v_lam and b = dw*v_mu, whose square is |a|^2 + |b|^2 +
         2*|a.b|, and |a.b| = du*dw*|v_lam.v_mu| as du, dw > 0."""
-        ll, mm, lm = self.plane[2]
+        ll, mm, lm, _ = self.norms
         mul = self.mul
         (ax, ay), (bx, by), (cx, cy) = mul(mul(du, du), ll), mul(mul(dw, dw), mm), \
             mul(mul(du, dw), lm)
@@ -303,7 +303,7 @@ class StripBasis:
 
     def diam_sq_value(self, pair: tuple[int, int]) -> QuadReal:
         """The squared diameter of a :meth:`diam_sq` pair."""
-        return self.value(*pair, (self.modulus * self.plane[0]) ** 2)
+        return self.value(*pair, (self.modulus * self.den) ** 2)
 
     def floor(self, big_x: int, big_y: int, den: int) -> int:
         """floor((X + Y*lam) / den), as floor(((X*q + Y*a) + Y*b*sqrt(d))

@@ -329,8 +329,8 @@ class CodingContext:
         # the centre: the frame midpoint, over 2*Q, mapped to the plane by
         # v_lam and v_mu, over 2*Q*den, and reduced mod 1
         cu, cw = (rect[0] + rect[2], rect[1] + rect[3]), (rect[4] + rect[6], rect[5] + rect[7])
-        center_den, center = 2 * basis.modulus * basis.plane[0], []
-        for vl, vm in basis.plane[1]:
+        center_den, center = 2 * basis.modulus * basis.den, []
+        for vl, vm in basis.plane:
             (x0, y0), (x1, y1) = basis.mul(cu, vl), basis.mul(cw, vm)
             cx, cy = x0 + x1, y0 + y1
             cx -= basis.floor(cx, cy, center_den) * center_den
