@@ -193,15 +193,15 @@ class StripBasis:
                 -sg * r * b, sg * p * b
             columns.append((kxa, kya, kxb, kyb, -(c10x * kxa + c10y * kya),
                             -(c10x * kxb + c10y * kyb), abs(norm) * q, basis.sign(p, r) < 0))
-        # the plane forms: v_lam = (c, ly) and v_mu = (c, my) over den, so
-        # the squares and the dot product add c^2 to those of ly and my
+        # the plane forms: v_lam = (c, l) and v_mu = (c, m), l = (lx, ly) and
+        # m = (mx, my) over den, so the squares and v_lam.v_mu add c^2 to l's and m's
         over = [basis.over(v[1]) for v in (frame.eig.v_lam, frame.eig.v_mu)]
         den = math.lcm(*(n for _, _, n in over))
         (lx, ly), (mx, my) = [(x * (den // n), y * (den // n)) for x, y, n in over]
         cc, mul = c * c * den * den, basis.mul
         (llx, lly), (mmx, mmy), (lmx, lmy) = mul((lx, ly), (lx, ly)), mul((mx, my), (mx, my)), \
             mul((lx, ly), (mx, my))
-        # v_lam.v_mu, and det = c*my - ly*c, taken absolute
+        # v_lam.v_mu, and det = c*m - l*c, taken absolute
         signed = (lmx + cc, lmy), (c * den * (mx - lx), c * den * (my - ly))
         norms = ((llx + cc, lly), (mmx + cc, mmy),
                  *(p if basis.sign(*p) >= 0 else (-p[0], -p[1]) for p in signed))
